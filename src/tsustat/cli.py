@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (overrides config out_dir)")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--threads", type=int, help="worker process count")
-        p.add_argument("--budget", type=float, help="kernel-evaluation budget cap")
+        p.add_argument("--budget", type=float, help="cap on the estimated work")
         if name == "calibrate":
             p.add_argument("--result", required=True,
                            help="directory holding result.json from a tail run")

@@ -30,10 +30,10 @@ from .hidim import ScalingReport, scaling_experiment
 from .kernels import (KernelSpec, load_table_kernel, mean_kernel, sign_product_kernel,
                       spearman_symmetric_kernel, table_kernel)
 from .mixing import MixingProfile, conditional_phi_coeff, mixing_profile
-from .processes import (FiniteMarkovChain, ProcessSpec, SeriesPath, _rep_rng,
-                        correlation_factor, generate_batch)
+from .processes import (FiniteMarkovChain, ProcessSpec, _rep_rng, correlation_factor,
+                        generate_batch)
 from .ustat import (check_zero_conditional_means, decompose, kendall_tau_batch,
-                    theta_independent, u_statistic)
+                    spearman_rho3_batch, theta_independent)
 
 SCHEMA_VERSION = 1
 DEFAULT_BUDGET = 1e12
@@ -310,48 +310,86 @@ def _kernel_from_desc(desc: dict) -> KernelSpec:
     raise ConfigError(f"kernel kind '{kind}' cannot run in worker processes")
 
 
+def _kernel_values(kernel: KernelSpec, samples: np.ndarray) -> np.ndarray:
+    """Kernel values over (n, r, d) draws; a draw outside the kernel's bound
+    is a configuration error, not a crash."""
+    if kernel.sample_fn is None:
+        raise ConfigError(f"kernel kind '{kernel.kind}' has no vectorized evaluator")
+    try:
+        return kernel.sample_fn(samples)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _u_values_block(args, start: int, count: int) -> np.ndarray:
     """U-statistic per replication for replications [start, start + count)."""
     spec, T, desc = args
     kernel = _kernel_from_desc(desc)
     batch = generate_batch(spec, T, count, rep_offset=start)
-    if kernel.kind == "sign_product":
-        if batch.ndim != 3 or batch.shape[2] != 2:
-            raise ConfigError("sign_product needs a bivariate process")
-        return kendall_tau_batch(batch[:, :, 0], batch[:, :, 1])
+    if kernel.kind == "table":
+        return np.array([_u_table_path(states, kernel.table) for states in batch])
     if kernel.kind == "mean":
         if batch.ndim != 3 or batch.shape[2] != 1:
             raise ConfigError("mean kernel needs a scalar process")
-        return batch[:, :, 0].mean(axis=1)
+        return _kernel_values(kernel, batch.reshape(-1, 1, 1)).reshape(count, T).mean(axis=1)
+    # sign_product or spearman_sym, the rank kernels _kernel_from_desc builds
+    if batch.ndim != 3 or batch.shape[2] != 2:
+        raise ConfigError(f"{kernel.kind} needs a bivariate process")
+    rank_u = kendall_tau_batch if kernel.kind == "sign_product" else spearman_rho3_batch
+    return rank_u(batch[:, :, 0], batch[:, :, 1])
+
+
+def _path_cost(kernel: KernelSpec, T: int) -> float:
+    """Work units of the evaluator ``_u_values_block`` runs on one length-T path."""
+    if kernel.kind in ("sign_product", "spearman_sym"):
+        return T * math.log2(max(T, 2))  # merge counting over ranks
+    if kernel.kind == "mean":
+        return float(T)
     if kernel.kind == "table":
-        return np.array([_u_table_path(states, kernel.table) for states in batch])
-    out = np.empty(count)
-    for i in range(count):
-        data = batch[i] if batch.ndim == 3 else SeriesPath(states=batch[i])
-        out[i] = u_statistic(data, kernel)
-    return out
+        return float(T * kernel.table.shape[0] ** kernel.order)  # tuple counts
+    return float(math.comb(T, kernel.order))  # generic enumeration
 
 
 def _u_table_path(states: np.ndarray, H: np.ndarray) -> float:
-    """U-statistic of a table kernel on a state path, vectorized over gaps."""
+    """U-statistic of a table kernel on a state path, from exact tuple counts.
+
+    N[a, b(, c)] counts the increasing index tuples whose states are
+    (a, b(, c)); one-hot prefix and suffix state counts give it in O(T S^r),
+    and U = <N, H> / C(T, r).
+    """
     T = states.shape[0]
     r = H.ndim
     if T < r:
         raise ValueError(f"path length {T} shorter than kernel order {r}")
-    total = 0.0
+    if r > 3:
+        raise ValueError("table-path evaluation supports orders 1..3")
+    onehot = np.zeros((T, H.shape[0]), dtype=np.int64)
+    onehot[np.arange(T), states] = 1
+    seen = np.cumsum(onehot, axis=0)
     if r == 1:
-        return float(H[states].mean())
-    if r == 2:
-        for g in range(1, T):
-            total += float(H[states[:T - g], states[g:]].sum())
-        return total / math.comb(T, 2)
-    if r == 3:
-        for g1 in range(1, T - 1):
-            for g2 in range(1, T - g1):
-                idx = np.arange(T - g1 - g2)
-                total += float(H[states[idx], states[idx + g1], states[idx + g1 + g2]].sum())
-        return total / math.comb(T, 3)
-    raise ValueError("table-path evaluation supports orders 1..3")
+        N = seen[-1]
+    elif r == 2:
+        N = (seen - onehot).T @ onehot
+    else:
+        N = np.einsum("ta,tb,tc->abc", seen - onehot, onehot, seen[-1] - seen)
+    return math.fsum((N * H).ravel()) / math.comb(T, r)
+
+
+def _oracle_samples(cfg: ExperimentConfig) -> np.ndarray:
+    """(draws, r, d) iid draws of r points from the stationary marginal."""
+    spec, r = cfg.process, cfg.kernel.order
+    draws = cfg.theta_draws
+    rng = _rep_rng(cfg.seed, 2 ** 32)  # oracle stream, disjoint from replication streams
+    if spec.kind == "gaussian_copula_vector":
+        p = spec.dimension
+        L = correlation_factor(spec.cross_correlation)
+        return ndtr(rng.standard_normal((draws, r, p)) @ L.T)
+    if spec.kind in ("iid", "ar1", "m_dependent"):
+        samples = rng.standard_normal((draws, r, 1))
+        if spec.kind == "ar1":
+            samples = samples * math.sqrt(1.0 / (1.0 - spec.ar_coefficient ** 2))
+        return samples
+    raise ConfigError("no independent-sampling oracle for this process")
 
 
 def _estimate_theta(cfg: ExperimentConfig) -> tuple[float, float, str]:
@@ -367,28 +405,12 @@ def _estimate_theta(cfg: ExperimentConfig) -> tuple[float, float, str]:
             # independent continuous coordinates: the sign product integrates to zero
             return 0.0, 0.0, "exact-independent"
     # iid oracle on the stationary cross-sectional marginal
-    draws = cfg.theta_draws
-    r = kernel.order
-    rng = _rep_rng(cfg.seed, 2 ** 32)  # oracle stream, disjoint from replication streams
-    if spec.kind == "gaussian_copula_vector":
-        p = spec.dimension
-        L = correlation_factor(spec.cross_correlation)
-        samples = ndtr(rng.standard_normal((draws, r, p)) @ L.T)
-    elif spec.kind in ("iid", "ar1", "m_dependent"):
-        samples = rng.standard_normal((draws, r, 1))
-        if spec.kind == "ar1":
-            samples = samples * math.sqrt(1.0 / (1.0 - spec.ar_coefficient ** 2))
-    else:
-        raise ConfigError("no independent-sampling oracle for this process")
-    if kernel.point_dim is not None and samples.shape[2] != kernel.point_dim:
-        raise ConfigError(f"kernel '{kernel.kind}' needs {kernel.point_dim}-dimensional "
+    samples = _oracle_samples(cfg)
+    dim = kernel.point_dim or 1
+    if samples.shape[2] != dim:
+        raise ConfigError(f"kernel '{kernel.kind}' needs {dim}-dimensional "
                           f"points, process emits {samples.shape[2]}")
-    if kernel.kind == "sign_product":
-        vals = (np.sign(samples[:, 0, 0] - samples[:, 1, 0])
-                * np.sign(samples[:, 0, 1] - samples[:, 1, 1]))
-    else:
-        points = samples if samples.shape[2] > 1 else samples[:, :, 0]
-        vals = np.array([kernel.fn(*points[i]) for i in range(draws)])
+    vals = _kernel_values(kernel, samples)
     theta = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(vals.size))
     return theta, se, "mc"
@@ -460,8 +482,9 @@ class TailExperiment:
 
 
 def estimate_tail_budget(cfg: ExperimentConfig) -> float:
-    r = cfg.kernel.order
-    return cfg.replications * math.fsum(math.comb(T, r) for T in cfg.t_grid)
+    """Work units of the tail run: replications times the per-path cost of
+    the evaluator the kernel kind selects."""
+    return cfg.replications * math.fsum(_path_cost(cfg.kernel, T) for T in cfg.t_grid)
 
 
 def run_tail_experiment(cfg: ExperimentConfig) -> TailExperiment:
@@ -470,7 +493,7 @@ def run_tail_experiment(cfg: ExperimentConfig) -> TailExperiment:
     t0 = time.time()
     cost = estimate_tail_budget(cfg)
     if cost > cfg.budget:
-        raise BudgetError(f"estimated {cost:.3g} kernel evaluations exceed budget {cfg.budget:.3g}")
+        raise BudgetError(f"estimated {cost:.3g} work units exceed budget {cfg.budget:.3g}")
     theta, theta_se, mode = _estimate_theta(cfg)
     if mode == "mc" and len(cfg.x_grid) > 1:
         min_step = min(b - a for a, b in zip(sorted(cfg.x_grid), sorted(cfg.x_grid)[1:]))

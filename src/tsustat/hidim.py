@@ -114,7 +114,7 @@ def kendall_matrix(data, pair_chunk: int = 1024) -> CorrelationMatrixEstimate:
         rows = np.empty((len(chunk), T), dtype=np.int64)
         for i, (j, k) in enumerate(chunk):
             rows[i] = ranks[order[:, j], k]
-        inv = _count_inversions_batch(rows)
+        inv, _ = _count_inversions_batch(rows)
         for (j, k), d in zip(chunk, inv):
             M[j, k] = M[k, j] = (denom - 2 * int(d)) / denom
     for j, k in pairs:

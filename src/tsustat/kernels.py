@@ -10,6 +10,10 @@ Built-in kinds:
 
 ``symmetrize`` converts an arbitrary bounded function of r points into a
 symmetric kernel by averaging over all r! argument orderings.
+
+The mean, sign-product and order-3 rank kernels also carry ``sample_fn``, a
+vectorized evaluator over many draws of r points that returns exactly the
+values ``fn`` gives draw by draw.
 """
 from __future__ import annotations
 
@@ -37,6 +41,9 @@ class KernelSpec:
     ``point_dim`` is the required dimensionality of each data point
     (None accepts scalars). ``table`` is set only for table kernels and holds
     the dense symmetric lookup array used by the exact-chain machinery.
+    ``sample_fn``, when set, maps an (n, r, d) array of n draws of r points
+    (d = point_dim, or 1 for scalars) to the n kernel values, equal to
+    ``fn`` applied draw by draw.
     """
 
     order: int
@@ -46,6 +53,7 @@ class KernelSpec:
     point_dim: int | None = None
     symmetric: bool = True
     table: np.ndarray | None = field(default=None, repr=False, compare=False)
+    sample_fn: Callable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.order < 1:
@@ -81,7 +89,14 @@ def mean_kernel(bound: float = 1.0) -> KernelSpec:
             raise ValueError(f"mean kernel input {v} exceeds bound {bound}")
         return v
 
-    return KernelSpec(order=1, bound=bound, kind="mean", fn=fn)
+    def sample_fn(samples):
+        v = samples[:, 0, 0]
+        worst = float(np.max(np.abs(v), initial=0.0))
+        if worst > bound:
+            raise ValueError(f"mean kernel input of size {worst} exceeds bound {bound}")
+        return v
+
+    return KernelSpec(order=1, bound=bound, kind="mean", fn=fn, sample_fn=sample_fn)
 
 
 def sign_product_kernel() -> KernelSpec:
@@ -90,7 +105,12 @@ def sign_product_kernel() -> KernelSpec:
     def fn(x, y):
         return sign(float(x[0]) - float(y[0])) * sign(float(x[1]) - float(y[1]))
 
-    return KernelSpec(order=2, bound=1.0, kind="sign_product", fn=fn, point_dim=2)
+    def sample_fn(samples):
+        return (np.sign(samples[:, 0, 0] - samples[:, 1, 0])
+                * np.sign(samples[:, 0, 1] - samples[:, 1, 1]))
+
+    return KernelSpec(order=2, bound=1.0, kind="sign_product", fn=fn, point_dim=2,
+                      sample_fn=sample_fn)
 
 
 def _spearman_base(a, b, c) -> float:
@@ -111,7 +131,16 @@ def spearman_symmetric_kernel() -> KernelSpec:
             total += _spearman_base(a, b, c)
         return 0.5 * total
 
-    return KernelSpec(order=3, bound=1.0, kind="spearman_sym", fn=fn, point_dim=2)
+    def sample_fn(samples):
+        # the terms are integers, so the sum is exact in any order
+        total = np.zeros(samples.shape[0])
+        for a, b, c in itertools.permutations(range(3)):
+            total += (np.sign(samples[:, a, 0] - samples[:, b, 0])
+                      * np.sign(samples[:, a, 1] - samples[:, c, 1]))
+        return 0.5 * total
+
+    return KernelSpec(order=3, bound=1.0, kind="spearman_sym", fn=fn, point_dim=2,
+                      sample_fn=sample_fn)
 
 
 def table_kernel(values: np.ndarray | dict, order: int | None = None,

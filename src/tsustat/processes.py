@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import ndtr
 
 _ROW_SUM_TOL = 1e-12
@@ -234,6 +233,16 @@ def correlation_factor(R: np.ndarray) -> np.ndarray:
         return V @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
 
 
+def _ar1_in_place(z: np.ndarray, phi: float) -> None:
+    """Run z[t] = z[t] + phi * z[t-1] down the leading (time) axis in place.
+
+    With z[0] the start value and z[1:] the innovations this is the AR(1)
+    recurrence, each step one vectorized update over all replications.
+    """
+    for t in range(1, z.shape[0]):
+        z[t] += phi * z[t - 1]
+
+
 def generate(spec: ProcessSpec, length: int) -> SeriesPath:
     """One path; equals replication 0 of ``generate_batch``."""
     batch = generate_batch(spec, length, 1)
@@ -261,15 +270,10 @@ def generate_batch(spec: ProcessSpec, length: int, replications: int,
 
     if spec.kind == "ar1":
         phi = spec.ar_coefficient
-        draws = np.stack([rng.standard_normal(T) for rng in rngs])  # (R, T)
-        x0 = draws[:, 0] * np.sqrt(1.0 / (1.0 - phi * phi))
-        out = np.empty((R, T))
-        out[:, 0] = x0
-        if T > 1:
-            filtered, _ = lfilter([1.0], [1.0, -phi], draws[:, 1:], axis=1,
-                                  zi=(phi * x0)[:, None])
-            out[:, 1:] = filtered
-        return out[:, :, None]
+        x = np.stack([rng.standard_normal(T) for rng in rngs], axis=1)  # (T, R)
+        x[0] *= np.sqrt(1.0 / (1.0 - phi * phi))
+        _ar1_in_place(x, phi)
+        return np.ascontiguousarray(x.T)[:, :, None]
 
     if spec.kind == "m_dependent":
         m = spec.window
@@ -294,16 +298,14 @@ def generate_batch(spec: ProcessSpec, length: int, replications: int,
         p = spec.dimension
         phi = spec.temporal_coefficient
         L = correlation_factor(spec.cross_correlation)
-        eps = np.stack([rng.standard_normal((T, p)) for rng in rngs])  # (R, T, p)
-        latent_innov = eps @ L.T
-        z = np.empty((R, T, p))
-        z[:, 0, :] = latent_innov[:, 0, :]
-        if T > 1:
-            scale = np.sqrt(1.0 - phi * phi)
-            filtered, _ = lfilter([1.0], [1.0, -phi], scale * latent_innov[:, 1:, :],
-                                  axis=1, zi=(phi * z[:, 0, :])[:, None, :])
-            z[:, 1:, :] = filtered
-        return ndtr(z)
+        # the factor is applied per replication, as one (T, p) product each, so a
+        # path never depends on which batch it is drawn in
+        latent = np.stack([rng.standard_normal((T, p)) for rng in rngs]) @ L.T  # (R, T, p)
+        z = np.ascontiguousarray(latent.transpose(1, 0, 2))  # time-major for the recurrence
+        del latent
+        z[1:] *= np.sqrt(1.0 - phi * phi)
+        _ar1_in_place(z, phi)
+        return ndtr(z.transpose(1, 0, 2), out=np.empty((R, T, p)))
 
     raise ValueError(f"unknown process kind '{spec.kind}'")
 

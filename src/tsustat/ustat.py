@@ -3,7 +3,9 @@
 The generic evaluator enumerates index combinations in colexicographic order
 with compensated summation and serves as the slow oracle. Fast paths:
 Kendall's tau via merge-based discordant-pair counting (vectorized across
-whole batches of paths) and Spearman's rho from exact integer rank sums.
+whole batches of paths), Spearman's rho from exact integer rank sums, and the
+order-3 symmetric rank kernel from the same counts through Hoeffding's
+identity. Batched paths route rows with ties to the exact oracles.
 
 For paths generated by a finite Markov chain the module also evaluates the
 chain-law expectation of the U-statistic, the product-measure expectation,
@@ -93,8 +95,13 @@ def u_statistic(data, kernel: KernelSpec, max_terms: int = MAX_GENERIC_TERMS) ->
 # fast rank statistics
 # ---------------------------------------------------------------------------
 
-def _count_inversions_batch(rows: np.ndarray, base: int = 16) -> np.ndarray:
+def _count_inversions_batch(rows: np.ndarray,
+                            base: int = 16) -> tuple[np.ndarray, np.ndarray]:
     """Per-row inversion counts for rows without internal ties.
+
+    Returns the counts and the stable per-row argsort the ranks come from,
+    so callers can read each row in sorted order (tie checks, rank sums)
+    without sorting again.
 
     Bottom-up merge counting: blocks up to ``base`` are handled by brute
     pairwise comparison, then each level merges sorted half-blocks with one
@@ -106,7 +113,7 @@ def _count_inversions_batch(rows: np.ndarray, base: int = 16) -> np.ndarray:
         rows = rows[None, :]
     R, T = rows.shape
     if T < 2:
-        return np.zeros(R, dtype=np.int64)
+        return np.zeros(R, dtype=np.int64), np.zeros((R, T), dtype=np.intp)
 
     order = np.argsort(rows, axis=1, kind="stable")
     ranks = np.empty((R, T), dtype=np.int32)
@@ -141,7 +148,7 @@ def _count_inversions_batch(rows: np.ndarray, base: int = 16) -> np.ndarray:
         inv += cross.reshape(R, m).sum(axis=1)
         arr = np.take_along_axis(a, idx, axis=1).reshape(R, n)
         half = width
-    return inv
+    return inv, order
 
 
 def _has_ties(col: np.ndarray) -> bool:
@@ -165,7 +172,7 @@ def kendall_tau_numerator(x: np.ndarray, y: np.ndarray) -> int:
             total += int(prod[keep].sum())
         return total
     order = np.argsort(x, kind="stable")
-    inv = int(_count_inversions_batch(y[order][None, :])[0])
+    inv = int(_count_inversions_batch(y[order][None, :])[0][0])
     return math.comb(T, 2) - 2 * inv
 
 
@@ -182,18 +189,67 @@ def kendall_tau(path) -> float:
     return kendall_tau_numerator(xy[:, 0], xy[:, 1]) / math.comb(T, 2)
 
 
-def kendall_tau_batch(x_rows: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
-    """Kendall's tau per row for a batch of tie-free bivariate paths."""
+def _tied_rows(sorted_rows: np.ndarray) -> np.ndarray:
+    """Per-row flag: a row, already in sorted order, holds equal entries."""
+    return (sorted_rows[:, 1:] == sorted_rows[:, :-1]).any(axis=1)
+
+
+def _rank_pair_batch(x_rows: np.ndarray, y_rows: np.ndarray):
+    """Inversions of y read in x order, with the orderings and a tie mask.
+
+    Returns (inv, y_order, tied): ``y_order[i, j]`` is the x-rank of the
+    element with y-rank j, so the rank-difference sum d2 of row i is
+    sum_j (y_order[i, j] - j)^2. ``tied`` marks rows with a tie in either
+    coordinate; it reads both coordinates through the two argsorts already
+    taken, so ties cost no extra sort.
+    """
     x_rows = np.asarray(x_rows)
     y_rows = np.asarray(y_rows)
-    R, T = x_rows.shape
+    order = np.argsort(x_rows, axis=1, kind="stable")
+    tied = _tied_rows(np.take_along_axis(x_rows, order, axis=1))
+    permuted = np.take_along_axis(y_rows, order, axis=1)
+    inv, y_order = _count_inversions_batch(permuted)
+    tied |= _tied_rows(np.take_along_axis(permuted, y_order, axis=1))
+    return inv, y_order, tied
+
+
+def kendall_tau_batch(x_rows: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
+    """Kendall's tau per row for a batch of bivariate paths.
+
+    Rows without ties take the batched merge counter; rows with a tie in
+    either coordinate take the exact ``kendall_tau_numerator``.
+    """
+    T = np.shape(x_rows)[1]
     if T < 2:
         raise ValueError("Kendall's tau needs at least 2 observations")
-    order = np.argsort(x_rows, axis=1, kind="stable")
-    permuted = np.take_along_axis(y_rows, order, axis=1)
-    inv = _count_inversions_batch(permuted)
+    inv, _, tied = _rank_pair_batch(x_rows, y_rows)
     denom = math.comb(T, 2)
-    return (denom - 2 * inv) / denom
+    out = (denom - 2 * inv) / denom
+    for i in np.flatnonzero(tied):
+        out[i] = kendall_tau_numerator(x_rows[i], y_rows[i]) / denom
+    return out
+
+
+def spearman_rho3_batch(x_rows: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
+    """Order-3 symmetric rank-kernel U-statistic per row of a bivariate batch.
+
+    Hoeffding's identity rho = ((T-2) rho3 + 3 tau) / (T+1) gives the exact
+    integer kernel sum C(T,3) - d2 + 2 inv per tie-free row, with d2 the
+    squared rank differences and inv the discordant pairs, in O(T log T).
+    Rows with a tie take the ``u_statistic`` enumerator, where the kernel's
+    sign(0) = 0 convention applies.
+    """
+    T = np.shape(x_rows)[1]
+    if T < 3:
+        raise ValueError("the order-3 rank kernel needs at least 3 observations")
+    inv, y_order, tied = _rank_pair_batch(x_rows, y_rows)
+    d2 = ((y_order - np.arange(T)) ** 2).sum(axis=1)
+    n_terms = math.comb(T, 3)
+    out = (n_terms - d2 + 2 * inv) / n_terms
+    kernel = spearman_symmetric_kernel()
+    for i in np.flatnonzero(tied):
+        out[i] = u_statistic(np.column_stack([x_rows[i], y_rows[i]]), kernel)
+    return out
 
 
 def _bivariate(path) -> np.ndarray:

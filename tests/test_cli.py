@@ -76,6 +76,19 @@ def test_exit_code_budget(tmp_path):
                  "--budget", "10"]) == 3
 
 
+@pytest.mark.parametrize("mode", ["exact-zero", "auto"])
+@pytest.mark.parametrize("bound,code", [(0.1, 2), (50.0, 0)])
+def test_exit_code_mean_kernel_bound(tmp_path, mode, bound, code):
+    """iid N(0,1) data break a mean kernel bound of 0.1 in both theta modes."""
+    cfg = write_config(tmp_path, {
+        "schema_version": 1, "experiment": "tail", "seed": 5,
+        "process": {"kind": "iid"}, "kernel": {"kind": "mean", "bound": bound},
+        "t_grid": [20], "x_grid": [0.1, 0.5], "replications": 10,
+        "theta": {"mode": mode, "draws": 1000},
+    })
+    assert main(["tail", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+
+
 def test_exit_code_property_failure(tmp_path):
     cfg = write_config(tmp_path, {
         "schema_version": 1, "experiment": "mgf-check", "seed": 8,

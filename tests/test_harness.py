@@ -3,11 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tsustat.harness import (BudgetError, ConfigError, ExperimentConfig,
-                             calibrate_from_tail, emit_outputs, estimate_tail_budget,
-                             run_bias_curve, run_decompose_check, run_mgf_check,
-                             run_mixing_profile, run_scaling, run_tail_experiment)
+from tsustat.harness import (DEFAULT_BUDGET, BudgetError, ConfigError, ExperimentConfig,
+                             _oracle_samples, _u_table_path, calibrate_from_tail,
+                             emit_outputs, estimate_tail_budget, run_bias_curve,
+                             run_decompose_check, run_mgf_check, run_mixing_profile,
+                             run_scaling, run_tail_experiment)
+from tsustat.kernels import table_kernel
+from tsustat.processes import SeriesPath
+from tsustat.ustat import u_statistic
 
 CHAIN = {"kind": "markov_chain", "transition": [[0.75, 0.25], [0.25, 0.75]]}
 MATCH_KERNEL = {"kind": "table", "order": 2, "state_count": 2,
@@ -78,6 +84,45 @@ def test_tail_budget_guard():
     assert estimate_tail_budget(cfg) > 100.0
     with pytest.raises(BudgetError):
         run_tail_experiment(cfg)
+
+
+def test_tail_budget_counts_the_evaluator_used():
+    """An order-3 rank-kernel tail at T=2000 is O(T log T) per path, far under
+    the default budget, though C(2000, 3) per path would exceed it."""
+    cfg = ExperimentConfig.from_dict(tail_config(
+        kernel={"kind": "spearman_sym"}, t_grid=[2000], x_grid=[0.05, 0.1],
+        replications=1000, theta={"mode": "exact-zero"}))
+    assert 1000 * math.comb(2000, 3) > DEFAULT_BUDGET
+    assert estimate_tail_budget(cfg) < 1e-4 * DEFAULT_BUDGET
+    exp = run_tail_experiment(cfg)
+    assert exp.curves[0].counts[0] <= cfg.replications
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.sampled_from([1, 2, 3]),
+       states=st.sampled_from([2, 3, 4]), extra=st.integers(0, 22))
+def test_u_table_path_matches_enumeration(seed, order, states, extra):
+    rng = np.random.default_rng(seed)
+    kernel = table_kernel(rng.uniform(-1.0, 1.0, size=(states,) * order))
+    path = rng.integers(0, states, size=order + extra)
+    want = u_statistic(SeriesPath(states=path), kernel)
+    assert _u_table_path(path, kernel.table) == pytest.approx(want, rel=0, abs=1e-14)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       case=st.sampled_from([("sign_product", COPULA),
+                             ("spearman_sym", COPULA),
+                             ("mean", {"kind": "ar1", "coefficient": 0.6})]))
+def test_oracle_values_match_kernel_fn(seed, case):
+    kind, process = case
+    kernel = {"kind": kind, "bound": 10.0} if kind == "mean" else {"kind": kind}
+    cfg = ExperimentConfig.from_dict(tail_config(
+        seed=seed, process=process, kernel=kernel, theta={"mode": "mc", "draws": 2000}))
+    samples = _oracle_samples(cfg)
+    points = samples if samples.shape[2] > 1 else samples[:, :, 0]
+    want = np.array([cfg.kernel.fn(*points[i]) for i in range(samples.shape[0])])
+    np.testing.assert_array_equal(cfg.kernel.sample_fn(samples), want)
 
 
 def test_tail_run_deterministic_and_thread_invariant(tmp_path):

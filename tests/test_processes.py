@@ -3,11 +3,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
+from scipy.special import ndtr
 
-from tsustat.processes import (FiniteMarkovChain, ProcessSpec, SeriesPath, cycle_chain,
-                               generate, generate_batch, iid_chain, m_dependent_from_iid,
-                               path_from_csv, random_chain, truncate_to_finite,
-                               two_state_chain)
+from tsustat.processes import (FiniteMarkovChain, ProcessSpec, SeriesPath, _rep_rng,
+                               correlation_factor, cycle_chain, generate, generate_batch,
+                               iid_chain, m_dependent_from_iid, path_from_csv, random_chain,
+                               truncate_to_finite, two_state_chain)
 
 
 def test_chain_validation():
@@ -61,6 +65,36 @@ def test_generation_deterministic(kind, kwargs):
     # splitting a batch does not change replications
     tail = generate_batch(spec, 20, 2, rep_offset=1)
     np.testing.assert_array_equal(batch[1:], tail)
+
+
+def _lfilter_ar1(innov, x0, phi):
+    """AR(1) along axis 1 by scipy's IIR filter: x_t = innov_t + phi x_{t-1}."""
+    out = np.empty((innov.shape[0], innov.shape[1] + 1) + innov.shape[2:])
+    out[:, 0] = x0
+    out[:, 1:], _ = lfilter([1.0], [1.0, -phi], innov, axis=1,
+                            zi=(phi * x0)[:, None])
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), phi=st.floats(-0.95, 0.95),
+       T=st.integers(1, 60), R=st.integers(1, 5), offset=st.integers(0, 100),
+       rho=st.floats(-0.9, 0.9))
+def test_ar1_recurrence_matches_lfilter(seed, phi, T, R, offset, rho):
+    rngs = [_rep_rng(seed, offset + i) for i in range(R)]
+    draws = np.stack([rng.standard_normal(T) for rng in rngs])
+    x0 = draws[:, 0] * np.sqrt(1.0 / (1.0 - phi * phi))
+    want = _lfilter_ar1(draws[:, 1:], x0, phi)[:, :, None]
+    spec = ProcessSpec(kind="ar1", seed=seed, ar_coefficient=phi)
+    np.testing.assert_array_equal(generate_batch(spec, T, R, rep_offset=offset), want)
+
+    corr = np.array([[1.0, rho], [rho, 1.0]])
+    rngs = [_rep_rng(seed, offset + i) for i in range(R)]
+    latent = np.stack([rng.standard_normal((T, 2)) for rng in rngs]) @ correlation_factor(corr).T
+    z = _lfilter_ar1(np.sqrt(1.0 - phi * phi) * latent[:, 1:], latent[:, 0], phi)
+    spec = ProcessSpec(kind="gaussian_copula_vector", seed=seed, dimension=2,
+                       temporal_coefficient=phi, cross_correlation=corr)
+    np.testing.assert_array_equal(generate_batch(spec, T, R, rep_offset=offset), ndtr(z))
 
 
 def test_deterministic_cycle_path():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsustat.kernels import (mean_kernel, sign_product_kernel,
                              spearman_symmetric_kernel, symmetrize, table_kernel)
@@ -10,7 +12,8 @@ from tsustat.processes import (ProcessSpec, SeriesPath, generate_batch, iid_chai
                                two_state_chain)
 from tsustat.ustat import (hoeffding_decoupling_average, kendall_tau,
                            kendall_tau_batch, kendall_tau_numerator, spearman_rho,
-                           theta_independent, theta_star, u_statistic)
+                           spearman_rho3_batch, theta_independent, theta_star,
+                           u_statistic)
 
 
 def brute_tau_numerator(x, y):
@@ -87,6 +90,40 @@ def test_kendall_tau_batch_matches_scalar():
     taus = kendall_tau_batch(xs, ys)
     for i in range(20):
         assert taus[i] == kendall_tau(np.column_stack([xs[i], ys[i]]))
+
+
+def test_kendall_tau_batch_with_ties_matches_scalar():
+    x = np.array([[0.0, 0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0], [3.0, 1.0, 2.0, 0.0]])
+    y = np.array([[1.0, 0.0, 2.0, 3.0], [1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 2.0, 3.0]])
+    taus = kendall_tau_batch(x, y)
+    for i in range(3):
+        assert taus[i] == kendall_tau(np.column_stack([x[i], y[i]]))
+    assert taus[0] == pytest.approx(5.0 / 6.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 6), T=st.integers(3, 24),
+       decimals=st.sampled_from([None, 1, 0]))
+def test_batched_rank_kernels_match_enumeration(seed, rows, T, decimals):
+    """Both batched rank kernels against the enumerator, ties forced by rounding."""
+    rng = np.random.default_rng(seed)
+    xy = rng.standard_normal((rows, T, 2))
+    if decimals is not None:
+        xy = np.round(xy, decimals)
+    tau = kendall_tau_batch(xy[:, :, 0], xy[:, :, 1])
+    rho3 = spearman_rho3_batch(xy[:, :, 0], xy[:, :, 1])
+    for i in range(rows):
+        assert tau[i] == u_statistic(xy[i], sign_product_kernel())
+        assert rho3[i] == u_statistic(xy[i], spearman_symmetric_kernel())
+
+
+def test_spearman_rho3_batch_matches_identity_at_larger_T():
+    rng = np.random.default_rng(16)
+    for T in (40, 80):
+        xy = rng.standard_normal((1, T, 2))
+        assert spearman_rho3_batch(xy[:, :, 0], xy[:, :, 1])[0] == spearman_rho(xy[0]).rho3
+    with pytest.raises(ValueError):
+        spearman_rho3_batch(np.zeros((1, 2)), np.zeros((1, 2)))
 
 
 def test_spearman_monotone():
