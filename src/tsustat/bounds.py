@@ -191,6 +191,14 @@ class CalibrationResult:
         x_eff = max(point.x - bias_offset(point.T, point.M, self.constants.c4), 0.0)
         return ustat_tail_bound(x_eff, point.T, point.M, self.constants.c5) >= point.probability - tol
 
+    def to_dict(self) -> dict:
+        """JSON form; an infinite slack (one constraining point) becomes None."""
+        return {"constants": self.constants.to_dict(), "capped": self.capped,
+                "used_points": self.used_points,
+                "slack": None if math.isinf(self.slack) else self.slack,
+                "binding_point": None if self.binding_point is None
+                                 else self.binding_point._asdict()}
+
 
 def calibrate_constants(points: Sequence[TailPoint | tuple], c4: float = 1.0,
                         cap: float = 1e6, base: BoundConstants | None = None) -> CalibrationResult:

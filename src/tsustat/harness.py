@@ -6,9 +6,11 @@ draws from its own counter-based stream keyed by (seed, replication index),
 and blocks are reduced in index order, so results are identical for any
 worker count.
 
-Outputs: ``config.json`` (exact input snapshot), ``result.json`` with a
-``data`` block (byte-stable across reruns) and a ``meta`` block (wall clock),
-plus plot-ready CSV files per experiment.
+Every experiment but ``simulate`` runs through ``run_experiment``, which
+looks the experiment up in ``RUNNERS``, checks its work estimate against the
+budget and times the body. Outputs: ``config.json`` (exact input snapshot),
+``result.json`` with a ``data`` block (byte-stable across reruns) and a
+``meta`` block (wall clock), plus plot-ready CSV files per experiment.
 """
 from __future__ import annotations
 
@@ -39,9 +41,6 @@ SCHEMA_VERSION = 1
 DEFAULT_BUDGET = 1e12
 DEFAULT_BLOCK = 2048
 
-EXPERIMENTS = ("simulate", "tail", "scaling", "bias-curve", "decompose-check",
-               "mixing-profile", "mgf-check")
-
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration content (CLI exit code 2)."""
@@ -53,6 +52,14 @@ class BudgetError(RuntimeError):
 
 class CheckFailure(RuntimeError):
     """A property check did not hold (CLI exit code 4)."""
+
+
+def _read_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def _require_keys(d: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -165,6 +172,15 @@ _EXPERIMENT_KEYS: dict[str, tuple[set[str], set[str]]] = {
                    "eta_points", "eta_max", "samples"},
                   {"summands", "distribution", "eta_points", "samples"}),
 }
+EXPERIMENTS = tuple(_EXPERIMENT_KEYS)
+
+
+def _parse_constants(d: dict) -> BoundConstants:
+    """Bound constants from a config's ``constants`` object; absent ones default to 1."""
+    try:
+        return BoundConstants.from_dict(dict(BoundConstants().to_dict(), **d))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -188,7 +204,6 @@ class ExperimentConfig:
     budget: float = DEFAULT_BUDGET
     threads: int = 1
     out_dir: str | None = None
-    extra: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -214,12 +229,7 @@ class ExperimentConfig:
         if "kernel" in raw:
             cfg.kernel = parse_kernel(raw["kernel"])
         if "constants" in raw:
-            try:
-                base = BoundConstants().to_dict()
-                base.update(raw["constants"])
-                cfg.constants = BoundConstants.from_dict(base)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            cfg.constants = _parse_constants(raw["constants"])
         for key, attr in (("t_grid", "t_grid"), ("p_grid", "p_grid"), ("lags", "lags")):
             if key in raw:
                 vals = [int(v) for v in raw[key]]
@@ -247,20 +257,35 @@ class ExperimentConfig:
             if cfg.theta_mode not in ("auto", "mc", "exact-zero"):
                 raise ConfigError("theta.mode must be auto, mc, or exact-zero")
             cfg.theta_draws = int(t.get("draws", cfg.theta_draws))
-        for key in ("summands", "distribution", "scale", "summand_sigma", "summand_kappa",
-                    "eta_points", "eta_max", "samples", "conditional"):
-            if key in raw:
-                cfg.extra[key] = raw[key]
+            if cfg.theta_draws < 2:
+                raise ConfigError("theta.draws must be >= 2 for a standard error")
+        cfg._check_inputs()
         return cfg
+
+    def _check_inputs(self) -> None:
+        """Experiment-specific checks, made before any work estimate or work."""
+        e, process, kernel = self.experiment, self.process, self.kernel
+        chain = process is not None and process.kind == "markov_chain"
+        if e in ("bias-curve", "decompose-check") and not (chain and kernel.kind == "table"):
+            raise ConfigError(f"{e} needs a finite chain and a table kernel")
+        if e == "decompose-check" and self.order not in (2, 3):
+            raise ConfigError("decomposition order must be 2 or 3")
+        if e == "mixing-profile" and not chain:
+            raise ConfigError("mixing profiles need a finite chain")
+        if e == "scaling" and process.kind != "gaussian_copula_vector":
+            raise ConfigError("scaling experiments use the Gaussian-copula vector process")
+        if e == "simulate" and self.length < 1:
+            raise ConfigError("simulate needs length >= 1")
+        if kernel is not None:
+            # the tail bound's log factor needs T >= 2 as well
+            low = max(kernel.order, 2)
+            if min(self.t_grid) < low:
+                raise ConfigError(f"t_grid values must be >= {low} for a "
+                                  f"'{kernel.kind}' kernel of order {kernel.order}")
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -291,25 +316,6 @@ def map_replication_blocks(total: int, fn: Callable, args: tuple, threads: int =
 # tail experiment
 # ---------------------------------------------------------------------------
 
-def _kernel_desc(kernel: KernelSpec) -> dict:
-    """Picklable description of a kernel, for process-pool workers."""
-    return {"kind": kernel.kind, "order": kernel.order, "bound": kernel.bound,
-            "table": kernel.table}
-
-
-def _kernel_from_desc(desc: dict) -> KernelSpec:
-    kind = desc["kind"]
-    if kind == "sign_product":
-        return sign_product_kernel()
-    if kind == "spearman_sym":
-        return spearman_symmetric_kernel()
-    if kind == "mean":
-        return mean_kernel(bound=desc["bound"])
-    if kind == "table":
-        return table_kernel(desc["table"])
-    raise ConfigError(f"kernel kind '{kind}' cannot run in worker processes")
-
-
 def _kernel_values(kernel: KernelSpec, samples: np.ndarray) -> np.ndarray:
     """Kernel values over (n, r, d) draws; a draw outside the kernel's bound
     is a configuration error, not a crash."""
@@ -322,9 +328,13 @@ def _kernel_values(kernel: KernelSpec, samples: np.ndarray) -> np.ndarray:
 
 
 def _u_values_block(args, start: int, count: int) -> np.ndarray:
-    """U-statistic per replication for replications [start, start + count)."""
-    spec, T, desc = args
-    kernel = _kernel_from_desc(desc)
+    """U-statistic per replication for replications [start, start + count).
+
+    The kernel arrives as its config object, which pickles for pool workers;
+    ``parse_kernel`` builds it in whichever process runs the block.
+    """
+    spec, T, kernel_cfg = args
+    kernel = parse_kernel(kernel_cfg)
     batch = generate_batch(spec, T, count, rep_offset=start)
     if kernel.kind == "table":
         return np.array([_u_table_path(states, kernel.table) for states in batch])
@@ -332,7 +342,7 @@ def _u_values_block(args, start: int, count: int) -> np.ndarray:
         if batch.ndim != 3 or batch.shape[2] != 1:
             raise ConfigError("mean kernel needs a scalar process")
         return _kernel_values(kernel, batch.reshape(-1, 1, 1)).reshape(count, T).mean(axis=1)
-    # sign_product or spearman_sym, the rank kernels _kernel_from_desc builds
+    # sign_product or spearman_sym, the rank kernels
     if batch.ndim != 3 or batch.shape[2] != 2:
         raise ConfigError(f"{kernel.kind} needs a bivariate process")
     rank_u = kendall_tau_batch if kernel.kind == "sign_product" else spearman_rho3_batch
@@ -345,9 +355,7 @@ def _path_cost(kernel: KernelSpec, T: int) -> float:
         return T * math.log2(max(T, 2))  # merge counting over ranks
     if kernel.kind == "mean":
         return float(T)
-    if kernel.kind == "table":
-        return float(T * kernel.table.shape[0] ** kernel.order)  # tuple counts
-    return float(math.comb(T, kernel.order))  # generic enumeration
+    return float(T * kernel.table.shape[0] ** kernel.order)  # table: tuple counts
 
 
 def _u_table_path(states: np.ndarray, H: np.ndarray) -> float:
@@ -428,15 +436,14 @@ class TailCurve:
 
 @dataclass
 class TailExperiment:
-    config_snapshot: dict
     theta: float
     theta_se: float
     theta_mode: str
     replications: int
     kernel_bound: float
     curves: list[TailCurve]
+    constants: BoundConstants  # the ones the bound curves were computed with
     calibration: CalibrationResult | None = None
-    runtime: dict = field(default_factory=dict)
 
     def data_dict(self) -> dict:
         out = {
@@ -449,14 +456,9 @@ class TailExperiment:
             "curves": [vars(c) for c in self.curves],
         }
         if self.calibration is not None:
-            cal = self.calibration
-            out["calibration"] = {
-                "constants": cal.constants.to_dict(),
-                "capped": cal.capped,
-                "used_points": cal.used_points,
-                "binding_point": None if cal.binding_point is None
-                                 else cal.binding_point._asdict(),
-            }
+            # the data block's calibration predates slack; calibration.json carries it
+            out["calibration"] = {k: v for k, v in self.calibration.to_dict().items()
+                                  if k != "slack"}
         return out
 
     def csv_files(self) -> dict[str, str]:
@@ -487,13 +489,7 @@ def estimate_tail_budget(cfg: ExperimentConfig) -> float:
     return cfg.replications * math.fsum(_path_cost(cfg.kernel, T) for T in cfg.t_grid)
 
 
-def run_tail_experiment(cfg: ExperimentConfig) -> TailExperiment:
-    if cfg.experiment != "tail":
-        raise ConfigError("config is not a tail experiment")
-    t0 = time.time()
-    cost = estimate_tail_budget(cfg)
-    if cost > cfg.budget:
-        raise BudgetError(f"estimated {cost:.3g} work units exceed budget {cfg.budget:.3g}")
+def _run_tail(cfg: ExperimentConfig) -> TailExperiment:
     theta, theta_se, mode = _estimate_theta(cfg)
     if mode == "mc" and len(cfg.x_grid) > 1:
         min_step = min(b - a for a, b in zip(sorted(cfg.x_grid), sorted(cfg.x_grid)[1:]))
@@ -512,7 +508,7 @@ def run_tail_experiment(cfg: ExperimentConfig) -> TailExperiment:
                                     stderr=[], bound=bound_vals))
             continue
         blocks = map_replication_blocks(cfg.replications, _u_values_block,
-                                        (cfg.process, T, _kernel_desc(cfg.kernel)),
+                                        (cfg.process, T, cfg.raw["kernel"]),
                                         threads=cfg.threads)
         u_vals = np.concatenate(blocks)
         dev = np.abs(u_vals - theta)
@@ -522,26 +518,43 @@ def run_tail_experiment(cfg: ExperimentConfig) -> TailExperiment:
         se = [math.sqrt(p * (1.0 - p) / n) for p in emp]
         curves.append(TailCurve(T=T, x=xs, counts=counts, empirical=emp,
                                 stderr=se, bound=bound_vals))
-    return TailExperiment(
-        config_snapshot=cfg.raw, theta=theta, theta_se=theta_se, theta_mode=mode,
-        replications=cfg.replications, kernel_bound=M, curves=curves,
-        runtime={"wall_seconds": time.time() - t0},
-    )
+    return TailExperiment(theta=theta, theta_se=theta_se, theta_mode=mode,
+                          replications=cfg.replications, kernel_bound=M, curves=curves,
+                          constants=cc)
 
 
 def calibrate_from_tail(exp: TailExperiment, train_t: Sequence[int],
                         c4: float | None = None) -> CalibrationResult:
-    """Calibrate bound constants on the curves of the training T values."""
-    constants = BoundConstants.from_dict(dict(
-        BoundConstants().to_dict(),
-        **{k: v for k, v in exp.config_snapshot.get("constants", {}).items()}))
-    use_c4 = constants.c4 if c4 is None else c4
+    """Calibrate bound constants on the curves of the training T values,
+    starting from the run's constants; ``c4`` defaults to the run's c4."""
     pts = exp.tail_points(train_t)
     if not pts:
         raise ConfigError(f"no tail curves at T in {sorted(train_t)}")
-    result = calibrate_constants(pts, c4=use_c4, base=constants)
+    try:
+        result = calibrate_constants(pts, c4=exp.constants.c4 if c4 is None else c4,
+                                     base=exp.constants)
+    except ValueError as exc:
+        raise ConfigError(f"cannot calibrate: {exc}") from exc
     exp.calibration = result
     return result
+
+
+def load_tail_result(result_dir: str) -> TailExperiment:
+    """The tail experiment ``emit_outputs`` wrote to ``result_dir``, with the
+    bound constants from its ``config.json``."""
+    payload = _read_json(os.path.join(result_dir, "result.json"))
+    config = _read_json(os.path.join(result_dir, "config.json"))
+    try:
+        data = payload["data"]
+        if data["experiment"] != "tail":
+            raise ConfigError("calibrate needs the result of a tail experiment")
+        return TailExperiment(
+            theta=data["theta"], theta_se=data["theta_se"], theta_mode=data["theta_mode"],
+            replications=data["replications"], kernel_bound=data["kernel_bound"],
+            curves=[TailCurve(**c) for c in data["curves"]],
+            constants=_parse_constants(config.get("constants", {})))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"malformed tail run in {result_dir}: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +563,8 @@ def calibrate_from_tail(exp: TailExperiment, train_t: Sequence[int],
 
 @dataclass
 class BiasReport:
-    config_snapshot: dict
     rows: list[dict]  # T, bias, sqrt_t_scaled
     loglog_slope: float | None
-    runtime: dict = field(default_factory=dict)
 
     def data_dict(self) -> dict:
         return {"experiment": "bias-curve", "rows": self.rows,
@@ -566,13 +577,8 @@ class BiasReport:
         return {"bias.csv": "\n".join(lines) + "\n"}
 
 
-def run_bias_curve(cfg: ExperimentConfig) -> BiasReport:
+def _run_bias_curve(cfg: ExperimentConfig) -> BiasReport:
     from .ustat import theta_star  # local import keeps module load light
-    if cfg.experiment != "bias-curve":
-        raise ConfigError("config is not a bias-curve experiment")
-    if cfg.process.kind != "markov_chain" or cfg.kernel.kind != "table":
-        raise ConfigError("bias curves need a finite chain and a table kernel")
-    t0 = time.time()
     chain = cfg.process.chain
     theta = theta_independent(chain, cfg.kernel, cfg.order)
     rows = []
@@ -585,8 +591,7 @@ def run_bias_curve(cfg: ExperimentConfig) -> BiasReport:
     if len(usable) >= 2:
         slope = float(np.polyfit(np.log([t for t, _ in usable]),
                                  np.log([v for _, v in usable]), 1)[0])
-    return BiasReport(config_snapshot=cfg.raw, rows=rows, loglog_slope=slope,
-                      runtime={"wall_seconds": time.time() - t0})
+    return BiasReport(rows=rows, loglog_slope=slope)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +600,6 @@ def run_bias_curve(cfg: ExperimentConfig) -> BiasReport:
 
 @dataclass
 class DecomposeCheckReport:
-    config_snapshot: dict
     replications: int
     max_residual: float
     max_b_ratio: float
@@ -603,7 +607,6 @@ class DecomposeCheckReport:
     residual_ok: bool
     p1_ok: bool
     p2_ok: bool
-    runtime: dict = field(default_factory=dict)
 
     @property
     def all_ok(self) -> bool:
@@ -619,18 +622,12 @@ class DecomposeCheckReport:
         return {}
 
 
-def run_decompose_check(cfg: ExperimentConfig) -> DecomposeCheckReport:
-    if cfg.experiment != "decompose-check":
-        raise ConfigError("config is not a decompose-check experiment")
-    if cfg.process.kind != "markov_chain" or cfg.kernel.kind != "table":
-        raise ConfigError("decomposition checks need a finite chain and a table kernel")
-    if cfg.order not in (2, 3):
-        raise ConfigError("decomposition order must be 2 or 3")
-    t0 = time.time()
+def estimate_decompose_budget(cfg: ExperimentConfig) -> float:
+    return cfg.replications * math.fsum(math.comb(T, cfg.order) for T in cfg.t_grid)
+
+
+def _run_decompose_check(cfg: ExperimentConfig) -> DecomposeCheckReport:
     chain = cfg.process.chain
-    cost = cfg.replications * math.fsum(math.comb(T, cfg.order) for T in cfg.t_grid)
-    if cost > cfg.budget:
-        raise BudgetError(f"estimated {cost:.3g} kernel evaluations exceed budget {cfg.budget:.3g}")
     max_residual = 0.0
     max_ratio = 0.0
     for T in cfg.t_grid:
@@ -642,11 +639,10 @@ def run_decompose_check(cfg: ExperimentConfig) -> DecomposeCheckReport:
     p1_dev = max(check_zero_conditional_means(chain, cfg.kernel, T, cfg.order)
                  for T in cfg.t_grid)
     return DecomposeCheckReport(
-        config_snapshot=cfg.raw, replications=cfg.replications,
+        replications=cfg.replications,
         max_residual=max_residual, max_b_ratio=max_ratio, conditional_mean_dev=p1_dev,
         residual_ok=max_residual <= 1e-10, p1_ok=p1_dev <= 1e-10,
         p2_ok=max_ratio <= 1.0 + 1e-12,
-        runtime={"wall_seconds": time.time() - t0},
     )
 
 
@@ -656,9 +652,7 @@ def run_decompose_check(cfg: ExperimentConfig) -> DecomposeCheckReport:
 
 @dataclass
 class MixingProfileResult:
-    config_snapshot: dict
     profiles: dict[str, MixingProfile]
-    runtime: dict = field(default_factory=dict)
 
     def data_dict(self) -> dict:
         return {"experiment": "mixing-profile",
@@ -674,17 +668,12 @@ class MixingProfileResult:
         return out
 
 
-def run_mixing_profile(cfg: ExperimentConfig) -> MixingProfileResult:
-    if cfg.experiment != "mixing-profile":
-        raise ConfigError("config is not a mixing-profile experiment")
-    if cfg.process.kind != "markov_chain":
-        raise ConfigError("mixing profiles need a finite chain")
-    t0 = time.time()
+def _run_mixing_profile(cfg: ExperimentConfig) -> MixingProfileResult:
     chain = cfg.process.chain
     profiles = {}
     for kind in ("alpha", "beta", "phi"):
         profiles[kind] = mixing_profile(chain, kind, cfg.lags, fit=True)
-    cond = cfg.extra.get("conditional")
+    cond = cfg.raw.get("conditional")
     if cond is not None:
         _require_keys(cond, {"conditioning", "block_len"}, {"conditioning", "block_len"},
                       "conditional")
@@ -694,8 +683,7 @@ def run_mixing_profile(cfg: ExperimentConfig) -> MixingProfileResult:
         profiles["conditional_phi"] = MixingProfile(
             kind="conditional_phi", lags=list(cfg.lags), values=values,
             conditioning=conditioning)
-    return MixingProfileResult(config_snapshot=cfg.raw, profiles=profiles,
-                               runtime={"wall_seconds": time.time() - t0})
+    return MixingProfileResult(profiles=profiles)
 
 
 # ---------------------------------------------------------------------------
@@ -704,13 +692,11 @@ def run_mixing_profile(cfg: ExperimentConfig) -> MixingProfileResult:
 
 @dataclass
 class MgfCheckReport:
-    config_snapshot: dict
     eta: list[float]
     empirical: list[float]
     envelope: list[float]
     per_summand_ok: bool
     dominance_ok: bool
-    runtime: dict = field(default_factory=dict)
 
     @property
     def all_ok(self) -> bool:
@@ -740,17 +726,15 @@ def _summand_log_mgf(distribution: str, scale: float, eta: float) -> float:
     raise ConfigError(f"unknown summand distribution '{distribution}'")
 
 
-def run_mgf_check(cfg: ExperimentConfig) -> MgfCheckReport:
-    if cfg.experiment != "mgf-check":
-        raise ConfigError("config is not an mgf-check experiment")
-    t0 = time.time()
-    n = int(cfg.extra["summands"])
-    dist = cfg.extra["distribution"]
-    scale = float(cfg.extra.get("scale", 1.0))
-    sigma_i = float(cfg.extra.get("summand_sigma", scale))
-    kappa_i = float(cfg.extra.get("summand_kappa", 0.0))
-    points = int(cfg.extra["eta_points"])
-    samples = int(cfg.extra["samples"])
+def _run_mgf_check(cfg: ExperimentConfig) -> MgfCheckReport:
+    raw = cfg.raw
+    n = int(raw["summands"])
+    dist = raw["distribution"]
+    scale = float(raw.get("scale", 1.0))
+    sigma_i = float(raw.get("summand_sigma", scale))
+    kappa_i = float(raw.get("summand_kappa", 0.0))
+    points = int(raw["eta_points"])
+    samples = int(raw["samples"])
     if n < 1 or points < 1 or samples < 1:
         raise ConfigError("summands, eta_points, and samples must be positive")
 
@@ -758,9 +742,9 @@ def run_mgf_check(cfg: ExperimentConfig) -> MgfCheckReport:
     if combined.kappa > 0:
         eta_max = 0.99 / combined.kappa
     else:
-        if "eta_max" not in cfg.extra:
+        if "eta_max" not in raw:
             raise ConfigError("eta_max is required when the combined kappa is zero")
-        eta_max = float(cfg.extra["eta_max"])
+        eta_max = float(raw["eta_max"])
     etas = [eta_max * (i + 1) / points for i in range(points)]
 
     per = BernsteinParams(sigma_i, kappa_i)
@@ -779,20 +763,17 @@ def run_mgf_check(cfg: ExperimentConfig) -> MgfCheckReport:
     empirical = [empirical_log_mgf(sums, e) for e in etas]
     envelope = [bernstein_envelope(combined, e) for e in etas]
     dominance = all(emp <= env + 1e-12 for emp, env in zip(empirical, envelope))
-    return MgfCheckReport(config_snapshot=cfg.raw, eta=etas, empirical=empirical,
-                          envelope=envelope, per_summand_ok=per_ok, dominance_ok=dominance,
-                          runtime={"wall_seconds": time.time() - t0})
+    return MgfCheckReport(eta=etas, empirical=empirical, envelope=envelope,
+                          per_summand_ok=per_ok, dominance_ok=dominance)
 
 
 # ---------------------------------------------------------------------------
-# scaling wrapper and output emission
+# scaling wrapper
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ScalingResult:
-    config_snapshot: dict
     report: ScalingReport
-    runtime: dict = field(default_factory=dict)
 
     def data_dict(self) -> dict:
         return {"experiment": "scaling", "report": json.loads(self.report.to_json())}
@@ -809,22 +790,53 @@ def estimate_scaling_budget(cfg: ExperimentConfig) -> float:
         math.comb(T, 2) * p * (p - 1) / 2 for T in cfg.t_grid for p in cfg.p_grid)
 
 
-def run_scaling(cfg: ExperimentConfig) -> ScalingResult:
-    if cfg.experiment != "scaling":
-        raise ConfigError("config is not a scaling experiment")
-    if cfg.process.kind != "gaussian_copula_vector":
-        raise ConfigError("scaling experiments use the Gaussian-copula vector process")
-    cost = estimate_scaling_budget(cfg)
-    if cost > cfg.budget:
-        raise BudgetError(f"estimated {cost:.3g} kernel evaluations exceed budget {cfg.budget:.3g}")
+def _run_scaling(cfg: ExperimentConfig) -> ScalingResult:
+    return ScalingResult(scaling_experiment(cfg.process, cfg.t_grid, cfg.p_grid,
+                                            cfg.replications, kind=cfg.estimator))
+
+
+# ---------------------------------------------------------------------------
+# the one runner and output emission
+# ---------------------------------------------------------------------------
+
+# experiment -> (body, work estimate checked against the budget before the body
+# runs, or None). ``simulate`` writes a path, not a result, and is not here.
+RUNNERS: dict[str, tuple[Callable, Callable | None]] = {
+    "tail": (_run_tail, estimate_tail_budget),
+    "scaling": (_run_scaling, estimate_scaling_budget),
+    "bias-curve": (_run_bias_curve, None),
+    "decompose-check": (_run_decompose_check, estimate_decompose_budget),
+    "mixing-profile": (_run_mixing_profile, None),
+    "mgf-check": (_run_mgf_check, None),
+}
+
+
+@dataclass
+class ExperimentRun:
+    """An experiment's result, with the config snapshot and the run metadata
+    ``emit_outputs`` writes beside it."""
+
+    result: object  # has data_dict() and csv_files(); check results also all_ok
+    config: dict
+    meta: dict
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentRun:
+    """Run ``cfg`` through its ``RUNNERS`` body after the budget check."""
+    if cfg.experiment not in RUNNERS:
+        raise ConfigError(f"experiment '{cfg.experiment}' has no result runner")
+    body, estimate = RUNNERS[cfg.experiment]
     t0 = time.time()
-    report = scaling_experiment(cfg.process, cfg.t_grid, cfg.p_grid, cfg.replications,
-                                kind=cfg.estimator)
-    return ScalingResult(config_snapshot=cfg.raw, report=report,
-                         runtime={"wall_seconds": time.time() - t0})
+    if estimate is not None:
+        cost = estimate(cfg)
+        if cost > cfg.budget:
+            raise BudgetError(f"estimated {cost:.3g} work units exceed budget {cfg.budget:.3g}")
+    result = body(cfg)
+    return ExperimentRun(result=result, config=cfg.raw,
+                         meta={"wall_seconds": time.time() - t0})
 
 
-def emit_outputs(result, out_dir: str) -> list[str]:
+def emit_outputs(run: ExperimentRun, out_dir: str) -> list[str]:
     """Write config.json, result.json, and per-figure CSVs; overwrite idempotently."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -838,9 +850,9 @@ def emit_outputs(result, out_dir: str) -> list[str]:
             raise OSError(f"cannot write {path}: {exc}") from exc
         written.append(path)
 
-    _write("config.json", json.dumps(result.config_snapshot, sort_keys=True, indent=2) + "\n")
-    payload = {"meta": result.runtime, "data": result.data_dict()}
+    _write("config.json", json.dumps(run.config, sort_keys=True, indent=2) + "\n")
+    payload = {"meta": run.meta, "data": run.result.data_dict()}
     _write("result.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    for name, text in result.csv_files().items():
+    for name, text in run.result.csv_files().items():
         _write(name, text)
     return written

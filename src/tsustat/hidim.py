@@ -140,17 +140,6 @@ def spearman_matrix(data) -> CorrelationMatrixEstimate:
     return CorrelationMatrixEstimate(kind="spearman", matrix=M, sample_length=T)
 
 
-def spearman_entry(x: np.ndarray, y: np.ndarray) -> float:
-    """Scalar Spearman's rho by the same exact rank-sum formula as the matrix."""
-    T = x.size
-    rx = np.empty(T, dtype=np.int64)
-    ry = np.empty(T, dtype=np.int64)
-    rx[np.argsort(x, kind="stable")] = np.arange(1, T + 1)
-    ry[np.argsort(y, kind="stable")] = np.arange(1, T + 1)
-    d2 = int(((rx - ry) ** 2).sum())
-    return 1.0 - 6.0 * d2 / (T * (T * T - 1))
-
-
 def independent_population(p: int, kind: str) -> PopulationMatrix:
     """Exact population matrix when all coordinates are independent."""
     if kind not in ESTIMATOR_KINDS:
@@ -234,11 +223,6 @@ class ScalingReport:
             },
             sort_keys=True,
         )
-
-    def to_csv(self, fh) -> None:
-        fh.write("T,p,median_dev,ratio_to_rate\n")
-        for c in self.cells:
-            fh.write(f"{c.T},{c.p},{c.median_deviation:.17g},{c.ratio_to_rate:.17g}\n")
 
 
 def scaling_experiment(base_spec: ProcessSpec, t_grid, p_grid, replications: int,

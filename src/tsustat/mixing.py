@@ -22,7 +22,7 @@ import numpy as np
 
 from .processes import FiniteMarkovChain
 
-PROFILE_KINDS = ("alpha", "beta", "phi", "conditional_phi", "conditional_alpha")
+PROFILE_KINDS = ("alpha", "beta", "phi", "conditional_phi")
 
 
 @dataclass
@@ -55,11 +55,6 @@ class MixingProfile:
             },
             sort_keys=True,
         )
-
-    def to_csv(self, fh) -> None:
-        fh.write("lag,value\n")
-        for lag, v in zip(self.lags, self.values):
-            fh.write(f"{lag},{v:.17g}\n")
 
 
 def _tv(p: np.ndarray, q: np.ndarray) -> float:

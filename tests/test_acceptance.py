@@ -14,7 +14,7 @@ import pytest
 from tsustat.bounds import (BernsteinParams, bernstein_envelope,
                             combine_bernstein_params, empirical_log_mgf,
                             ustat_tail_bound, bias_offset)
-from tsustat.harness import ExperimentConfig, calibrate_from_tail, run_tail_experiment
+from tsustat.harness import ExperimentConfig, calibrate_from_tail, run_experiment
 from tsustat.kernels import sign_product_kernel, spearman_symmetric_kernel, table_kernel
 from tsustat.mixing import (alpha_coeff, beta_coeff, beta_coeff_bruteforce,
                             conditional_phi_coeff, fit_decay_rate, phi_coeff)
@@ -249,7 +249,7 @@ def test_08_tail_dominance_held_out():
         "x_grid": [round(0.035 * j, 6) for j in range(1, 11)],
         "replications": 10_000,
     })
-    exp = run_tail_experiment(cfg)
+    exp = run_experiment(cfg).result
     cal = calibrate_from_tail(exp, train_t=[250, 500], c4=1.0)
     assert not cal.capped
     held_out = [c for c in exp.curves if c.T == 2000][0]

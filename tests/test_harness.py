@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsustat.harness import (DEFAULT_BUDGET, BudgetError, ConfigError, ExperimentConfig,
-                             _oracle_samples, _u_table_path, calibrate_from_tail,
-                             emit_outputs, estimate_tail_budget, run_bias_curve,
-                             run_decompose_check, run_mgf_check, run_mixing_profile,
-                             run_scaling, run_tail_experiment)
+from tsustat.harness import (DEFAULT_BLOCK, DEFAULT_BUDGET, BudgetError, ConfigError,
+                             ExperimentConfig, _oracle_samples, _u_table_path,
+                             calibrate_from_tail, emit_outputs, estimate_tail_budget,
+                             run_experiment)
 from tsustat.kernels import table_kernel
 from tsustat.processes import SeriesPath
 from tsustat.ustat import u_statistic
@@ -46,6 +45,8 @@ def test_config_rejects_unknown_fields():
         ExperimentConfig.from_dict(tail_config(kernel={"kind": "sign_product", "x": 1}))
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(tail_config(constants={"c99": 1.0}))
+    with pytest.raises(ConfigError):  # one draw has no standard error
+        ExperimentConfig.from_dict(tail_config(theta={"mode": "mc", "draws": 1}))
 
 
 def test_config_requires_schema_seed_and_fields():
@@ -70,7 +71,7 @@ def test_config_requires_schema_seed_and_fields():
 
 def test_tail_dry_run_scaffold():
     cfg = ExperimentConfig.from_dict(tail_config(replications=0))
-    exp = run_tail_experiment(cfg)
+    exp = run_experiment(cfg).result
     assert exp.replications == 0
     for curve in exp.curves:
         assert curve.empirical == [] and curve.counts == [0] * 5
@@ -83,7 +84,7 @@ def test_tail_budget_guard():
     cfg = ExperimentConfig.from_dict(tail_config(budget=100.0))
     assert estimate_tail_budget(cfg) > 100.0
     with pytest.raises(BudgetError):
-        run_tail_experiment(cfg)
+        run_experiment(cfg)
 
 
 def test_tail_budget_counts_the_evaluator_used():
@@ -94,7 +95,7 @@ def test_tail_budget_counts_the_evaluator_used():
         replications=1000, theta={"mode": "exact-zero"}))
     assert 1000 * math.comb(2000, 3) > DEFAULT_BUDGET
     assert estimate_tail_budget(cfg) < 1e-4 * DEFAULT_BUDGET
-    exp = run_tail_experiment(cfg)
+    exp = run_experiment(cfg).result
     assert exp.curves[0].counts[0] <= cfg.replications
 
 
@@ -125,28 +126,44 @@ def test_oracle_values_match_kernel_fn(seed, case):
     np.testing.assert_array_equal(cfg.kernel.sample_fn(samples), want)
 
 
-def test_tail_run_deterministic_and_thread_invariant(tmp_path):
-    cfg1 = ExperimentConfig.from_dict(tail_config())
-    exp1 = run_tail_experiment(cfg1)
-    cfg2 = ExperimentConfig.from_dict(tail_config())
-    cfg2.threads = 2
-    exp2 = run_tail_experiment(cfg2)
-    assert exp1.data_dict() == exp2.data_dict()
-    # emitted data block is byte-identical across reruns
-    d1 = tmp_path / "a"
-    d2 = tmp_path / "b"
-    emit_outputs(exp1, str(d1))
-    emit_outputs(exp2, str(d2))
-    data1 = json.loads((d1 / "result.json").read_text())["data"]
-    data2 = json.loads((d2 / "result.json").read_text())["data"]
-    assert json.dumps(data1, sort_keys=True) == json.dumps(data2, sort_keys=True)
-    assert (d1 / "config.json").read_text() == (d2 / "config.json").read_text()
-    assert (d1 / "tail_T40.csv").read_text() == (d2 / "tail_T40.csv").read_text()
+MATCH_TABLE_FILE = "0 0 0.5\n0 1 -0.5\n1 0 -0.5\n1 1 0.5\n"
+
+
+@pytest.mark.parametrize("case", ["sign_product", "spearman_sym", "mean", "table-entries",
+                                  "table-path"])
+def test_tail_run_deterministic_and_thread_invariant(tmp_path, case):
+    """More replications than one block, so two workers split the blocks and
+    each parses the kernel config itself; the outputs match one worker's."""
+    overrides = {
+        "sign_product": {},
+        "spearman_sym": {"kernel": {"kind": "spearman_sym"}, "theta": {"mode": "exact-zero"}},
+        "mean": {"process": {"kind": "ar1", "coefficient": 0.6},
+                 "kernel": {"kind": "mean", "bound": 10.0}, "theta": {"mode": "exact-zero"}},
+        "table-entries": {"process": CHAIN, "kernel": MATCH_KERNEL},
+        "table-path": {"process": CHAIN,
+                       "kernel": {"kind": "table", "order": 2, "state_count": 2,
+                                  "path": str(tmp_path / "match.txt")}},
+    }[case]
+    (tmp_path / "match.txt").write_text(MATCH_TABLE_FILE)
+    raw = tail_config(t_grid=[8, 16], replications=DEFAULT_BLOCK + 100, **overrides)
+    texts = []
+    for threads in (1, 2):
+        cfg = ExperimentConfig.from_dict(raw)
+        cfg.threads = threads
+        out = tmp_path / f"threads{threads}"
+        emit_outputs(run_experiment(cfg), str(out))
+        result = json.loads((out / "result.json").read_text())
+        texts.append([json.dumps(result["data"], sort_keys=True)] +
+                     [(out / name).read_text()
+                      for name in ("config.json", "tail_T8.csv", "tail_T16.csv")])
+    assert texts[0] == texts[1]
+    counts = json.loads(texts[0][0])["curves"][0]["counts"]
+    assert 0 < counts[0] < raw["replications"]  # the data are not degenerate
 
 
 def test_tail_counts_consistent_and_theta_exact_zero():
     cfg = ExperimentConfig.from_dict(tail_config())
-    exp = run_tail_experiment(cfg)
+    exp = run_experiment(cfg).result
     assert exp.theta == 0.0 and exp.theta_mode == "exact-independent"
     for curve in exp.curves:
         assert all(0 <= c <= cfg.replications for c in curve.counts)
@@ -159,7 +176,7 @@ def test_tail_counts_consistent_and_theta_exact_zero():
 def test_tail_chain_theta_exact():
     cfg = ExperimentConfig.from_dict(tail_config(
         process=CHAIN, kernel=MATCH_KERNEL, t_grid=[30], replications=50))
-    exp = run_tail_experiment(cfg)
+    exp = run_experiment(cfg).result
     assert exp.theta == pytest.approx(0.0, abs=1e-14)
     assert exp.theta_mode == "exact-chain"
 
@@ -167,20 +184,20 @@ def test_tail_chain_theta_exact():
 def test_tail_mc_oracle_and_precision_guard():
     cfg = ExperimentConfig.from_dict(tail_config(
         theta={"mode": "mc", "draws": 200_000}, replications=20))
-    exp = run_tail_experiment(cfg)
+    exp = run_experiment(cfg).result
     assert exp.theta_mode == "mc"
     assert abs(exp.theta) < 5 * exp.theta_se + 1e-12
     tight = ExperimentConfig.from_dict(tail_config(
         theta={"mode": "mc", "draws": 10_000},
         x_grid=[0.0001, 0.0002], replications=20))
     with pytest.raises(ConfigError):
-        run_tail_experiment(tight)
+        run_experiment(tight)
 
 
 def test_calibrate_from_tail_round_trip():
     cfg = ExperimentConfig.from_dict(tail_config(
         t_grid=[60, 120], replications=400))
-    exp = run_tail_experiment(cfg)
+    exp = run_experiment(cfg).result
     cal = calibrate_from_tail(exp, train_t=[60, 120], c4=1.0)
     for p in exp.tail_points([60, 120]):
         assert cal.dominates(p, tol=1e-12)
@@ -194,7 +211,7 @@ def test_bias_curve_match_kernel():
         "process": CHAIN, "kernel": MATCH_KERNEL,
         "t_grid": [10, 20, 40, 80], "order": 2,
     })
-    rep = run_bias_curve(cfg)
+    rep = run_experiment(cfg).result
     assert len(rep.rows) == 4
     biases = [r["bias"] for r in rep.rows]
     assert all(b > 0 for b in biases)
@@ -209,7 +226,7 @@ def test_bias_curve_iid_chain_zero():
         "schema_version": 1, "experiment": "bias-curve", "seed": 9,
         "process": iid, "kernel": MATCH_KERNEL, "t_grid": [10, 25], "order": 2,
     })
-    rep = run_bias_curve(cfg)
+    rep = run_experiment(cfg).result
     assert all(r["bias"] <= 1e-13 for r in rep.rows)
     assert rep.loglog_slope is None
 
@@ -220,11 +237,14 @@ def test_decompose_check_passes():
         "process": CHAIN, "kernel": MATCH_KERNEL,
         "t_grid": [12, 20], "order": 2, "replications": 25,
     })
-    rep = run_decompose_check(cfg)
+    rep = run_experiment(cfg).result
     assert rep.all_ok
     assert rep.max_residual <= 1e-10
     assert rep.max_b_ratio <= 1.0
     assert rep.conditional_mean_dev <= 1e-10
+    cfg.budget = 10.0
+    with pytest.raises(BudgetError):
+        run_experiment(cfg)
 
 
 def test_mixing_profile_outputs():
@@ -233,7 +253,7 @@ def test_mixing_profile_outputs():
         "process": CHAIN, "lags": [1, 2, 3, 4, 5, 6],
         "conditional": {"conditioning": [[0, 0]], "block_len": 1},
     })
-    res = run_mixing_profile(cfg)
+    res = run_experiment(cfg).result
     assert set(res.profiles) == {"alpha", "beta", "phi", "conditional_phi"}
     beta = res.profiles["beta"]
     assert beta.values[0] == pytest.approx(0.25, abs=1e-13)
@@ -248,12 +268,12 @@ def test_mgf_check_passes_and_fails():
         "summands": 12, "distribution": "rademacher", "eta_points": 25,
         "samples": 50_000, "summand_sigma": 1.0, "summand_kappa": 0.1,
     }
-    rep = run_mgf_check(ExperimentConfig.from_dict(base))
+    rep = run_experiment(ExperimentConfig.from_dict(base)).result
     assert rep.all_ok
     assert len(rep.eta) == 25
     # an undersized envelope must be caught
     bad = dict(base, summand_sigma=0.05, summand_kappa=0.0, eta_max=1.0)
-    rep_bad = run_mgf_check(ExperimentConfig.from_dict(bad))
+    rep_bad = run_experiment(ExperimentConfig.from_dict(bad)).result
     assert not rep_bad.all_ok
 
 
@@ -263,11 +283,11 @@ def test_scaling_run_and_budget(tmp_path):
         "process": COPULA, "t_grid": [32, 64], "p_grid": [3],
         "replications": 12, "estimator": "spearman",
     })
-    res = run_scaling(cfg)
-    assert len(res.report.cells) == 2
-    files = res.csv_files()
+    run = run_experiment(cfg)
+    assert len(run.result.report.cells) == 2
+    files = run.result.csv_files()
     assert files["scaling.csv"].splitlines()[0] == "T,p,median_dev,ratio_to_rate"
-    emit_outputs(res, str(tmp_path / "scaling"))
+    emit_outputs(run, str(tmp_path / "scaling"))
     assert (tmp_path / "scaling" / "scaling.csv").exists()
     tiny = ExperimentConfig.from_dict({
         "schema_version": 1, "experiment": "scaling", "seed": 77,
@@ -275,4 +295,4 @@ def test_scaling_run_and_budget(tmp_path):
         "replications": 12, "estimator": "spearman", "budget": 10.0,
     })
     with pytest.raises(BudgetError):
-        run_scaling(tiny)
+        run_experiment(tiny)

@@ -1,10 +1,10 @@
-import io
 import json
 import math
 
 import numpy as np
 import pytest
 
+from tsustat.harness import MixingProfileResult
 from tsustat.mixing import (MixingProfile, alpha_coeff, beta_coeff,
                             beta_coeff_bruteforce, conditional_phi_coeff,
                             fit_decay_rate, mixing_profile, phi_coeff)
@@ -166,11 +166,11 @@ def test_profile_validation_and_serialization():
         MixingProfile(kind="beta", lags=[1, 2], values=[0.5])
     with pytest.raises(ValueError):
         MixingProfile(kind="beta", lags=[1], values=[1.5])
+    with pytest.raises(ValueError):  # no code computes a conditional alpha profile
+        MixingProfile(kind="conditional_alpha", lags=[1], values=[0.5])
     prof = mixing_profile(two_state_chain(0.25), "phi", [1, 2, 3])
     data = json.loads(prof.to_json())
     assert data["kind"] == "phi" and len(data["values"]) == 3
-    buf = io.StringIO()
-    prof.to_csv(buf)
-    lines = buf.getvalue().splitlines()
+    lines = MixingProfileResult(profiles={"phi": prof}).csv_files()["mixing_phi.csv"].splitlines()
     assert lines[0] == "lag,value"
     assert lines[1].startswith("1,0.25")
