@@ -21,9 +21,8 @@ from .mixing import (MixingProfile, alpha_coeff, beta_coeff, beta_coeff_brutefor
 from .processes import (FiniteMarkovChain, ProcessSpec, SeriesPath, cycle_chain,
                         generate, generate_batch, iid_chain, m_dependent_from_iid,
                         path_from_csv, random_chain, truncate_to_finite, two_state_chain)
-from .ustat import (ConditionalExpectationOracle, DecompositionReport, SpearmanResult,
-                    check_zero_conditional_means, decompose, hoeffding_decoupling_average,
-                    kendall_tau, kendall_tau_batch, spearman_rho, theta_independent,
-                    theta_star, u_statistic)
+from .ustat import (DecompositionReport, SpearmanResult, check_zero_conditional_means,
+                    decompose, hoeffding_decoupling_average, kendall_tau, kendall_tau_batch,
+                    spearman_rho, theta_independent, theta_star, u_statistic)
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from scipy.special import ndtr
 from .bounds import (BernsteinParams, BoundConstants, CalibrationResult, TailPoint,
                      bernstein_envelope, calibrate_constants, combine_bernstein_params,
                      empirical_log_mgf, ustat_tail_bound, bias_offset)
-from .hidim import ScalingReport, scaling_experiment
+from .hidim import ESTIMATOR_KINDS, ScalingReport, scaling_experiment
 from .kernels import (KernelSpec, load_table_kernel, mean_kernel, sign_product_kernel,
                       spearman_symmetric_kernel, table_kernel)
 from .mixing import MixingProfile, conditional_phi_coeff, mixing_profile
@@ -148,7 +148,7 @@ def parse_kernel(d: dict) -> KernelSpec:
                 raise ConfigError("table kernel needs 'entries' or 'path'")
             entries = {tuple(int(i) for i in key): float(v) for key, v in d["entries"]}
             return table_kernel(entries, order=order, state_count=s)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
@@ -272,8 +272,18 @@ class ExperimentConfig:
             raise ConfigError("decomposition order must be 2 or 3")
         if e == "mixing-profile" and not chain:
             raise ConfigError("mixing profiles need a finite chain")
-        if e == "scaling" and process.kind != "gaussian_copula_vector":
-            raise ConfigError("scaling experiments use the Gaussian-copula vector process")
+        if e == "mixing-profile" and min(self.lags) < 1:
+            raise ConfigError("lags must be >= 1")
+        if e == "scaling":
+            if process.kind != "gaussian_copula_vector":
+                raise ConfigError("scaling experiments use the Gaussian-copula vector process")
+            if self.estimator not in ESTIMATOR_KINDS:
+                raise ConfigError(f"estimator must be one of {ESTIMATOR_KINDS}")
+            # rank-correlation matrices need three observations and two coordinates
+            if min(self.t_grid) < 3 or min(self.p_grid) < 2:
+                raise ConfigError("scaling needs t_grid values >= 3 and p_grid values >= 2")
+            if self.replications < 1:
+                raise ConfigError("scaling needs replications >= 1")
         if e == "simulate" and self.length < 1:
             raise ConfigError("simulate needs length >= 1")
         if kernel is not None:
@@ -677,9 +687,12 @@ def _run_mixing_profile(cfg: ExperimentConfig) -> MixingProfileResult:
     if cond is not None:
         _require_keys(cond, {"conditioning", "block_len"}, {"conditioning", "block_len"},
                       "conditional")
-        conditioning = [(int(t), int(s)) for t, s in cond["conditioning"]]
-        values = [conditional_phi_coeff(chain, conditioning, int(cond["block_len"]), n)
-                  for n in cfg.lags]
+        try:
+            conditioning = [(int(t), int(s)) for t, s in cond["conditioning"]]
+            values = [conditional_phi_coeff(chain, conditioning, int(cond["block_len"]), n)
+                      for n in cfg.lags]
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"conditional: {exc}") from exc
         profiles["conditional_phi"] = MixingProfile(
             kind="conditional_phi", lags=list(cfg.lags), values=values,
             conditioning=conditioning)
@@ -728,26 +741,27 @@ def _summand_log_mgf(distribution: str, scale: float, eta: float) -> float:
 
 def _run_mgf_check(cfg: ExperimentConfig) -> MgfCheckReport:
     raw = cfg.raw
-    n = int(raw["summands"])
     dist = raw["distribution"]
-    scale = float(raw.get("scale", 1.0))
-    sigma_i = float(raw.get("summand_sigma", scale))
-    kappa_i = float(raw.get("summand_kappa", 0.0))
-    points = int(raw["eta_points"])
-    samples = int(raw["samples"])
+    try:
+        n = int(raw["summands"])
+        scale = float(raw.get("scale", 1.0))
+        per = BernsteinParams(float(raw.get("summand_sigma", scale)),
+                              float(raw.get("summand_kappa", 0.0)))
+        points = int(raw["eta_points"])
+        samples = int(raw["samples"])
+        eta_max = float(raw["eta_max"]) if "eta_max" in raw else None
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"mgf-check: {exc}") from exc
     if n < 1 or points < 1 or samples < 1:
         raise ConfigError("summands, eta_points, and samples must be positive")
 
-    combined = combine_bernstein_params([BernsteinParams(sigma_i, kappa_i)] * n)
+    combined = combine_bernstein_params([per] * n)
     if combined.kappa > 0:
         eta_max = 0.99 / combined.kappa
-    else:
-        if "eta_max" not in raw:
-            raise ConfigError("eta_max is required when the combined kappa is zero")
-        eta_max = float(raw["eta_max"])
+    elif eta_max is None:
+        raise ConfigError("eta_max is required when the combined kappa is zero")
     etas = [eta_max * (i + 1) / points for i in range(points)]
 
-    per = BernsteinParams(sigma_i, kappa_i)
     per_ok = all(
         _summand_log_mgf(dist, scale, e) <= bernstein_envelope(per, e) + 1e-12
         for e in etas

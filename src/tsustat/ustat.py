@@ -10,8 +10,9 @@ identity. Batched paths route rows with ties to the exact oracles.
 For paths generated by a finite Markov chain the module also evaluates the
 chain-law expectation of the U-statistic, the product-measure expectation,
 and the telescoping split of U minus its expectation into per-order terms
-with exactly zero conditional means, using exact conditional expectations
-derived from the transition matrix.
+with exactly zero conditional means. All three chain-law evaluators read
+one set of gap tables: the conditional means of a table kernel given its
+leading arguments, indexed by time gaps and conditioning states.
 """
 from __future__ import annotations
 
@@ -361,87 +362,60 @@ def _kernel_table(kernel: KernelSpec | np.ndarray, state_count: int, r: int) -> 
     return H
 
 
-class ConditionalExpectationOracle:
-    """Exact conditional expectations of a table kernel along a chain.
-
-    Values are cached by time-gap tuples, exploiting time homogeneity: the
-    expectation of h(X_{t_1}, ..., X_{t_r}) given a prefix of the arguments
-    depends on the gaps only.
-    """
-
-    def __init__(self, chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray, r: int):
-        if r not in (2, 3):
-            raise ValueError("conditional oracles support orders 2 and 3")
-        self.chain = chain
-        self.r = r
-        self.table = _kernel_table(kernel, chain.state_count, r)
-        self.bound = float(np.max(np.abs(self.table)))
-        self._given1: dict = {}
-        self._given2: dict = {}
-        self._full: dict = {}
-
-    # order 2: gaps = (g,); order 3: gaps = (g1, g2)
-
-    def given_all_but_last(self, gaps: tuple[int, ...]) -> np.ndarray:
-        """E[h | all arguments except the last], indexed by the prefix states.
-
-        Only the final gap matters, so the cache is keyed by it alone.
-        """
-        key = gaps[-1]
-        cache = self._given2 if self.r == 3 else self._given1
-        got = cache.get(key)
-        if got is not None:
-            return got
-        if self.r == 2:
-            out = (self.chain.power(key) * self.table).sum(axis=1)
-        else:
-            out = np.einsum("yz,xyz->xy", self.chain.power(key), self.table)
-        cache[key] = out
-        return out
-
-    def given_first(self, gaps: tuple[int, ...]) -> np.ndarray:
-        """E[h | first argument], indexed by the first state."""
-        if self.r == 2:
-            return self.given_all_but_last(gaps)
-        got = self._given1.get(gaps)
-        if got is None:
-            g1, g2 = gaps
-            inner = self.given_all_but_last((g2,))
-            got = np.einsum("xy,xy->x", self.chain.power(g1), inner)
-            self._given1[gaps] = got
-        return got
-
-    def tuple_mean(self, gaps: tuple[int, ...]) -> float:
-        """Unconditional E[h(X_{t_1}, ..., X_{t_r})] for the given gaps."""
-        got = self._full.get(gaps)
-        if got is None:
-            got = float(self.chain.stationary @ self.given_first(gaps))
-            self._full[gaps] = got
-        return got
-
-
 _THETA_STAR_T_CAP = {2: 120, 3: 40}
 
 
-def theta_star(chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
-               T: int, r: int) -> float:
-    """Exact expectation of the U-statistic over a length-T chain path."""
+def _chain_law_tables(chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
+                      T: int, r: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The kernel table and its gap tables on ``chain.power``, after the
+    order, length and cap checks the exact chain-law evaluators share."""
     if r not in (2, 3):
-        raise ValueError("exact chain expectations support orders 2 and 3")
+        raise ValueError("exact chain-law evaluation supports orders 2 and 3")
     if T < r:
         raise ValueError(f"need T >= {r}")
     if T > _THETA_STAR_T_CAP[r]:
         raise ValueError(f"T={T} beyond the exact-enumeration cap for r={r}")
-    oracle = ConditionalExpectationOracle(chain, kernel, r)
-    acc = _KahanSum()
-    if r == 2:
-        for g in range(1, T):
-            acc.add((T - g) * oracle.tuple_mean((g,)))
-    else:
-        for g1 in range(1, T - 1):
-            for g2 in range(1, T - g1):
-                acc.add((T - g1 - g2) * oracle.tuple_mean((g1, g2)))
-    return acc.total / math.comb(T, r)
+    H = _kernel_table(kernel, chain.state_count, r)
+    powers = np.stack([chain.power(g) for g in range(T)])
+    return H, _gap_tables(powers, chain.stationary, H)
+
+
+def _gap_tables(powers: np.ndarray, pi: np.ndarray, H: np.ndarray) -> list[np.ndarray]:
+    """Conditional means of the kernel along a stationary chain, by time gaps.
+
+    ``powers[g]`` is P^g for g < T. Returns [E_{r-1}, ..., E_1, E_0], where
+    E_j[g_1, ..., g_{r-1}, x_1, ..., x_j] is the mean of h(X_{t_1}, ..., X_{t_r})
+    given X_{t_i} = x_i for i <= j, with gaps g_i = t_{i+1} - t_i. Time
+    homogeneity makes it depend on the gaps only. Each level averages the one
+    above over the law of the next argument, E_j = P^{g_j} E_{j+1}, and
+    E_0 = pi E_1.
+    """
+    r, s, T = H.ndim, H.shape[0], powers.shape[0]
+    level = H.reshape((1,) * (r - 1) + H.shape)
+    tables = []
+    for j in range(r - 1, 0, -1):
+        # P^{g_j}[x_j, x_{j+1}] on the g_j axis, broadcast over the other gaps
+        # and over x_1, ..., x_{j-1}
+        shape = [1] * (r + j - 2) + [s, s]
+        shape[j - 1] = T
+        level = (powers.reshape(shape) * level).sum(axis=-1)
+        tables.append(level)
+    tables.append(level @ pi)
+    return [np.broadcast_to(E, (T,) * (r - 1) + E.shape[r - 1:]) for E in tables]
+
+
+def theta_star(chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
+               T: int, r: int) -> float:
+    """Exact expectation of the U-statistic over a length-T chain path.
+
+    The gap-weighted sum of E_0: the gaps (g_1, ..., g_{r-1}) occur in
+    T - sum(g) increasing index tuples.
+    """
+    E0 = _chain_law_tables(chain, kernel, T, r)[1][-1]
+    gaps = np.indices(E0.shape)
+    count = T - gaps.sum(axis=0)
+    used = (gaps > 0).all(axis=0) & (count > 0)
+    return math.fsum((count * E0)[used]) / math.comb(T, r)
 
 
 def theta_independent(chain_or_pi, kernel: KernelSpec | np.ndarray, r: int) -> float:
@@ -510,87 +484,43 @@ def decompose(path, chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
               r: int | None = None) -> DecompositionReport:
     """Split U - E[U] for a chain path into terms with zero conditional means.
 
-    The per-tuple pieces condition on successively shorter argument prefixes;
-    outer T^(k-1) and inner T^-(k-1) factors are kept explicit so the
-    intermediate quantities can be inspected, even though they cancel.
+    One pass over all C(T, r) increasing index tuples. Level k of a tuple is
+    the mean of h given its first r-k arguments (level 0 is h itself, level r
+    the unconditional mean), and term k is (level k-1 - level k) / T^(k-1).
+    The b-terms aggregate term k over the tuples sharing their first
+    r-k+1 indices. The outer T^(k-1) and inner T^-(k-1) factors are kept
+    explicit so the intermediate quantities can be inspected, even though
+    they cancel.
     """
     states = path.states if isinstance(path, SeriesPath) else np.asarray(path, dtype=np.int64)
     if states is None:
         raise ValueError("decomposition needs a state path")
     if r is None:
         r = kernel.order if isinstance(kernel, KernelSpec) else np.asarray(kernel).ndim
-    if r not in (2, 3):
-        raise ValueError("decomposition supports orders 2 and 3")
     T = int(states.shape[0])
-    if T < r:
-        raise ValueError(f"need T >= {r}")
-    if T > _THETA_STAR_T_CAP[r]:
-        raise ValueError(f"T={T} beyond the exact-enumeration cap for r={r}")
+    H, tables = _chain_law_tables(chain, kernel, T, r)
     if states.min() < 0 or states.max() >= chain.state_count:
         raise ValueError("path states out of range for this chain")
 
-    oracle = ConditionalExpectationOracle(chain, kernel, r)
-    H = oracle.table
     n_tuples = math.comb(T, r)
+    idx = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(T), r)),
+                      dtype=np.intp, count=n_tuples * r).reshape(n_tuples, r)
+    gaps = tuple(np.diff(idx, axis=1).T)
+    x = states[idx]
+    levels = [H[tuple(x.T)]]
+    for j, E in zip(range(r - 1, -1, -1), tables):
+        levels.append(E[gaps + tuple(x[:, :j].T)])
 
-    if r == 2:
-        u_parts, s1_parts, s2_parts, theta_parts = [], [], [], []
-        b_dot = np.zeros(T)  # aggregated last-order terms, indexed by t1
-        b_max = 0.0
-        for g in range(1, T):
-            a = states[: T - g]
-            b = states[g:]
-            h_vals = H[a, b]
-            hat1 = oracle.given_all_but_last((g,))[a]
-            theta_g = oracle.tuple_mean((g,))
-            u_parts.append(float(h_vals.sum()))
-            first_terms = h_vals - hat1
-            s1_parts.append(float(first_terms.sum()))
-            b_max = max(b_max, float(np.max(np.abs(first_terms))))
-            last_terms = (hat1 - theta_g) / T
-            s2_parts.append(float(last_terms.sum()))
-            b_dot[: T - g] += last_terms
-            theta_parts.append((T - g) * theta_g)
-        b_max = max(b_max, float(np.max(np.abs(b_dot[: T - 1]))))
-        u_value = math.fsum(u_parts) / n_tuples
-        s1 = math.fsum(s1_parts) / n_tuples
-        s2 = T * math.fsum(s2_parts) / n_tuples
-        expectation = math.fsum(theta_parts) / n_tuples
-        s_terms = [s1, s2]
-    else:
-        u_parts, s1_parts, s2_parts, s3_parts, theta_parts = [], [], [], [], []
-        b_mid = np.zeros((T, T))  # aggregated middle terms, indexed by (t1, t2)
-        b_dot = np.zeros(T)
-        b_max = 0.0
-        for g1 in range(1, T - 1):
-            for g2 in range(1, T - g1):
-                idx = np.arange(T - g1 - g2)
-                a = states[idx]
-                b = states[idx + g1]
-                c = states[idx + g1 + g2]
-                h_vals = H[a, b, c]
-                hat2 = oracle.given_all_but_last((g1, g2))[a, b]
-                hat1 = oracle.given_first((g1, g2))[a]
-                theta_g = oracle.tuple_mean((g1, g2))
-                u_parts.append(float(h_vals.sum()))
-                first_terms = h_vals - hat2
-                s1_parts.append(float(first_terms.sum()))
-                b_max = max(b_max, float(np.max(np.abs(first_terms))))
-                mid_terms = (hat2 - hat1) / T
-                s2_parts.append(float(mid_terms.sum()))
-                b_mid[idx, idx + g1] += mid_terms
-                last_terms = (hat1 - theta_g) / (T * T)
-                s3_parts.append(float(last_terms.sum()))
-                b_dot[idx] += last_terms
-                theta_parts.append((T - g1 - g2) * theta_g)
-        b_max = max(b_max, float(np.max(np.abs(b_mid))), float(np.max(np.abs(b_dot))))
-        u_value = math.fsum(u_parts) / n_tuples
-        s1 = math.fsum(s1_parts) / n_tuples
-        s2 = T * math.fsum(s2_parts) / n_tuples
-        s3 = T * T * math.fsum(s3_parts) / n_tuples
-        expectation = math.fsum(theta_parts) / n_tuples
-        s_terms = [s1, s2, s3]
-
+    s_terms = []
+    b_max = 0.0
+    for k in range(1, r + 1):
+        terms = (levels[k - 1] - levels[k]) / T ** (k - 1)
+        s_terms.append(T ** (k - 1) * math.fsum(terms) / n_tuples)
+        m = r - k + 1
+        key = np.ravel_multi_index(tuple(idx[:, :m].T), (T,) * m)
+        b_max = max(b_max, float(np.max(np.abs(np.bincount(key, weights=terms)))))
+    u_value = math.fsum(levels[0]) / n_tuples
+    expectation = math.fsum(levels[r]) / n_tuples
     residual = u_value - expectation - math.fsum(s_terms)
     return DecompositionReport(
         order=r,
@@ -600,63 +530,25 @@ def decompose(path, chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
         theta_star=expectation,
         residual=residual,
         b_term_max_abs=b_max,
-        kernel_bound=oracle.bound,
+        kernel_bound=float(np.max(np.abs(H))),
     )
 
 
 def check_zero_conditional_means(chain: FiniteMarkovChain,
                                  kernel: KernelSpec | np.ndarray,
                                  T: int, r: int) -> float:
-    """Largest absolute conditional mean of any aggregated term, enumerated exactly.
+    """Largest deviation of the gap tables from the one-step tower property.
 
-    Conditional on its history prefix every aggregated term integrates to zero
-    against the next-state distribution; this verifies that over all gap
-    configurations and all conditioning states, returning the worst deviation.
+    Each aggregated term of ``decompose`` has zero conditional mean given its
+    history when every level of the gap tables is the next level averaged
+    over the true law of the next argument. ``decompose`` reads tables built
+    on ``chain.power``; this rebuilds them from the one-step products
+    P, P P, P P P, ... and returns the largest absolute difference, so a
+    wrong matrix power shows as a nonzero value (rounding level otherwise).
     """
-    if r not in (2, 3):
-        raise ValueError("supported orders are 2 and 3")
-    oracle = ConditionalExpectationOracle(chain, kernel, r)
-    H = oracle.table
-    pi = chain.stationary
-    worst = 0.0
-
-    if r == 2:
-        for g in range(1, T):
-            hat1 = oracle.given_all_but_last((g,))
-            # first-order terms against the conditional law of the last argument
-            dev = np.abs((chain.power(g) * H).sum(axis=1) - hat1)
-            worst = max(worst, float(dev.max()))
-        for t1 in range(T - 1):
-            total = 0.0
-            for g in range(1, T - t1):
-                total += (float(pi @ oracle.given_all_but_last((g,))) -
-                          oracle.tuple_mean((g,))) / T
-            worst = max(worst, abs(total))
-        return worst
-
-    for g2 in range(1, T - 1):
-        hat2 = oracle.given_all_but_last((1, g2))
-        dev = np.abs(np.einsum("yz,xyz->xy", chain.power(g2), H) - hat2)
-        worst = max(worst, float(dev.max()))
-    # middle terms against the conditional law of the second argument: the
-    # per-(t1, t2) aggregate is a cumulative sum over the last gap
-    s = chain.state_count
-    mid_diff = np.zeros((T, T, s))  # [g1, g2] -> vector over first states
-    dot_diff = np.zeros((T, T))
-    for g1 in range(1, T - 1):
-        Pg1 = chain.power(g1)
-        for g2 in range(1, T - g1):
-            hat2 = oracle.given_all_but_last((g1, g2))
-            hat1 = oracle.given_first((g1, g2))
-            mid_diff[g1, g2] = np.einsum("xy,xy->x", Pg1, hat2) - hat1
-            dot_diff[g1, g2] = float(pi @ hat1) - oracle.tuple_mean((g1, g2))
-    mid_cum = np.cumsum(mid_diff, axis=1) / T
-    dot_cum = np.cumsum(dot_diff, axis=1) / (T * T)
-    for t1 in range(T - 2):
-        for t2 in range(t1 + 1, T - 1):
-            g1 = t2 - t1
-            worst = max(worst, float(np.max(np.abs(mid_cum[g1, T - 1 - t2]))))
-    for t1 in range(T - 2):
-        total = math.fsum(dot_cum[g1, T - 1 - t1 - g1] for g1 in range(1, T - 1 - t1))
-        worst = max(worst, abs(total))
-    return worst
+    H, tables = _chain_law_tables(chain, kernel, T, r)
+    steps = [np.eye(chain.state_count)]
+    for _ in range(1, T):
+        steps.append(steps[-1] @ chain.transition)
+    rebuilt = _gap_tables(np.stack(steps), chain.stationary, H)
+    return max(float(np.max(np.abs(a - b))) for a, b in zip(tables, rebuilt))

@@ -207,3 +207,32 @@ def test_decompose_order_outside_2_3_exits_2(tmp_path, order):
         "t_grid": [10], "order": order, "replications": 5,
     })
     assert main(["decompose-check", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
+
+
+SCALING = {"schema_version": 1, "experiment": "scaling", "seed": 3, "process": COPULA,
+           "t_grid": [20], "p_grid": [3], "replications": 2}
+MGF = {"schema_version": 1, "experiment": "mgf-check", "seed": 3, "summands": 10,
+       "distribution": "rademacher", "eta_points": 4, "samples": 100, "summand_kappa": 0.1}
+MIXING = {"schema_version": 1, "experiment": "mixing-profile", "seed": 3, "process": CHAIN,
+          "lags": [1, 2, 3]}
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("scaling", dict(SCALING, estimator="pearson")),
+    ("scaling", dict(SCALING, t_grid=[2, 20])),
+    ("scaling", dict(SCALING, p_grid=[1, 3])),
+    ("scaling", dict(SCALING, replications=0)),
+    ("tail", tail_payload(process=CHAIN, t_grid=[30],
+                          kernel={"kind": "table", "order": 2, "state_count": 2,
+                                  "path": "no-such-table.txt"})),
+    ("mgf-check", dict(MGF, summands="ten")),
+    ("mgf-check", dict(MGF, summand_sigma=-1.0)),
+    ("mixing-profile", dict(MIXING, conditional={"conditioning": [[0, 5]], "block_len": 2})),
+    ("mixing-profile", dict(MIXING, lags=[0, 1, 2])),
+], ids=["scaling-estimator", "scaling-t", "scaling-p", "scaling-replications",
+        "table-path", "mgf-summands", "mgf-sigma", "conditional-state", "mixing-lag"])
+def test_config_errors_in_experiment_bodies_exit_2(tmp_path, command, payload):
+    assert main([command, "--config", write_config(tmp_path, payload),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+

@@ -1,5 +1,7 @@
 """Telescoping decomposition: residual identity, zero conditional means,
-boundedness of the aggregated terms, and the exact conditional oracle."""
+boundedness of the aggregated terms, the exact conditional-mean tables, and
+the chain law enumerated over every path."""
+import itertools
 import math
 
 import numpy as np
@@ -8,8 +10,8 @@ import pytest
 from tsustat.kernels import table_kernel
 from tsustat.processes import (FiniteMarkovChain, ProcessSpec, generate, iid_chain,
                                random_chain, two_state_chain)
-from tsustat.ustat import (ConditionalExpectationOracle, check_zero_conditional_means,
-                           decompose, theta_star, u_statistic)
+from tsustat.ustat import (_chain_law_tables, check_zero_conditional_means, decompose,
+                           theta_star, u_statistic)
 
 MATCH = np.array([[0.5, -0.5], [-0.5, 0.5]])
 
@@ -87,30 +89,58 @@ def test_report_serializes():
     assert rep.telescoping_ok() and rep.b_terms_bounded()
 
 
-def test_oracle_values_bounded_and_cached():
+@pytest.mark.parametrize("r", [2, 3])
+def test_conditional_mean_check_catches_a_wrong_power(r, monkeypatch):
+    rng = np.random.default_rng(57)
+    chain = random_chain(3, rng)
+    kernel = table_kernel(rng.uniform(-1.0, 1.0, size=(3,) * r))
+    assert check_zero_conditional_means(chain, kernel, 8, r) <= 1e-10
+    true_power = chain.power
+    monkeypatch.setattr(chain, "power",
+                        lambda n: np.eye(3) if n == 3 else true_power(n))
+    assert check_zero_conditional_means(chain, kernel, 8, r) > 1e-3
+
+
+def test_gap_tables_bounded():
     rng = np.random.default_rng(55)
     chain = random_chain(3, rng)
     kernel = table_kernel(rng.uniform(-1.5, 1.5, size=(3, 3, 3)))
-    oracle = ConditionalExpectationOracle(chain, kernel, 3)
-    for gaps in [(1, 1), (2, 3), (1, 4)]:
-        v2 = oracle.given_all_but_last(gaps)
-        v1 = oracle.given_first(gaps)
-        assert np.max(np.abs(v2)) <= oracle.bound + 1e-12
-        assert np.max(np.abs(v1)) <= oracle.bound + 1e-12
-        assert abs(oracle.tuple_mean(gaps)) <= oracle.bound + 1e-12
-        assert oracle.given_first(gaps) is v1  # cache hit
+    bound = float(np.max(np.abs(kernel.table)))
+    E2, E1, E0 = _chain_law_tables(chain, kernel, 8, 3)[1]
+    assert E2.shape == (8, 8, 3, 3) and E1.shape == (8, 8, 3) and E0.shape == (8, 8)
+    for g1, g2 in [(1, 1), (2, 3), (1, 4)]:
+        assert np.max(np.abs(E2[g1, g2])) <= bound + 1e-12
+        assert np.max(np.abs(E1[g1, g2])) <= bound + 1e-12
+        assert abs(E0[g1, g2]) <= bound + 1e-12
 
 
-def test_oracle_tower_property():
+def test_gap_tables_tower_property():
     # averaging the finer conditional over one transition gives the coarser one
     rng = np.random.default_rng(56)
     chain = random_chain(4, rng)
     kernel = table_kernel(rng.uniform(-1.0, 1.0, size=(4, 4, 4)))
-    oracle = ConditionalExpectationOracle(chain, kernel, 3)
+    E2, E1, E0 = _chain_law_tables(chain, kernel, 6, 3)[1]
     for g1, g2 in [(1, 2), (3, 1)]:
-        fine = oracle.given_all_but_last((g1, g2))
-        coarse = oracle.given_first((g1, g2))
         np.testing.assert_allclose(
-            np.einsum("xy,xy->x", chain.power(g1), fine), coarse, atol=1e-14)
-        assert oracle.tuple_mean((g1, g2)) == pytest.approx(
-            float(chain.stationary @ coarse), abs=1e-14)
+            np.einsum("xy,xy->x", chain.power(g1), E2[g1, g2]), E1[g1, g2], atol=1e-14)
+        assert E0[g1, g2] == pytest.approx(float(chain.stationary @ E1[g1, g2]), abs=1e-14)
+
+
+@pytest.mark.parametrize("s, T", [(2, 12), (3, 7)])
+@pytest.mark.parametrize("r", [2, 3])
+def test_decomposition_against_the_enumerated_chain_law(r, s, T):
+    # every length-T path weighted by pi[s_0] prod P[s_t, s_t+1]: the mean of
+    # U is theta_star and every per-order term has mean zero
+    rng = np.random.default_rng(1000 * r + 10 * s + T)
+    chain = random_chain(s, rng)
+    kernel = table_kernel(rng.uniform(-1.0, 1.0, size=(s,) * r))
+    P, pi = chain.transition, chain.stationary
+    mean_u = 0.0
+    mean_s = np.zeros(r)
+    for states in itertools.product(range(s), repeat=T):
+        p = pi[states[0]] * math.prod(P[a, b] for a, b in zip(states, states[1:]))
+        rep = decompose(np.array(states), chain, kernel, r)
+        mean_u += p * rep.u_value
+        mean_s += p * np.array(rep.s_terms)
+    assert mean_u == pytest.approx(theta_star(chain, kernel, T, r), abs=1e-12)
+    np.testing.assert_allclose(mean_s, 0.0, atol=1e-12)
