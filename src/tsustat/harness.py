@@ -34,8 +34,8 @@ from .kernels import (KernelSpec, load_table_kernel, mean_kernel, sign_product_k
 from .mixing import MixingProfile, conditional_phi_coeff, mixing_profile
 from .processes import (FiniteMarkovChain, ProcessSpec, _rep_rng, correlation_factor,
                         generate_batch)
-from .ustat import (check_zero_conditional_means, decompose, kendall_tau_batch,
-                    spearman_rho3_batch, theta_independent)
+from .ustat import (_THETA_STAR_T_CAP, check_zero_conditional_means, decompose,
+                    kendall_tau_batch, spearman_rho3_batch, theta_independent)
 
 SCHEMA_VERSION = 1
 DEFAULT_BUDGET = 1e12
@@ -266,10 +266,13 @@ class ExperimentConfig:
         """Experiment-specific checks, made before any work estimate or work."""
         e, process, kernel = self.experiment, self.process, self.kernel
         chain = process is not None and process.kind == "markov_chain"
-        if e in ("bias-curve", "decompose-check") and not (chain and kernel.kind == "table"):
-            raise ConfigError(f"{e} needs a finite chain and a table kernel")
-        if e == "decompose-check" and self.order not in (2, 3):
-            raise ConfigError("decomposition order must be 2 or 3")
+        if e in ("bias-curve", "decompose-check"):
+            if not (chain and kernel.kind == "table"):
+                raise ConfigError(f"{e} needs a finite chain and a table kernel")
+            if self.order not in (2, 3) or self.order != kernel.order:
+                raise ConfigError(f"{e} order must be 2 or 3, the table kernel's order")
+            if max(self.t_grid) > _THETA_STAR_T_CAP[self.order]:  # exact enumeration's cap
+                raise ConfigError(f"{e} t_grid values must be <= {_THETA_STAR_T_CAP[self.order]}")
         if e == "mixing-profile" and not chain:
             raise ConfigError("mixing profiles need a finite chain")
         if e == "mixing-profile" and min(self.lags) < 1:
@@ -362,7 +365,7 @@ def _u_values_block(args, start: int, count: int) -> np.ndarray:
 def _path_cost(kernel: KernelSpec, T: int) -> float:
     """Work units of the evaluator ``_u_values_block`` runs on one length-T path."""
     if kernel.kind in ("sign_product", "spearman_sym"):
-        return T * math.log2(max(T, 2))  # merge counting over ranks
+        return T * math.log2(max(T, 2))  # inversion counting over ranks
     if kernel.kind == "mean":
         return float(T)
     return float(T * kernel.table.shape[0] ** kernel.order)  # table: tuple counts
@@ -800,8 +803,12 @@ class ScalingResult:
 
 
 def estimate_scaling_budget(cfg: ExperimentConfig) -> float:
-    return cfg.replications * math.fsum(
-        math.comb(T, 2) * p * (p - 1) / 2 for T in cfg.t_grid for p in cfg.p_grid)
+    """Work units of the scaling run: per replication and (T, p) cell, T log2 T
+    per Kendall pair (inversion counting over ranks) or T p^2 for the Spearman
+    rank Gram."""
+    kendall = cfg.estimator == "kendall"
+    return cfg.replications * math.fsum(p * (p - 1) / 2 * T * math.log2(T) if kendall
+                                        else T * p * p for T in cfg.t_grid for p in cfg.p_grid)
 
 
 def _run_scaling(cfg: ExperimentConfig) -> ScalingResult:

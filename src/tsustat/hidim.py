@@ -1,10 +1,11 @@
 """Rank-correlation matrix estimators for p-dimensional series.
 
 Pairwise Kendall entries share one rank transform per coordinate and run
-through the batched merge counter, so the p(p-1)/2 upper triangle fills in a
-handful of vectorized passes. Spearman entries come from exact integer rank
-Gram sums. ``scaling_experiment`` measures how the worst entrywise deviation
-from a population matrix scales against sqrt(log(Tp)/T) over a (T, p) grid.
+through the batched inversion counter, so the p(p-1)/2 upper triangle fills
+in a handful of vectorized passes. Spearman entries come from exact integer
+rank Gram sums. ``scaling_experiment`` measures how the worst entrywise
+deviation from a population matrix scales against sqrt(log(Tp)/T) over a
+(T, p) grid.
 """
 from __future__ import annotations
 
@@ -81,9 +82,7 @@ def _column_ranks(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column stable orderings and 0-based ranks."""
     order = np.argsort(data, axis=0, kind="stable")
     ranks = np.empty(data.shape, dtype=np.int64)
-    T = data.shape[0]
-    for j in range(data.shape[1]):
-        ranks[order[:, j], j] = np.arange(T)
+    np.put_along_axis(ranks, order, np.arange(data.shape[0])[:, None], axis=0)
     return order, ranks
 
 
@@ -100,26 +99,23 @@ def _validate_matrix_input(data: np.ndarray) -> np.ndarray:
 
 
 def kendall_matrix(data, pair_chunk: int = 1024) -> CorrelationMatrixEstimate:
-    """Pairwise Kendall's tau matrix of a (T x p) sample."""
+    """Pairwise Kendall's tau matrix of a (T x p) sample. A tie-free pair (j, k)
+    is counted on the k-ranks read in j order, a permutation of 0..T-1."""
     data = _validate_matrix_input(data)
     T, p = data.shape
-    tied = [j for j in range(p) if _has_ties(data[:, j])]
+    tied = np.array([_has_ties(data[:, j]) for j in range(p)])
     order, ranks = _column_ranks(data)
-    pairs = [(j, k) for j in range(p) for k in range(j + 1, p)]
+    js, ks = np.triu_indices(p, k=1)
+    clean = ~(tied[js] | tied[ks])
     denom = math.comb(T, 2)
     M = np.eye(p)
-    clean = [(j, k) for j, k in pairs if j not in tied and k not in tied]
-    for start in range(0, len(clean), pair_chunk):
-        chunk = clean[start:start + pair_chunk]
-        rows = np.empty((len(chunk), T), dtype=np.int64)
-        for i, (j, k) in enumerate(chunk):
-            rows[i] = ranks[order[:, j], k]
-        inv, _ = _count_inversions_batch(rows)
-        for (j, k), d in zip(chunk, inv):
-            M[j, k] = M[k, j] = (denom - 2 * int(d)) / denom
-    for j, k in pairs:
-        if j in tied or k in tied:
-            M[j, k] = M[k, j] = kendall_tau_numerator(data[:, j], data[:, k]) / denom
+    cj, ck = js[clean], ks[clean]
+    for start in range(0, cj.size, pair_chunk):
+        j, k = cj[start:start + pair_chunk], ck[start:start + pair_chunk]
+        inv = _count_inversions_batch(ranks[order[:, j], k].T)
+        M[j, k] = M[k, j] = (denom - 2 * inv) / denom
+    for j, k in zip(js[~clean], ks[~clean]):
+        M[j, k] = M[k, j] = kendall_tau_numerator(data[:, j], data[:, k]) / denom
     return CorrelationMatrixEstimate(kind="kendall", matrix=M, sample_length=T)
 
 

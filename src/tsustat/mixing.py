@@ -248,7 +248,8 @@ _COEFF_FUNS = {"alpha": alpha_coeff, "beta": beta_coeff, "phi": phi_coeff}
 
 def mixing_profile(chain: FiniteMarkovChain, kind: str, lags: Sequence[int],
                    fit: bool = False) -> MixingProfile:
-    """Coefficient profile over a lag grid, optionally with a fitted decay rate."""
+    """Coefficient profile over a lag grid, optionally with a fitted decay rate
+    (unset unless three values are positive and they decay)."""
     if kind not in _COEFF_FUNS:
         raise ValueError(f"profile builder supports {sorted(_COEFF_FUNS)}, got '{kind}'")
     fun = _COEFF_FUNS[kind]
@@ -257,6 +258,9 @@ def mixing_profile(chain: FiniteMarkovChain, kind: str, lags: Sequence[int],
     if fit:
         positive = [(n, v) for n, v in zip(prof.lags, prof.values) if v > 0.0]
         if len(positive) >= 3:
-            prof.fitted_gamma = fit_decay_rate(([n for n, _ in positive],
-                                                [v for _, v in positive]))
+            try:  # an iid chain's values sit at rounding level and do not decay
+                prof.fitted_gamma = fit_decay_rate(([n for n, _ in positive],
+                                                    [v for _, v in positive]))
+            except ValueError:
+                pass
     return prof

@@ -2,10 +2,11 @@
 
 The generic evaluator enumerates index combinations in colexicographic order
 with compensated summation and serves as the slow oracle. Fast paths:
-Kendall's tau via merge-based discordant-pair counting (vectorized across
-whole batches of paths), Spearman's rho from exact integer rank sums, and the
-order-3 symmetric rank kernel from the same counts through Hoeffding's
-identity. Batched paths route rows with ties to the exact oracles.
+Kendall's tau as the inversion count of a rank permutation, by a top-down
+value-bit partition vectorized across whole batches of rows, Spearman's rho
+from exact integer rank sums, and the order-3 symmetric rank kernel from the
+same counts through Hoeffding's identity. Batched paths route rows with ties
+to the exact oracles.
 
 For paths generated by a finite Markov chain the module also evaluates the
 chain-law expectation of the U-statistic, the product-measure expectation,
@@ -96,60 +97,44 @@ def u_statistic(data, kernel: KernelSpec, max_terms: int = MAX_GENERIC_TERMS) ->
 # fast rank statistics
 # ---------------------------------------------------------------------------
 
-def _count_inversions_batch(rows: np.ndarray,
-                            base: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row inversion counts for rows without internal ties.
+def _count_inversions_batch(rows: np.ndarray) -> np.ndarray:
+    """Per-row inversion counts of rows that are permutations of 0..T-1.
 
-    Returns the counts and the stable per-row argsort the ranks come from,
-    so callers can read each row in sorted order (tie checks, rank sums)
-    without sorting again.
-
-    Bottom-up merge counting: blocks up to ``base`` are handled by brute
-    pairwise comparison, then each level merges sorted half-blocks with one
-    stable argsort per level, so the Python loop runs only ~log2(T) times
-    regardless of the number of rows.
+    Top-down value-bit partition: rows are padded to n = 2^B with the values
+    T..n-1 in order, which adds no inversion. At the level of bit b every
+    aligned value block of 2^(b+1) values sits in a contiguous block of
+    positions, in its original order. A one before a zero in bit b is an
+    inversion, so the level adds, per block, the positions of its zeros minus
+    the positions they would take at the block's front; one ``einsum`` over
+    the zero mask sums them for the whole row. Each block holds exactly 2^b
+    zeros, so two flat ``compress`` calls then move them stably to the
+    block's front. The Python loop runs B times regardless of the number of
+    rows, on the narrowest unsigned dtype that holds n - 1.
     """
     rows = np.asarray(rows)
-    if rows.ndim == 1:
-        rows = rows[None, :]
     R, T = rows.shape
-    if T < 2:
-        return np.zeros(R, dtype=np.int64), np.zeros((R, T), dtype=np.intp)
-
-    order = np.argsort(rows, axis=1, kind="stable")
-    ranks = np.empty((R, T), dtype=np.int32)
-    np.put_along_axis(ranks, order, np.arange(T, dtype=np.int32)[None, :], axis=1)
-
-    n = 1
-    while n < T:
-        n *= 2
-    arr = np.full((R, n), T, dtype=np.int32)  # pad rank T sorts after all data
-    arr[:, :T] = ranks
     inv = np.zeros(R, dtype=np.int64)
-
-    half = min(base, n)
-    if half > 1:
-        m = n // half
-        a = arr.reshape(R * m, half)
-        iu, ju = np.triu_indices(half, k=1)
-        cross = (a[:, iu] > a[:, ju]).sum(axis=1, dtype=np.int64)
-        inv += cross.reshape(R, m).sum(axis=1)
-        a.sort(axis=1)
-        arr = a.reshape(R, n)
-
-    while half < n:
-        width = 2 * half
-        m = n // width
-        a = arr.reshape(R * m, width)
-        idx = np.argsort(a, axis=1, kind="stable")
-        # merged positions of right-half elements; pads tie with pads and the
-        # stable sort keeps left pads first, so pad pairs contribute zero
-        pos = np.nonzero(idx >= half)[1].reshape(R * m, half)
-        cross = half * half + (half * (half - 1)) // 2 - pos.sum(axis=1, dtype=np.int64)
-        inv += cross.reshape(R, m).sum(axis=1)
-        arr = np.take_along_axis(a, idx, axis=1).reshape(R, n)
-        half = width
-    return inv, order
+    n = 1 << (T - 1).bit_length()
+    dtype = np.min_scalar_type(n - 1)
+    arr = np.empty((R, n), dtype=dtype)
+    arr[:, :T] = rows
+    arr[:, T:] = np.arange(T, n, dtype=dtype)
+    positions = np.arange(n, dtype=np.int64)
+    half = n // 2
+    while half:
+        zero = (arr & dtype.type(half)) == 0
+        m = n // (2 * half)
+        # zero positions if every block's zeros led it: m blocks of
+        # 0..half-1, plus each block's offset 2 * half * k for k < m
+        front = m * (half * (half - 1) // 2) + 2 * half * half * (m * (m - 1) // 2)
+        inv += np.einsum("ij,j->i", zero, positions) - front
+        flat, values = zero.ravel(), arr.ravel()
+        parted = np.empty((R * m, 2, half), dtype=dtype)
+        parted[:, 0] = np.compress(flat, values).reshape(R * m, half)
+        parted[:, 1] = np.compress(~flat, values).reshape(R * m, half)
+        arr = parted.reshape(R, n)
+        half //= 2
+    return inv
 
 
 def _has_ties(col: np.ndarray) -> bool:
@@ -172,15 +157,15 @@ def kendall_tau_numerator(x: np.ndarray, y: np.ndarray) -> int:
             keep = np.arange(T)[None, :] > np.arange(a, b)[:, None]
             total += int(prod[keep].sum())
         return total
-    order = np.argsort(x, kind="stable")
-    inv = int(_count_inversions_batch(y[order][None, :])[0][0])
+    order = np.argsort(x)
+    inv = int(_count_inversions_batch(np.argsort(y[order])[None, :])[0])
     return math.comb(T, 2) - 2 * inv
 
 
 def kendall_tau(path) -> float:
     """Kendall's tau: the order-2 sign-product U-statistic of a bivariate path.
 
-    O(T log T) merge counting when both coordinates are tie-free, exact
+    O(T log T) inversion counting when both coordinates are tie-free, exact
     O(T^2) pairwise counting otherwise.
     """
     xy = _bivariate(path)
@@ -199,25 +184,27 @@ def _rank_pair_batch(x_rows: np.ndarray, y_rows: np.ndarray):
     """Inversions of y read in x order, with the orderings and a tie mask.
 
     Returns (inv, y_order, tied): ``y_order[i, j]`` is the x-rank of the
-    element with y-rank j, so the rank-difference sum d2 of row i is
+    element with y-rank j (the inverse of the y-ranks in x order, with the
+    same inversions), so the rank-difference sum d2 of row i is
     sum_j (y_order[i, j] - j)^2. ``tied`` marks rows with a tie in either
-    coordinate; it reads both coordinates through the two argsorts already
-    taken, so ties cost no extra sort.
+    coordinate, read through the two argsorts already taken; neither needs
+    stability, as tie-free rows have unique orderings and tied rows take the
+    exact fallbacks.
     """
     x_rows = np.asarray(x_rows)
     y_rows = np.asarray(y_rows)
-    order = np.argsort(x_rows, axis=1, kind="stable")
+    order = np.argsort(x_rows, axis=1)
     tied = _tied_rows(np.take_along_axis(x_rows, order, axis=1))
     permuted = np.take_along_axis(y_rows, order, axis=1)
-    inv, y_order = _count_inversions_batch(permuted)
+    y_order = np.argsort(permuted, axis=1)
     tied |= _tied_rows(np.take_along_axis(permuted, y_order, axis=1))
-    return inv, y_order, tied
+    return _count_inversions_batch(y_order), y_order, tied
 
 
 def kendall_tau_batch(x_rows: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
     """Kendall's tau per row for a batch of bivariate paths.
 
-    Rows without ties take the batched merge counter; rows with a tie in
+    Rows without ties take the batched inversion counter; rows with a tie in
     either coordinate take the exact ``kendall_tau_numerator``.
     """
     T = np.shape(x_rows)[1]

@@ -236,3 +236,42 @@ def test_config_errors_in_experiment_bodies_exit_2(tmp_path, command, payload):
                  "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
 
+
+
+ORDER3_KERNEL = {"kind": "table", "order": 3, "state_count": 2,
+                 "entries": [[[0, 0, 0], 1.0], [[0, 0, 1], -0.5], [[1, 1, 1], 0.25]]}
+BIAS = {"schema_version": 1, "experiment": "bias-curve", "seed": 3, "process": CHAIN,
+        "kernel": MATCH_KERNEL, "order": 2, "t_grid": [20, 40]}
+DECOMPOSE = {"schema_version": 1, "experiment": "decompose-check", "seed": 3,
+             "process": CHAIN, "kernel": ORDER3_KERNEL, "order": 3, "t_grid": [10],
+             "replications": 2}
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("bias", dict(BIAS, t_grid=[20, 200])),
+    ("decompose-check", dict(DECOMPOSE, t_grid=[10, 50])),
+    ("bias", dict(BIAS, order=3)),
+    ("decompose-check", dict(DECOMPOSE, order=2)),
+], ids=["bias-t-cap", "decompose-t-cap", "bias-order", "decompose-order"])
+def test_chain_law_config_errors_exit_2(tmp_path, command, payload):
+    """A t_grid value above the exact-enumeration cap, or an order other than
+    the table kernel's, is a config error."""
+    assert main([command, "--config", write_config(tmp_path, payload),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_chain_law_configs_at_the_caps_run(tmp_path):
+    assert main(["bias", "--config", write_config(tmp_path, dict(BIAS, t_grid=[20, 120])),
+                 "--out", str(tmp_path / "b")]) == 0
+    assert main(["decompose-check", "--config", write_config(tmp_path, DECOMPOSE, "d.json"),
+                 "--out", str(tmp_path / "d")]) == 0
+
+
+def test_mixing_profile_on_an_iid_chain_leaves_the_rate_unset(tmp_path):
+    iid = {"kind": "markov_chain", "transition": [[0.5, 0.5], [0.5, 0.5]]}
+    out = tmp_path / "m"
+    assert main(["mixing-profile", "--config", write_config(tmp_path, dict(MIXING, process=iid)),
+                 "--out", str(out)]) == 0
+    profiles = json.loads((out / "result.json").read_text())["data"]["profiles"]
+    assert all(prof["fitted_gamma"] is None for prof in profiles.values())

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from tsustat.harness import (DEFAULT_BLOCK, DEFAULT_BUDGET, BudgetError, ConfigError,
                              ExperimentConfig, _oracle_samples, _u_table_path,
-                             calibrate_from_tail, emit_outputs, estimate_tail_budget,
-                             run_experiment)
+                             calibrate_from_tail, emit_outputs, estimate_scaling_budget,
+                             estimate_tail_budget, run_experiment)
 from tsustat.kernels import table_kernel
 from tsustat.processes import SeriesPath
 from tsustat.ustat import u_statistic
@@ -296,3 +296,23 @@ def test_scaling_run_and_budget(tmp_path):
     })
     with pytest.raises(BudgetError):
         run_experiment(tiny)
+
+
+@pytest.mark.parametrize("estimator", ["kendall", "spearman"])
+def test_scaling_budget_counts_the_evaluator_used(estimator):
+    """A 5 x 5 grid up to T = 8000 and p = 160 at 10 replications costs
+    T log2 T per Kendall pair or T p^2 per Spearman Gram, far under the
+    default budget, though C(T, 2) per pair would exceed it; an absurd grid
+    is still refused before any work."""
+    grid = {"schema_version": 1, "experiment": "scaling", "seed": 77, "process": COPULA,
+            "t_grid": [500, 1000, 2000, 4000, 8000], "p_grid": [10, 20, 40, 80, 160],
+            "replications": 10, "estimator": estimator}
+    cfg = ExperimentConfig.from_dict(grid)
+    pair_terms = 10 * sum(math.comb(T, 2) * math.comb(p, 2)
+                          for T in cfg.t_grid for p in cfg.p_grid)
+    assert pair_terms > DEFAULT_BUDGET
+    assert estimate_scaling_budget(cfg) < 0.1 * DEFAULT_BUDGET
+    absurd = ExperimentConfig.from_dict(dict(grid, t_grid=[10 ** 6], p_grid=[10 ** 4],
+                                             replications=1000))
+    with pytest.raises(BudgetError):
+        run_experiment(absurd)

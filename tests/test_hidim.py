@@ -10,7 +10,7 @@ from tsustat.hidim import (CorrelationMatrixEstimate, independent_population,
                            max_norm_deviation, population_matrix_oracle,
                            scaling_experiment, spearman_matrix)
 from tsustat.processes import ProcessSpec
-from tsustat.ustat import kendall_tau, spearman_rho
+from tsustat.ustat import kendall_tau, kendall_tau_numerator, spearman_rho
 
 
 def test_identical_coordinates_give_unit_offdiagonal():
@@ -30,6 +30,21 @@ def test_matrix_entries_match_scalar_estimators_exactly():
             pair = data[:, [j, k]]
             assert km[j, k] == kendall_tau(pair)
             assert sm[j, k] == spearman_rho(pair).rho
+
+
+def test_kendall_matrix_matches_numerator_with_a_tied_column():
+    """T = 257 puts the counter on its uint16 dtype; column 2 takes the tied
+    fallback, the rest the batched counter, split over several pair chunks."""
+    rng = np.random.default_rng(4)
+    T, p = 257, 6
+    data = rng.standard_normal((T, p))
+    data[:, 2] = np.round(data[:, 2])
+    for chunk in (1024, 4):
+        km = kendall_matrix(data, pair_chunk=chunk).matrix
+        for j in range(p):
+            for k in range(j + 1, p):
+                expected = kendall_tau_numerator(data[:, j], data[:, k]) / math.comb(T, 2)
+                assert km[j, k] == km[k, j] == expected
 
 
 def test_matrix_shape_invariants():

@@ -10,7 +10,8 @@ from tsustat.kernels import (mean_kernel, sign_product_kernel,
                              spearman_symmetric_kernel, symmetrize, table_kernel)
 from tsustat.processes import (ProcessSpec, SeriesPath, generate_batch, iid_chain,
                                two_state_chain)
-from tsustat.ustat import (hoeffding_decoupling_average, kendall_tau,
+from tsustat.ustat import (_count_inversions_batch, hoeffding_decoupling_average,
+                           kendall_tau,
                            kendall_tau_batch, kendall_tau_numerator, spearman_rho,
                            spearman_rho3_batch, theta_independent, theta_star,
                            u_statistic)
@@ -55,6 +56,44 @@ def test_u_statistic_invariant_under_time_permutation():
     for _ in range(5):
         perm = rng.permutation(12)
         assert u_statistic(path[perm], k) == pytest.approx(base, abs=1e-13)
+
+
+def brute_inversions(row):
+    """O(T^2) count of pairs i < j with row[i] > row[j]."""
+    row = np.asarray(row, dtype=np.int64)
+    return int(np.triu(row[:, None] > row[None, :], k=1).sum())
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 255, 256, 257, 1025])
+def test_inversion_counter_matches_pair_count(T):
+    """Random permutations plus the identity and the reversed row, on both
+    sides of the uint8 and uint16 working-dtype boundaries."""
+    rng = np.random.default_rng(T)
+    rows = np.stack([np.arange(T), np.arange(T)[::-1]]
+                    + [rng.permutation(T) for _ in range(6)])
+    inv = _count_inversions_batch(rows)
+    assert inv.dtype == np.int64
+    assert inv.tolist() == [brute_inversions(r) for r in rows]
+    assert inv[1] == math.comb(T, 2)
+
+
+def test_inversion_counter_wide_row_in_closed_form():
+    """A row longer than 65536 (uint32 working dtype): shuffled blocks placed in
+    reversed value ranges. Every earlier block's values exceed every later
+    block's, so the count is the within-block counts plus m_i m_j per block
+    pair."""
+    rng = np.random.default_rng(17)
+    sizes = rng.integers(600, 1200, size=90)
+    T = int(sizes.sum())
+    assert T > 65536
+    tops = T - np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    blocks = [top - m + rng.permutation(m) for top, m in zip(tops, sizes)]
+    row = np.concatenate(blocks)
+    assert np.array_equal(np.sort(row), np.arange(T))
+    within = sum(brute_inversions(b) for b in blocks)
+    across = (int(sizes.sum()) ** 2 - int((sizes ** 2).sum())) // 2
+    assert _count_inversions_batch(np.stack([row, np.arange(T)])).tolist() == [
+        within + across, 0]
 
 
 def test_kendall_tau_monotone_paths():
