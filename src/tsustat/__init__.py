@@ -6,13 +6,12 @@ ustat (evaluation, rank statistics, decomposition), bounds (tail and log-MGF
 families), hidim (rank-correlation matrices), harness/cli (experiments).
 """
 from .bounds import (BernsteinParams, BoundConstants, CalibrationResult, TailPoint,
-                     bernstein_envelope, bias_bound, calibrate_constants,
+                     bernstein_envelope, bias_offset, calibrate_constants,
                      combine_bernstein_params, empirical_log_mgf, hoeffding_bound,
                      mixing_sum_logmgf_bound, mixing_sum_tail_bound, ustat_tail_bound,
-                     bias_offset, variance_logmgf_bound)
-from .hidim import (CorrelationMatrixEstimate, PopulationMatrix, independent_population,
-                    kendall_matrix, max_norm_deviation, population_matrix_oracle,
-                    scaling_experiment, spearman_matrix)
+                     variance_logmgf_bound)
+from .hidim import (CorrelationMatrixEstimate, kendall_matrix, max_norm_deviation,
+                    population_matrix, scaling_experiment, spearman_matrix)
 from .kernels import (KernelSpec, eval_kernel, load_table_kernel, mean_kernel,
                       sign_product_kernel, spearman_symmetric_kernel, symmetrize,
                       table_kernel)

@@ -151,13 +151,6 @@ def variance_logmgf_bound(eta: float, T: int, M: float,
     return c7 * eta * eta * M * M / T / (1.0 - c6 * eta * M * lf / T)
 
 
-def bias_bound(T: int, M: float, c: float = 1.0) -> float:
-    """Bias envelope c M / sqrt(T)."""
-    if T < 1 or M <= 0 or c <= 0:
-        raise ValueError("need T >= 1, M > 0, c > 0")
-    return c * M / math.sqrt(T)
-
-
 def empirical_log_mgf(samples: Sequence[float], eta: float) -> float:
     """log of the sample mean of exp(eta * sample), computed with a max shift."""
     arr = np.asarray(samples, dtype=float)

@@ -282,6 +282,9 @@ class ExperimentConfig:
                 raise ConfigError("scaling experiments use the Gaussian-copula vector process")
             if self.estimator not in ESTIMATOR_KINDS:
                 raise ConfigError(f"estimator must be one of {ESTIMATOR_KINDS}")
+            # scaling_experiment draws independent coordinates at every p
+            if not np.array_equal(process.cross_correlation, np.eye(process.dimension)):
+                raise ConfigError("scaling needs an identity cross_correlation")
             # rank-correlation matrices need three observations and two coordinates
             if min(self.t_grid) < 3 or min(self.p_grid) < 2:
                 raise ConfigError("scaling needs t_grid values >= 3 and p_grid values >= 2")
@@ -785,22 +788,8 @@ def _run_mgf_check(cfg: ExperimentConfig) -> MgfCheckReport:
 
 
 # ---------------------------------------------------------------------------
-# scaling wrapper
+# scaling
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ScalingResult:
-    report: ScalingReport
-
-    def data_dict(self) -> dict:
-        return {"experiment": "scaling", "report": json.loads(self.report.to_json())}
-
-    def csv_files(self) -> dict[str, str]:
-        lines = ["T,p,median_dev,ratio_to_rate"]
-        for c in self.report.cells:
-            lines.append(f"{c.T},{c.p},{c.median_deviation:.17g},{c.ratio_to_rate:.17g}")
-        return {"scaling.csv": "\n".join(lines) + "\n"}
-
 
 def estimate_scaling_budget(cfg: ExperimentConfig) -> float:
     """Work units of the scaling run: per replication and (T, p) cell, T log2 T
@@ -811,9 +800,9 @@ def estimate_scaling_budget(cfg: ExperimentConfig) -> float:
                                         else T * p * p for T in cfg.t_grid for p in cfg.p_grid)
 
 
-def _run_scaling(cfg: ExperimentConfig) -> ScalingResult:
-    return ScalingResult(scaling_experiment(cfg.process, cfg.t_grid, cfg.p_grid,
-                                            cfg.replications, kind=cfg.estimator))
+def _run_scaling(cfg: ExperimentConfig) -> ScalingReport:
+    return scaling_experiment(cfg.process, cfg.t_grid, cfg.p_grid, cfg.replications,
+                              kind=cfg.estimator)
 
 
 # ---------------------------------------------------------------------------

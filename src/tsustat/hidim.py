@@ -1,23 +1,23 @@
 """Rank-correlation matrix estimators for p-dimensional series.
 
-Pairwise Kendall entries share one rank transform per coordinate and run
-through the batched inversion counter, so the p(p-1)/2 upper triangle fills
-in a handful of vectorized passes. Spearman entries come from exact integer
-rank Gram sums. ``scaling_experiment`` measures how the worst entrywise
-deviation from a population matrix scales against sqrt(log(Tp)/T) over a
-(T, p) grid.
+Both estimators read one rank transform per coordinate, ``ustat._ranks``.
+Pairwise Kendall entries run through the batched inversion counter, so the
+p(p-1)/2 upper triangle fills in a handful of vectorized passes; Spearman
+entries come from exact integer rank Gram sums. Under a Gaussian copula the
+population matrices are exact functions of the correlation matrix R:
+(2/pi) arcsin R for Kendall and (6/pi) arcsin(R/2) for Spearman.
+``scaling_experiment`` measures how the worst entrywise deviation from the
+population matrix scales against sqrt(log(Tp)/T) over a (T, p) grid.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
-from .processes import ProcessSpec, _rep_rng, correlation_factor, generate_batch
-from .ustat import _count_inversions_batch, _has_ties, kendall_tau_numerator
+from .processes import ProcessSpec, generate_batch
+from .ustat import _count_inversions_batch, _ranks, kendall_tau_numerator
 
 ESTIMATOR_KINDS = ("kendall", "spearman")
 
@@ -47,45 +47,6 @@ class CorrelationMatrixEstimate:
         return self.matrix.shape[0]
 
 
-@dataclass
-class PopulationMatrix:
-    kind: str
-    matrix: np.ndarray
-    provenance: str
-    standard_error: np.ndarray | None = None
-    oracle_draws: int | None = None
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-
-def matrix_to_csv(matrix: np.ndarray, fh) -> None:
-    """Dense CSV with 17 significant digits per entry."""
-    for row in np.asarray(matrix, dtype=float):
-        fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def matrix_to_json(est: CorrelationMatrixEstimate | PopulationMatrix) -> str:
-    payload = {"kind": est.kind, "matrix": est.matrix.tolist()}
-    if isinstance(est, CorrelationMatrixEstimate):
-        payload["sample_length"] = est.sample_length
-    else:
-        payload["provenance"] = est.provenance
-        payload["oracle_draws"] = est.oracle_draws
-        if est.standard_error is not None:
-            payload["standard_error"] = est.standard_error.tolist()
-    return json.dumps(payload, sort_keys=True)
-
-
-def _column_ranks(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column stable orderings and 0-based ranks."""
-    order = np.argsort(data, axis=0, kind="stable")
-    ranks = np.empty(data.shape, dtype=np.int64)
-    np.put_along_axis(ranks, order, np.arange(data.shape[0])[:, None], axis=0)
-    return order, ranks
-
-
 def _validate_matrix_input(data: np.ndarray) -> np.ndarray:
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -103,8 +64,7 @@ def kendall_matrix(data, pair_chunk: int = 1024) -> CorrelationMatrixEstimate:
     is counted on the k-ranks read in j order, a permutation of 0..T-1."""
     data = _validate_matrix_input(data)
     T, p = data.shape
-    tied = np.array([_has_ties(data[:, j]) for j in range(p)])
-    order, ranks = _column_ranks(data)
+    order, ranks, tied = _ranks(data.T)
     js, ks = np.triu_indices(p, k=1)
     clean = ~(tied[js] | tied[ks])
     denom = math.comb(T, 2)
@@ -112,7 +72,7 @@ def kendall_matrix(data, pair_chunk: int = 1024) -> CorrelationMatrixEstimate:
     cj, ck = js[clean], ks[clean]
     for start in range(0, cj.size, pair_chunk):
         j, k = cj[start:start + pair_chunk], ck[start:start + pair_chunk]
-        inv = _count_inversions_batch(ranks[order[:, j], k].T)
+        inv = _count_inversions_batch(ranks[k[:, None], order[j]])
         M[j, k] = M[k, j] = (denom - 2 * inv) / denom
     for j, k in zip(js[~clean], ks[~clean]):
         M[j, k] = M[k, j] = kendall_tau_numerator(data[:, j], data[:, k]) / denom
@@ -123,12 +83,11 @@ def spearman_matrix(data) -> CorrelationMatrixEstimate:
     """Pairwise Spearman's rho matrix from exact integer rank sums (no ties)."""
     data = _validate_matrix_input(data)
     T, p = data.shape
-    for j in range(p):
-        if _has_ties(data[:, j]):
-            raise ValueError(f"coordinate {j} has ties; Spearman entries are undefined")
-    _, ranks0 = _column_ranks(data)
+    _, ranks0, tied = _ranks(data.T)
+    if tied.any():
+        raise ValueError(f"coordinate {np.argmax(tied)} has ties; Spearman entries are undefined")
     ranks = ranks0 + 1  # 1..T
-    gram = ranks.T @ ranks
+    gram = ranks @ ranks.T
     sum_sq = T * (T + 1) * (2 * T + 1) // 6
     d2 = 2 * (sum_sq - gram)  # sum of squared rank differences per pair
     M = 1.0 - 6.0 * d2 / (T * (T * T - 1))
@@ -136,58 +95,26 @@ def spearman_matrix(data) -> CorrelationMatrixEstimate:
     return CorrelationMatrixEstimate(kind="spearman", matrix=M, sample_length=T)
 
 
-def independent_population(p: int, kind: str) -> PopulationMatrix:
-    """Exact population matrix when all coordinates are independent."""
-    if kind not in ESTIMATOR_KINDS:
-        raise ValueError(f"unknown estimator kind '{kind}'")
-    return PopulationMatrix(kind=kind, matrix=np.eye(p),
-                            provenance="exact: independent coordinates")
+def population_matrix(R, kind: str) -> np.ndarray:
+    """Exact population matrix of a Gaussian copula with correlation matrix R.
 
-
-def population_matrix_oracle(spec: ProcessSpec, kind: str, oracle_draws: int,
-                             batches: int = 10) -> PopulationMatrix:
-    """Population matrix under temporal independence, by iid simulation.
-
-    Draws ``oracle_draws`` independent vectors from the stationary
-    cross-sectional marginal of the process, applies the estimator, and
-    reports a per-entry Monte Carlo standard error from batch splits.
+    Kendall's tau is (2/pi) arcsin(rho) (Kruskal 1958) and Spearman's rho is
+    (6/pi) arcsin(rho/2), entrywise: both are arcsin(s rho) / arcsin(s), with
+    s = 1 and 1/2, a form that maps rho = +-1 to exactly +-1.
     """
-    if spec.kind != "gaussian_copula_vector":
-        raise ValueError("the iid oracle needs a samplable cross-sectional marginal")
-    if oracle_draws < 10_000:
-        raise ValueError("population oracle needs at least 10^4 draws")
     if kind not in ESTIMATOR_KINDS:
         raise ValueError(f"unknown estimator kind '{kind}'")
-    p = spec.dimension
-    L = correlation_factor(spec.cross_correlation)
-    rng = _rep_rng(spec.seed, 0)
-    estimate = np.zeros((p, p))
-    batch_mats = []
-    per_batch = oracle_draws // batches
-    fn = kendall_matrix if kind == "kendall" else spearman_matrix
-    for _ in range(batches):
-        draws = ndtr(rng.standard_normal((per_batch, p)) @ L.T)
-        batch_mats.append(fn(draws).matrix)
-    stacked = np.stack(batch_mats)
-    estimate = stacked.mean(axis=0)
-    np.fill_diagonal(estimate, 1.0)
-    se = stacked.std(axis=0, ddof=1) / math.sqrt(batches)
-    return PopulationMatrix(
-        kind=kind, matrix=estimate,
-        provenance=f"iid draws from the stationary cross-sectional marginal "
-                   f"({batches} x {per_batch} draws)",
-        standard_error=se, oracle_draws=per_batch * batches,
-    )
+    s = 1.0 if kind == "kendall" else 0.5
+    M = np.arcsin(s * np.asarray(R, dtype=float)) / math.asin(s)
+    np.fill_diagonal(M, 1.0)
+    return M
 
 
-def max_norm_deviation(estimate: CorrelationMatrixEstimate,
-                       population: PopulationMatrix) -> float:
+def max_norm_deviation(estimate: CorrelationMatrixEstimate, population: np.ndarray) -> float:
     """Largest absolute off-diagonal entrywise difference."""
-    if estimate.kind != population.kind:
-        raise ValueError("estimator kinds differ")
-    if estimate.matrix.shape != population.matrix.shape:
+    if estimate.matrix.shape != np.shape(population):
         raise ValueError("matrix shapes differ")
-    diff = np.abs(estimate.matrix - population.matrix)
+    diff = np.abs(estimate.matrix - population)
     np.fill_diagonal(diff, 0.0)
     return float(diff.max())
 
@@ -210,23 +137,24 @@ class ScalingReport:
     cells: list[ScalingCell]
     slopes_by_p: dict[int, float | None]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "cells": [vars(c) for c in self.cells],
-                "slopes_by_p": {str(k): v for k, v in self.slopes_by_p.items()},
-            },
-            sort_keys=True,
-        )
+    def data_dict(self) -> dict:
+        return {"experiment": "scaling",
+                "report": {"kind": self.kind, "cells": [vars(c) for c in self.cells],
+                           "slopes_by_p": {str(k): v for k, v in self.slopes_by_p.items()}}}
+
+    def csv_files(self) -> dict[str, str]:
+        lines = ["T,p,median_dev,ratio_to_rate"]
+        for c in self.cells:
+            lines.append(f"{c.T},{c.p},{c.median_deviation:.17g},{c.ratio_to_rate:.17g}")
+        return {"scaling.csv": "\n".join(lines) + "\n"}
 
 
 def scaling_experiment(base_spec: ProcessSpec, t_grid, p_grid, replications: int,
                        kind: str = "kendall", rep_chunk: int = 8) -> ScalingReport:
     """Distribution of max-norm deviations over a (T, p) grid.
 
-    The population matrix is the exact identity (the base spec must have an
-    identity cross-sectional correlation, making coordinates independent).
+    The base spec must have an identity cross-sectional correlation, so the
+    coordinates are independent and ``population_matrix`` is the identity.
     Replication seeds are keyed by (seed, p-index * 10^6 + replication), so
     cells at the same p reuse nothing across T.
     """
@@ -238,6 +166,8 @@ def scaling_experiment(base_spec: ProcessSpec, t_grid, p_grid, replications: int
         raise ValueError(f"unknown estimator kind '{kind}'")
     if base_spec.kind != "gaussian_copula_vector":
         raise ValueError("scaling experiments use the Gaussian-copula vector process")
+    if not np.array_equal(base_spec.cross_correlation, np.eye(base_spec.dimension)):
+        raise ValueError("scaling experiments need an identity cross_correlation")
     estimator = kendall_matrix if kind == "kendall" else spearman_matrix
 
     cells = []
@@ -245,7 +175,7 @@ def scaling_experiment(base_spec: ProcessSpec, t_grid, p_grid, replications: int
     for pi, p in enumerate(p_grid):
         p = int(p)
         spec_p = replace(base_spec, dimension=p, cross_correlation=np.eye(p))
-        pop = independent_population(p, kind)
+        pop = population_matrix(spec_p.cross_correlation, kind)
         for T in t_grid:
             T = int(T)
             devs = np.empty(replications)

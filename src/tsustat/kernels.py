@@ -51,7 +51,6 @@ class KernelSpec:
     kind: str
     fn: Callable = field(repr=False, compare=False)
     point_dim: int | None = None
-    symmetric: bool = True
     table: np.ndarray | None = field(default=None, repr=False, compare=False)
     sample_fn: Callable | None = field(default=None, repr=False, compare=False)
 

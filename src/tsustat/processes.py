@@ -12,7 +12,7 @@ scheduling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -160,9 +160,6 @@ class ProcessSpec:
             if np.min(np.linalg.eigvalsh(R)) < -1e-10:
                 raise ValueError("cross correlation must be positive semidefinite")
             object.__setattr__(self, "cross_correlation", R)
-
-    def with_seed(self, seed: int) -> "ProcessSpec":
-        return replace(self, seed=seed)
 
 
 @dataclass

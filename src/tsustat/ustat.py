@@ -137,29 +137,23 @@ def _count_inversions_batch(rows: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _has_ties(col: np.ndarray) -> bool:
-    sorted_col = np.sort(col)
-    return bool(np.any(sorted_col[1:] == sorted_col[:-1]))
-
-
 def kendall_tau_numerator(x: np.ndarray, y: np.ndarray) -> int:
     """Concordant-minus-discordant pair count (exact integer, ties give 0)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     T = x.size
-    if _has_ties(x) or _has_ties(y):
-        total = 0
-        for a in range(0, T, 512):
-            b = min(a + 512, T)
-            sx = np.sign(x[a:b, None] - x[None, :])
-            sy = np.sign(y[a:b, None] - y[None, :])
-            prod = (sx * sy).astype(np.int64)
-            keep = np.arange(T)[None, :] > np.arange(a, b)[:, None]
-            total += int(prod[keep].sum())
-        return total
-    order = np.argsort(x)
-    inv = int(_count_inversions_batch(np.argsort(y[order])[None, :])[0])
-    return math.comb(T, 2) - 2 * inv
+    inv, _, tied = _rank_pair_batch(x[None], y[None])
+    if not tied[0]:
+        return math.comb(T, 2) - 2 * int(inv[0])
+    total = 0
+    for a in range(0, T, 512):
+        b = min(a + 512, T)
+        sx = np.sign(x[a:b, None] - x[None, :])
+        sy = np.sign(y[a:b, None] - y[None, :])
+        prod = (sx * sy).astype(np.int64)
+        keep = np.arange(T)[None, :] > np.arange(a, b)[:, None]
+        total += int(prod[keep].sum())
+    return total
 
 
 def kendall_tau(path) -> float:
@@ -178,6 +172,21 @@ def kendall_tau(path) -> float:
 def _tied_rows(sorted_rows: np.ndarray) -> np.ndarray:
     """Per-row flag: a row, already in sorted order, holds equal entries."""
     return (sorted_rows[:, 1:] == sorted_rows[:, :-1]).any(axis=1)
+
+
+def _ranks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, ranks, tied) of each row of a 2-D array.
+
+    ``order`` is one unstable argsort per row and ``ranks`` its inverse, the
+    0-based ranks. ``tied`` flags the rows holding equal entries; only in
+    those rows do order and ranks depend on the sort, so tie-free results
+    are exact and tied rows must take another path.
+    """
+    rows = np.asarray(rows)
+    order = np.argsort(rows, axis=1)
+    ranks = np.empty(order.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.arange(rows.shape[1]), axis=1)
+    return order, ranks, _tied_rows(np.take_along_axis(rows, order, axis=1))
 
 
 def _rank_pair_batch(x_rows: np.ndarray, y_rows: np.ndarray):
@@ -250,13 +259,6 @@ def _bivariate(path) -> np.ndarray:
     return arr
 
 
-def _ranks_1based(col: np.ndarray) -> np.ndarray:
-    order = np.argsort(col, kind="stable")
-    ranks = np.empty(col.size, dtype=np.int64)
-    ranks[order] = np.arange(1, col.size + 1)
-    return ranks
-
-
 class SpearmanResult(NamedTuple):
     rho: float
     rho3: float
@@ -274,10 +276,9 @@ def spearman_rho(path, max_terms: int = MAX_GENERIC_TERMS) -> SpearmanResult:
     T = xy.shape[0]
     if T < 3:
         raise ValueError("Spearman's rho needs at least 3 observations")
-    if _has_ties(xy[:, 0]) or _has_ties(xy[:, 1]):
+    _, (rx, ry), tied = _ranks(xy.T)
+    if tied.any():
         raise ValueError("Spearman's rho is defined here for tie-free paths")
-    rx = _ranks_1based(xy[:, 0])
-    ry = _ranks_1based(xy[:, 1])
     d2 = int(((rx - ry) ** 2).sum())
     rho = 1.0 - 6.0 * d2 / (T * (T * T - 1))
     rho3 = u_statistic(path, spearman_symmetric_kernel(), max_terms=max_terms)
@@ -454,17 +455,6 @@ class DecompositionReport:
             "b_term_max_abs": self.b_term_max_abs,
             "kernel_bound": self.kernel_bound,
         }
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def telescoping_ok(self, tol: float = 1e-10) -> bool:
-        return abs(self.residual) <= tol * max(1.0, abs(self.u_value))
-
-    def b_terms_bounded(self, tol: float = 1e-12) -> bool:
-        return self.b_term_max_abs <= 2.0 * self.kernel_bound + tol
 
 
 def decompose(path, chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,

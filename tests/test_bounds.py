@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsustat.bounds import (BernsteinParams, BoundConstants, TailPoint,
-                            bernstein_envelope, bias_bound, calibrate_constants,
+                            bernstein_envelope, calibrate_constants,
                             combine_bernstein_params, empirical_log_mgf,
                             hoeffding_bound, log_factor, mixing_sum_logmgf_bound,
                             mixing_sum_tail_bound, ustat_tail_bound, bias_offset,
@@ -71,8 +71,8 @@ def test_variance_logmgf_admissible_range_grows_with_t():
 
 
 def test_bias_bound():
-    assert bias_bound(4, 1.0) == 0.5
-    assert bias_bound(16, 1.0) == pytest.approx(bias_bound(4, 1.0) / 2.0)
+    assert bias_offset(4, 1.0) == 0.5
+    assert bias_offset(16, 1.0) == pytest.approx(bias_offset(4, 1.0) / 2.0)
 
 
 def test_bernstein_params_validation_and_combination():

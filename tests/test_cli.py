@@ -222,6 +222,8 @@ MIXING = {"schema_version": 1, "experiment": "mixing-profile", "seed": 3, "proce
     ("scaling", dict(SCALING, t_grid=[2, 20])),
     ("scaling", dict(SCALING, p_grid=[1, 3])),
     ("scaling", dict(SCALING, replications=0)),
+    ("scaling", dict(SCALING, process=dict(COPULA, cross_correlation={
+        "kind": "equicorrelation", "rho": 0.9}))),
     ("tail", tail_payload(process=CHAIN, t_grid=[30],
                           kernel={"kind": "table", "order": 2, "state_count": 2,
                                   "path": "no-such-table.txt"})),
@@ -230,7 +232,8 @@ MIXING = {"schema_version": 1, "experiment": "mixing-profile", "seed": 3, "proce
     ("mixing-profile", dict(MIXING, conditional={"conditioning": [[0, 5]], "block_len": 2})),
     ("mixing-profile", dict(MIXING, lags=[0, 1, 2])),
 ], ids=["scaling-estimator", "scaling-t", "scaling-p", "scaling-replications",
-        "table-path", "mgf-summands", "mgf-sigma", "conditional-state", "mixing-lag"])
+        "scaling-cross-correlation", "table-path", "mgf-summands", "mgf-sigma",
+        "conditional-state", "mixing-lag"])
 def test_config_errors_in_experiment_bodies_exit_2(tmp_path, command, payload):
     assert main([command, "--config", write_config(tmp_path, payload),
                  "--out", str(tmp_path / "o")]) == 2

@@ -284,7 +284,7 @@ def test_scaling_run_and_budget(tmp_path):
         "replications": 12, "estimator": "spearman",
     })
     run = run_experiment(cfg)
-    assert len(run.result.report.cells) == 2
+    assert len(run.result.cells) == 2
     files = run.result.csv_files()
     assert files["scaling.csv"].splitlines()[0] == "T,p,median_dev,ratio_to_rate"
     emit_outputs(run, str(tmp_path / "scaling"))

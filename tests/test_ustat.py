@@ -10,9 +10,8 @@ from tsustat.kernels import (mean_kernel, sign_product_kernel,
                              spearman_symmetric_kernel, symmetrize, table_kernel)
 from tsustat.processes import (ProcessSpec, SeriesPath, generate_batch, iid_chain,
                                two_state_chain)
-from tsustat.ustat import (_count_inversions_batch, hoeffding_decoupling_average,
-                           kendall_tau,
-                           kendall_tau_batch, kendall_tau_numerator, spearman_rho,
+from tsustat.ustat import (_count_inversions_batch, _ranks, hoeffding_decoupling_average,
+                           kendall_tau, kendall_tau_batch, kendall_tau_numerator, spearman_rho,
                            spearman_rho3_batch, theta_independent, theta_star,
                            u_statistic)
 
@@ -94,6 +93,24 @@ def test_inversion_counter_wide_row_in_closed_form():
     across = (int(sizes.sum()) ** 2 - int((sizes ** 2).sum())) // 2
     assert _count_inversions_batch(np.stack([row, np.arange(T)])).tolist() == [
         within + across, 0]
+
+
+@pytest.mark.parametrize("rows,T", [(1, 1), (1, 7), (1, 300), (9, 2), (9, 40), (9, 300)])
+def test_ranks_invert_the_order_and_flag_ties(rows, T):
+    """Ranks are the inverse permutation of the order, the order sorts each
+    row, and the tie flag agrees with a count of distinct values, on rows
+    with and without rounding ties."""
+    rng = np.random.default_rng(rows * 1000 + T)
+    data = rng.standard_normal((rows, T))
+    data[::2] = np.round(data[::2] * 3)  # ties in every other row, once T allows
+    order, ranks, tied = _ranks(data)
+    assert order.shape == ranks.shape == data.shape and tied.shape == (rows,)
+    for i in range(rows):
+        assert np.array_equal(ranks[i][order[i]], np.arange(T))
+        assert np.all(np.diff(data[i][order[i]]) >= 0)
+        assert tied[i] == (np.unique(data[i]).size < T)
+    if T >= 40:  # both kinds of row occur
+        assert tied[0] and (rows == 1 or not tied[1])
 
 
 def test_kendall_tau_monotone_paths():
