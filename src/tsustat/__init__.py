@@ -18,8 +18,9 @@ from .kernels import (KernelSpec, eval_kernel, load_table_kernel, mean_kernel,
 from .mixing import (MixingProfile, alpha_coeff, beta_coeff, beta_coeff_bruteforce,
                      conditional_phi_coeff, fit_decay_rate, mixing_profile, phi_coeff)
 from .processes import (FiniteMarkovChain, ProcessSpec, SeriesPath, cycle_chain,
-                        generate, generate_batch, iid_chain, m_dependent_from_iid,
-                        path_from_csv, random_chain, truncate_to_finite, two_state_chain)
+                        generate, generate_batch, iid_chain, latent_batch,
+                        m_dependent_from_iid, path_from_csv, random_chain,
+                        truncate_to_finite, two_state_chain)
 from .ustat import (DecompositionReport, SpearmanResult, check_zero_conditional_means,
                     decompose, hoeffding_decoupling_average, kendall_tau, kendall_tau_batch,
                     spearman_rho, theta_independent, theta_star, u_statistic)

@@ -11,6 +11,11 @@ looks the experiment up in ``RUNNERS``, checks its work estimate against the
 budget and times the body. Outputs: ``config.json`` (exact input snapshot),
 ``result.json`` with a ``data`` block (byte-stable across reruns) and a
 ``meta`` block (wall clock), plus plot-ready CSV files per experiment.
+
+The rank kernels (``sign_product``, ``spearman_sym``) and their Monte Carlo
+theta oracle read the copula's latent Gaussian values, which have the same
+ranks as its uniform marginals; only the ``mean`` kernel and ``simulate``
+map them to uniforms, so rank runs never import scipy.
 """
 from __future__ import annotations
 
@@ -23,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .bounds import (BernsteinParams, BoundConstants, CalibrationResult, TailPoint,
                      bernstein_envelope, calibrate_constants, combine_bernstein_params,
@@ -33,13 +37,14 @@ from .kernels import (KernelSpec, load_table_kernel, mean_kernel, sign_product_k
                       spearman_symmetric_kernel, table_kernel)
 from .mixing import MixingProfile, conditional_phi_coeff, mixing_profile
 from .processes import (FiniteMarkovChain, ProcessSpec, _rep_rng, correlation_factor,
-                        generate_batch)
+                        generate_batch, latent_batch, uniform_marginals)
 from .ustat import (_THETA_STAR_T_CAP, check_zero_conditional_means, decompose,
                     kendall_tau_batch, spearman_rho3_batch, theta_independent)
 
 SCHEMA_VERSION = 1
 DEFAULT_BUDGET = 1e12
 DEFAULT_BLOCK = 2048
+RANK_KERNELS = ("sign_product", "spearman_sym")  # functions of the ranks of their points
 
 
 class ConfigError(ValueError):
@@ -283,7 +288,7 @@ class ExperimentConfig:
             if self.estimator not in ESTIMATOR_KINDS:
                 raise ConfigError(f"estimator must be one of {ESTIMATOR_KINDS}")
             # scaling_experiment draws independent coordinates at every p
-            if not np.array_equal(process.cross_correlation, np.eye(process.dimension)):
+            if not process.identity_correlation:
                 raise ConfigError("scaling needs an identity cross_correlation")
             # rank-correlation matrices need three observations and two coordinates
             if min(self.t_grid) < 3 or min(self.p_grid) < 2:
@@ -298,6 +303,18 @@ class ExperimentConfig:
             if min(self.t_grid) < low:
                 raise ConfigError(f"t_grid values must be >= {low} for a "
                                   f"'{kernel.kind}' kernel of order {kernel.order}")
+            # each kernel family reads one kind of path; check it before any is drawn
+            if kernel.kind == "table":
+                states = kernel.table.shape[0]
+                if not chain or process.chain.state_count != states:
+                    raise ConfigError(f"a table kernel over {states} states needs a "
+                                      f"markov_chain process with {states} states")
+            elif kernel.kind in RANK_KERNELS:
+                if process.kind != "gaussian_copula_vector" or process.dimension != 2:
+                    raise ConfigError(f"{kernel.kind} needs a bivariate "
+                                      f"gaussian_copula_vector process")
+            elif chain or (process.kind == "gaussian_copula_vector" and process.dimension != 1):
+                raise ConfigError("mean kernel needs a scalar real process")
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -347,27 +364,25 @@ def _u_values_block(args, start: int, count: int) -> np.ndarray:
     """U-statistic per replication for replications [start, start + count).
 
     The kernel arrives as its config object, which pickles for pool workers;
-    ``parse_kernel`` builds it in whichever process runs the block.
+    ``parse_kernel`` builds it in whichever process runs the block. The
+    config check has matched kernel and process, and the rank kernels read
+    the latent copula paths.
     """
     spec, T, kernel_cfg = args
     kernel = parse_kernel(kernel_cfg)
+    if kernel.kind in RANK_KERNELS:
+        latent = latent_batch(spec, T, count, rep_offset=start)
+        rank_u = kendall_tau_batch if kernel.kind == "sign_product" else spearman_rho3_batch
+        return rank_u(latent[:, :, 0], latent[:, :, 1])
     batch = generate_batch(spec, T, count, rep_offset=start)
     if kernel.kind == "table":
         return np.array([_u_table_path(states, kernel.table) for states in batch])
-    if kernel.kind == "mean":
-        if batch.ndim != 3 or batch.shape[2] != 1:
-            raise ConfigError("mean kernel needs a scalar process")
-        return _kernel_values(kernel, batch.reshape(-1, 1, 1)).reshape(count, T).mean(axis=1)
-    # sign_product or spearman_sym, the rank kernels
-    if batch.ndim != 3 or batch.shape[2] != 2:
-        raise ConfigError(f"{kernel.kind} needs a bivariate process")
-    rank_u = kendall_tau_batch if kernel.kind == "sign_product" else spearman_rho3_batch
-    return rank_u(batch[:, :, 0], batch[:, :, 1])
+    return _kernel_values(kernel, batch.reshape(-1, 1, 1)).reshape(count, T).mean(axis=1)
 
 
 def _path_cost(kernel: KernelSpec, T: int) -> float:
     """Work units of the evaluator ``_u_values_block`` runs on one length-T path."""
-    if kernel.kind in ("sign_product", "spearman_sym"):
+    if kernel.kind in RANK_KERNELS:
         return T * math.log2(max(T, 2))  # inversion counting over ranks
     if kernel.kind == "mean":
         return float(T)
@@ -400,14 +415,19 @@ def _u_table_path(states: np.ndarray, H: np.ndarray) -> float:
 
 
 def _oracle_samples(cfg: ExperimentConfig) -> np.ndarray:
-    """(draws, r, d) iid draws of r points from the stationary marginal."""
+    """(draws, r, d) iid draws of r points from the stationary marginal.
+
+    For the copula, rank kernels get the latent normals (same ranks, so the
+    same kernel values) and only the ``mean`` kernel gets the uniforms.
+    """
     spec, r = cfg.process, cfg.kernel.order
     draws = cfg.theta_draws
     rng = _rep_rng(cfg.seed, 2 ** 32)  # oracle stream, disjoint from replication streams
     if spec.kind == "gaussian_copula_vector":
-        p = spec.dimension
-        L = correlation_factor(spec.cross_correlation)
-        return ndtr(rng.standard_normal((draws, r, p)) @ L.T)
+        latent = rng.standard_normal((draws, r, spec.dimension))
+        if not spec.identity_correlation:
+            latent = latent @ correlation_factor(spec.cross_correlation).T
+        return latent if cfg.kernel.kind in RANK_KERNELS else uniform_marginals(latent)
     if spec.kind in ("iid", "ar1", "m_dependent"):
         samples = rng.standard_normal((draws, r, 1))
         if spec.kind == "ar1":
@@ -425,16 +445,11 @@ def _estimate_theta(cfg: ExperimentConfig) -> tuple[float, float, str]:
         if spec.kind == "markov_chain" and kernel.kind == "table":
             return (theta_independent(spec.chain, kernel, kernel.order), 0.0, "exact-chain")
         if (spec.kind == "gaussian_copula_vector" and kernel.kind == "sign_product"
-                and np.array_equal(spec.cross_correlation, np.eye(spec.dimension))):
+                and spec.identity_correlation):
             # independent continuous coordinates: the sign product integrates to zero
             return 0.0, 0.0, "exact-independent"
     # iid oracle on the stationary cross-sectional marginal
-    samples = _oracle_samples(cfg)
-    dim = kernel.point_dim or 1
-    if samples.shape[2] != dim:
-        raise ConfigError(f"kernel '{kernel.kind}' needs {dim}-dimensional "
-                          f"points, process emits {samples.shape[2]}")
-    vals = _kernel_values(kernel, samples)
+    vals = _kernel_values(kernel, _oracle_samples(cfg))
     theta = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(vals.size))
     return theta, se, "mc"

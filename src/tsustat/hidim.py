@@ -7,7 +7,10 @@ entries come from exact integer rank Gram sums. Under a Gaussian copula the
 population matrices are exact functions of the correlation matrix R:
 (2/pi) arcsin R for Kendall and (6/pi) arcsin(R/2) for Spearman.
 ``scaling_experiment`` measures how the worst entrywise deviation from the
-population matrix scales against sqrt(log(Tp)/T) over a (T, p) grid.
+population matrix scales against sqrt(log(Tp)/T) over a (T, p) grid. It
+estimates on the copula's latent Gaussian paths: the marginal CDF is
+strictly increasing, so the ranks, and every entry, are those of the
+uniform-marginal paths.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .processes import ProcessSpec, generate_batch
+from .processes import ProcessSpec, latent_batch
 from .ustat import _count_inversions_batch, _ranks, kendall_tau_numerator
 
 ESTIMATOR_KINDS = ("kendall", "spearman")
@@ -155,8 +158,10 @@ def scaling_experiment(base_spec: ProcessSpec, t_grid, p_grid, replications: int
 
     The base spec must have an identity cross-sectional correlation, so the
     coordinates are independent and ``population_matrix`` is the identity.
-    Replication seeds are keyed by (seed, p-index * 10^6 + replication), so
-    cells at the same p reuse nothing across T.
+    The estimators read ``latent_batch`` paths, whose ranks are those of
+    ``generate_batch``'s uniform paths. Replication seeds are keyed by
+    (seed, p-index * 10^6 + replication), so cells at the same p reuse
+    nothing across T.
     """
     if not t_grid or not p_grid:
         raise ValueError("grids must be non-empty")
@@ -166,7 +171,7 @@ def scaling_experiment(base_spec: ProcessSpec, t_grid, p_grid, replications: int
         raise ValueError(f"unknown estimator kind '{kind}'")
     if base_spec.kind != "gaussian_copula_vector":
         raise ValueError("scaling experiments use the Gaussian-copula vector process")
-    if not np.array_equal(base_spec.cross_correlation, np.eye(base_spec.dimension)):
+    if not base_spec.identity_correlation:
         raise ValueError("scaling experiments need an identity cross_correlation")
     estimator = kendall_matrix if kind == "kendall" else spearman_matrix
 
@@ -182,7 +187,7 @@ def scaling_experiment(base_spec: ProcessSpec, t_grid, p_grid, replications: int
             done = 0
             while done < replications:
                 n = min(rep_chunk, replications - done)
-                batch = generate_batch(spec_p, T, n, rep_offset=pi * 1_000_000 + done)
+                batch = latent_batch(spec_p, T, n, rep_offset=pi * 1_000_000 + done)
                 for i in range(n):
                     est = estimator(batch[i])
                     devs[done + i] = max_norm_deviation(est, pop)

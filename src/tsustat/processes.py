@@ -5,10 +5,17 @@ base, finite-state Markov chains started from the stationary distribution,
 and a Gaussian-copula vector process (latent vector AR(1) pushed through the
 standard normal CDF, giving uniform marginals and exponential mixing).
 
+The copula generator is split in two: ``latent_batch`` draws the latent
+Gaussian paths and ``uniform_marginals`` applies the CDF. Rank statistics
+read the latent paths, since a strictly increasing marginal map leaves
+ranks unchanged. Only the uniform outputs need scipy, which
+``uniform_marginals`` imports on first use; nothing else imports it.
+
 All generation is deterministic given (spec, seed, length): replication i
 draws from a counter-based Philox stream keyed by SeedSequence(seed,
 spawn_key=(i,)), so parallel replications reproduce independently of
-scheduling.
+scheduling. Every generator fills one preallocated (R, ...) buffer, one
+replication's stream per row.
 """
 from __future__ import annotations
 
@@ -16,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
+from numpy.random import Generator, Philox, SeedSequence
 
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
@@ -119,7 +126,12 @@ def random_chain(s: int, rng: np.random.Generator, concentration: float = 1.0) -
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """Declarative description of a stationary process plus its master seed."""
+    """Declarative description of a stationary process plus its master seed.
+
+    ``identity_correlation`` is set, not passed: it is True for a copula spec
+    whose cross correlation is exactly the identity (independent coordinates,
+    no factor product needed).
+    """
 
     kind: str
     seed: int
@@ -129,6 +141,7 @@ class ProcessSpec:
     dimension: int | None = None
     cross_correlation: np.ndarray | None = None
     temporal_coefficient: float | None = None
+    identity_correlation: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in PROCESS_KINDS:
@@ -160,6 +173,7 @@ class ProcessSpec:
             if np.min(np.linalg.eigvalsh(R)) < -1e-10:
                 raise ValueError("cross correlation must be positive semidefinite")
             object.__setattr__(self, "cross_correlation", R)
+            object.__setattr__(self, "identity_correlation", bool(np.array_equal(R, np.eye(p))))
 
 
 @dataclass
@@ -212,8 +226,8 @@ def path_from_csv(fh) -> SeriesPath:
     return SeriesPath(values=vals)
 
 
-def _rep_rng(seed: int, rep: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(rep,))))
+def _rep_rng(seed: int, rep: int) -> Generator:
+    return Generator(Philox(SeedSequence(entropy=seed, spawn_key=(rep,))))
 
 
 def correlation_factor(R: np.ndarray) -> np.ndarray:
@@ -230,14 +244,24 @@ def correlation_factor(R: np.ndarray) -> np.ndarray:
         return V @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
 
 
-def _ar1_in_place(z: np.ndarray, phi: float) -> None:
-    """Run z[t] = z[t] + phi * z[t-1] down the leading (time) axis in place.
+def _stream_draws(seed: int, shape: tuple, rep_offset: int, uniform: bool = False) -> np.ndarray:
+    """One (R, ...) buffer whose row i holds the next draws of replication
+    rep_offset + i's stream: standard normals, or uniforms on [0, 1)."""
+    out = np.empty(shape)
+    for i in range(shape[0]):
+        rng = _rep_rng(seed, rep_offset + i)
+        (rng.random if uniform else rng.standard_normal)(out=out[i])
+    return out
 
-    With z[0] the start value and z[1:] the innovations this is the AR(1)
-    recurrence, each step one vectorized update over all replications.
+
+def _ar1_in_place(z: np.ndarray, phi: float) -> None:
+    """Run z[:, t] = z[:, t] + phi * z[:, t-1] along axis 1 (time) in place.
+
+    With z[:, 0] the start values and z[:, 1:] the innovations this is the
+    AR(1) recurrence, each step one vectorized update over all replications.
     """
-    for t in range(1, z.shape[0]):
-        z[t] += phi * z[t - 1]
+    for t in range(1, z.shape[1]):
+        z[:, t] += phi * z[:, t - 1]
 
 
 def generate(spec: ProcessSpec, length: int) -> SeriesPath:
@@ -248,42 +272,71 @@ def generate(spec: ProcessSpec, length: int) -> SeriesPath:
     return SeriesPath(values=batch[0], spec=spec)
 
 
+def latent_batch(spec: ProcessSpec, length: int, replications: int,
+                 rep_offset: int = 0) -> np.ndarray:
+    """Latent Gaussian paths of a copula spec, float (R, T, p).
+
+    Each coordinate is a stationary standard-normal AR(1), cross-correlated
+    by the spec's matrix. ``generate_batch`` returns ``uniform_marginals`` of
+    these same paths; their ranks, and so every rank statistic, are equal.
+    """
+    if spec.kind != "gaussian_copula_vector":
+        raise ValueError("latent paths exist only for the Gaussian-copula vector process")
+    if length < 1:
+        raise ValueError("path length must be >= 1")
+    phi = spec.temporal_coefficient
+    z = _stream_draws(spec.seed, (int(replications), int(length), spec.dimension), rep_offset)
+    if not spec.identity_correlation:
+        # the factor is applied per replication, as one (T, p) product each, so a
+        # path never depends on which batch it is drawn in
+        z = z @ correlation_factor(spec.cross_correlation).T
+    z[:, 1:] *= np.sqrt(1.0 - phi * phi)
+    _ar1_in_place(z, phi)
+    return z
+
+
+def uniform_marginals(latent: np.ndarray) -> np.ndarray:
+    """The standard normal CDF, in place: copula latent values to uniforms."""
+    from scipy.special import ndtr  # the only scipy use; rank paths never get here
+    return ndtr(latent, out=latent)
+
+
 def generate_batch(spec: ProcessSpec, length: int, replications: int,
                    rep_offset: int = 0) -> np.ndarray:
     """Paths for replications [rep_offset, rep_offset + replications).
 
-    Returns float (R, T, d) for real-valued kinds, int (R, T) for chains.
-    Replication i depends only on (spec.seed, rep_offset + i), never on how
-    the batch is split.
+    Returns float (R, T, d) for real-valued kinds, int (R, T) for chains;
+    copula paths are ``uniform_marginals(latent_batch(...))``. Replication i
+    depends only on (spec.seed, rep_offset + i), never on how the batch is
+    split.
     """
     if length < 1:
         raise ValueError("path length must be >= 1")
     T, R = int(length), int(replications)
-    rngs = [_rep_rng(spec.seed, rep_offset + i) for i in range(R)]
 
     if spec.kind == "iid":
-        out = np.stack([rng.standard_normal((T, 1)) for rng in rngs])
-        return out
+        return _stream_draws(spec.seed, (R, T, 1), rep_offset)
 
     if spec.kind == "ar1":
         phi = spec.ar_coefficient
-        x = np.stack([rng.standard_normal(T) for rng in rngs], axis=1)  # (T, R)
-        x[0] *= np.sqrt(1.0 / (1.0 - phi * phi))
+        x = _stream_draws(spec.seed, (R, T, 1), rep_offset)
+        x[:, 0] *= np.sqrt(1.0 / (1.0 - phi * phi))
         _ar1_in_place(x, phi)
-        return np.ascontiguousarray(x.T)[:, :, None]
+        return x
 
     if spec.kind == "m_dependent":
         m = spec.window
-        scale = 1.0 / np.sqrt(m + 1.0)
-        base = np.stack([rng.standard_normal(T + m) for rng in rngs])
+        base = _stream_draws(spec.seed, (R, T + m), rep_offset)
         win = np.lib.stride_tricks.sliding_window_view(base, m + 1, axis=1)
-        return (win.sum(axis=2) * scale)[:, :, None]
+        out = win.sum(axis=2)
+        out *= 1.0 / np.sqrt(m + 1.0)
+        return out[:, :, None]
 
     if spec.kind == "markov_chain":
         chain = spec.chain
         cum = np.cumsum(chain.transition, axis=1)
         cum_pi = np.cumsum(chain.stationary)
-        u = np.stack([rng.random(T) for rng in rngs])
+        u = _stream_draws(spec.seed, (R, T), rep_offset, uniform=True)
         states = np.empty((R, T), dtype=np.int64)
         states[:, 0] = np.searchsorted(cum_pi, u[:, 0], side="right").clip(max=chain.state_count - 1)
         for t in range(1, T):
@@ -292,17 +345,7 @@ def generate_batch(spec: ProcessSpec, length: int, replications: int,
         return states
 
     if spec.kind == "gaussian_copula_vector":
-        p = spec.dimension
-        phi = spec.temporal_coefficient
-        L = correlation_factor(spec.cross_correlation)
-        # the factor is applied per replication, as one (T, p) product each, so a
-        # path never depends on which batch it is drawn in
-        latent = np.stack([rng.standard_normal((T, p)) for rng in rngs]) @ L.T  # (R, T, p)
-        z = np.ascontiguousarray(latent.transpose(1, 0, 2))  # time-major for the recurrence
-        del latent
-        z[1:] *= np.sqrt(1.0 - phi * phi)
-        _ar1_in_place(z, phi)
-        return ndtr(z.transpose(1, 0, 2), out=np.empty((R, T, p)))
+        return uniform_marginals(latent_batch(spec, T, R, rep_offset))
 
     raise ValueError(f"unknown process kind '{spec.kind}'")
 

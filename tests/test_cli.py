@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tsustat
 from tsustat.cli import main
 from tsustat.harness import (ExperimentConfig, calibrate_from_tail, load_tail_result,
                              run_experiment)
@@ -215,6 +219,8 @@ MGF = {"schema_version": 1, "experiment": "mgf-check", "seed": 3, "summands": 10
        "distribution": "rademacher", "eta_points": 4, "samples": 100, "summand_kappa": 0.1}
 MIXING = {"schema_version": 1, "experiment": "mixing-profile", "seed": 3, "process": CHAIN,
           "lags": [1, 2, 3]}
+CHAIN3 = {"kind": "markov_chain",
+          "transition": [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]}
 
 
 @pytest.mark.parametrize("command,payload", [
@@ -231,9 +237,19 @@ MIXING = {"schema_version": 1, "experiment": "mixing-profile", "seed": 3, "proce
     ("mgf-check", dict(MGF, summand_sigma=-1.0)),
     ("mixing-profile", dict(MIXING, conditional={"conditioning": [[0, 5]], "block_len": 2})),
     ("mixing-profile", dict(MIXING, lags=[0, 1, 2])),
+    ("tail", tail_payload(process={"kind": "iid"}, kernel=MATCH_KERNEL,
+                          theta={"mode": "exact-zero"})),
+    ("tail", tail_payload(process=CHAIN3, kernel=MATCH_KERNEL)),
+    ("tail", tail_payload(process={"kind": "ar1", "coefficient": 0.5},
+                          theta={"mode": "exact-zero"})),
+    ("tail", tail_payload(process=dict(COPULA, dimension=3), kernel={"kind": "spearman_sym"},
+                          theta={"mode": "exact-zero"})),
+    ("tail", tail_payload(process=CHAIN, kernel={"kind": "mean"},
+                          theta={"mode": "exact-zero"})),
 ], ids=["scaling-estimator", "scaling-t", "scaling-p", "scaling-replications",
         "scaling-cross-correlation", "table-path", "mgf-summands", "mgf-sigma",
-        "conditional-state", "mixing-lag"])
+        "conditional-state", "mixing-lag", "table-kernel-iid", "table-kernel-states",
+        "rank-kernel-scalar", "rank-kernel-trivariate", "mean-kernel-chain"])
 def test_config_errors_in_experiment_bodies_exit_2(tmp_path, command, payload):
     assert main([command, "--config", write_config(tmp_path, payload),
                  "--out", str(tmp_path / "o")]) == 2
@@ -278,3 +294,36 @@ def test_mixing_profile_on_an_iid_chain_leaves_the_rate_unset(tmp_path):
                  "--out", str(out)]) == 0
     profiles = json.loads((out / "result.json").read_text())["data"]["profiles"]
     assert all(prof["fitted_gamma"] is None for prof in profiles.values())
+
+
+_IMPORT_PROBE = """
+import json, sys
+from tsustat.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded.append("scipy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_rank_runs_do_not_import_scipy(tmp_path):
+    """Rank kernels, their Monte Carlo theta and the Kendall scaling run read
+    latent copula paths and never load scipy; a copula ``simulate`` maps to
+    uniforms and must load it, so the probe sees the import when it happens."""
+    runs = [
+        ("tail", tail_payload()),
+        ("tail", tail_payload(kernel={"kind": "spearman_sym"}, t_grid=[10], x_grid=[0.2],
+                              replications=4, theta={"mode": "mc", "draws": 20_000})),
+        ("scaling", SCALING),
+        ("simulate", {"schema_version": 1, "experiment": "simulate", "seed": 3,
+                      "process": COPULA, "length": 5}),
+    ]
+    argv = [[cmd, "--config", write_config(tmp_path, payload, f"c{i}.json"),
+             "--out", str(tmp_path / f"o{i}")] for i, (cmd, payload) in enumerate(runs)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tsustat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, True]

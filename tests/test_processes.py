@@ -1,17 +1,24 @@
+import hashlib
 import io
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 from scipy.special import ndtr
 
+from tsustat.cli import main
+from tsustat.harness import ExperimentConfig, _estimate_theta
+from tsustat.hidim import kendall_matrix, spearman_matrix
 from tsustat.processes import (FiniteMarkovChain, ProcessSpec, SeriesPath, _rep_rng,
                                correlation_factor, cycle_chain, generate, generate_batch,
-                               iid_chain, m_dependent_from_iid, path_from_csv, random_chain,
-                               truncate_to_finite, two_state_chain)
+                               iid_chain, latent_batch, m_dependent_from_iid, path_from_csv,
+                               random_chain, truncate_to_finite, two_state_chain)
+from tsustat.ustat import kendall_tau_batch, spearman_rho3_batch
 
 
 def test_chain_validation():
@@ -80,6 +87,8 @@ def _lfilter_ar1(innov, x0, phi):
 @given(seed=st.integers(0, 2 ** 32 - 1), phi=st.floats(-0.95, 0.95),
        T=st.integers(1, 60), R=st.integers(1, 5), offset=st.integers(0, 100),
        rho=st.floats(-0.9, 0.9))
+@example(seed=3, phi=0.5, T=1, R=2, offset=7, rho=0.0)
+@example(seed=4, phi=-0.3, T=1, R=3, offset=0, rho=0.6)
 def test_ar1_recurrence_matches_lfilter(seed, phi, T, R, offset, rho):
     rngs = [_rep_rng(seed, offset + i) for i in range(R)]
     draws = np.stack([rng.standard_normal(T) for rng in rngs])
@@ -95,6 +104,77 @@ def test_ar1_recurrence_matches_lfilter(seed, phi, T, R, offset, rho):
     spec = ProcessSpec(kind="gaussian_copula_vector", seed=seed, dimension=2,
                        temporal_coefficient=phi, cross_correlation=corr)
     np.testing.assert_array_equal(generate_batch(spec, T, R, rep_offset=offset), ndtr(z))
+    # the uniform paths are the CDF of the latent ones, also with the identity
+    # factor skipped
+    for s in (spec, ProcessSpec(kind="gaussian_copula_vector", seed=seed, dimension=3,
+                                temporal_coefficient=phi)):
+        np.testing.assert_array_equal(generate_batch(s, T, R, rep_offset=offset),
+                                      ndtr(latent_batch(s, T, R, rep_offset=offset)))
+
+
+def test_identity_correlation_flag():
+    def copula(R):
+        return ProcessSpec(kind="gaussian_copula_vector", seed=0, dimension=2,
+                           temporal_coefficient=0.5, cross_correlation=R)
+
+    assert copula(None).identity_correlation
+    assert copula(np.eye(2)).identity_correlation
+    assert not copula(np.array([[1.0, 1e-12], [1e-12, 1.0]])).identity_correlation
+    assert not ProcessSpec(kind="iid", seed=0).identity_correlation
+    with pytest.raises(ValueError):
+        latent_batch(ProcessSpec(kind="ar1", seed=0, ar_coefficient=0.5), 10, 2)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("rho", [0.0, 0.6])
+def test_rank_statistics_equal_on_latent_and_uniform_paths(seed, rho):
+    """Ranks are invariant under the strictly increasing normal CDF, so every
+    rank statistic is bit-identical on the latent paths and on the uniform
+    marginals of the same paths."""
+    def copula(p):
+        R = np.full((p, p), rho) + (1.0 - rho) * np.eye(p)
+        return ProcessSpec(kind="gaussian_copula_vector", seed=seed, dimension=p,
+                           temporal_coefficient=0.5, cross_correlation=R)
+
+    for T in (3, 40, 257):
+        latent = latent_batch(copula(2), T, 16, rep_offset=5)
+        uniform = ndtr(latent)
+        for rank_u in (kendall_tau_batch, spearman_rho3_batch):
+            np.testing.assert_array_equal(rank_u(latent[:, :, 0], latent[:, :, 1]),
+                                          rank_u(uniform[:, :, 0], uniform[:, :, 1]))
+        data = latent_batch(copula(5), T, 1)[0]
+        for estimator in (kendall_matrix, spearman_matrix):
+            np.testing.assert_array_equal(estimator(data).matrix, estimator(ndtr(data)).matrix)
+
+    # the Monte Carlo theta of the order-3 rank kernel reads latent draws
+    cfg = ExperimentConfig.from_dict({
+        "schema_version": 1, "experiment": "tail", "seed": seed,
+        "process": {"kind": "gaussian_copula_vector", "dimension": 2,
+                    "temporal_coefficient": 0.5,
+                    "cross_correlation": {"kind": "equicorrelation", "rho": rho}},
+        "kernel": {"kind": "spearman_sym"}, "t_grid": [10], "x_grid": [0.1],
+        "replications": 0, "theta": {"mode": "mc", "draws": 5000}})
+    draws = _rep_rng(seed, 2 ** 32).standard_normal((5000, 3, 2))
+    if rho:
+        draws = draws @ correlation_factor(cfg.process.cross_correlation).T
+    vals = cfg.kernel.sample_fn(ndtr(draws))
+    theta, se, mode = _estimate_theta(cfg)
+    assert mode == "mc"
+    assert theta == float(vals.mean())
+    assert se == float(vals.std(ddof=1) / math.sqrt(vals.size))
+
+
+def test_copula_simulate_csv_is_pinned(tmp_path):
+    """The CSV ``simulate`` writes for an identity-correlation copula, pinned by
+    the digest of the file written before the latent/CDF split."""
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "experiment": "simulate", "seed": 11, "length": 50,
+        "process": {"kind": "gaussian_copula_vector", "dimension": 3,
+                    "temporal_coefficient": 0.6, "cross_correlation": {"kind": "identity"}}}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    digest = hashlib.sha256((tmp_path / "o" / "path.csv").read_bytes()).hexdigest()
+    assert digest == "28912a7df5abd7441fb95be029aee712a1c17c91982bd5a3bfa3967796bd0587"
 
 
 def test_deterministic_cycle_path():
