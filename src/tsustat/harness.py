@@ -1,10 +1,11 @@
 """Experiment engine: seeded Monte Carlo runs driven by JSON configs.
 
 Configs are versioned and fail closed: unknown fields anywhere in the file
-are rejected. Replications are split into fixed-size blocks; each replication
-draws from its own counter-based stream keyed by (seed, replication index),
-and blocks are reduced in index order, so results are identical for any
-worker count.
+are rejected. ``tail``, ``scaling`` and ``decompose-check`` each make one
+``processes.map_replication_blocks`` call, one job per T value or (T, p)
+cell; each replication draws from its own counter-based stream keyed by
+(seed, replication index), and blocks are reduced in index order, so results
+are identical for any worker count.
 
 Every experiment but ``simulate`` runs through ``run_experiment``, which
 looks the experiment up in ``RUNNERS``, checks its work estimate against the
@@ -23,8 +24,7 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,13 +37,13 @@ from .kernels import (KernelSpec, load_table_kernel, mean_kernel, sign_product_k
                       spearman_symmetric_kernel, table_kernel)
 from .mixing import MixingProfile, conditional_phi_coeff, mixing_profile
 from .processes import (FiniteMarkovChain, ProcessSpec, _rep_rng, correlation_factor,
-                        generate_batch, latent_batch, uniform_marginals)
+                        generate_batch, latent_batch, map_replication_blocks,
+                        uniform_marginals)
 from .ustat import (_THETA_STAR_T_CAP, check_zero_conditional_means, decompose,
                     kendall_tau_batch, spearman_rho3_batch, theta_independent)
 
 SCHEMA_VERSION = 1
 DEFAULT_BUDGET = 1e12
-DEFAULT_BLOCK = 2048
 RANK_KERNELS = ("sign_product", "spearman_sym")  # functions of the ranks of their points
 
 
@@ -91,10 +91,8 @@ def parse_process(d: dict, seed: int) -> ProcessSpec:
             _require_keys(d, {"kind", "window"}, {"kind", "window"}, "process")
             return ProcessSpec(kind="m_dependent", seed=seed, window=int(d["window"]))
         if kind == "markov_chain":
-            _require_keys(d, {"kind", "transition", "state_values"}, {"kind", "transition"},
-                          "process")
-            chain = FiniteMarkovChain(np.asarray(d["transition"], dtype=float),
-                                      state_values=d.get("state_values"))
+            _require_keys(d, {"kind", "transition"}, {"kind", "transition"}, "process")
+            chain = FiniteMarkovChain(np.asarray(d["transition"], dtype=float))
             return ProcessSpec(kind="markov_chain", seed=seed, chain=chain)
         if kind == "gaussian_copula_vector":
             _require_keys(d, {"kind", "dimension", "temporal_coefficient", "cross_correlation"},
@@ -322,30 +320,6 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# deterministic block-parallel mapping
-# ---------------------------------------------------------------------------
-
-def _run_block(payload):
-    fn, args, start, count = payload
-    return fn(args, start, count)
-
-
-def map_replication_blocks(total: int, fn: Callable, args: tuple, threads: int = 1,
-                           block: int = DEFAULT_BLOCK) -> list:
-    """Apply fn(args, start, count) over fixed blocks of replication indices.
-
-    Blocks are independent of the worker count and results are concatenated
-    in block order, so the output is scheduler-independent.
-    """
-    payloads = [(fn, args, start, min(block, total - start))
-                for start in range(0, total, block)]
-    if threads <= 1 or len(payloads) <= 1:
-        return [_run_block(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_run_block, payloads))
-
-
-# ---------------------------------------------------------------------------
 # tail experiment
 # ---------------------------------------------------------------------------
 
@@ -529,8 +503,12 @@ def _run_tail(cfg: ExperimentConfig) -> TailExperiment:
                 f"oracle precision insufficient: se {theta_se:.3g} > 10% of x step {min_step:.3g}")
     M = cfg.kernel.bound
     cc = cfg.constants
+    # one job per T; called by its module-level name, which perfbench/spans.py wraps
+    jobs = [(cfg.process, T, cfg.raw["kernel"]) for T in cfg.t_grid]
+    u_blocks = map_replication_blocks(_u_values_block, jobs, cfg.replications,
+                                      threads=cfg.threads)
     curves = []
-    for T in cfg.t_grid:
+    for T, blocks in zip(cfg.t_grid, u_blocks):
         xs = list(cfg.x_grid)
         offset = bias_offset(T, M, cc.c4)
         bound_vals = [ustat_tail_bound(max(x - offset, 0.0), T, M, cc.c5) for x in xs]
@@ -538,9 +516,6 @@ def _run_tail(cfg: ExperimentConfig) -> TailExperiment:
             curves.append(TailCurve(T=T, x=xs, counts=[0] * len(xs), empirical=[],
                                     stderr=[], bound=bound_vals))
             continue
-        blocks = map_replication_blocks(cfg.replications, _u_values_block,
-                                        (cfg.process, T, cfg.raw["kernel"]),
-                                        threads=cfg.threads)
         u_vals = np.concatenate(blocks)
         dev = np.abs(u_vals - theta)
         counts = [int((dev >= x).sum()) for x in xs]
@@ -598,8 +573,7 @@ class BiasReport:
     loglog_slope: float | None
 
     def data_dict(self) -> dict:
-        return {"experiment": "bias-curve", "rows": self.rows,
-                "loglog_slope": self.loglog_slope}
+        return {"experiment": "bias-curve", **asdict(self)}
 
     def csv_files(self) -> dict[str, str]:
         lines = ["T,bias,sqrt_t_scaled"]
@@ -609,7 +583,7 @@ class BiasReport:
 
 
 def _run_bias_curve(cfg: ExperimentConfig) -> BiasReport:
-    from .ustat import theta_star  # local import keeps module load light
+    from .ustat import theta_star  # at call time: perfbench/spans.py wraps ustat's name
     chain = cfg.process.chain
     theta = theta_independent(chain, cfg.kernel, cfg.order)
     rows = []
@@ -644,10 +618,7 @@ class DecomposeCheckReport:
         return self.residual_ok and self.p1_ok and self.p2_ok
 
     def data_dict(self) -> dict:
-        return {"experiment": "decompose-check", "replications": self.replications,
-                "max_residual": self.max_residual, "max_b_ratio": self.max_b_ratio,
-                "conditional_mean_dev": self.conditional_mean_dev,
-                "residual_ok": self.residual_ok, "p1_ok": self.p1_ok, "p2_ok": self.p2_ok}
+        return {"experiment": "decompose-check", **asdict(self)}
 
     def csv_files(self) -> dict[str, str]:
         return {}
@@ -657,16 +628,26 @@ def estimate_decompose_budget(cfg: ExperimentConfig) -> float:
     return cfg.replications * math.fsum(math.comb(T, cfg.order) for T in cfg.t_grid)
 
 
+def _decompose_block(args, start: int, count: int) -> np.ndarray:
+    """(|residual|, b-term max over twice the kernel bound) per replication
+    for replications [start, start + count). The kernel arrives as its table,
+    which pickles for pool workers."""
+    spec, T, table, order = args
+    paths = generate_batch(spec, T, count, rep_offset=start)
+    out = np.empty((count, 2))
+    for i, states in enumerate(paths):
+        rep = decompose(states, spec.chain, table, order)
+        out[i] = abs(rep.residual), rep.b_term_max_abs / (2.0 * rep.kernel_bound)
+    return out
+
+
 def _run_decompose_check(cfg: ExperimentConfig) -> DecomposeCheckReport:
     chain = cfg.process.chain
-    max_residual = 0.0
-    max_ratio = 0.0
-    for T in cfg.t_grid:
-        paths = generate_batch(cfg.process, T, cfg.replications)
-        for states in paths:
-            rep = decompose(states, chain, cfg.kernel, cfg.order)
-            max_residual = max(max_residual, abs(rep.residual))
-            max_ratio = max(max_ratio, rep.b_term_max_abs / (2.0 * rep.kernel_bound))
+    jobs = [(cfg.process, T, cfg.kernel.table, cfg.order) for T in cfg.t_grid]
+    blocks = map_replication_blocks(_decompose_block, jobs, cfg.replications,
+                                    threads=cfg.threads)
+    per_path = np.concatenate([np.empty((0, 2))] + [b for job in blocks for b in job])
+    max_residual, max_ratio = per_path.max(axis=0, initial=0.0).tolist()
     p1_dev = max(check_zero_conditional_means(chain, cfg.kernel, T, cfg.order)
                  for T in cfg.t_grid)
     return DecomposeCheckReport(
@@ -687,7 +668,7 @@ class MixingProfileResult:
 
     def data_dict(self) -> dict:
         return {"experiment": "mixing-profile",
-                "profiles": {k: json.loads(v.to_json()) for k, v in self.profiles.items()}}
+                "profiles": {k: asdict(v) for k, v in self.profiles.items()}}
 
     def csv_files(self) -> dict[str, str]:
         out = {}
@@ -737,9 +718,7 @@ class MgfCheckReport:
         return self.per_summand_ok and self.dominance_ok
 
     def data_dict(self) -> dict:
-        return {"experiment": "mgf-check", "eta": self.eta, "empirical": self.empirical,
-                "envelope": self.envelope, "per_summand_ok": self.per_summand_ok,
-                "dominance_ok": self.dominance_ok}
+        return {"experiment": "mgf-check", **asdict(self)}
 
     def csv_files(self) -> dict[str, str]:
         lines = ["eta,empirical,envelope"]
@@ -817,7 +796,7 @@ def estimate_scaling_budget(cfg: ExperimentConfig) -> float:
 
 def _run_scaling(cfg: ExperimentConfig) -> ScalingReport:
     return scaling_experiment(cfg.process, cfg.t_grid, cfg.p_grid, cfg.replications,
-                              kind=cfg.estimator)
+                              kind=cfg.estimator, threads=cfg.threads)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .processes import ProcessSpec, latent_batch
+from .processes import ProcessSpec, latent_batch, map_replication_blocks
 from .ustat import _count_inversions_batch, _ranks, kendall_tau_numerator
 
 ESTIMATOR_KINDS = ("kendall", "spearman")
+SCALING_BLOCK = 8  # paths per block: bounds memory at block x T x p latent values
 
 
 @dataclass
@@ -152,8 +153,21 @@ class ScalingReport:
         return {"scaling.csv": "\n".join(lines) + "\n"}
 
 
+def _deviations_block(args, start: int, count: int) -> np.ndarray:
+    """Max-norm deviation per replication [start, start + count) of one cell.
+
+    The estimators and ``max_norm_deviation`` are looked up at call time,
+    so the wrappers perfbench/spans.py installs on this module are seen.
+    """
+    spec_p, T, rep_base, kind = args
+    pop = population_matrix(spec_p.cross_correlation, kind)
+    estimator = kendall_matrix if kind == "kendall" else spearman_matrix
+    batch = latent_batch(spec_p, T, count, rep_offset=rep_base + start)
+    return np.array([max_norm_deviation(estimator(path), pop) for path in batch])
+
+
 def scaling_experiment(base_spec: ProcessSpec, t_grid, p_grid, replications: int,
-                       kind: str = "kendall", rep_chunk: int = 8) -> ScalingReport:
+                       kind: str = "kendall", threads: int = 1) -> ScalingReport:
     """Distribution of max-norm deviations over a (T, p) grid.
 
     The base spec must have an identity cross-sectional correlation, so the
@@ -161,7 +175,8 @@ def scaling_experiment(base_spec: ProcessSpec, t_grid, p_grid, replications: int
     The estimators read ``latent_batch`` paths, whose ranks are those of
     ``generate_batch``'s uniform paths. Replication seeds are keyed by
     (seed, p-index * 10^6 + replication), so cells at the same p reuse
-    nothing across T.
+    nothing across T. Each (T, p) cell is one job of one
+    ``map_replication_blocks`` call over ``threads`` workers.
     """
     if not t_grid or not p_grid:
         raise ValueError("grids must be non-empty")
@@ -173,36 +188,29 @@ def scaling_experiment(base_spec: ProcessSpec, t_grid, p_grid, replications: int
         raise ValueError("scaling experiments use the Gaussian-copula vector process")
     if not base_spec.identity_correlation:
         raise ValueError("scaling experiments need an identity cross_correlation")
-    estimator = kendall_matrix if kind == "kendall" else spearman_matrix
 
+    jobs = []
+    for pi, p in enumerate(p_grid):
+        spec_p = replace(base_spec, dimension=int(p), cross_correlation=np.eye(int(p)))
+        jobs += [(spec_p, int(T), pi * 1_000_000, kind) for T in t_grid]
+    dev_blocks = map_replication_blocks(_deviations_block, jobs, replications,
+                                        threads=threads, block=SCALING_BLOCK)
     cells = []
     medians: dict[int, list[tuple[int, float]]] = {int(p): [] for p in p_grid}
-    for pi, p in enumerate(p_grid):
-        p = int(p)
-        spec_p = replace(base_spec, dimension=p, cross_correlation=np.eye(p))
-        pop = population_matrix(spec_p.cross_correlation, kind)
-        for T in t_grid:
-            T = int(T)
-            devs = np.empty(replications)
-            done = 0
-            while done < replications:
-                n = min(rep_chunk, replications - done)
-                batch = latent_batch(spec_p, T, n, rep_offset=pi * 1_000_000 + done)
-                for i in range(n):
-                    est = estimator(batch[i])
-                    devs[done + i] = max_norm_deviation(est, pop)
-                done += n
-            med = float(np.median(devs))
-            rate = math.sqrt(math.log(T * p) / T)
-            cells.append(ScalingCell(
-                T=T, p=p, replications=replications,
-                median_deviation=med,
-                q25=float(np.quantile(devs, 0.25)),
-                q75=float(np.quantile(devs, 0.75)),
-                ratio_to_rate=med / rate,
-                slope_defined=replications > 1 and len(t_grid) > 1,
-            ))
-            medians[p].append((T, med))
+    for (spec_p, T, _, _), blocks in zip(jobs, dev_blocks):
+        p = spec_p.dimension
+        devs = np.concatenate(blocks)
+        med = float(np.median(devs))
+        rate = math.sqrt(math.log(T * p) / T)
+        cells.append(ScalingCell(
+            T=T, p=p, replications=replications,
+            median_deviation=med,
+            q25=float(np.quantile(devs, 0.25)),
+            q75=float(np.quantile(devs, 0.75)),
+            ratio_to_rate=med / rate,
+            slope_defined=replications > 1 and len(t_grid) > 1,
+        ))
+        medians[p].append((T, med))
 
     slopes: dict[int, float | None] = {}
     for p, pairs in medians.items():

@@ -14,7 +14,6 @@ total variation of their first coordinates).
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,18 +42,6 @@ class MixingProfile:
         for v in self.values:
             if v < -1e-15 or v > 1.0 + 1e-12:
                 raise ValueError(f"coefficient {v} outside [0, 1]")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "lags": list(self.lags),
-                "values": list(self.values),
-                "fitted_gamma": self.fitted_gamma,
-                "conditioning": self.conditioning,
-            },
-            sort_keys=True,
-        )
 
 
 def _tv(p: np.ndarray, q: np.ndarray) -> float:

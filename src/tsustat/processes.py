@@ -15,10 +15,12 @@ All generation is deterministic given (spec, seed, length): replication i
 draws from a counter-based Philox stream keyed by SeedSequence(seed,
 spawn_key=(i,)), so parallel replications reproduce independently of
 scheduling. Every generator fills one preallocated (R, ...) buffer, one
-replication's stream per row.
+replication's stream per row. ``map_replication_blocks`` is the experiments'
+one replication loop and the one place that starts a worker pool.
 """
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -35,13 +37,11 @@ PROCESS_KINDS = ("iid", "ar1", "m_dependent", "markov_chain", "gaussian_copula_v
 class FiniteMarkovChain:
     """Row-stochastic transition matrix with its stationary distribution.
 
-    ``state_values`` optionally maps state indices to real vectors so state
-    paths can feed real-valued kernels. Matrix powers are memoized.
+    Matrix powers are memoized.
     """
 
     transition: np.ndarray
     stationary: np.ndarray | None = None
-    state_values: np.ndarray | None = None
     _powers: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -63,13 +63,6 @@ class FiniteMarkovChain:
             raise ValueError("stationary vector does not satisfy pi P = pi within 1e-10")
         self.stationary = np.clip(pi, 0.0, None)
         self.stationary /= self.stationary.sum()
-        if self.state_values is not None:
-            sv = np.asarray(self.state_values, dtype=float)
-            if sv.ndim == 1:
-                sv = sv[:, None]
-            if sv.shape[0] != self.state_count:
-                raise ValueError("state_values must have one row per state")
-            self.state_values = sv
 
     @property
     def state_count(self) -> int:
@@ -228,6 +221,35 @@ def path_from_csv(fh) -> SeriesPath:
 
 def _rep_rng(seed: int, rep: int) -> Generator:
     return Generator(Philox(SeedSequence(entropy=seed, spawn_key=(rep,))))
+
+
+DEFAULT_BLOCK = 2048
+
+
+def _run_block(payload):
+    fn, args, start, count = payload
+    return fn(args, start, count)
+
+
+def map_replication_blocks(fn: Callable, jobs: Sequence[tuple], replications: int,
+                           threads: int = 1, block: int = DEFAULT_BLOCK) -> list[list]:
+    """Apply fn(args, start, count) over fixed blocks of replications
+    [0, replications) of every job's args; one list of block results per job.
+
+    Blocks never span two jobs and do not depend on the worker count, and
+    each job's results come back in block order, so the output is
+    scheduler-independent. One pool serves every block of the call.
+    """
+    starts = range(0, replications, block)
+    payloads = [(fn, args, start, min(block, replications - start))
+                for args in jobs for start in starts]
+    if threads <= 1 or len(payloads) <= 1:
+        results = [_run_block(p) for p in payloads]
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(_run_block, payloads))
+    n = len(starts)
+    return [results[i * n:(i + 1) * n] for i in range(len(jobs))]
 
 
 def correlation_factor(R: np.ndarray) -> np.ndarray:

@@ -205,8 +205,10 @@ def _rank_pair_batch(x_rows: np.ndarray, y_rows: np.ndarray):
     order = np.argsort(x_rows, axis=1)
     tied = _tied_rows(np.take_along_axis(x_rows, order, axis=1))
     permuted = np.take_along_axis(y_rows, order, axis=1)
+    del order  # each (R, T) temporary is dropped once read, to keep the peak down
     y_order = np.argsort(permuted, axis=1)
     tied |= _tied_rows(np.take_along_axis(permuted, y_order, axis=1))
+    del permuted
     return _count_inversions_batch(y_order), y_order, tied
 
 

@@ -327,3 +327,22 @@ def test_rank_runs_do_not_import_scipy(tmp_path):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, True]
+
+
+_BENCHMARK_PROBE = """
+import json
+from perfbench.spans import SpanRecorder, install
+from perfbench.workloads import spot_checks
+print(json.dumps([install(SpanRecorder()), spot_checks([])]))
+"""
+
+
+def test_benchmark_hooks_find_their_names():
+    """The benchmark wraps named layers and its spot-checks import named
+    oracles; a refactor that moves one of those names fails here."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", "."]))
+    proc = subprocess.run([sys.executable, "-c", _BENCHMARK_PROBE], cwd=root,
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]

@@ -1,17 +1,19 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsustat.harness import (DEFAULT_BLOCK, DEFAULT_BUDGET, BudgetError, ConfigError,
-                             ExperimentConfig, _oracle_samples, _u_table_path,
-                             calibrate_from_tail, emit_outputs, estimate_scaling_budget,
-                             estimate_tail_budget, run_experiment)
+from tsustat import processes
+from tsustat.harness import (DEFAULT_BUDGET, BudgetError, ConfigError, ExperimentConfig,
+                             _oracle_samples, _u_table_path, calibrate_from_tail,
+                             emit_outputs, estimate_scaling_budget, estimate_tail_budget,
+                             run_experiment)
 from tsustat.kernels import table_kernel
-from tsustat.processes import SeriesPath
+from tsustat.processes import DEFAULT_BLOCK, SeriesPath
 from tsustat.ustat import u_statistic
 
 CHAIN = {"kind": "markov_chain", "transition": [[0.75, 0.25], [0.25, 0.75]]}
@@ -47,6 +49,9 @@ def test_config_rejects_unknown_fields():
         ExperimentConfig.from_dict(tail_config(constants={"c99": 1.0}))
     with pytest.raises(ConfigError):  # one draw has no standard error
         ExperimentConfig.from_dict(tail_config(theta={"mode": "mc", "draws": 1}))
+    with pytest.raises(ConfigError):  # nothing reads per-state values
+        ExperimentConfig.from_dict(tail_config(
+            process=dict(CHAIN, state_values=[0.0, 1.0]), kernel=MATCH_KERNEL))
 
 
 def test_config_requires_schema_seed_and_fields():
@@ -127,14 +132,22 @@ def test_oracle_values_match_kernel_fn(seed, case):
 
 
 MATCH_TABLE_FILE = "0 0 0.5\n0 1 -0.5\n1 0 -0.5\n1 1 0.5\n"
+SCALING = {"schema_version": 1, "experiment": "scaling", "seed": 77, "process": COPULA,
+           "t_grid": [16, 32], "p_grid": [3, 4], "replications": 12}
+DECOMPOSE = {"schema_version": 1, "experiment": "decompose-check", "seed": 21,
+             "process": CHAIN, "kernel": MATCH_KERNEL, "t_grid": [12, 20], "order": 2,
+             "replications": 40}
 
 
 @pytest.mark.parametrize("case", ["sign_product", "spearman_sym", "mean", "table-entries",
-                                  "table-path"])
+                                  "table-path", "scaling-kendall", "scaling-spearman",
+                                  "decompose-check", "decompose-check-0"])
 def test_tail_run_deterministic_and_thread_invariant(tmp_path, case):
-    """More replications than one block, so two workers split the blocks and
-    each parses the kernel config itself; the outputs match one worker's."""
-    overrides = {
+    """Every replicated experiment writes the same files at one and two
+    workers. Tail runs have more replications than one block, so two workers
+    split each T's blocks and each parses the kernel config itself; scaling
+    cells hold two blocks each; decompose-check has one job per T."""
+    tail_overrides = {
         "sign_product": {},
         "spearman_sym": {"kernel": {"kind": "spearman_sym"}, "theta": {"mode": "exact-zero"}},
         "mean": {"process": {"kind": "ar1", "coefficient": 0.6},
@@ -143,22 +156,66 @@ def test_tail_run_deterministic_and_thread_invariant(tmp_path, case):
         "table-path": {"process": CHAIN,
                        "kernel": {"kind": "table", "order": 2, "state_count": 2,
                                   "path": str(tmp_path / "match.txt")}},
-    }[case]
+    }
     (tmp_path / "match.txt").write_text(MATCH_TABLE_FILE)
-    raw = tail_config(t_grid=[8, 16], replications=DEFAULT_BLOCK + 100, **overrides)
+    raw = {"scaling-kendall": dict(SCALING, estimator="kendall"),
+           "scaling-spearman": dict(SCALING, estimator="spearman"),
+           "decompose-check": DECOMPOSE,
+           "decompose-check-0": dict(DECOMPOSE, replications=0)}.get(case)
+    if raw is None:
+        raw = tail_config(t_grid=[8, 16], replications=DEFAULT_BLOCK + 100,
+                          **tail_overrides[case])
     texts = []
     for threads in (1, 2):
         cfg = ExperimentConfig.from_dict(raw)
         cfg.threads = threads
         out = tmp_path / f"threads{threads}"
-        emit_outputs(run_experiment(cfg), str(out))
+        written = emit_outputs(run_experiment(cfg), str(out))
         result = json.loads((out / "result.json").read_text())
         texts.append([json.dumps(result["data"], sort_keys=True)] +
-                     [(out / name).read_text()
-                      for name in ("config.json", "tail_T8.csv", "tail_T16.csv")])
+                     [(Path(p).name, Path(p).read_text()) for p in written
+                      if not p.endswith("result.json")])
     assert texts[0] == texts[1]
-    counts = json.loads(texts[0][0])["curves"][0]["counts"]
-    assert 0 < counts[0] < raw["replications"]  # the data are not degenerate
+    data = json.loads(texts[0][0])
+    if data["experiment"] == "tail":  # the data are not degenerate
+        assert 0 < data["curves"][0]["counts"][0] < raw["replications"]
+    elif data["experiment"] == "scaling":
+        assert len(texts[0]) == 3  # config.json and scaling.csv
+        assert all(c["median_deviation"] > 0 for c in data["report"]["cells"])
+    else:
+        assert data["residual_ok"] and data["p1_ok"] and data["p2_ok"]
+        assert (data["max_b_ratio"] > 0) == (raw["replications"] > 0)
+
+
+@pytest.mark.parametrize("raw", [
+    tail_config(t_grid=[8, 12, 16], replications=DEFAULT_BLOCK + 1),  # 3 T x 2 blocks
+    dict(SCALING, estimator="kendall"),
+    dict(SCALING, estimator="spearman"),
+    DECOMPOSE,
+], ids=["tail", "scaling-kendall", "scaling-spearman", "decompose-check"])
+def test_each_run_opens_one_pool(monkeypatch, raw):
+    """A multi-worker run maps all its replications through one pool."""
+    opened = []
+
+    class RecordingPool:  # in-process stand-in for ProcessPoolExecutor
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(processes, "ProcessPoolExecutor", RecordingPool)
+    cfg = ExperimentConfig.from_dict(raw)
+    cfg.threads = 2
+    pooled = run_experiment(cfg).result.data_dict()
+    assert opened == [2]
+    assert pooled == run_experiment(ExperimentConfig.from_dict(raw)).result.data_dict()
 
 
 def test_tail_counts_consistent_and_theta_exact_zero():

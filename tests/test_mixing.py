@@ -169,8 +169,9 @@ def test_profile_validation_and_serialization():
     with pytest.raises(ValueError):  # no code computes a conditional alpha profile
         MixingProfile(kind="conditional_alpha", lags=[1], values=[0.5])
     prof = mixing_profile(two_state_chain(0.25), "phi", [1, 2, 3])
-    data = json.loads(prof.to_json())
+    data = MixingProfileResult(profiles={"phi": prof}).data_dict()["profiles"]["phi"]
     assert data["kind"] == "phi" and len(data["values"]) == 3
+    assert json.loads(json.dumps(data)) == data
     lines = MixingProfileResult(profiles={"phi": prof}).csv_files()["mixing_phi.csv"].splitlines()
     assert lines[0] == "lag,value"
     assert lines[1].startswith("1,0.25")
