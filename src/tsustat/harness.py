@@ -39,8 +39,8 @@ from .mixing import MixingProfile, conditional_phi_coeff, mixing_profile
 from .processes import (FiniteMarkovChain, ProcessSpec, _rep_rng, correlation_factor,
                         generate_batch, latent_batch, map_replication_blocks,
                         uniform_marginals)
-from .ustat import (_THETA_STAR_T_CAP, check_zero_conditional_means, decompose,
-                    kendall_tau_batch, spearman_rho3_batch, theta_independent)
+from .ustat import (_THETA_STAR_T_CAP, _tuple_counts, check_zero_conditional_means,
+                    decompose, kendall_tau_batch, spearman_rho3_batch, theta_independent)
 
 SCHEMA_VERSION = 1
 DEFAULT_BUDGET = 1e12
@@ -274,7 +274,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{e} needs a finite chain and a table kernel")
             if self.order not in (2, 3) or self.order != kernel.order:
                 raise ConfigError(f"{e} order must be 2 or 3, the table kernel's order")
-            if max(self.t_grid) > _THETA_STAR_T_CAP[self.order]:  # exact enumeration's cap
+            if max(self.t_grid) > _THETA_STAR_T_CAP[self.order]:  # the chain-law evaluators' cap
                 raise ConfigError(f"{e} t_grid values must be <= {_THETA_STAR_T_CAP[self.order]}")
         if e == "mixing-profile" and not chain:
             raise ConfigError("mixing profiles need a finite chain")
@@ -364,28 +364,12 @@ def _path_cost(kernel: KernelSpec, T: int) -> float:
 
 
 def _u_table_path(states: np.ndarray, H: np.ndarray) -> float:
-    """U-statistic of a table kernel on a state path, from exact tuple counts.
-
-    N[a, b(, c)] counts the increasing index tuples whose states are
-    (a, b(, c)); one-hot prefix and suffix state counts give it in O(T S^r),
-    and U = <N, H> / C(T, r).
-    """
-    T = states.shape[0]
-    r = H.ndim
+    """U-statistic of a table kernel on a state path, <N, H> / C(T, r) from
+    the exact tuple counts N of ``ustat._tuple_counts``."""
+    T, r = states.shape[0], H.ndim
     if T < r:
         raise ValueError(f"path length {T} shorter than kernel order {r}")
-    if r > 3:
-        raise ValueError("table-path evaluation supports orders 1..3")
-    onehot = np.zeros((T, H.shape[0]), dtype=np.int64)
-    onehot[np.arange(T), states] = 1
-    seen = np.cumsum(onehot, axis=0)
-    if r == 1:
-        N = seen[-1]
-    elif r == 2:
-        N = (seen - onehot).T @ onehot
-    else:
-        N = np.einsum("ta,tb,tc->abc", seen - onehot, onehot, seen[-1] - seen)
-    return math.fsum((N * H).ravel()) / math.comb(T, r)
+    return math.fsum((_tuple_counts(states, H.shape[0], r) * H).ravel()) / math.comb(T, r)
 
 
 def _oracle_samples(cfg: ExperimentConfig) -> np.ndarray:
@@ -625,20 +609,22 @@ class DecomposeCheckReport:
 
 
 def estimate_decompose_budget(cfg: ExperimentConfig) -> float:
-    return cfg.replications * math.fsum(math.comb(T, cfg.order) for T in cfg.t_grid)
+    """Work units of the decompose-check run: per path and T, the T^2 S^(r-2)
+    pair reads of ``decompose``; per T, the T^(r-1) S^2 entries of the gap
+    tables it and the conditional-mean check build once."""
+    s, r = cfg.kernel.table.shape[0], cfg.order
+    return math.fsum(cfg.replications * T * T * s ** (r - 2) + T ** (r - 1) * s * s
+                     for T in cfg.t_grid)
 
 
 def _decompose_block(args, start: int, count: int) -> np.ndarray:
-    """(|residual|, b-term max over twice the kernel bound) per replication
-    for replications [start, start + count). The kernel arrives as its table,
-    which pickles for pool workers."""
+    """(|residual|, b-ratio) per replication for replications
+    [start, start + count), from one ``decompose`` call on the block's
+    paths. The kernel arrives as its table, which pickles for pool workers."""
     spec, T, table, order = args
-    paths = generate_batch(spec, T, count, rep_offset=start)
-    out = np.empty((count, 2))
-    for i, states in enumerate(paths):
-        rep = decompose(states, spec.chain, table, order)
-        out[i] = abs(rep.residual), rep.b_term_max_abs / (2.0 * rep.kernel_bound)
-    return out
+    reports = decompose(generate_batch(spec, T, count, rep_offset=start),
+                        spec.chain, table, order)
+    return np.array([(abs(rep.residual), rep.b_ratio) for rep in reports]).reshape(count, 2)
 
 
 def _run_decompose_check(cfg: ExperimentConfig) -> DecomposeCheckReport:

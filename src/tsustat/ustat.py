@@ -13,7 +13,10 @@ chain-law expectation of the U-statistic, the product-measure expectation,
 and the telescoping split of U minus its expectation into per-order terms
 with exactly zero conditional means. All three chain-law evaluators read
 one set of gap tables: the conditional means of a table kernel given its
-leading arguments, indexed by time gaps and conditioning states.
+leading arguments, indexed by time gaps and conditioning states. The
+decomposition reads its sums over trailing indices as cumulative sums of
+those tables along their gap axes, so no chain-law evaluator enumerates
+index tuples.
 """
 from __future__ import annotations
 
@@ -340,6 +343,21 @@ def hoeffding_decoupling_average(path, kernel: KernelSpec,
 # exact chain-law expectations
 # ---------------------------------------------------------------------------
 
+def _tuple_counts(states: np.ndarray, s: int, r: int) -> np.ndarray:
+    """N[a(, b(, c))]: how many increasing index tuples of a state path carry
+    the states (a(, b(, c))), from one-hot prefix and suffix state counts in
+    O(T S^r); a table kernel's U-statistic is <N, H> / C(T, r)."""
+    if r > 3:
+        raise ValueError("tuple counts support orders 1..3")
+    onehot = np.eye(s, dtype=np.int64)[states]
+    seen = np.cumsum(onehot, axis=0)
+    if r == 1:
+        return seen[-1]
+    if r == 2:
+        return (seen - onehot).T @ onehot
+    return np.einsum("ta,tb,tc->abc", seen - onehot, onehot, seen[-1] - seen)
+
+
 def _kernel_table(kernel: KernelSpec | np.ndarray, state_count: int, r: int) -> np.ndarray:
     if isinstance(kernel, KernelSpec):
         if kernel.table is None:
@@ -352,7 +370,12 @@ def _kernel_table(kernel: KernelSpec | np.ndarray, state_count: int, r: int) -> 
     return H
 
 
-_THETA_STAR_T_CAP = {2: 120, 3: 40}
+# Largest T of the exact chain-law evaluators, by order. The gap tables hold
+# T^(r-1) S^2 entries and ``decompose`` reads T^2 S^(r-2) of them per path:
+# at S = 3 and either cap, on one core, a call builds its tables in about
+# 0.1 s and adds 10 ms (order 3) or 25 ms (order 2) per path, with a peak
+# of 41 or 96 MB.
+_THETA_STAR_T_CAP = {2: 2000, 3: 500}
 
 
 def _chain_law_tables(chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
@@ -364,7 +387,7 @@ def _chain_law_tables(chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
     if T < r:
         raise ValueError(f"need T >= {r}")
     if T > _THETA_STAR_T_CAP[r]:
-        raise ValueError(f"T={T} beyond the exact-enumeration cap for r={r}")
+        raise ValueError(f"T={T} beyond the chain-law cap for r={r}")
     H = _kernel_table(kernel, chain.state_count, r)
     powers = np.stack([chain.power(g) for g in range(T)])
     return H, _gap_tables(powers, chain.stationary, H)
@@ -396,16 +419,17 @@ def _gap_tables(powers: np.ndarray, pi: np.ndarray, H: np.ndarray) -> list[np.nd
 
 def theta_star(chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
                T: int, r: int) -> float:
-    """Exact expectation of the U-statistic over a length-T chain path.
+    """Exact expectation of the U-statistic over a length-T chain path."""
+    return _gap_weighted_mean(_chain_law_tables(chain, kernel, T, r)[1][-1], T)
 
-    The gap-weighted sum of E_0: the gaps (g_1, ..., g_{r-1}) occur in
-    T - sum(g) increasing index tuples.
-    """
-    E0 = _chain_law_tables(chain, kernel, T, r)[1][-1]
+
+def _gap_weighted_mean(E0: np.ndarray, T: int) -> float:
+    """Mean of E_0 over the C(T, r) increasing index tuples of a length-T
+    path: the gaps (g_1, ..., g_{r-1}) occur in T - sum(g) of them."""
     gaps = np.indices(E0.shape)
     count = T - gaps.sum(axis=0)
     used = (gaps > 0).all(axis=0) & (count > 0)
-    return math.fsum((count * E0)[used]) / math.comb(T, r)
+    return math.fsum((count * E0)[used]) / math.comb(T, E0.ndim + 1)
 
 
 def theta_independent(chain_or_pi, kernel: KernelSpec | np.ndarray, r: int) -> float:
@@ -446,6 +470,12 @@ class DecompositionReport:
     b_term_max_abs: float
     kernel_bound: float
 
+    @property
+    def b_ratio(self) -> float:
+        """b_term_max_abs over twice the kernel bound; 0 for a zero kernel,
+        whose b-terms all vanish."""
+        return self.b_term_max_abs / (2.0 * self.kernel_bound) if self.kernel_bound else 0.0
+
     def to_dict(self) -> dict:
         return {
             "order": self.order,
@@ -459,58 +489,116 @@ class DecompositionReport:
         }
 
 
-def decompose(path, chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
-              r: int | None = None) -> DecompositionReport:
-    """Split U - E[U] for a chain path into terms with zero conditional means.
+def decompose(paths, chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
+              r: int | None = None) -> DecompositionReport | list[DecompositionReport]:
+    """Split U - E[U] for chain paths into terms with zero conditional means.
 
-    One pass over all C(T, r) increasing index tuples. Level k of a tuple is
-    the mean of h given its first r-k arguments (level 0 is h itself, level r
-    the unconditional mean), and term k is (level k-1 - level k) / T^(k-1).
-    The b-terms aggregate term k over the tuples sharing their first
-    r-k+1 indices. The outer T^(k-1) and inner T^-(k-1) factors are kept
-    explicit so the intermediate quantities can be inspected, even though
-    they cancel.
+    Level k of an index tuple is the mean of h given its first r-k arguments
+    (level 0 is h itself, level r the unconditional mean); term k is
+    level k-1 minus level k, s_k its mean over the C(T, r) tuples, and the
+    b-term of order k sums term k over the tuples sharing their first
+    r-k+1 indices, divided by T^(k-1). No tuple is enumerated: every level
+    is a gap table, so each sum over trailing indices is a cumulative sum
+    of a table along its gap axis, read once per path (see ``_path_sums``).
+
+    ``paths`` is one state path (a ``SeriesPath`` or 1-D array), giving one
+    report, or an (R, T) stack of them, giving a list of R reports; the
+    tables that do not depend on the path are built once per call.
     """
-    states = path.states if isinstance(path, SeriesPath) else np.asarray(path, dtype=np.int64)
+    states = paths.states if isinstance(paths, SeriesPath) else np.asarray(paths)
     if states is None:
         raise ValueError("decomposition needs a state path")
+    if states.ndim not in (1, 2) or not np.issubdtype(states.dtype, np.integer):
+        raise ValueError("decomposition needs integer states, one path or an (R, T) stack")
     if r is None:
         r = kernel.order if isinstance(kernel, KernelSpec) else np.asarray(kernel).ndim
-    T = int(states.shape[0])
+    T = int(states.shape[-1])
     H, tables = _chain_law_tables(chain, kernel, T, r)
-    if states.min() < 0 or states.max() >= chain.state_count:
+    if states.size and (states.min() < 0 or states.max() >= chain.state_count):
         raise ValueError("path states out of range for this chain")
 
     n_tuples = math.comb(T, r)
-    idx = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(T), r)),
-                      dtype=np.intp, count=n_tuples * r).reshape(n_tuples, r)
-    gaps = tuple(np.diff(idx, axis=1).T)
-    x = states[idx]
-    levels = [H[tuple(x.T)]]
-    for j, E in zip(range(r - 1, -1, -1), tables):
-        levels.append(E[gaps + tuple(x[:, :j].T)])
+    expectation = _gap_weighted_mean(tables[-1], T)
+    bound = float(np.max(np.abs(H)))
+    path_sums = _path_sums(H, tables, T)
+    reports = []
+    for row in np.atleast_2d(states):
+        u_sum, sums, b_max = path_sums(row)
+        u_value = u_sum / n_tuples
+        s_terms = [v / n_tuples for v in sums]
+        reports.append(DecompositionReport(
+            order=r, length=T, s_terms=s_terms, u_value=u_value,
+            theta_star=expectation,
+            residual=u_value - expectation - math.fsum(s_terms),
+            b_term_max_abs=b_max, kernel_bound=bound))
+    return reports[0] if states.ndim == 1 else reports
 
-    s_terms = []
-    b_max = 0.0
-    for k in range(1, r + 1):
-        terms = (levels[k - 1] - levels[k]) / T ** (k - 1)
-        s_terms.append(T ** (k - 1) * math.fsum(terms) / n_tuples)
-        m = r - k + 1
-        key = np.ravel_multi_index(tuple(idx[:, :m].T), (T,) * m)
-        b_max = max(b_max, float(np.max(np.abs(np.bincount(key, weights=terms)))))
-    u_value = math.fsum(levels[0]) / n_tuples
-    expectation = math.fsum(levels[r]) / n_tuples
-    residual = u_value - expectation - math.fsum(s_terms)
-    return DecompositionReport(
-        order=r,
-        length=T,
-        s_terms=s_terms,
-        u_value=u_value,
-        theta_star=expectation,
-        residual=residual,
-        b_term_max_abs=b_max,
-        kernel_bound=float(np.max(np.abs(H))),
-    )
+
+def _path_sums(H: np.ndarray, tables: list[np.ndarray], T: int):
+    """Build the path-independent tables of ``decompose`` once; return the
+    per-path evaluator states -> (sum of h, [sum of term k for k = 1..r],
+    largest |b-term|).
+
+    With pairs (a, b), a < b, gap g = b - a and rest n = T - 1 - b:
+
+    - Order 2. Term 1 of pair (a, b) is K[g, x_a, x_b] = h - E_1[g, x_a].
+      Term 2 summed over b > a is F[T-1-a, x_a], F the cumulative sum of
+      E_1 - E_0 over the gap.
+    - Order 3, pair (a, b) = (t2, t3). Term 1 is h - E_2[g2, x1, x_{t2}],
+      whatever t1; it is read for every x1 and weighted by the number of
+      earlier visits to x1, and only visited x1 enter the b-term maximum.
+    - Order 3, pair (a, b) = (t1, t2). Term 2 summed over t3 > t2 is
+      C2[n, x_{t1}, x_{t2}] - C1[g1, n, x_{t1}], C2 and C1 the cumulative
+      sums of E_2 and E_1 over g2.
+    - Order 3, index t1. Term 3 summed over t1 < t2 < t3 is F[T-1-t1, x_{t1}],
+      F the sum of E_1 - E_0 over g1 + g2 <= T-1-t1, by total gap.
+
+    Each path costs O(T^2 S^(r-2)) reads and sums.
+    """
+    r, s = H.ndim, H.shape[0]
+    a, b = np.triu_indices(T, 1)
+    gap = b - a
+    E1, E0 = tables[-2], tables[-1]
+    # term r summed over the trailing indices, by remaining length and state
+    gaps = np.indices(E0.shape)
+    D = np.where((gaps > 0).all(axis=0)[..., None], E1 - E0[..., None], 0.0)
+    total = gaps.sum(axis=0)[..., None] * s + np.arange(s)
+    by_total = np.bincount(total.ravel(), weights=D.ravel(), minlength=T * s)
+    F = np.cumsum(by_total[:T * s].reshape(T, s), axis=0).ravel()
+    F_row = (T - 1 - np.arange(T)) * s
+    K_row = gap * s * s
+    if r == 2:
+        K = (H[None] - E1[:, :, None]).ravel()  # [g, x_a, x_b]
+    else:
+        E2 = tables[0][0]  # [g2, x1, x2], the same for every g1
+        K = (H.transpose(1, 2, 0)[None] - E2.transpose(0, 2, 1)[:, :, None, :])
+        K = K.reshape(-1, s)  # row [g2, x2, x3], column x1
+        C2 = np.cumsum(np.where(np.arange(T)[:, None, None] > 0, E2, 0.0), axis=0).ravel()
+        C1 = np.cumsum(np.where(np.arange(T)[None, :, None] > 0, E1, 0.0), axis=1).ravel()
+        rest = T - 1 - b
+        C2_row = rest * s * s
+        C1_row = (gap * T + rest) * s
+
+    def evaluate(x: np.ndarray):
+        u_sum = math.fsum((_tuple_counts(x, s, r) * H).ravel())
+        pair = x[a] * s + x[b]
+        top = K[K_row + pair]
+        f = F[F_row + x]
+        b_max = float(np.max(np.abs(f))) / T ** (r - 1)
+        if r == 2:
+            sums = [top.sum(), f.sum()]
+        else:
+            # visits to each x1 before t2, the first index of the pair
+            onehot = np.eye(s, dtype=np.int64)[x]
+            weight = (np.cumsum(onehot, axis=0) - onehot)[a]
+            mid = C2[C2_row + pair] - C1[C1_row + x[a]]
+            sums = [(weight * top).sum(), mid.sum(), f.sum()]
+            b_max = max(b_max, float(np.max(np.abs(mid), initial=0.0)) / T)
+            top = np.where(weight > 0, top, 0.0)
+        b_max = max(b_max, float(np.max(np.abs(top), initial=0.0)))
+        return u_sum, [float(v) for v in sums], b_max
+
+    return evaluate
 
 
 def check_zero_conditional_means(chain: FiniteMarkovChain,

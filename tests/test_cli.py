@@ -267,24 +267,56 @@ DECOMPOSE = {"schema_version": 1, "experiment": "decompose-check", "seed": 3,
 
 
 @pytest.mark.parametrize("command,payload", [
-    ("bias", dict(BIAS, t_grid=[20, 200])),
-    ("decompose-check", dict(DECOMPOSE, t_grid=[10, 50])),
+    ("bias", dict(BIAS, t_grid=[20, 2001])),
+    ("decompose-check", dict(DECOMPOSE, t_grid=[10, 501])),
     ("bias", dict(BIAS, order=3)),
     ("decompose-check", dict(DECOMPOSE, order=2)),
 ], ids=["bias-t-cap", "decompose-t-cap", "bias-order", "decompose-order"])
 def test_chain_law_config_errors_exit_2(tmp_path, command, payload):
-    """A t_grid value above the exact-enumeration cap, or an order other than
-    the table kernel's, is a config error."""
+    """A t_grid value above the chain-law cap (2000 at order 2, 500 at
+    order 3), or an order other than the table kernel's, is a config error."""
     assert main([command, "--config", write_config(tmp_path, payload),
                  "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
 
 
 def test_chain_law_configs_at_the_caps_run(tmp_path):
-    assert main(["bias", "--config", write_config(tmp_path, dict(BIAS, t_grid=[20, 120])),
+    assert main(["bias", "--config", write_config(tmp_path, dict(BIAS, t_grid=[20, 2000])),
                  "--out", str(tmp_path / "b")]) == 0
     assert main(["decompose-check", "--config", write_config(tmp_path, DECOMPOSE, "d.json"),
                  "--out", str(tmp_path / "d")]) == 0
+
+
+def test_order_3_decompose_check_runs_at_t_500(tmp_path):
+    chain = dict(CHAIN3, transition=[[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.1, 0.6]])
+    kernel = {"kind": "table", "order": 3, "state_count": 3,
+              "entries": [[[0, 1, 2], 1.0], [[0, 0, 1], -0.5], [[1, 1, 2], 0.25],
+                          [[2, 2, 2], -1.0]]}
+    cfg = write_config(tmp_path, dict(DECOMPOSE, process=chain, kernel=kernel,
+                                      t_grid=[500], replications=3))
+    out = tmp_path / "d"
+    assert main(["decompose-check", "--config", cfg, "--out", str(out)]) == 0
+    data = json.loads((out / "result.json").read_text())["data"]
+    assert data["residual_ok"] and data["p1_ok"] and data["p2_ok"]
+    assert 0.0 < data["max_b_ratio"] <= 1.0
+
+
+def test_decompose_check_budget_exits_3_within_the_cap(tmp_path):
+    cfg = write_config(tmp_path, dict(DECOMPOSE, t_grid=[500], replications=10 ** 6))
+    assert main(["decompose-check", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--budget", "1e11"]) == 3
+    assert not (tmp_path / "o").exists()
+
+
+def test_decompose_check_with_a_zero_kernel_passes(tmp_path):
+    """Every b-term of a zero kernel is 0, so its b-ratio is 0, not 0 / 0."""
+    zero = dict(ORDER3_KERNEL, entries=[[[0, 0, 0], 0.0]])
+    cfg = write_config(tmp_path, dict(DECOMPOSE, kernel=zero, replications=3))
+    out = tmp_path / "d"
+    assert main(["decompose-check", "--config", cfg, "--out", str(out)]) == 0
+    data = json.loads((out / "result.json").read_text())["data"]
+    assert data["max_b_ratio"] == 0.0 and data["max_residual"] == 0.0
+    assert data["p2_ok"] and data["residual_ok"] and data["p1_ok"]
 
 
 def test_mixing_profile_on_an_iid_chain_leaves_the_rate_unset(tmp_path):

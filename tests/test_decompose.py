@@ -1,6 +1,7 @@
-"""Telescoping decomposition: residual identity, zero conditional means,
-boundedness of the aggregated terms, the exact conditional-mean tables, and
-the chain law enumerated over every path."""
+"""Telescoping decomposition: the gap-table evaluator against the tuple
+enumerator, residual identity, zero conditional means, boundedness of the
+aggregated terms, the exact conditional-mean tables, and the chain law
+enumerated over every path."""
 import itertools
 import math
 
@@ -8,12 +9,82 @@ import numpy as np
 import pytest
 
 from tsustat.kernels import table_kernel
-from tsustat.processes import (FiniteMarkovChain, ProcessSpec, generate, iid_chain,
-                               random_chain, two_state_chain)
-from tsustat.ustat import (_chain_law_tables, check_zero_conditional_means, decompose,
-                           theta_star, u_statistic)
+from tsustat.processes import (ProcessSpec, SeriesPath, generate, generate_batch,
+                               iid_chain, random_chain, two_state_chain)
+from tsustat.ustat import (DecompositionReport, _chain_law_tables,
+                           check_zero_conditional_means, decompose, theta_star, u_statistic)
 
 MATCH = np.array([[0.5, -0.5], [-0.5, 0.5]])
+
+
+def enumerated_decompose(states, chain, kernel, r):
+    """The decomposition by one pass over all C(T, r) increasing index tuples,
+    reading every level of every tuple from the gap tables: the oracle for
+    ``decompose``, which reads the same sums from cumulative sums."""
+    states = np.asarray(states)
+    T = states.shape[0]
+    H, tables = _chain_law_tables(chain, kernel, T, r)
+    n_tuples = math.comb(T, r)
+    idx = np.array(list(itertools.combinations(range(T), r)))
+    gaps = tuple(np.diff(idx, axis=1).T)
+    x = states[idx]
+    levels = [H[tuple(x.T)]]
+    for j, E in zip(range(r - 1, -1, -1), tables):
+        levels.append(E[gaps + tuple(x[:, :j].T)])
+    s_terms, b_max = [], 0.0
+    for k in range(1, r + 1):
+        terms = (levels[k - 1] - levels[k]) / T ** (k - 1)
+        s_terms.append(T ** (k - 1) * math.fsum(terms) / n_tuples)
+        m = r - k + 1
+        key = np.ravel_multi_index(tuple(idx[:, :m].T), (T,) * m)
+        b_max = max(b_max, float(np.max(np.abs(np.bincount(key, weights=terms)))))
+    u_value = math.fsum(levels[0]) / n_tuples
+    expectation = math.fsum(levels[r]) / n_tuples
+    return DecompositionReport(
+        order=r, length=T, s_terms=s_terms, u_value=u_value, theta_star=expectation,
+        residual=u_value - expectation - math.fsum(s_terms), b_term_max_abs=b_max,
+        kernel_bound=float(np.max(np.abs(H))))
+
+
+def assert_reports_agree(got, want, tol=1e-12):
+    got, want = got.to_dict(), want.to_dict()
+    assert (got["order"], got["length"]) == (want["order"], want["length"])
+    for field in ("u_value", "theta_star", "residual", "b_term_max_abs", "kernel_bound"):
+        assert abs(got[field] - want[field]) <= tol, (field, got[field], want[field])
+    np.testing.assert_allclose(got["s_terms"], want["s_terms"], rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_decompose_matches_the_tuple_enumerator(r):
+    """Every report field within 1e-12 of the enumerator, for S = 2..4 and
+    T from r to 40: random, zero and constant kernels; paths that never visit
+    the last state or stay in one state."""
+    rng = np.random.default_rng(500 + r)
+    for s in (2, 3, 4):
+        for T in sorted({r, r + 1, 7, 16, 29, 40}):
+            chain = random_chain(s, rng)
+            spec = ProcessSpec(kind="markov_chain", seed=int(rng.integers(1 << 30)),
+                               chain=chain)
+            paths = generate_batch(spec, T, 2)
+            paths = np.vstack([paths, np.minimum(paths[:1], s - 2), np.zeros((1, T), int)])
+            for H in (rng.uniform(-2.0, 2.0, size=(s,) * r), np.zeros((s,) * r),
+                      np.full((s,) * r, -0.7)):
+                kernel = table_kernel(H)
+                for states, rep in zip(paths, decompose(paths, chain, kernel, r)):
+                    assert_reports_agree(rep, enumerated_decompose(states, chain, kernel, r))
+
+
+def test_a_stack_of_paths_gives_the_single_path_reports():
+    rng = np.random.default_rng(77)
+    for r, s, T in [(2, 3, 25), (3, 4, 18), (3, 2, 3)]:
+        chain = random_chain(s, rng)
+        kernel = table_kernel(rng.uniform(-1.0, 1.0, size=(s,) * r))
+        paths = generate_batch(ProcessSpec(kind="markov_chain", seed=5, chain=chain), T, 4)
+        stacked = decompose(paths, chain, kernel, r)
+        assert isinstance(stacked, list) and len(stacked) == 4
+        assert stacked == [decompose(states, chain, kernel, r) for states in paths]
+        assert stacked[0] == decompose(SeriesPath(states=paths[0]), chain, kernel, r)
+    assert decompose(np.zeros((0, 6), int), chain, kernel, 3) == []  # an empty stack
 
 
 def random_instance(rng, r):
@@ -75,8 +146,14 @@ def test_decompose_validation():
         decompose(np.array([0, 1, 2]), chain, kernel, 2)  # state out of range
     with pytest.raises(ValueError):
         decompose(np.array([0, 1]), chain, kernel, 3)  # too short
+    with pytest.raises(ValueError):  # above the order-3 cap
+        decompose(np.zeros(501, dtype=int), chain, table_kernel(np.zeros((2, 2, 2))), 3)
+    with pytest.raises(ValueError):  # above the order-2 cap
+        decompose(np.zeros((2, 2001), dtype=int), chain, kernel, 2)
     with pytest.raises(ValueError):
-        decompose(np.zeros(60, dtype=int), chain, table_kernel(np.zeros((2, 2, 2))), 3)
+        decompose(np.zeros((2, 3, 4), dtype=int), chain, kernel, 2)  # not a path or a stack
+    with pytest.raises(ValueError):
+        decompose(np.array([0.0, 1.0, 1.0]), chain, kernel, 2)  # not states
 
 
 def test_report_serializes():
@@ -137,12 +214,10 @@ def test_decomposition_against_the_enumerated_chain_law(r, s, T):
     chain = random_chain(s, rng)
     kernel = table_kernel(rng.uniform(-1.0, 1.0, size=(s,) * r))
     P, pi = chain.transition, chain.stationary
-    mean_u = 0.0
-    mean_s = np.zeros(r)
-    for states in itertools.product(range(s), repeat=T):
-        p = pi[states[0]] * math.prod(P[a, b] for a, b in zip(states, states[1:]))
-        rep = decompose(np.array(states), chain, kernel, r)
-        mean_u += p * rep.u_value
-        mean_s += p * np.array(rep.s_terms)
+    paths = np.array(list(itertools.product(range(s), repeat=T)))
+    prob = pi[paths[:, 0]] * np.prod(P[paths[:, :-1], paths[:, 1:]], axis=1)
+    reps = decompose(paths, chain, kernel, r)
+    mean_u = prob @ np.array([rep.u_value for rep in reps])
+    mean_s = prob @ np.array([rep.s_terms for rep in reps])
     assert mean_u == pytest.approx(theta_star(chain, kernel, T, r), abs=1e-12)
     np.testing.assert_allclose(mean_s, 0.0, atol=1e-12)

@@ -268,27 +268,24 @@ def test_theta_independent_examples():
     assert theta_independent(np.array([0.2, 0.8]), const, 2) == pytest.approx(0.3)
 
 
-def test_theta_star_matches_monte_carlo():
+def test_theta_star_matches_the_enumerated_chain_law():
+    # the mean of U over all 2^10 paths, each weighted by its chain probability
     chain = two_state_chain(0.25)
     k = table_kernel(MATCH)
     T = 10
-    exact = theta_star(chain, k, T, 2)
-    spec = ProcessSpec(kind="markov_chain", seed=314, chain=chain)
-    paths = generate_batch(spec, T, 400_000)
-    H = k.table
-    total = np.zeros(paths.shape[0])
-    for g in range(1, T):
-        total += H[paths[:, :T - g], paths[:, g:]].sum(axis=1)
-    u_vals = total / math.comb(T, 2)
-    se = u_vals.std(ddof=1) / math.sqrt(u_vals.size)
-    assert abs(u_vals.mean() - exact) < 3 * se
+    paths = np.array(list(itertools.product(range(2), repeat=T)))
+    P, pi = chain.transition, chain.stationary
+    prob = pi[paths[:, 0]] * np.prod(P[paths[:, :-1], paths[:, 1:]], axis=1)
+    assert prob.sum() == pytest.approx(1.0, abs=1e-14)
+    u_vals = [u_statistic(SeriesPath(states=states), k) for states in paths]
+    assert prob @ u_vals == pytest.approx(theta_star(chain, k, T, 2), abs=1e-14)
 
 
 def test_theta_star_guards():
     chain = two_state_chain(0.25)
     k = table_kernel(MATCH)
     with pytest.raises(ValueError):
-        theta_star(chain, k, 200, 2)
+        theta_star(chain, k, 2001, 2)  # above the order-2 cap
     with pytest.raises(ValueError):
         theta_star(chain, k, 5, 4)
 
