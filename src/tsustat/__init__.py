@@ -12,17 +12,15 @@ from .bounds import (BernsteinParams, BoundConstants, CalibrationResult, TailPoi
                      variance_logmgf_bound)
 from .hidim import (CorrelationMatrixEstimate, kendall_matrix, max_norm_deviation,
                     population_matrix, scaling_experiment, spearman_matrix)
-from .kernels import (KernelSpec, eval_kernel, load_table_kernel, mean_kernel,
-                      sign_product_kernel, spearman_symmetric_kernel, symmetrize,
-                      table_kernel)
-from .mixing import (MixingProfile, alpha_coeff, beta_coeff, beta_coeff_bruteforce,
-                     conditional_phi_coeff, fit_decay_rate, mixing_profile, phi_coeff)
+from .kernels import (KernelSpec, load_table_kernel, mean_kernel, sign_product_kernel,
+                      spearman_symmetric_kernel, table_kernel)
+from .mixing import (MixingProfile, alpha_coeff, beta_coeff, conditional_phi_coeff,
+                     fit_decay_rate, mixing_profile, phi_coeff)
 from .processes import (FiniteMarkovChain, ProcessSpec, SeriesPath, cycle_chain,
-                        generate, generate_batch, iid_chain, latent_batch,
-                        m_dependent_from_iid, path_from_csv, random_chain,
-                        truncate_to_finite, two_state_chain)
+                        generate, generate_batch, iid_chain, latent_batch, random_chain,
+                        two_state_chain)
 from .ustat import (DecompositionReport, SpearmanResult, check_zero_conditional_means,
-                    decompose, hoeffding_decoupling_average, kendall_tau, kendall_tau_batch,
-                    spearman_rho, theta_independent, theta_star, u_statistic)
+                    decompose, kendall_tau, kendall_tau_batch, spearman_rho,
+                    theta_independent, theta_star, u_statistic)
 
 __version__ = "0.1.0"

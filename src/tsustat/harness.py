@@ -68,6 +68,8 @@ def _read_json(path: str):
 
 
 def _require_keys(d: dict, allowed: set[str], required: set[str], where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown fields in {where}: {sorted(unknown)}")
@@ -80,32 +82,27 @@ def parse_process(d: dict, seed: int) -> ProcessSpec:
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError("process must be an object with a 'kind'")
     kind = d["kind"]
-    try:
-        if kind == "iid":
-            _require_keys(d, {"kind"}, {"kind"}, "process")
-            return ProcessSpec(kind="iid", seed=seed)
-        if kind == "ar1":
-            _require_keys(d, {"kind", "coefficient"}, {"kind", "coefficient"}, "process")
-            return ProcessSpec(kind="ar1", seed=seed, ar_coefficient=float(d["coefficient"]))
-        if kind == "m_dependent":
-            _require_keys(d, {"kind", "window"}, {"kind", "window"}, "process")
-            return ProcessSpec(kind="m_dependent", seed=seed, window=int(d["window"]))
-        if kind == "markov_chain":
-            _require_keys(d, {"kind", "transition"}, {"kind", "transition"}, "process")
-            chain = FiniteMarkovChain(np.asarray(d["transition"], dtype=float))
-            return ProcessSpec(kind="markov_chain", seed=seed, chain=chain)
-        if kind == "gaussian_copula_vector":
-            _require_keys(d, {"kind", "dimension", "temporal_coefficient", "cross_correlation"},
-                          {"kind", "dimension", "temporal_coefficient"}, "process")
-            p = int(d["dimension"])
-            R = _parse_correlation(d.get("cross_correlation", {"kind": "identity"}), p)
-            return ProcessSpec(kind="gaussian_copula_vector", seed=seed, dimension=p,
-                               temporal_coefficient=float(d["temporal_coefficient"]),
-                               cross_correlation=R)
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    if kind == "iid":
+        _require_keys(d, {"kind"}, {"kind"}, "process")
+        return ProcessSpec(kind="iid", seed=seed)
+    if kind == "ar1":
+        _require_keys(d, {"kind", "coefficient"}, {"kind", "coefficient"}, "process")
+        return ProcessSpec(kind="ar1", seed=seed, ar_coefficient=float(d["coefficient"]))
+    if kind == "m_dependent":
+        _require_keys(d, {"kind", "window"}, {"kind", "window"}, "process")
+        return ProcessSpec(kind="m_dependent", seed=seed, window=int(d["window"]))
+    if kind == "markov_chain":
+        _require_keys(d, {"kind", "transition"}, {"kind", "transition"}, "process")
+        chain = FiniteMarkovChain(np.asarray(d["transition"], dtype=float))
+        return ProcessSpec(kind="markov_chain", seed=seed, chain=chain)
+    if kind == "gaussian_copula_vector":
+        _require_keys(d, {"kind", "dimension", "temporal_coefficient", "cross_correlation"},
+                      {"kind", "dimension", "temporal_coefficient"}, "process")
+        p = int(d["dimension"])
+        R = _parse_correlation(d.get("cross_correlation", {"kind": "identity"}), p)
+        return ProcessSpec(kind="gaussian_copula_vector", seed=seed, dimension=p,
+                           temporal_coefficient=float(d["temporal_coefficient"]),
+                           cross_correlation=R)
     raise ConfigError(f"unknown process kind '{kind}'")
 
 
@@ -130,31 +127,26 @@ def parse_kernel(d: dict) -> KernelSpec:
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError("kernel must be an object with a 'kind'")
     kind = d["kind"]
-    try:
-        if kind == "sign_product":
-            _require_keys(d, {"kind"}, {"kind"}, "kernel")
-            return sign_product_kernel()
-        if kind == "spearman_sym":
-            _require_keys(d, {"kind"}, {"kind"}, "kernel")
-            return spearman_symmetric_kernel()
-        if kind == "mean":
-            _require_keys(d, {"kind", "bound"}, {"kind"}, "kernel")
-            return mean_kernel(bound=float(d.get("bound", 1.0)))
-        if kind == "table":
-            _require_keys(d, {"kind", "entries", "path", "order", "state_count"},
-                          {"kind", "order", "state_count"}, "kernel")
-            order = int(d["order"])
-            s = int(d["state_count"])
-            if "path" in d:
-                return load_table_kernel(d["path"], order=order, state_count=s)
-            if "entries" not in d:
-                raise ConfigError("table kernel needs 'entries' or 'path'")
-            entries = {tuple(int(i) for i in key): float(v) for key, v in d["entries"]}
-            return table_kernel(entries, order=order, state_count=s)
-    except (ValueError, TypeError, OSError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    if kind == "sign_product":
+        _require_keys(d, {"kind"}, {"kind"}, "kernel")
+        return sign_product_kernel()
+    if kind == "spearman_sym":
+        _require_keys(d, {"kind"}, {"kind"}, "kernel")
+        return spearman_symmetric_kernel()
+    if kind == "mean":
+        _require_keys(d, {"kind", "bound"}, {"kind"}, "kernel")
+        return mean_kernel(bound=float(d.get("bound", 1.0)))
+    if kind == "table":
+        _require_keys(d, {"kind", "entries", "path", "order", "state_count"},
+                      {"kind", "order", "state_count"}, "kernel")
+        order = int(d["order"])
+        s = int(d["state_count"])
+        if "path" in d:
+            return load_table_kernel(d["path"], order=order, state_count=s)
+        if "entries" not in d:
+            raise ConfigError("table kernel needs 'entries' or 'path'")
+        entries = {tuple(int(i) for i in key): float(v) for key, v in d["entries"]}
+        return table_kernel(entries, order=order, state_count=s)
     raise ConfigError(f"unknown kernel kind '{kind}'")
 
 
@@ -224,44 +216,50 @@ class ExperimentConfig:
             raise ConfigError("seed must be an integer (no entropy-sourced defaults)")
 
         cfg = cls(experiment=experiment, seed=seed, raw=raw)
-        cfg.budget = float(raw.get("budget", DEFAULT_BUDGET))
-        cfg.threads = int(raw.get("threads", 1))
-        cfg.out_dir = raw.get("out_dir")
-        if "process" in raw:
-            cfg.process = parse_process(raw["process"], seed)
-        if "kernel" in raw:
-            cfg.kernel = parse_kernel(raw["kernel"])
-        if "constants" in raw:
-            cfg.constants = _parse_constants(raw["constants"])
-        for key, attr in (("t_grid", "t_grid"), ("p_grid", "p_grid"), ("lags", "lags")):
-            if key in raw:
-                vals = [int(v) for v in raw[key]]
-                if not vals:
-                    raise ConfigError(f"{key} must be non-empty")
-                setattr(cfg, attr, vals)
-        if "x_grid" in raw:
-            cfg.x_grid = [float(v) for v in raw["x_grid"]]
-            if not cfg.x_grid or any(v < 0 for v in cfg.x_grid):
-                raise ConfigError("x_grid must be non-empty and non-negative")
-        if "replications" in raw:
-            cfg.replications = int(raw["replications"])
-            if cfg.replications < 0:
-                raise ConfigError("replications must be >= 0")
-        if "length" in raw:
-            cfg.length = int(raw["length"])
-        if "order" in raw:
-            cfg.order = int(raw["order"])
-        if "estimator" in raw:
-            cfg.estimator = str(raw["estimator"])
-        if "theta" in raw:
-            t = raw["theta"]
-            _require_keys(t, {"mode", "draws"}, {"mode"}, "theta")
-            cfg.theta_mode = t["mode"]
-            if cfg.theta_mode not in ("auto", "mc", "exact-zero"):
-                raise ConfigError("theta.mode must be auto, mc, or exact-zero")
-            cfg.theta_draws = int(t.get("draws", cfg.theta_draws))
-            if cfg.theta_draws < 2:
-                raise ConfigError("theta.draws must be >= 2 for a standard error")
+        # a field of the wrong type or value fails here, as a config error
+        try:
+            cfg.budget = float(raw.get("budget", DEFAULT_BUDGET))
+            cfg.threads = int(raw.get("threads", 1))
+            cfg.out_dir = raw.get("out_dir")
+            if "process" in raw:
+                cfg.process = parse_process(raw["process"], seed)
+            if "kernel" in raw:
+                cfg.kernel = parse_kernel(raw["kernel"])
+            if "constants" in raw:
+                cfg.constants = _parse_constants(raw["constants"])
+            for key in ("t_grid", "p_grid", "lags"):
+                if key in raw:
+                    vals = [int(v) for v in raw[key]]
+                    if not vals:
+                        raise ConfigError(f"{key} must be non-empty")
+                    setattr(cfg, key, vals)
+            if "x_grid" in raw:
+                cfg.x_grid = [float(v) for v in raw["x_grid"]]
+                if not cfg.x_grid or not all(v >= 0 for v in cfg.x_grid):  # NaN too
+                    raise ConfigError("x_grid must be non-empty and non-negative")
+            if "replications" in raw:
+                cfg.replications = int(raw["replications"])
+                if cfg.replications < 0:
+                    raise ConfigError("replications must be >= 0")
+            if "length" in raw:
+                cfg.length = int(raw["length"])
+            if "order" in raw:
+                cfg.order = int(raw["order"])
+            if "estimator" in raw:
+                cfg.estimator = str(raw["estimator"])
+            if "theta" in raw:
+                t = raw["theta"]
+                _require_keys(t, {"mode", "draws"}, {"mode"}, "theta")
+                cfg.theta_mode = t["mode"]
+                if cfg.theta_mode not in ("auto", "mc", "exact-zero"):
+                    raise ConfigError("theta.mode must be auto, mc, or exact-zero")
+                cfg.theta_draws = int(t.get("draws", cfg.theta_draws))
+                if cfg.theta_draws < 2:
+                    raise ConfigError("theta.draws must be >= 2 for a standard error")
+        except ConfigError:
+            raise
+        except (ValueError, TypeError, OSError) as exc:  # OSError: a table kernel path
+            raise ConfigError(str(exc)) from exc
         cfg._check_inputs()
         return cfg
 
@@ -326,8 +324,6 @@ class ExperimentConfig:
 def _kernel_values(kernel: KernelSpec, samples: np.ndarray) -> np.ndarray:
     """Kernel values over (n, r, d) draws; a draw outside the kernel's bound
     is a configuration error, not a crash."""
-    if kernel.sample_fn is None:
-        raise ConfigError(f"kernel kind '{kernel.kind}' has no vectorized evaluator")
     try:
         return kernel.sample_fn(samples)
     except ValueError as exc:
@@ -670,7 +666,7 @@ def _run_mixing_profile(cfg: ExperimentConfig) -> MixingProfileResult:
     chain = cfg.process.chain
     profiles = {}
     for kind in ("alpha", "beta", "phi"):
-        profiles[kind] = mixing_profile(chain, kind, cfg.lags, fit=True)
+        profiles[kind] = mixing_profile(chain, kind, cfg.lags)
     cond = cfg.raw.get("conditional")
     if cond is not None:
         _require_keys(cond, {"conditioning", "block_len"}, {"conditioning", "block_len"},
@@ -746,6 +742,12 @@ def _run_mgf_check(cfg: ExperimentConfig) -> MgfCheckReport:
         eta_max = 0.99 / combined.kappa
     elif eta_max is None:
         raise ConfigError("eta_max is required when the combined kappa is zero")
+    # |sum| <= summands * |scale|, so this meets the empirical log-MGF's overflow
+    # guard before any draw; it also keeps each summand's cosh/sinh finite
+    reach = abs(eta_max) * n * abs(scale)
+    if reach > 700.0:
+        raise ConfigError(f"eta_max * summands * |scale| = {reach:.4g} exceeds 700, "
+                          "the log-MGF overflow guard")
     etas = [eta_max * (i + 1) / points for i in range(points)]
 
     per_ok = all(

@@ -46,10 +46,6 @@ class CorrelationMatrixEstimate:
             raise ValueError("correlation entries must lie in [-1, 1]")
         self.matrix = M
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
 
 def _validate_matrix_input(data: np.ndarray) -> np.ndarray:
     data = np.asarray(data, dtype=float)

@@ -8,9 +8,6 @@ Built-in kinds:
   - ``spearman_sym``  (r=3) symmetric rank-correlation kernel on bivariate points
   - ``table``         (any r) dense lookup table over a finite state alphabet
 
-``symmetrize`` converts an arbitrary bounded function of r points into a
-symmetric kernel by averaging over all r! argument orderings.
-
 The mean, sign-product and order-3 rank kernels also carry ``sample_fn``, a
 vectorized evaluator over many draws of r points that returns exactly the
 values ``fn`` gives draw by draw.
@@ -18,9 +15,8 @@ values ``fn`` gives draw by draw.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -38,19 +34,17 @@ def sign(v: float) -> float:
 class KernelSpec:
     """A symmetric kernel of order ``order`` with sup bound ``bound``.
 
-    ``point_dim`` is the required dimensionality of each data point
-    (None accepts scalars). ``table`` is set only for table kernels and holds
-    the dense symmetric lookup array used by the exact-chain machinery.
-    ``sample_fn``, when set, maps an (n, r, d) array of n draws of r points
-    (d = point_dim, or 1 for scalars) to the n kernel values, equal to
-    ``fn`` applied draw by draw.
+    ``fn`` takes the r points as separate arguments. ``table`` is set only
+    for table kernels and holds the dense symmetric lookup array used by the
+    exact-chain machinery. ``sample_fn``, when set, maps an (n, r, d) array
+    of n draws of r points (d = 2 for the rank kernels, 1 for scalars) to
+    the n kernel values, equal to ``fn`` applied draw by draw.
     """
 
     order: int
     bound: float
     kind: str
     fn: Callable = field(repr=False, compare=False)
-    point_dim: int | None = None
     table: np.ndarray | None = field(default=None, repr=False, compare=False)
     sample_fn: Callable | None = field(default=None, repr=False, compare=False)
 
@@ -59,24 +53,6 @@ class KernelSpec:
             raise ValueError(f"kernel order must be >= 1, got {self.order}")
         if not self.bound > 0:
             raise ValueError(f"kernel bound must be positive, got {self.bound}")
-
-    def __call__(self, *points):
-        return eval_kernel(self, points)
-
-
-def eval_kernel(spec: KernelSpec, points: Sequence) -> float:
-    """Evaluate the kernel at exactly ``spec.order`` points."""
-    if len(points) != spec.order:
-        raise ValueError(
-            f"kernel of order {spec.order} called with {len(points)} points"
-        )
-    if spec.point_dim is not None:
-        for p in points:
-            if np.ndim(p) != 1 or len(p) != spec.point_dim:
-                raise ValueError(
-                    f"kernel '{spec.kind}' needs points of dimension {spec.point_dim}"
-                )
-    return float(spec.fn(*points))
 
 
 def mean_kernel(bound: float = 1.0) -> KernelSpec:
@@ -108,8 +84,7 @@ def sign_product_kernel() -> KernelSpec:
         return (np.sign(samples[:, 0, 0] - samples[:, 1, 0])
                 * np.sign(samples[:, 0, 1] - samples[:, 1, 1]))
 
-    return KernelSpec(order=2, bound=1.0, kind="sign_product", fn=fn, point_dim=2,
-                      sample_fn=sample_fn)
+    return KernelSpec(order=2, bound=1.0, kind="sign_product", fn=fn, sample_fn=sample_fn)
 
 
 def _spearman_base(a, b, c) -> float:
@@ -138,8 +113,7 @@ def spearman_symmetric_kernel() -> KernelSpec:
                       * np.sign(samples[:, a, 1] - samples[:, c, 1]))
         return 0.5 * total
 
-    return KernelSpec(order=3, bound=1.0, kind="spearman_sym", fn=fn, point_dim=2,
-                      sample_fn=sample_fn)
+    return KernelSpec(order=3, bound=1.0, kind="spearman_sym", fn=fn, sample_fn=sample_fn)
 
 
 def table_kernel(values: np.ndarray | dict, order: int | None = None,
@@ -147,7 +121,7 @@ def table_kernel(values: np.ndarray | dict, order: int | None = None,
     """Kernel over a finite state alphabet, stored as a dense lookup table.
 
     ``values`` is either an r-dimensional array indexed by state tuples or a
-    mapping from state tuples to reals. Symmetry is enforced at construction:
+    mapping from state tuples, each state in 0..state_count-1, to reals. Symmetry is enforced at construction:
     the value at any index tuple is taken from its sorted arrangement.
     """
     if isinstance(values, dict):
@@ -157,6 +131,8 @@ def table_kernel(values: np.ndarray | dict, order: int | None = None,
         for key, v in values.items():
             if len(key) != order:
                 raise ValueError(f"table key {key} does not have {order} states")
+            if not all(0 <= k < state_count for k in key):
+                raise ValueError(f"table key {key} has a state outside 0..{state_count - 1}")
             dense[tuple(key)] = float(v)
     else:
         dense = np.asarray(values, dtype=float)
@@ -194,20 +170,3 @@ def load_table_kernel(path, order: int, state_count: int) -> KernelSpec:
             key = tuple(int(p) for p in parts[:order])
             entries[key] = float(parts[order])
     return table_kernel(entries, order=order, state_count=state_count)
-
-
-def symmetrize(asym_fn: Callable, order: int, bound: float,
-               point_dim: int | None = None) -> KernelSpec:
-    """Average an arbitrary bounded function over all r! argument orderings."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    perms = list(itertools.permutations(range(order)))
-    scale = 1.0 / len(perms)
-
-    def fn(*points):
-        return scale * math.fsum(
-            float(asym_fn(*(points[i] for i in perm))) for perm in perms
-        )
-
-    return KernelSpec(order=order, bound=bound, kind="symmetrized", fn=fn,
-                      point_dim=point_dim)

@@ -2,14 +2,13 @@
 
 For a stationary chain the full-past/full-future suprema reduce to the single
 time pair (X_0, X_n) by the Markov property, which turns the alpha, beta and
-phi coefficients into finite computations on pi and P^n. The reduction is
-cross-validated against literal partition/subset brute force in the tests.
+phi coefficients into finite computations on pi and P^n. The tests check
+the reduction against a literal supremum over partitions.
 
 ``conditional_phi_coeff`` computes the phi coefficient of the forward law
-after conditioning on finitely many past observations; the future block can
-be enumerated literally at a finite horizon or collapsed exactly (two block
-laws sharing the transition kernel differ in total variation exactly by the
-total variation of their first coordinates).
+after conditioning on finitely many past observations, with the future block
+collapsed exactly: two block laws sharing the transition kernel differ in
+total variation exactly by the total variation of their first coordinates.
 """
 from __future__ import annotations
 
@@ -91,57 +90,11 @@ def alpha_coeff(chain: FiniteMarkovChain, n: int) -> float:
     return best
 
 
-def _set_partitions(items: list[int]):
-    """All partitions of a list, via recursive block placement."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for smaller in _set_partitions(rest):
-        for i, block in enumerate(smaller):
-            yield smaller[:i] + [[first] + block] + smaller[i + 1:]
-        yield [[first]] + smaller
-
-
-def beta_coeff_bruteforce(chain: FiniteMarkovChain, n: int) -> float:
-    """beta(n) via literal supremum over all pairs of state-set partitions."""
-    if n < 1:
-        raise ValueError("lag must be >= 1")
-    s = chain.state_count
-    if s > 5:
-        raise ValueError("partition enumeration limited to 5 states")
-    pi = chain.stationary
-    joint = pi[:, None] * chain.power(n)
-    parts = [
-        [np.array(block, dtype=int) for block in partition]
-        for partition in _set_partitions(list(range(s)))
-    ]
-    best = 0.0
-    for pa in parts:
-        for pb in parts:
-            total = 0.0
-            for A in pa:
-                for B in pb:
-                    total += abs(joint[np.ix_(A, B)].sum() - pi[A].sum() * pi[B].sum())
-            best = max(best, 0.5 * total)
-    return best
-
-
-def _block_law(mu: np.ndarray, P: np.ndarray, horizon: int) -> np.ndarray:
-    """Flattened law (or signed measure) of a horizon-length Markov block."""
-    v = mu.copy()
-    s = P.shape[0]
-    for _ in range(horizon - 1):
-        v = (v[:, None] * P[np.tile(np.arange(s), v.size // s)].reshape(v.shape + (s,))).reshape(-1)
-    return v
-
-
 def conditional_phi_coeff(
     chain: FiniteMarkovChain,
     conditioning: Sequence[tuple[int, int]],
     block_len: int,
     n: int,
-    horizon: int | None = None,
 ) -> float:
     """phi coefficient of the forward law given observed past states.
 
@@ -150,12 +103,8 @@ def conditional_phi_coeff(
     future block starts ``n`` steps after the present block ends. The supremum
     over present events is attained at atoms (conditional probabilities are
     convex combinations of atom values) and the supremum over future events is
-    a total variation distance.
-
-    With ``horizon=None`` the future block is collapsed exactly: both block
-    laws evolve with the same kernel, so their TV equals the TV of the first
-    future coordinate at any horizon. An explicit horizon enumerates the
-    s^horizon block atoms literally (used to validate the collapse).
+    a total variation distance. Both future block laws evolve with the same
+    kernel, so that distance is the TV of the first future coordinate.
     """
     if n < 1:
         raise ValueError("lag must be >= 1")
@@ -185,12 +134,6 @@ def conditional_phi_coeff(
     end_marginal = start @ chain.power(block_len - 1)
     mu_bar = end_marginal @ Pn  # future start marginal given conditioning only
 
-    if horizon is not None:
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if s ** horizon > 2 ** 22:
-            raise ValueError("future horizon too large to enumerate")
-
     best = 0.0
     for atom in itertools.product(range(s), repeat=block_len):
         w = start[atom[0]]
@@ -198,26 +141,18 @@ def conditional_phi_coeff(
             w *= P[a, b]
         if w <= 0.0:
             continue
-        mu_atom = Pn[atom[-1]]
-        if horizon is None:
-            best = max(best, _tv(mu_atom, mu_bar))
-        else:
-            diff = _block_law(mu_atom - mu_bar, P, horizon)
-            best = max(best, 0.5 * float(np.abs(diff).sum()))
+        best = max(best, _tv(Pn[atom[-1]], mu_bar))
     return best
 
 
-def fit_decay_rate(profile: MixingProfile | tuple[Sequence[int], Sequence[float]]) -> float:
-    """Least-squares slope of -log(value) against lag.
+def fit_decay_rate(profile: tuple[Sequence[int], Sequence[float]]) -> float:
+    """Least-squares slope of -log(value) against lag, from (lags, values).
 
     Requires at least three lags with strictly positive values; exact zeros
     must be dropped by the caller. Raises if the fitted slope is not positive
     (the coefficients do not decay).
     """
-    if isinstance(profile, MixingProfile):
-        lags, values = profile.lags, profile.values
-    else:
-        lags, values = profile
+    lags, values = profile
     lags = np.asarray(lags, dtype=float)
     values = np.asarray(values, dtype=float)
     if lags.size < 3:
@@ -233,21 +168,19 @@ def fit_decay_rate(profile: MixingProfile | tuple[Sequence[int], Sequence[float]
 _COEFF_FUNS = {"alpha": alpha_coeff, "beta": beta_coeff, "phi": phi_coeff}
 
 
-def mixing_profile(chain: FiniteMarkovChain, kind: str, lags: Sequence[int],
-                   fit: bool = False) -> MixingProfile:
-    """Coefficient profile over a lag grid, optionally with a fitted decay rate
-    (unset unless three values are positive and they decay)."""
+def mixing_profile(chain: FiniteMarkovChain, kind: str, lags: Sequence[int]) -> MixingProfile:
+    """Coefficient profile over a lag grid with its fitted decay rate (unset
+    unless three values are positive and they decay)."""
     if kind not in _COEFF_FUNS:
         raise ValueError(f"profile builder supports {sorted(_COEFF_FUNS)}, got '{kind}'")
     fun = _COEFF_FUNS[kind]
     values = [fun(chain, int(n)) for n in lags]
     prof = MixingProfile(kind=kind, lags=[int(n) for n in lags], values=values)
-    if fit:
-        positive = [(n, v) for n, v in zip(prof.lags, prof.values) if v > 0.0]
-        if len(positive) >= 3:
-            try:  # an iid chain's values sit at rounding level and do not decay
-                prof.fitted_gamma = fit_decay_rate(([n for n, _ in positive],
-                                                    [v for _, v in positive]))
-            except ValueError:
-                pass
+    positive = [(n, v) for n, v in zip(prof.lags, prof.values) if v > 0.0]
+    if len(positive) >= 3:
+        try:  # an iid chain's values sit at rounding level and do not decay
+            prof.fitted_gamma = fit_decay_rate(([n for n, _ in positive],
+                                                [v for _, v in positive]))
+        except ValueError:
+            pass
     return prof

@@ -4,6 +4,7 @@ Process kinds: iid normals, AR(1), m-dependent moving windows over an iid
 base, finite-state Markov chains started from the stationary distribution,
 and a Gaussian-copula vector process (latent vector AR(1) pushed through the
 standard normal CDF, giving uniform marginals and exponential mixing).
+``SeriesPath.to_csv`` writes one path for ``simulate``.
 
 The copula generator is split in two: ``latent_batch`` draws the latent
 Gaussian paths and ``uniform_marginals`` applies the CDF. Rank statistics
@@ -210,15 +211,6 @@ class SeriesPath:
             fh.write(f"{t},{row}\n")
 
 
-def path_from_csv(fh) -> SeriesPath:
-    header = fh.readline().strip().split(",")
-    rows = [line.strip().split(",") for line in fh if line.strip()]
-    if header[1:] == ["state"]:
-        return SeriesPath(states=np.array([int(r[1]) for r in rows]))
-    vals = np.array([[float(x) for x in r[1:]] for r in rows])
-    return SeriesPath(values=vals)
-
-
 def _rep_rng(seed: int, rep: int) -> Generator:
     return Generator(Philox(SeedSequence(entropy=seed, spawn_key=(rep,))))
 
@@ -370,40 +362,3 @@ def generate_batch(spec: ProcessSpec, length: int, replications: int,
         return uniform_marginals(latent_batch(spec, T, R, rep_offset))
 
     raise ValueError(f"unknown process kind '{spec.kind}'")
-
-
-def truncate_to_finite(path: SeriesPath, cuts: Sequence[float]) -> SeriesPath:
-    """Map a one-dimensional real path to partition-cell indices.
-
-    Cell i is [cut_{i-1}, cut_i); values below the first cut map to state 0.
-    """
-    cuts = np.asarray(cuts, dtype=float)
-    if cuts.size == 0:
-        raise ValueError("partition needs at least one cut point")
-    if np.any(np.diff(cuts) <= 0):
-        raise ValueError("cut points must be strictly increasing")
-    if path.values is None or path.dimension != 1:
-        raise ValueError("truncation needs a one-dimensional real path")
-    states = np.searchsorted(cuts, path.values[:, 0], side="right")
-    return SeriesPath(states=states, spec=path.spec)
-
-
-def m_dependent_from_iid(base: SeriesPath, window: int,
-                         aggregator: Callable[[np.ndarray], np.ndarray]) -> SeriesPath:
-    """Sliding-window transform: output t is aggregator(base[t : t + window + 1]).
-
-    ``aggregator`` receives the (T - window, window + 1) matrix of windows and
-    returns one value per row. Output length is base length - window.
-    """
-    if window < 0:
-        raise ValueError("window must be >= 0")
-    if base.values is None or base.dimension != 1:
-        raise ValueError("m-dependent construction needs a one-dimensional real base")
-    T = base.length
-    if T < window + 1:
-        raise ValueError(f"base length {T} too short for window {window}")
-    win = np.lib.stride_tricks.sliding_window_view(base.values[:, 0], window + 1)
-    out = np.asarray(aggregator(win), dtype=float)
-    if out.shape != (T - window,):
-        raise ValueError("aggregator must return one value per window")
-    return SeriesPath(values=out[:, None], spec=base.spec)

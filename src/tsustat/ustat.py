@@ -6,7 +6,8 @@ Kendall's tau as the inversion count of a rank permutation, by a top-down
 value-bit partition vectorized across whole batches of rows, Spearman's rho
 from exact integer rank sums, and the order-3 symmetric rank kernel from the
 same counts through Hoeffding's identity. Batched paths route rows with ties
-to the exact oracles.
+to the exact oracles. Hoeffding's permutation decoupling, a proof device,
+is checked against ``u_statistic`` by a literal oracle in the tests.
 
 For paths generated by a finite Markov chain the module also evaluates the
 chain-law expectation of the U-statistic, the product-measure expectation,
@@ -23,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -270,7 +271,7 @@ class SpearmanResult(NamedTuple):
     tau: float
 
 
-def spearman_rho(path, max_terms: int = MAX_GENERIC_TERMS) -> SpearmanResult:
+def spearman_rho(path) -> SpearmanResult:
     """Spearman's rho of a tie-free bivariate path, with its U-statistic parts.
 
     ``rho`` comes from exact integer rank sums; ``rho3`` is the order-3
@@ -286,57 +287,9 @@ def spearman_rho(path, max_terms: int = MAX_GENERIC_TERMS) -> SpearmanResult:
         raise ValueError("Spearman's rho is defined here for tie-free paths")
     d2 = int(((rx - ry) ** 2).sum())
     rho = 1.0 - 6.0 * d2 / (T * (T * T - 1))
-    rho3 = u_statistic(path, spearman_symmetric_kernel(), max_terms=max_terms)
+    rho3 = u_statistic(path, spearman_symmetric_kernel())
     tau = kendall_tau(path)
     return SpearmanResult(rho=rho, rho3=rho3, tau=tau)
-
-
-# ---------------------------------------------------------------------------
-# permutation decoupling
-# ---------------------------------------------------------------------------
-
-def hoeffding_decoupling_average(path, kernel: KernelSpec,
-                                 permutations="all") -> float:
-    """Average block-mean of the kernel over permuted index orderings.
-
-    Each permutation of 1..T is split into floor(T/r) consecutive blocks of r
-    indices; the kernel values over those blocks are averaged, then averaged
-    over the supplied permutations. With all T! permutations this equals the
-    U-statistic identically.
-    """
-    points = _points_of(path)
-    T, r = len(points), kernel.order
-    if T < r:
-        raise ValueError(f"path length {T} shorter than kernel order {r}")
-    if isinstance(permutations, str):
-        if permutations != "all":
-            raise ValueError("permutations must be 'all' or an explicit list")
-        if T > 8:
-            raise ValueError("full permutation enumeration limited to T <= 8")
-        perm_iter: Iterable = itertools.permutations(range(T))
-    else:
-        perm_iter = [tuple(p) for p in permutations]
-        for perm in perm_iter:
-            if sorted(perm) != list(range(T)):
-                raise ValueError(f"{perm} is not a permutation of 0..{T - 1}")
-
-    nblocks = T // r
-    fn = kernel.fn
-    cache: dict[tuple, float] = {}
-    per_perm: list[float] = []
-    for perm in perm_iter:
-        total = 0.0
-        for b in range(nblocks):
-            key = tuple(sorted(perm[b * r:(b + 1) * r]))
-            v = cache.get(key)
-            if v is None:
-                v = float(fn(*(points[t] for t in key)))
-                cache[key] = v
-            total += v
-        per_perm.append(total / nblocks)
-    if not per_perm:
-        raise ValueError("no permutations supplied")
-    return math.fsum(per_perm) / len(per_perm)
 
 
 # ---------------------------------------------------------------------------
@@ -475,18 +428,6 @@ class DecompositionReport:
         """b_term_max_abs over twice the kernel bound; 0 for a zero kernel,
         whose b-terms all vanish."""
         return self.b_term_max_abs / (2.0 * self.kernel_bound) if self.kernel_bound else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "length": self.length,
-            "s_terms": list(self.s_terms),
-            "u_value": self.u_value,
-            "theta_star": self.theta_star,
-            "residual": self.residual,
-            "b_term_max_abs": self.b_term_max_abs,
-            "kernel_bound": self.kernel_bound,
-        }
 
 
 def decompose(paths, chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,

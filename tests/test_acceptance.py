@@ -16,14 +16,14 @@ from tsustat.bounds import (BernsteinParams, bernstein_envelope,
                             ustat_tail_bound, bias_offset)
 from tsustat.harness import ExperimentConfig, calibrate_from_tail, run_experiment
 from tsustat.kernels import sign_product_kernel, spearman_symmetric_kernel, table_kernel
-from tsustat.mixing import (alpha_coeff, beta_coeff, beta_coeff_bruteforce,
-                            conditional_phi_coeff, fit_decay_rate, phi_coeff)
+from tsustat.mixing import (alpha_coeff, beta_coeff, conditional_phi_coeff, fit_decay_rate,
+                            phi_coeff)
 from tsustat.processes import (ProcessSpec, generate, generate_batch, random_chain,
                                two_state_chain)
-from tsustat.ustat import (check_zero_conditional_means, decompose,
-                           hoeffding_decoupling_average, kendall_tau,
-                           kendall_tau_batch, theta_independent, theta_star,
-                           u_statistic)
+from tsustat.ustat import (check_zero_conditional_means, decompose, kendall_tau,
+                           kendall_tau_batch, theta_independent, theta_star, u_statistic)
+
+from oracles import beta_coeff_bruteforce, hoeffding_decoupling_average
 
 
 def report(criterion: str, detail: str = "") -> None:
@@ -114,7 +114,7 @@ def test_03_decoupling_identity():
     while paths < 50:
         r, T = combos[paths % len(combos)]
         path = rng.standard_normal((T, 2))
-        diff = abs(hoeffding_decoupling_average(path, kernels[r], "all")
+        diff = abs(hoeffding_decoupling_average(path, kernels[r])
                    - u_statistic(path, kernels[r]))
         worst = max(worst, diff)
         assert diff <= 1e-12, (r, T, diff)

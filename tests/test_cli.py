@@ -221,6 +221,10 @@ MIXING = {"schema_version": 1, "experiment": "mixing-profile", "seed": 3, "proce
           "lags": [1, 2, 3]}
 CHAIN3 = {"kind": "markov_chain",
           "transition": [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]}
+SIMULATE = {"schema_version": 1, "experiment": "simulate", "seed": 3,
+            "process": {"kind": "iid"}, "length": 5}
+BIAS = {"schema_version": 1, "experiment": "bias-curve", "seed": 3, "process": CHAIN,
+        "kernel": MATCH_KERNEL, "order": 2, "t_grid": [20, 40]}
 
 
 @pytest.mark.parametrize("command,payload", [
@@ -246,21 +250,57 @@ CHAIN3 = {"kind": "markov_chain",
                           theta={"mode": "exact-zero"})),
     ("tail", tail_payload(process=CHAIN, kernel={"kind": "mean"},
                           theta={"mode": "exact-zero"})),
+    ("tail", tail_payload(replications="abc")),
+    ("tail", tail_payload(budget="x")),
+    ("tail", tail_payload(threads="x")),
+    ("tail", tail_payload(t_grid=5)),
+    ("tail", tail_payload(t_grid=["a"])),
+    ("tail", tail_payload(x_grid=["a"])),
+    ("tail", tail_payload(x_grid=[float("nan")])),
+    ("tail", tail_payload(theta={"mode": "mc", "draws": "x"})),
+    ("tail", tail_payload(theta=5)),
+    ("mixing-profile", dict(MIXING, conditional=5)),
+    ("simulate", dict(SIMULATE, length="x")),
+    ("bias", dict(BIAS, order="x")),
+    # a negative state would wrap to another table entry, a large one fall off it
+    ("tail", tail_payload(process=CHAIN, t_grid=[30], kernel=dict(
+        MATCH_KERNEL, entries=[[[0, -1], 1.0]]))),
+    ("tail", tail_payload(process=CHAIN, t_grid=[30], kernel=dict(
+        MATCH_KERNEL, entries=[[[0, 5], 1.0]]))),
+    ("mgf-check", dict(MGF, summands=3, summand_kappa=0.0, eta_max=800)),
+    ("mgf-check", dict(MGF, summands=3, distribution="uniform", samples=50,
+                       summand_kappa=0.0, eta_max=600)),
 ], ids=["scaling-estimator", "scaling-t", "scaling-p", "scaling-replications",
         "scaling-cross-correlation", "table-path", "mgf-summands", "mgf-sigma",
         "conditional-state", "mixing-lag", "table-kernel-iid", "table-kernel-states",
-        "rank-kernel-scalar", "rank-kernel-trivariate", "mean-kernel-chain"])
-def test_config_errors_in_experiment_bodies_exit_2(tmp_path, command, payload):
+        "rank-kernel-scalar", "rank-kernel-trivariate", "mean-kernel-chain",
+        "replications-string", "budget-string", "threads-string", "t-grid-scalar",
+        "t-grid-string", "x-grid-string", "x-grid-nan", "theta-draws-string",
+        "theta-scalar", "conditional-scalar", "simulate-length-string", "bias-order-string",
+        "table-entry-state-negative", "table-entry-state-large", "mgf-rademacher-overflow",
+        "mgf-uniform-overflow"])
+def test_config_errors_in_experiment_bodies_exit_2(tmp_path, capsys, command, payload):
     assert main([command, "--config", write_config(tmp_path, payload),
                  "--out", str(tmp_path / "o")]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("state", [-1, 5])
+def test_table_kernel_file_state_outside_the_alphabet_exits_2(tmp_path, capsys, state):
+    table = tmp_path / "table.txt"
+    table.write_text(f"0 {state} 1.0\n")
+    kernel = {"kind": "table", "order": 2, "state_count": 2, "path": str(table)}
+    payload = tail_payload(process=CHAIN, kernel=kernel, t_grid=[30])
+    assert main(["tail", "--config", write_config(tmp_path, payload),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "outside 0..1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
 
 ORDER3_KERNEL = {"kind": "table", "order": 3, "state_count": 2,
                  "entries": [[[0, 0, 0], 1.0], [[0, 0, 1], -0.5], [[1, 1, 1], 0.25]]}
-BIAS = {"schema_version": 1, "experiment": "bias-curve", "seed": 3, "process": CHAIN,
-        "kernel": MATCH_KERNEL, "order": 2, "t_grid": [20, 40]}
 DECOMPOSE = {"schema_version": 1, "experiment": "decompose-check", "seed": 3,
              "process": CHAIN, "kernel": ORDER3_KERNEL, "order": 3, "t_grid": [10],
              "replications": 2}

@@ -4,6 +4,7 @@ aggregated terms, the exact conditional-mean tables, and the chain law
 enumerated over every path."""
 import itertools
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def enumerated_decompose(states, chain, kernel, r):
 
 
 def assert_reports_agree(got, want, tol=1e-12):
-    got, want = got.to_dict(), want.to_dict()
+    got, want = asdict(got), asdict(want)
     assert (got["order"], got["length"]) == (want["order"], want["length"])
     for field in ("u_value", "theta_star", "residual", "b_term_max_abs", "kernel_bound"):
         assert abs(got[field] - want[field]) <= tol, (field, got[field], want[field])
@@ -160,7 +161,7 @@ def test_report_serializes():
     chain = two_state_chain(0.25)
     spec = ProcessSpec(kind="markov_chain", seed=4, chain=chain)
     rep = decompose(generate(spec, 12), chain, table_kernel(MATCH), 2)
-    d = rep.to_dict()
+    d = asdict(rep)
     assert set(d) == {"order", "length", "s_terms", "u_value", "theta_star",
                       "residual", "b_term_max_abs", "kernel_bound"}
     # the bounds decompose-check applies (residual_ok, p2_ok)

@@ -1,13 +1,11 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tsustat.kernels import (KernelSpec, eval_kernel, load_table_kernel, mean_kernel,
-                             sign_product_kernel, spearman_symmetric_kernel,
-                             symmetrize, table_kernel)
+from tsustat.kernels import (KernelSpec, load_table_kernel, mean_kernel, sign_product_kernel,
+                             spearman_symmetric_kernel, table_kernel)
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
@@ -18,16 +16,16 @@ def bivariate(rng, n):
 
 def test_sign_product_examples():
     k = sign_product_kernel()
-    assert eval_kernel(k, [np.array([1.0, 1.0]), np.array([2.0, 2.0])]) == 1.0
+    assert k.fn(np.array([1.0, 1.0]), np.array([2.0, 2.0])) == 1.0
     # tie in the first coordinate: sign(0) = 0
-    assert eval_kernel(k, [np.array([1.0, 2.0]), np.array([1.0, 3.0])]) == 0.0
-    assert eval_kernel(k, [np.array([1.0, 5.0]), np.array([2.0, 2.0])]) == -1.0
+    assert k.fn(np.array([1.0, 2.0]), np.array([1.0, 3.0])) == 0.0
+    assert k.fn(np.array([1.0, 5.0]), np.array([2.0, 2.0])) == -1.0
 
 
 def test_spearman_concordant_triple_is_one():
     k = spearman_symmetric_kernel()
     pts = [np.array([1.0, 1.0]), np.array([2.0, 2.0]), np.array([3.0, 3.0])]
-    assert eval_kernel(k, pts) == pytest.approx(1.0, abs=1e-15)
+    assert k.fn(*pts) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_spearman_matches_permutation_enumeration():
@@ -40,7 +38,7 @@ def test_spearman_matches_permutation_enumeration():
             np.sign(a[0] - b[0]) * np.sign(a[1] - c[1])
             for a, b, c in itertools.permutations(pts)
         )
-        assert eval_kernel(k, pts) == pytest.approx(direct, abs=1e-14)
+        assert k.fn(*pts) == pytest.approx(direct, abs=1e-14)
 
 
 def test_spearman_bound_is_one_exhaustive():
@@ -50,16 +48,11 @@ def test_spearman_bound_is_one_exhaustive():
     worst = 0.0
     for coords in itertools.product(grid, repeat=6):
         pts = [np.array(coords[0:2]), np.array(coords[2:4]), np.array(coords[4:6])]
-        worst = max(worst, abs(eval_kernel(k, pts)))
+        worst = max(worst, abs(k.fn(*pts)))
     assert worst <= 1.0 + 1e-15
 
 
-def test_arity_and_dimension_errors():
-    k = sign_product_kernel()
-    with pytest.raises(ValueError):
-        eval_kernel(k, [np.array([1.0, 2.0])])
-    with pytest.raises(ValueError):
-        eval_kernel(k, [np.array([1.0]), np.array([2.0])])
+def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(order=0, bound=1.0, kind="bad", fn=lambda: 0)
     with pytest.raises(ValueError):
@@ -68,9 +61,9 @@ def test_arity_and_dimension_errors():
 
 def test_mean_kernel():
     k = mean_kernel(bound=10.0)
-    assert eval_kernel(k, [3.0]) == 3.0
+    assert k.fn(3.0) == 3.0
     with pytest.raises(ValueError):
-        eval_kernel(k, [11.0])
+        k.fn(11.0)
 
 
 @given(st.lists(st.tuples(finite, finite), min_size=2, max_size=2))
@@ -78,9 +71,9 @@ def test_mean_kernel():
 def test_sign_product_bounded_and_symmetric(pts):
     k = sign_product_kernel()
     pts = [np.array(p) for p in pts]
-    v = eval_kernel(k, pts)
+    v = k.fn(*pts)
     assert abs(v) <= k.bound
-    assert v == eval_kernel(k, pts[::-1])
+    assert v == k.fn(*pts[::-1])
 
 
 @given(st.lists(st.tuples(finite, finite), min_size=3, max_size=3))
@@ -88,50 +81,17 @@ def test_sign_product_bounded_and_symmetric(pts):
 def test_spearman_bounded_and_symmetric(pts):
     k = spearman_symmetric_kernel()
     pts = [np.array(p) for p in pts]
-    v = eval_kernel(k, pts)
+    v = k.fn(*pts)
     assert abs(v) <= k.bound + 1e-12
     for perm in itertools.permutations(pts):
-        assert eval_kernel(k, list(perm)) == pytest.approx(v, abs=1e-12)
-
-
-def test_symmetrize_antisymmetric_part_cancels():
-    k = symmetrize(lambda x, y: x - y, order=2, bound=100.0)
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        x, y = rng.standard_normal(2) * 10
-        assert eval_kernel(k, [x, y]) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_symmetrize_fixes_symmetric_function():
-    k = symmetrize(lambda x, y: x + y, order=2, bound=100.0)
-    assert eval_kernel(k, [2.0, 5.0]) == pytest.approx(7.0)
-
-
-def test_symmetrize_recovers_spearman_kernel():
-    # the order-3 rank kernel carries a factor 3 before symmetrization
-    base = lambda a, b, c: 3.0 * np.sign(a[0] - b[0]) * np.sign(a[1] - c[1])
-    sym = symmetrize(base, order=3, bound=3.0, point_dim=2)
-    ref = spearman_symmetric_kernel()
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        pts = bivariate(rng, 3)
-        assert eval_kernel(sym, pts) == pytest.approx(eval_kernel(ref, pts), abs=1e-12)
-
-
-def test_symmetrize_idempotent():
-    rng = np.random.default_rng(3)
-    inner = symmetrize(lambda x, y: x * x - 3 * y, order=2, bound=1000.0)
-    outer = symmetrize(inner.fn, order=2, bound=1000.0)
-    for _ in range(25):
-        pts = list(rng.standard_normal(2) * 5)
-        assert eval_kernel(outer, pts) == pytest.approx(eval_kernel(inner, pts), abs=1e-10)
+        assert k.fn(*perm) == pytest.approx(v, abs=1e-12)
 
 
 def test_table_kernel_symmetrized_and_bounded():
     raw = np.array([[0.0, 2.0], [-1.0, 0.5]])
     k = table_kernel(raw)
     # value at (1, 0) is read from the sorted tuple (0, 1)
-    assert eval_kernel(k, [1, 0]) == eval_kernel(k, [0, 1]) == 2.0
+    assert k.fn(1, 0) == k.fn(0, 1) == 2.0
     assert k.bound == 2.0
     assert k.table is not None
 
@@ -139,7 +99,7 @@ def test_table_kernel_symmetrized_and_bounded():
 def test_table_kernel_from_dict_and_file(tmp_path):
     entries = {(0, 1): -0.5, (0, 0): 0.5, (1, 1): 0.5}
     k = table_kernel(entries, order=2, state_count=2)
-    assert eval_kernel(k, [1, 0]) == -0.5
+    assert k.fn(1, 0) == -0.5
     f = tmp_path / "kernel.txt"
     f.write_text("# pair kernel\n0 0 0.5\n0 1 -0.5\n1 1 0.5\n")
     k2 = load_table_kernel(f, order=2, state_count=2)
@@ -153,3 +113,11 @@ def test_table_kernel_shape_errors(tmp_path):
     f.write_text("0 1\n")
     with pytest.raises(ValueError):
         load_table_kernel(f, order=2, state_count=2)
+
+
+@pytest.mark.parametrize("key", [(0, -1), (0, 5)])
+def test_table_kernel_rejects_states_outside_the_alphabet(key):
+    """A negative state would wrap to another table entry; a large one would
+    fall off the table."""
+    with pytest.raises(ValueError, match=r"outside 0\.\.1"):
+        table_kernel({key: 1.0}, order=2, state_count=2)

@@ -16,8 +16,7 @@ from tsustat.harness import ExperimentConfig, _estimate_theta
 from tsustat.hidim import kendall_matrix, spearman_matrix
 from tsustat.processes import (FiniteMarkovChain, ProcessSpec, SeriesPath, _rep_rng,
                                correlation_factor, cycle_chain, generate, generate_batch,
-                               iid_chain, latent_batch, m_dependent_from_iid, path_from_csv,
-                               random_chain, truncate_to_finite, two_state_chain)
+                               iid_chain, latent_batch, random_chain, two_state_chain)
 from tsustat.ustat import kendall_tau_batch, spearman_rho3_batch
 
 
@@ -211,41 +210,9 @@ def test_copula_marginals_uniform_and_correlated():
     assert np.corrcoef(u[:, 0], u[:, 1])[0, 1] > 0.5
 
 
-def test_truncate_examples():
-    p = SeriesPath(values=np.array([-1.0, 0.5, 3.0]))
-    np.testing.assert_array_equal(truncate_to_finite(p, [0.0, 2.0]).states, [0, 1, 2])
-    const = SeriesPath(values=np.full(5, 0.7))
-    np.testing.assert_array_equal(truncate_to_finite(const, [0.0]).states, np.ones(5))
-    with pytest.raises(ValueError):
-        truncate_to_finite(p, [])
-    with pytest.raises(ValueError):
-        truncate_to_finite(p, [1.0, 1.0])
-
-
-def test_truncate_median_split():
-    spec = ProcessSpec(kind="ar1", seed=9, ar_coefficient=0.5)
-    path = generate(spec, 100_000)
-    cut = float(np.median(path.values))
-    states = truncate_to_finite(path, [cut]).states
-    assert abs((states == 0).mean() - 0.5) < 0.02
-
-
-def test_m_dependent_windowed_sums():
-    base = SeriesPath(values=np.array([1.0, 2.0, 3.0, 4.0]))
-    out = m_dependent_from_iid(base, 1, lambda w: w.sum(axis=1))
-    np.testing.assert_allclose(out.values[:, 0], [3.0, 5.0, 7.0])
-    ident = m_dependent_from_iid(base, 0, lambda w: w[:, 0])
-    np.testing.assert_allclose(ident.values, base.values)
-    with pytest.raises(ValueError):
-        m_dependent_from_iid(base, -1, lambda w: w.sum(axis=1))
-
-
 def test_m_dependent_decorrelates_beyond_window():
     m = 2
-    spec = ProcessSpec(kind="iid", seed=3)
-    base = generate(spec, 100_000 + m)
-    out = m_dependent_from_iid(base, m, lambda w: w.sum(axis=1))
-    x = out.values[:, 0]
+    x = generate(ProcessSpec(kind="m_dependent", seed=3, window=m), 100_000).values[:, 0]
     lag = m + 1
     r = np.corrcoef(x[:-lag], x[lag:])[0, 1]
     assert abs(r) < 3.0 / np.sqrt(x.size)
@@ -280,16 +247,19 @@ def test_csv_round_trip():
     path = generate(spec, 10)
     buf = io.StringIO()
     path.to_csv(buf)
-    buf.seek(0)
-    again = path_from_csv(buf)
-    np.testing.assert_array_equal(path.values, again.values)
     assert buf.getvalue().splitlines()[0] == "t,x1,x2"
+    buf.seek(0)
+    again = np.loadtxt(buf, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(again[:, 0], np.arange(10))
+    np.testing.assert_array_equal(again[:, 1:], path.values)
 
     chain_path = SeriesPath(states=np.array([0, 1, 1, 0]))
     buf = io.StringIO()
     chain_path.to_csv(buf)
+    assert buf.getvalue().splitlines()[0] == "t,state"
     buf.seek(0)
-    np.testing.assert_array_equal(path_from_csv(buf).states, chain_path.states)
+    np.testing.assert_array_equal(np.loadtxt(buf, delimiter=",", skiprows=1, dtype=int)[:, 1],
+                                  chain_path.states)
 
 
 def test_random_chain_is_valid():

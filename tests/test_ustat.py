@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsustat.kernels import (mean_kernel, sign_product_kernel,
-                             spearman_symmetric_kernel, symmetrize, table_kernel)
+from tsustat.kernels import (KernelSpec, mean_kernel, sign_product_kernel,
+                             spearman_symmetric_kernel, table_kernel)
 from tsustat.processes import (ProcessSpec, SeriesPath, generate_batch, iid_chain,
                                two_state_chain)
-from tsustat.ustat import (_count_inversions_batch, _ranks, hoeffding_decoupling_average,
-                           kendall_tau, kendall_tau_batch, kendall_tau_numerator, spearman_rho,
-                           spearman_rho3_batch, theta_independent, theta_star,
-                           u_statistic)
+from tsustat.ustat import (_count_inversions_batch, _ranks, kendall_tau, kendall_tau_batch,
+                           kendall_tau_numerator, spearman_rho, spearman_rho3_batch,
+                           theta_independent, theta_star, u_statistic)
+
+from oracles import hoeffding_decoupling_average
 
 
 def brute_tau_numerator(x, y):
@@ -29,7 +30,7 @@ def test_u_statistic_mean_kernel():
 
 
 def test_u_statistic_constant_kernel():
-    k = symmetrize(lambda x, y: 0.7, order=2, bound=1.0)
+    k = KernelSpec(order=2, bound=1.0, kind="constant", fn=lambda x, y: 0.7)
     rng = np.random.default_rng(0)
     assert u_statistic(rng.standard_normal(6), k) == pytest.approx(0.7)
 
@@ -43,8 +44,8 @@ def test_u_statistic_guards():
     with pytest.raises(ValueError):
         u_statistic(np.zeros((1, 2)), sign_product_kernel())
     with pytest.raises(ValueError):
-        u_statistic(np.zeros(100), symmetrize(lambda *a: 0.0, order=4, bound=1.0),
-                    max_terms=1000)
+        u_statistic(np.zeros(100), KernelSpec(order=4, bound=1.0, kind="zero",
+                                              fn=lambda *a: 0.0), max_terms=1000)
 
 
 def test_u_statistic_invariant_under_time_permutation():
@@ -211,33 +212,16 @@ def test_decoupling_identity_small():
     rng = np.random.default_rng(13)
     k = sign_product_kernel()
     path = rng.standard_normal((4, 2))
-    assert hoeffding_decoupling_average(path, k, "all") == pytest.approx(
+    assert hoeffding_decoupling_average(path, k) == pytest.approx(
         kendall_tau(path), abs=1e-14)
-
-
-def test_decoupling_single_identity_permutation():
-    rng = np.random.default_rng(14)
-    path = rng.standard_normal((4, 2))
-    k = sign_product_kernel()
-    got = hoeffding_decoupling_average(path, k, [tuple(range(4))])
-    want = 0.5 * (k.fn(path[0], path[1]) + k.fn(path[2], path[3]))
-    assert got == pytest.approx(want, abs=1e-15)
 
 
 def test_decoupling_order3():
     rng = np.random.default_rng(15)
     path = rng.standard_normal((6, 2))
     k = spearman_symmetric_kernel()
-    assert hoeffding_decoupling_average(path, k, "all") == pytest.approx(
+    assert hoeffding_decoupling_average(path, k) == pytest.approx(
         u_statistic(path, k), abs=1e-12)
-
-
-def test_decoupling_validation():
-    path = np.zeros((9, 2))
-    with pytest.raises(ValueError):
-        hoeffding_decoupling_average(path, sign_product_kernel(), "all")
-    with pytest.raises(ValueError):
-        hoeffding_decoupling_average(path[:4], sign_product_kernel(), [(0, 0, 1, 2)])
 
 
 MATCH = np.array([[0.5, -0.5], [-0.5, 0.5]])
