@@ -75,14 +75,6 @@ class BoundConstants:
         return {name: getattr(self, name)
                 for name in ("c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "gamma", "r")}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoundConstants":
-        allowed = {"c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "gamma", "r"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ValueError(f"unknown constant fields: {sorted(unknown)}")
-        return cls(**d)
-
 
 def log_factor(T: int) -> float:
     """log(T) * log(log(4T)); needs T >= 2 so both logs are positive."""

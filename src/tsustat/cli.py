@@ -7,13 +7,13 @@ exceeded, 4 property-check failure.
 from __future__ import annotations
 
 import argparse
+import io
 import json
-import os
 import sys
 
 from .harness import (EXPERIMENTS, BudgetError, CheckFailure, ConfigError,
-                      ExperimentConfig, calibrate_from_tail, emit_outputs,
-                      load_tail_result, run_experiment)
+                      ExperimentConfig, _read_json, calibrate_from_tail, emit_outputs,
+                      load_tail_result, read_field, run_experiment, write_files)
 from .processes import generate
 
 EXIT_OK = 0
@@ -57,15 +57,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_json(args.config)
-    if args.seed is not None:
-        cfg = ExperimentConfig.from_dict(dict(cfg.raw, seed=args.seed))
-    if args.threads is not None:
-        cfg.threads = args.threads
-    if args.budget is not None:
-        cfg.budget = args.budget
-    if args.out is not None:
-        cfg.out_dir = args.out
+    raw = _read_json(args.config)
+    if args.seed is not None and isinstance(raw, dict):
+        raw = dict(raw, seed=args.seed)  # config.json records the seed that ran
+    cfg = ExperimentConfig.from_dict(raw)
+    for key, value in (("threads", args.threads), ("budget", args.budget),
+                       ("out_dir", args.out)):
+        if value is not None:
+            setattr(cfg, key, read_field(key, value))
     expected = _SUBCOMMANDS[args.command]
     if cfg.experiment != expected:
         raise ConfigError(f"subcommand '{args.command}' needs experiment "
@@ -75,24 +74,15 @@ def _load_config(args) -> ExperimentConfig:
 
 def _run_calibrate(args) -> int:
     result = calibrate_from_tail(load_tail_result(args.result), args.train, c4=args.c4)
-    out_dir = args.out or args.result
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "calibration.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    print(path)
+    text = json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n"
+    print(*write_files(args.out or args.result, {"calibration.json": text}), sep="\n")
     return EXIT_OK
 
 
 def _run_simulate(cfg: ExperimentConfig) -> int:
-    path = generate(cfg.process, cfg.length)
-    out_dir = cfg.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
-    target = os.path.join(out_dir, "path.csv")
-    with open(target, "w", encoding="utf-8") as fh:
-        path.to_csv(fh)
-    print(target)
+    buf = io.StringIO()
+    generate(cfg.process, cfg.length).to_csv(buf)
+    print(*write_files(cfg.out_dir or ".", {"path.csv": buf.getvalue()}), sep="\n")
     return EXIT_OK
 
 

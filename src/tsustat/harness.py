@@ -1,7 +1,9 @@
 """Experiment engine: seeded Monte Carlo runs driven by JSON configs.
 
 Configs are versioned and fail closed: unknown fields anywhere in the file
-are rejected. ``tail``, ``scaling`` and ``decompose-check`` each make one
+are rejected, and ``ExperimentConfig.from_dict`` reads each value once,
+through ``read_field`` and its ``_FIELDS`` type table, into a typed field.
+``tail``, ``scaling`` and ``decompose-check`` each make one
 ``processes.map_replication_blocks`` call, one job per T value or (T, p)
 cell; each replication draws from its own counter-based stream keyed by
 (seed, replication index), and blocks are reduced in index order, so results
@@ -9,9 +11,10 @@ are identical for any worker count.
 
 Every experiment but ``simulate`` runs through ``run_experiment``, which
 looks the experiment up in ``RUNNERS``, checks its work estimate against the
-budget and times the body. Outputs: ``config.json`` (exact input snapshot),
-``result.json`` with a ``data`` block (byte-stable across reruns) and a
-``meta`` block (wall clock), plus plot-ready CSV files per experiment.
+budget and times the body. Outputs, all written by ``write_files``:
+``config.json`` (exact input snapshot), ``result.json`` with a ``data``
+block (byte-stable across reruns) and a ``meta`` block (wall clock), plus
+plot-ready CSV files per experiment.
 
 The rank kernels (``sign_product``, ``spearman_sym``) and their Monte Carlo
 theta oracle read the copula's latent Gaussian values, which have the same
@@ -22,7 +25,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
@@ -35,7 +40,8 @@ from .bounds import (BernsteinParams, BoundConstants, CalibrationResult, TailPoi
 from .hidim import ESTIMATOR_KINDS, ScalingReport, scaling_experiment
 from .kernels import (KernelSpec, load_table_kernel, mean_kernel, sign_product_kernel,
                       spearman_symmetric_kernel, table_kernel)
-from .mixing import MixingProfile, conditional_phi_coeff, mixing_profile
+from .mixing import (ALPHA_MAX_STATES, MixingProfile, check_conditioning,
+                     conditional_phi_coeff, mixing_profile)
 from .processes import (FiniteMarkovChain, ProcessSpec, _rep_rng, correlation_factor,
                         generate_batch, latent_batch, map_replication_blocks,
                         uniform_marginals)
@@ -78,6 +84,54 @@ def _require_keys(d: dict, allowed: set[str], required: set[str], where: str) ->
         raise ConfigError(f"missing fields in {where}: {sorted(missing)}")
 
 
+# config field -> (type, least value or None). A dotted name is a field of a
+# nested object; a top-level name sets the ExperimentConfig attribute. An "int"
+# takes JSON integers only, never a float or a boolean; a "float" takes finite
+# numbers; a "<type> list" is non-empty, and each item is checked in turn.
+_FIELDS = {
+    "seed": ("int", None), "budget": ("float", None), "threads": ("int", 1),
+    "out_dir": ("str", None), "t_grid": ("int list", None), "p_grid": ("int list", None),
+    "lags": ("int list", 1), "x_grid": ("float list", 0.0), "replications": ("int", 0),
+    "length": ("int", 1), "order": ("int", None), "estimator": ("str", None),
+    "summands": ("int", 1), "distribution": ("str", None), "scale": ("float", None),
+    "summand_sigma": ("float", 0.0), "summand_kappa": ("float", 0.0),
+    "eta_points": ("int", 1), "eta_max": ("float", None), "samples": ("int", 1),
+    "process.coefficient": ("float", None), "process.window": ("int", 0),
+    "process.transition": ("float list list", None), "process.dimension": ("int", 1),
+    "process.temporal_coefficient": ("float", None), "cross_correlation.rho": ("float", None),
+    "cross_correlation.matrix": ("float list list", None), "kernel.bound": ("float", None),
+    "kernel.order": ("int", 1), "kernel.state_count": ("int", 1), "kernel.path": ("str", None),
+    "theta.mode": ("str", None), "theta.draws": ("int", 2),
+    "conditional.conditioning": ("int list list", None), "conditional.block_len": ("int", 1),
+    **{f"constants.{c}": (type(v).__name__, None) for c, v in BoundConstants().to_dict().items()},
+}
+_TYPE_NAMES = {"int": "an integer", "float": "a finite number", "str": "a string"}
+
+
+def _typed(value, kind: str, low, name: str):
+    if kind.endswith(" list"):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
+        return [_typed(v, kind[:-5], low, f"{name}[{i}]") for i, v in enumerate(value)]
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if kind == "int" and number and isinstance(value, numbers.Integral):
+        value = int(value)
+    elif kind == "float" and number and abs(value) <= sys.float_info.max:  # NaN fails too
+        value = float(value)
+    elif kind != "str" or not isinstance(value, str):
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value!r}")
+    return value
+
+
+def read_field(name: str, value):
+    """``value`` of config field ``name`` as its ``_FIELDS`` entry types it, or
+    a ConfigError naming the field, e.g. ``t_grid[0] must be an integer, got 30.7``."""
+    kind, low = _FIELDS[name]
+    return _typed(value, kind, low, name)
+
+
 def parse_process(d: dict, seed: int) -> ProcessSpec:
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError("process must be an object with a 'kind'")
@@ -87,22 +141,24 @@ def parse_process(d: dict, seed: int) -> ProcessSpec:
         return ProcessSpec(kind="iid", seed=seed)
     if kind == "ar1":
         _require_keys(d, {"kind", "coefficient"}, {"kind", "coefficient"}, "process")
-        return ProcessSpec(kind="ar1", seed=seed, ar_coefficient=float(d["coefficient"]))
+        return ProcessSpec(kind="ar1", seed=seed,
+                           ar_coefficient=read_field("process.coefficient", d["coefficient"]))
     if kind == "m_dependent":
         _require_keys(d, {"kind", "window"}, {"kind", "window"}, "process")
-        return ProcessSpec(kind="m_dependent", seed=seed, window=int(d["window"]))
+        return ProcessSpec(kind="m_dependent", seed=seed,
+                           window=read_field("process.window", d["window"]))
     if kind == "markov_chain":
         _require_keys(d, {"kind", "transition"}, {"kind", "transition"}, "process")
-        chain = FiniteMarkovChain(np.asarray(d["transition"], dtype=float))
+        chain = FiniteMarkovChain(np.array(read_field("process.transition", d["transition"])))
         return ProcessSpec(kind="markov_chain", seed=seed, chain=chain)
     if kind == "gaussian_copula_vector":
         _require_keys(d, {"kind", "dimension", "temporal_coefficient", "cross_correlation"},
                       {"kind", "dimension", "temporal_coefficient"}, "process")
-        p = int(d["dimension"])
+        p = read_field("process.dimension", d["dimension"])
         R = _parse_correlation(d.get("cross_correlation", {"kind": "identity"}), p)
+        phi = read_field("process.temporal_coefficient", d["temporal_coefficient"])
         return ProcessSpec(kind="gaussian_copula_vector", seed=seed, dimension=p,
-                           temporal_coefficient=float(d["temporal_coefficient"]),
-                           cross_correlation=R)
+                           temporal_coefficient=phi, cross_correlation=R)
     raise ConfigError(f"unknown process kind '{kind}'")
 
 
@@ -115,11 +171,11 @@ def _parse_correlation(d: dict, p: int) -> np.ndarray:
         return np.eye(p)
     if kind == "equicorrelation":
         _require_keys(d, {"kind", "rho"}, {"kind", "rho"}, "cross_correlation")
-        rho = float(d["rho"])
+        rho = read_field("cross_correlation.rho", d["rho"])
         return np.full((p, p), rho) + (1.0 - rho) * np.eye(p)
     if kind == "explicit":
         _require_keys(d, {"kind", "matrix"}, {"kind", "matrix"}, "cross_correlation")
-        return np.asarray(d["matrix"], dtype=float)
+        return np.array(read_field("cross_correlation.matrix", d["matrix"]))
     raise ConfigError(f"unknown cross_correlation kind '{kind}'")
 
 
@@ -135,18 +191,21 @@ def parse_kernel(d: dict) -> KernelSpec:
         return spearman_symmetric_kernel()
     if kind == "mean":
         _require_keys(d, {"kind", "bound"}, {"kind"}, "kernel")
-        return mean_kernel(bound=float(d.get("bound", 1.0)))
+        return mean_kernel(bound=read_field("kernel.bound", d["bound"]) if "bound" in d else 1.0)
     if kind == "table":
         _require_keys(d, {"kind", "entries", "path", "order", "state_count"},
                       {"kind", "order", "state_count"}, "kernel")
-        order = int(d["order"])
-        s = int(d["state_count"])
+        order = read_field("kernel.order", d["order"])
+        s = read_field("kernel.state_count", d["state_count"])
         if "path" in d:
-            return load_table_kernel(d["path"], order=order, state_count=s)
-        if "entries" not in d:
-            raise ConfigError("table kernel needs 'entries' or 'path'")
-        entries = {tuple(int(i) for i in key): float(v) for key, v in d["entries"]}
-        return table_kernel(entries, order=order, state_count=s)
+            return load_table_kernel(read_field("kernel.path", d["path"]), order, s)
+        pairs = d.get("entries")
+        if not isinstance(pairs, list) or any(not isinstance(p, list) or len(p) != 2
+                                              for p in pairs):
+            raise ConfigError("table kernel needs 'path', or 'entries' as [states, value] pairs")
+        return table_kernel({tuple(_typed(key, "int list", None, f"kernel.entries[{i}][0]")):
+                             _typed(v, "float", None, f"kernel.entries[{i}][1]")
+                             for i, (key, v) in enumerate(pairs)}, order, s)
     raise ConfigError(f"unknown kernel kind '{kind}'")
 
 
@@ -172,17 +231,15 @@ EXPERIMENTS = tuple(_EXPERIMENT_KEYS)
 
 def _parse_constants(d: dict) -> BoundConstants:
     """Bound constants from a config's ``constants`` object; absent ones default to 1."""
-    try:
-        return BoundConstants.from_dict(dict(BoundConstants().to_dict(), **d))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    _require_keys(d, set(BoundConstants().to_dict()), set(), "constants")
+    return BoundConstants(**{k: read_field(f"constants.{k}", v) for k, v in d.items()})
 
 
 @dataclass
 class ExperimentConfig:
     experiment: str
     seed: int
-    raw: dict
+    raw: dict  # the input as given; only the config.json snapshot reads it
     process: ProcessSpec | None = None
     kernel: KernelSpec | None = None
     constants: BoundConstants = field(default_factory=BoundConstants)
@@ -196,6 +253,16 @@ class ExperimentConfig:
     estimator: str = "kendall"
     theta_mode: str = "auto"
     theta_draws: int = 1_000_000
+    conditioning: list[tuple[int, int]] | None = None  # mixing-profile's conditional
+    block_len: int = 1
+    summands: int = 0  # mgf-check, from here on
+    distribution: str = ""
+    scale: float = 1.0
+    summand_sigma: float | None = None  # defaults to scale
+    summand_kappa: float = 0.0
+    eta_points: int = 0
+    eta_max: float | None = None
+    samples: int = 0
     budget: float = DEFAULT_BUDGET
     threads: int = 1
     out_dir: str | None = None
@@ -211,62 +278,40 @@ class ExperimentConfig:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
         allowed, required = _EXPERIMENT_KEYS[experiment]
         _require_keys(raw, _COMMON_KEYS | allowed, {"experiment", "seed"} | required, "config")
-        seed = raw["seed"]
-        if not isinstance(seed, int):
-            raise ConfigError("seed must be an integer (no entropy-sourced defaults)")
-
-        cfg = cls(experiment=experiment, seed=seed, raw=raw)
-        # a field of the wrong type or value fails here, as a config error
+        cfg = cls(experiment=experiment, seed=0, raw=raw)  # the seed is read below
+        # the one parse boundary: a field of the wrong type or value fails here
         try:
-            cfg.budget = float(raw.get("budget", DEFAULT_BUDGET))
-            cfg.threads = int(raw.get("threads", 1))
-            cfg.out_dir = raw.get("out_dir")
+            for key, value in raw.items():
+                if key in _FIELDS:
+                    setattr(cfg, key, read_field(key, value))
             if "process" in raw:
-                cfg.process = parse_process(raw["process"], seed)
+                cfg.process = parse_process(raw["process"], cfg.seed)
             if "kernel" in raw:
                 cfg.kernel = parse_kernel(raw["kernel"])
             if "constants" in raw:
                 cfg.constants = _parse_constants(raw["constants"])
-            for key in ("t_grid", "p_grid", "lags"):
-                if key in raw:
-                    vals = [int(v) for v in raw[key]]
-                    if not vals:
-                        raise ConfigError(f"{key} must be non-empty")
-                    setattr(cfg, key, vals)
-            if "x_grid" in raw:
-                cfg.x_grid = [float(v) for v in raw["x_grid"]]
-                if not cfg.x_grid or not all(v >= 0 for v in cfg.x_grid):  # NaN too
-                    raise ConfigError("x_grid must be non-empty and non-negative")
-            if "replications" in raw:
-                cfg.replications = int(raw["replications"])
-                if cfg.replications < 0:
-                    raise ConfigError("replications must be >= 0")
-            if "length" in raw:
-                cfg.length = int(raw["length"])
-            if "order" in raw:
-                cfg.order = int(raw["order"])
-            if "estimator" in raw:
-                cfg.estimator = str(raw["estimator"])
             if "theta" in raw:
-                t = raw["theta"]
-                _require_keys(t, {"mode", "draws"}, {"mode"}, "theta")
-                cfg.theta_mode = t["mode"]
-                if cfg.theta_mode not in ("auto", "mc", "exact-zero"):
-                    raise ConfigError("theta.mode must be auto, mc, or exact-zero")
-                cfg.theta_draws = int(t.get("draws", cfg.theta_draws))
-                if cfg.theta_draws < 2:
-                    raise ConfigError("theta.draws must be >= 2 for a standard error")
+                _require_keys(raw["theta"], {"mode", "draws"}, {"mode"}, "theta")
+                for key, value in raw["theta"].items():
+                    setattr(cfg, f"theta_{key}", read_field(f"theta.{key}", value))
+            if "conditional" in raw:
+                _require_keys(raw["conditional"], {"conditioning", "block_len"},
+                              {"conditioning", "block_len"}, "conditional")
+                for key, value in raw["conditional"].items():
+                    setattr(cfg, key, read_field(f"conditional.{key}", value))
+            cfg._check_inputs()
         except ConfigError:
             raise
         except (ValueError, TypeError, OSError) as exc:  # OSError: a table kernel path
             raise ConfigError(str(exc)) from exc
-        cfg._check_inputs()
         return cfg
 
     def _check_inputs(self) -> None:
         """Experiment-specific checks, made before any work estimate or work."""
         e, process, kernel = self.experiment, self.process, self.kernel
         chain = process is not None and process.kind == "markov_chain"
+        if self.theta_mode not in ("auto", "mc", "exact-zero"):
+            raise ConfigError("theta.mode must be auto, mc, or exact-zero")
         if e in ("bias-curve", "decompose-check"):
             if not (chain and kernel.kind == "table"):
                 raise ConfigError(f"{e} needs a finite chain and a table kernel")
@@ -274,10 +319,21 @@ class ExperimentConfig:
                 raise ConfigError(f"{e} order must be 2 or 3, the table kernel's order")
             if max(self.t_grid) > _THETA_STAR_T_CAP[self.order]:  # the chain-law evaluators' cap
                 raise ConfigError(f"{e} t_grid values must be <= {_THETA_STAR_T_CAP[self.order]}")
-        if e == "mixing-profile" and not chain:
-            raise ConfigError("mixing profiles need a finite chain")
-        if e == "mixing-profile" and min(self.lags) < 1:
-            raise ConfigError("lags must be >= 1")
+        if e == "mixing-profile":
+            if not chain:
+                raise ConfigError("mixing profiles need a finite chain")
+            if process.chain.state_count > ALPHA_MAX_STATES:
+                raise ConfigError(f"process.transition has {process.chain.state_count} states; "
+                                  f"mixing-profile takes at most {ALPHA_MAX_STATES}")
+            if self.conditioning is not None:
+                if any(len(pair) != 2 for pair in self.conditioning):
+                    raise ConfigError("conditional.conditioning must hold [time, state] pairs")
+                check_conditioning(process.chain, self.conditioning, self.block_len)
+        if e == "mgf-check":
+            if self.distribution not in ("rademacher", "uniform"):
+                raise ConfigError("distribution must be rademacher or uniform")
+            if self.summand_sigma is None:  # defaults to scale, within the same bounds
+                self.summand_sigma = read_field("summand_sigma", self.scale)
         if e == "scaling":
             if process.kind != "gaussian_copula_vector":
                 raise ConfigError("scaling experiments use the Gaussian-copula vector process")
@@ -291,8 +347,6 @@ class ExperimentConfig:
                 raise ConfigError("scaling needs t_grid values >= 3 and p_grid values >= 2")
             if self.replications < 1:
                 raise ConfigError("scaling needs replications >= 1")
-        if e == "simulate" and self.length < 1:
-            raise ConfigError("simulate needs length >= 1")
         if kernel is not None:
             # the tail bound's log factor needs T >= 2 as well
             low = max(kernel.order, 2)
@@ -333,13 +387,11 @@ def _kernel_values(kernel: KernelSpec, samples: np.ndarray) -> np.ndarray:
 def _u_values_block(args, start: int, count: int) -> np.ndarray:
     """U-statistic per replication for replications [start, start + count).
 
-    The kernel arrives as its config object, which pickles for pool workers;
-    ``parse_kernel`` builds it in whichever process runs the block. The
-    config check has matched kernel and process, and the rank kernels read
-    the latent copula paths.
+    The kernel arrives as the config's ``KernelSpec``, which pickles for pool
+    workers. The config check has matched kernel and process, and the rank
+    kernels read the latent copula paths.
     """
-    spec, T, kernel_cfg = args
-    kernel = parse_kernel(kernel_cfg)
+    spec, T, kernel = args
     if kernel.kind in RANK_KERNELS:
         latent = latent_batch(spec, T, count, rep_offset=start)
         rank_u = kendall_tau_batch if kernel.kind == "sign_product" else spearman_rho3_batch
@@ -428,10 +480,9 @@ class TailExperiment:
     kernel_bound: float
     curves: list[TailCurve]
     constants: BoundConstants  # the ones the bound curves were computed with
-    calibration: CalibrationResult | None = None
 
     def data_dict(self) -> dict:
-        out = {
+        return {
             "experiment": "tail",
             "theta": self.theta,
             "theta_se": self.theta_se,
@@ -440,11 +491,6 @@ class TailExperiment:
             "kernel_bound": self.kernel_bound,
             "curves": [vars(c) for c in self.curves],
         }
-        if self.calibration is not None:
-            # the data block's calibration predates slack; calibration.json carries it
-            out["calibration"] = {k: v for k, v in self.calibration.to_dict().items()
-                                  if k != "slack"}
-        return out
 
     def csv_files(self) -> dict[str, str]:
         out = {}
@@ -484,7 +530,7 @@ def _run_tail(cfg: ExperimentConfig) -> TailExperiment:
     M = cfg.kernel.bound
     cc = cfg.constants
     # one job per T; called by its module-level name, which perfbench/spans.py wraps
-    jobs = [(cfg.process, T, cfg.raw["kernel"]) for T in cfg.t_grid]
+    jobs = [(cfg.process, T, cfg.kernel) for T in cfg.t_grid]
     u_blocks = map_replication_blocks(_u_values_block, jobs, cfg.replications,
                                       threads=cfg.threads)
     curves = []
@@ -517,12 +563,10 @@ def calibrate_from_tail(exp: TailExperiment, train_t: Sequence[int],
     if not pts:
         raise ConfigError(f"no tail curves at T in {sorted(train_t)}")
     try:
-        result = calibrate_constants(pts, c4=exp.constants.c4 if c4 is None else c4,
-                                     base=exp.constants)
+        return calibrate_constants(pts, c4=exp.constants.c4 if c4 is None else c4,
+                                   base=exp.constants)
     except ValueError as exc:
         raise ConfigError(f"cannot calibrate: {exc}") from exc
-    exp.calibration = result
-    return result
 
 
 def load_tail_result(result_dir: str) -> TailExperiment:
@@ -539,7 +583,9 @@ def load_tail_result(result_dir: str) -> TailExperiment:
             replications=data["replications"], kernel_bound=data["kernel_bound"],
             curves=[TailCurve(**c) for c in data["curves"]],
             constants=_parse_constants(config.get("constants", {})))
-    except (KeyError, TypeError, AttributeError) as exc:
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ConfigError(f"malformed tail run in {result_dir}: {exc!r}") from exc
 
 
@@ -667,19 +713,12 @@ def _run_mixing_profile(cfg: ExperimentConfig) -> MixingProfileResult:
     profiles = {}
     for kind in ("alpha", "beta", "phi"):
         profiles[kind] = mixing_profile(chain, kind, cfg.lags)
-    cond = cfg.raw.get("conditional")
-    if cond is not None:
-        _require_keys(cond, {"conditioning", "block_len"}, {"conditioning", "block_len"},
-                      "conditional")
-        try:
-            conditioning = [(int(t), int(s)) for t, s in cond["conditioning"]]
-            values = [conditional_phi_coeff(chain, conditioning, int(cond["block_len"]), n)
-                      for n in cfg.lags]
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"conditional: {exc}") from exc
+    if cfg.conditioning is not None:
+        values = [conditional_phi_coeff(chain, cfg.conditioning, cfg.block_len, n)
+                  for n in cfg.lags]
         profiles["conditional_phi"] = MixingProfile(
             kind="conditional_phi", lags=list(cfg.lags), values=values,
-            conditioning=conditioning)
+            conditioning=cfg.conditioning)
     return MixingProfileResult(profiles=profiles)
 
 
@@ -714,33 +753,15 @@ def _summand_log_mgf(distribution: str, scale: float, eta: float) -> float:
     z = scale * eta
     if distribution == "rademacher":
         return math.log(math.cosh(z))
-    if distribution == "uniform":
-        if z == 0:
-            return 0.0
-        return math.log(math.sinh(z) / z)
-    raise ConfigError(f"unknown summand distribution '{distribution}'")
+    return 0.0 if z == 0 else math.log(math.sinh(z) / z)  # uniform
 
 
 def _run_mgf_check(cfg: ExperimentConfig) -> MgfCheckReport:
-    raw = cfg.raw
-    dist = raw["distribution"]
-    try:
-        n = int(raw["summands"])
-        scale = float(raw.get("scale", 1.0))
-        per = BernsteinParams(float(raw.get("summand_sigma", scale)),
-                              float(raw.get("summand_kappa", 0.0)))
-        points = int(raw["eta_points"])
-        samples = int(raw["samples"])
-        eta_max = float(raw["eta_max"]) if "eta_max" in raw else None
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"mgf-check: {exc}") from exc
-    if n < 1 or points < 1 or samples < 1:
-        raise ConfigError("summands, eta_points, and samples must be positive")
-
+    dist, n, scale, points = cfg.distribution, cfg.summands, cfg.scale, cfg.eta_points
+    per = BernsteinParams(cfg.summand_sigma, cfg.summand_kappa)
     combined = combine_bernstein_params([per] * n)
-    if combined.kappa > 0:
-        eta_max = 0.99 / combined.kappa
-    elif eta_max is None:
+    eta_max = 0.99 / combined.kappa if combined.kappa > 0 else cfg.eta_max
+    if eta_max is None:
         raise ConfigError("eta_max is required when the combined kappa is zero")
     # |sum| <= summands * |scale|, so this meets the empirical log-MGF's overflow
     # guard before any draw; it also keeps each summand's cosh/sinh finite
@@ -750,17 +771,13 @@ def _run_mgf_check(cfg: ExperimentConfig) -> MgfCheckReport:
                           "the log-MGF overflow guard")
     etas = [eta_max * (i + 1) / points for i in range(points)]
 
-    per_ok = all(
-        _summand_log_mgf(dist, scale, e) <= bernstein_envelope(per, e) + 1e-12
-        for e in etas
-    )
+    per_ok = all(_summand_log_mgf(dist, scale, e) <= bernstein_envelope(per, e) + 1e-12
+                 for e in etas)
     rng = _rep_rng(cfg.seed, 0)
     if dist == "rademacher":
-        draws = scale * rng.choice([-1.0, 1.0], size=(samples, n))
-    elif dist == "uniform":
-        draws = scale * rng.uniform(-1.0, 1.0, size=(samples, n))
+        draws = scale * rng.choice([-1.0, 1.0], size=(cfg.samples, n))
     else:
-        raise ConfigError(f"unknown summand distribution '{dist}'")
+        draws = scale * rng.uniform(-1.0, 1.0, size=(cfg.samples, n))
     sums = draws.sum(axis=1)
     empirical = [empirical_log_mgf(sums, e) for e in etas]
     envelope = [bernstein_envelope(combined, e) for e in etas]
@@ -828,23 +845,27 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRun:
                          meta={"wall_seconds": time.time() - t0})
 
 
-def emit_outputs(run: ExperimentRun, out_dir: str) -> list[str]:
-    """Write config.json, result.json, and per-figure CSVs; overwrite idempotently."""
-    os.makedirs(out_dir, exist_ok=True)
+def write_files(out_dir: str, files: dict[str, str]) -> list[str]:
+    """Write each {name: text} file into ``out_dir``, made if missing, and
+    return the paths written; files are overwritten idempotently. An unusable
+    directory or file is a config error that names the path."""
     written = []
-
-    def _write(name: str, text: str) -> None:
-        path = os.path.join(out_dir, name)
-        try:
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, text in files.items():
+            path = os.path.join(out_dir, name)
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise OSError(f"cannot write {path}: {exc}") from exc
-        written.append(path)
-
-    _write("config.json", json.dumps(run.config, sort_keys=True, indent=2) + "\n")
-    payload = {"meta": run.meta, "data": run.result.data_dict()}
-    _write("result.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    for name, text in run.result.csv_files().items():
-        _write(name, text)
+            written.append(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {out_dir}: {exc}") from exc
     return written
+
+
+def emit_outputs(run: ExperimentRun, out_dir: str) -> list[str]:
+    """Write config.json, result.json, and per-figure CSVs; the paths written."""
+    payload = {"meta": run.meta, "data": run.result.data_dict()}
+    return write_files(out_dir, {
+        "config.json": json.dumps(run.config, sort_keys=True, indent=2) + "\n",
+        "result.json": json.dumps(payload, sort_keys=True, indent=2) + "\n",
+        **run.result.csv_files()})

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -55,40 +56,56 @@ class KernelSpec:
             raise ValueError(f"kernel bound must be positive, got {self.bound}")
 
 
+def _mean_fn(bound, x):
+    v = float(x)
+    if abs(v) > bound:
+        raise ValueError(f"mean kernel input {v} exceeds bound {bound}")
+    return v
+
+
+def _mean_sample_fn(bound, samples):
+    v = samples[:, 0, 0]
+    worst = float(np.max(np.abs(v), initial=0.0))
+    if worst > bound:
+        raise ValueError(f"mean kernel input of size {worst} exceeds bound {bound}")
+    return v
+
+
 def mean_kernel(bound: float = 1.0) -> KernelSpec:
     """Order-1 identity kernel; inputs must stay within the declared bound."""
+    return KernelSpec(order=1, bound=bound, kind="mean", fn=partial(_mean_fn, bound),
+                      sample_fn=partial(_mean_sample_fn, bound))
 
-    def fn(x):
-        v = float(x)
-        if abs(v) > bound:
-            raise ValueError(f"mean kernel input {v} exceeds bound {bound}")
-        return v
 
-    def sample_fn(samples):
-        v = samples[:, 0, 0]
-        worst = float(np.max(np.abs(v), initial=0.0))
-        if worst > bound:
-            raise ValueError(f"mean kernel input of size {worst} exceeds bound {bound}")
-        return v
+def _sign_product_fn(x, y):
+    return sign(float(x[0]) - float(y[0])) * sign(float(x[1]) - float(y[1]))
 
-    return KernelSpec(order=1, bound=bound, kind="mean", fn=fn, sample_fn=sample_fn)
+
+def _sign_product_sample_fn(samples):
+    return (np.sign(samples[:, 0, 0] - samples[:, 1, 0])
+            * np.sign(samples[:, 0, 1] - samples[:, 1, 1]))
 
 
 def sign_product_kernel() -> KernelSpec:
     """Order-2 concordance kernel sign(x1-y1)*sign(x2-y2) on bivariate points."""
-
-    def fn(x, y):
-        return sign(float(x[0]) - float(y[0])) * sign(float(x[1]) - float(y[1]))
-
-    def sample_fn(samples):
-        return (np.sign(samples[:, 0, 0] - samples[:, 1, 0])
-                * np.sign(samples[:, 0, 1] - samples[:, 1, 1]))
-
-    return KernelSpec(order=2, bound=1.0, kind="sign_product", fn=fn, sample_fn=sample_fn)
+    return KernelSpec(order=2, bound=1.0, kind="sign_product", fn=_sign_product_fn,
+                      sample_fn=_sign_product_sample_fn)
 
 
-def _spearman_base(a, b, c) -> float:
-    return sign(float(a[0]) - float(b[0])) * sign(float(a[1]) - float(c[1]))
+def _spearman_fn(x, y, z):
+    total = 0.0
+    for a, b, c in itertools.permutations((x, y, z)):
+        total += sign(float(a[0]) - float(b[0])) * sign(float(a[1]) - float(c[1]))
+    return 0.5 * total
+
+
+def _spearman_sample_fn(samples):
+    # the terms are integers, so the sum is exact in any order
+    total = np.zeros(samples.shape[0])
+    for a, b, c in itertools.permutations(range(3)):
+        total += (np.sign(samples[:, a, 0] - samples[:, b, 0])
+                  * np.sign(samples[:, a, 1] - samples[:, c, 1]))
+    return 0.5 * total
 
 
 def spearman_symmetric_kernel() -> KernelSpec:
@@ -98,22 +115,12 @@ def spearman_symmetric_kernel() -> KernelSpec:
     of the three points. Takes values in [-1, 1]; equals 1 on strictly
     concordant triples (verified exhaustively in the tests).
     """
+    return KernelSpec(order=3, bound=1.0, kind="spearman_sym", fn=_spearman_fn,
+                      sample_fn=_spearman_sample_fn)
 
-    def fn(x, y, z):
-        total = 0.0
-        for a, b, c in itertools.permutations((x, y, z)):
-            total += _spearman_base(a, b, c)
-        return 0.5 * total
 
-    def sample_fn(samples):
-        # the terms are integers, so the sum is exact in any order
-        total = np.zeros(samples.shape[0])
-        for a, b, c in itertools.permutations(range(3)):
-            total += (np.sign(samples[:, a, 0] - samples[:, b, 0])
-                      * np.sign(samples[:, a, 1] - samples[:, c, 1]))
-        return 0.5 * total
-
-    return KernelSpec(order=3, bound=1.0, kind="spearman_sym", fn=fn, sample_fn=sample_fn)
+def _table_fn(table, *states):
+    return float(table[tuple(int(s) for s in states)])
 
 
 def table_kernel(values: np.ndarray | dict, order: int | None = None,
@@ -150,10 +157,8 @@ def table_kernel(values: np.ndarray | dict, order: int | None = None,
     if bound == 0.0:
         bound = 1.0  # all-zero table is bounded by anything positive
 
-    def fn(*states):
-        return float(sym[tuple(int(s) for s in states)])
-
-    return KernelSpec(order=order, bound=bound, kind="table", fn=fn, table=sym)
+    return KernelSpec(order=order, bound=bound, kind="table", fn=partial(_table_fn, sym),
+                      table=sym)
 
 
 def load_table_kernel(path, order: int, state_count: int) -> KernelSpec:

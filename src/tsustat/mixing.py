@@ -21,6 +21,7 @@ import numpy as np
 from .processes import FiniteMarkovChain
 
 PROFILE_KINDS = ("alpha", "beta", "phi", "conditional_phi")
+ALPHA_MAX_STATES = 16  # alpha enumerates all 2^s state subsets
 
 
 @dataclass
@@ -77,8 +78,8 @@ def alpha_coeff(chain: FiniteMarkovChain, n: int) -> float:
     if n < 1:
         raise ValueError("lag must be >= 1")
     s = chain.state_count
-    if s > 16:
-        raise ValueError("subset enumeration limited to 16 states")
+    if s > ALPHA_MAX_STATES:
+        raise ValueError(f"subset enumeration limited to {ALPHA_MAX_STATES} states")
     pi = chain.stationary
     joint = pi[:, None] * chain.power(n)  # P(X0 = i, Xn = j)
     best = 0.0
@@ -88,6 +89,28 @@ def alpha_coeff(chain: FiniteMarkovChain, n: int) -> float:
         d = joint[idx].sum(axis=0) - pi[idx].sum() * pi
         best = max(best, 0.5 * float(np.abs(d).sum()))
     return best
+
+
+def check_conditioning(chain: FiniteMarkovChain, conditioning: Sequence[tuple[int, int]],
+                       block_len: int) -> None:
+    """Raise ValueError unless ``conditional_phi_coeff`` can condition ``chain``
+    on ``conditioning`` with a present block of ``block_len`` coordinates."""
+    if block_len < 1:
+        raise ValueError("present block length must be >= 1")
+    if not conditioning:
+        raise ValueError("conditioning must fix at least one observation")
+    times = [t for t, _ in conditioning]
+    states = [int(s) for _, s in conditioning]
+    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        raise ValueError("conditioning times must be strictly increasing")
+    if any(st < 0 or st >= chain.state_count for st in states):
+        raise ValueError("conditioning state out of range")
+    # the conditioning event must have positive probability under the chain
+    prob = chain.stationary[states[0]]
+    for (t1, s1), (t2, s2) in zip(conditioning, conditioning[1:]):
+        prob *= chain.power(t2 - t1)[s1, s2]
+    if prob <= 0.0:
+        raise ValueError("conditioning event has probability zero")
 
 
 def conditional_phi_coeff(
@@ -108,28 +131,12 @@ def conditional_phi_coeff(
     """
     if n < 1:
         raise ValueError("lag must be >= 1")
-    if block_len < 1:
-        raise ValueError("present block length must be >= 1")
-    if not conditioning:
-        raise ValueError("conditioning must fix at least one observation")
-    times = [t for t, _ in conditioning]
-    states = [int(s) for _, s in conditioning]
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise ValueError("conditioning times must be strictly increasing")
+    check_conditioning(chain, conditioning, block_len)
     s = chain.state_count
-    if any(st < 0 or st >= s for st in states):
-        raise ValueError("conditioning state out of range")
-
-    # the conditioning event must have positive probability under the chain
-    prob = chain.stationary[states[0]]
-    for (t1, s1), (t2, s2) in zip(conditioning, conditioning[1:]):
-        prob *= chain.power(t2 - t1)[s1, s2]
-    if prob <= 0.0:
-        raise ValueError("conditioning event has probability zero")
 
     P = chain.transition
     Pn = chain.power(n)
-    start = P[states[-1]]  # law of the first present coordinate
+    start = P[int(conditioning[-1][1])]  # law of the first present coordinate
     # law of the last present coordinate given the conditioning
     end_marginal = start @ chain.power(block_len - 1)
     mu_bar = end_marginal @ Pn  # future start marginal given conditioning only

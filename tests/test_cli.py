@@ -6,7 +6,9 @@ import sys
 import pytest
 
 import tsustat
+from tsustat import harness
 from tsustat.cli import main
+from tsustat.kernels import load_table_kernel
 from tsustat.harness import (ExperimentConfig, calibrate_from_tail, load_tail_result,
                              run_experiment)
 
@@ -227,49 +229,73 @@ BIAS = {"schema_version": 1, "experiment": "bias-curve", "seed": 3, "process": C
         "kernel": MATCH_KERNEL, "order": 2, "t_grid": [20, 40]}
 
 
-@pytest.mark.parametrize("command,payload", [
-    ("scaling", dict(SCALING, estimator="pearson")),
-    ("scaling", dict(SCALING, t_grid=[2, 20])),
-    ("scaling", dict(SCALING, p_grid=[1, 3])),
-    ("scaling", dict(SCALING, replications=0)),
+STATES17 = {"kind": "markov_chain", "transition": [[1 / 17] * 17] * 17}
+
+
+# each case: command, payload, and a part of the error line naming the field
+@pytest.mark.parametrize("command,payload,field", [
+    ("scaling", dict(SCALING, estimator="pearson"), "estimator"),
+    ("scaling", dict(SCALING, t_grid=[2, 20]), "t_grid"),
+    ("scaling", dict(SCALING, p_grid=[1, 3]), "p_grid"),
+    ("scaling", dict(SCALING, replications=0), "replications"),
     ("scaling", dict(SCALING, process=dict(COPULA, cross_correlation={
-        "kind": "equicorrelation", "rho": 0.9}))),
+        "kind": "equicorrelation", "rho": 0.9})), "cross_correlation"),
     ("tail", tail_payload(process=CHAIN, t_grid=[30],
                           kernel={"kind": "table", "order": 2, "state_count": 2,
-                                  "path": "no-such-table.txt"})),
-    ("mgf-check", dict(MGF, summands="ten")),
-    ("mgf-check", dict(MGF, summand_sigma=-1.0)),
-    ("mixing-profile", dict(MIXING, conditional={"conditioning": [[0, 5]], "block_len": 2})),
-    ("mixing-profile", dict(MIXING, lags=[0, 1, 2])),
+                                  "path": "no-such-table.txt"}), "no-such-table.txt"),
+    ("mgf-check", dict(MGF, summands="ten"), "summands"),
+    ("mgf-check", dict(MGF, summand_sigma=-1.0), "summand_sigma"),
+    ("mixing-profile", dict(MIXING, conditional={"conditioning": [[0, 5]], "block_len": 2}),
+     "conditioning"),
+    ("mixing-profile", dict(MIXING, lags=[0, 1, 2]), "lags"),
     ("tail", tail_payload(process={"kind": "iid"}, kernel=MATCH_KERNEL,
-                          theta={"mode": "exact-zero"})),
-    ("tail", tail_payload(process=CHAIN3, kernel=MATCH_KERNEL)),
+                          theta={"mode": "exact-zero"}), "markov_chain process"),
+    ("tail", tail_payload(process=CHAIN3, kernel=MATCH_KERNEL), "markov_chain process"),
     ("tail", tail_payload(process={"kind": "ar1", "coefficient": 0.5},
-                          theta={"mode": "exact-zero"})),
+                          theta={"mode": "exact-zero"}), "process"),
     ("tail", tail_payload(process=dict(COPULA, dimension=3), kernel={"kind": "spearman_sym"},
-                          theta={"mode": "exact-zero"})),
+                          theta={"mode": "exact-zero"}), "process"),
     ("tail", tail_payload(process=CHAIN, kernel={"kind": "mean"},
-                          theta={"mode": "exact-zero"})),
-    ("tail", tail_payload(replications="abc")),
-    ("tail", tail_payload(budget="x")),
-    ("tail", tail_payload(threads="x")),
-    ("tail", tail_payload(t_grid=5)),
-    ("tail", tail_payload(t_grid=["a"])),
-    ("tail", tail_payload(x_grid=["a"])),
-    ("tail", tail_payload(x_grid=[float("nan")])),
-    ("tail", tail_payload(theta={"mode": "mc", "draws": "x"})),
-    ("tail", tail_payload(theta=5)),
-    ("mixing-profile", dict(MIXING, conditional=5)),
-    ("simulate", dict(SIMULATE, length="x")),
-    ("bias", dict(BIAS, order="x")),
+                          theta={"mode": "exact-zero"}), "process"),
+    ("tail", tail_payload(replications="abc"), "replications"),
+    ("tail", tail_payload(budget="x"), "budget"),
+    ("tail", tail_payload(threads="x"), "threads"),
+    ("tail", tail_payload(t_grid=5), "t_grid"),
+    ("tail", tail_payload(t_grid=["a"]), "t_grid[0]"),
+    ("tail", tail_payload(x_grid=["a"]), "x_grid[0]"),
+    ("tail", tail_payload(x_grid=[float("nan")]), "x_grid[0]"),
+    ("tail", tail_payload(theta={"mode": "mc", "draws": "x"}), "theta.draws"),
+    ("tail", tail_payload(theta=5), "theta"),
+    ("mixing-profile", dict(MIXING, conditional=5), "conditional"),
+    ("simulate", dict(SIMULATE, length="x"), "length"),
+    ("bias", dict(BIAS, order="x"), "order"),
     # a negative state would wrap to another table entry, a large one fall off it
     ("tail", tail_payload(process=CHAIN, t_grid=[30], kernel=dict(
-        MATCH_KERNEL, entries=[[[0, -1], 1.0]]))),
+        MATCH_KERNEL, entries=[[[0, -1], 1.0]])), "table key"),
     ("tail", tail_payload(process=CHAIN, t_grid=[30], kernel=dict(
-        MATCH_KERNEL, entries=[[[0, 5], 1.0]]))),
-    ("mgf-check", dict(MGF, summands=3, summand_kappa=0.0, eta_max=800)),
+        MATCH_KERNEL, entries=[[[0, 5], 1.0]])), "table key"),
+    ("mgf-check", dict(MGF, summands=3, summand_kappa=0.0, eta_max=800), "eta_max"),
     ("mgf-check", dict(MGF, summands=3, distribution="uniform", samples=50,
-                       summand_kappa=0.0, eta_max=600)),
+                       summand_kappa=0.0, eta_max=600), "eta_max"),
+    # a float or a boolean in an integer field is rejected, never truncated
+    ("tail", tail_payload(t_grid=[30.7]), "t_grid[0] must be an integer, got 30.7"),
+    ("tail", tail_payload(replications=True), "replications"),
+    ("tail", tail_payload(out_dir=5), "out_dir"),
+    ("tail", tail_payload(process={"kind": "m_dependent", "window": 2.7},
+                          kernel={"kind": "mean", "bound": 50.0}), "process.window"),
+    ("simulate", dict(SIMULATE, length=5.5), "length"),
+    ("mixing-profile", dict(MIXING, conditional={"conditioning": [[0.5, 1]], "block_len": 2}),
+     "conditional.conditioning[0][0]"),
+    ("mixing-profile", dict(MIXING, conditional={"conditioning": [[0, 1]], "block_len": 1.9}),
+     "conditional.block_len"),
+    ("tail", tail_payload(process=CHAIN, t_grid=[30], kernel=dict(
+        MATCH_KERNEL, entries=[[[0, 1.5], 1.0]])), "kernel.entries[0][0][1]"),
+    ("tail", tail_payload(constants={"r": 2.5}), "constants.r"),
+    ("tail", tail_payload(constants={"c5": True}), "constants.c5"),
+    ("tail", tail_payload(seed=True), "seed"),
+    ("tail", tail_payload(threads=0), "threads"),
+    ("tail", tail_payload(budget=float("inf")), "budget"),
+    ("mixing-profile", dict(MIXING, process=STATES17), "17 states"),
 ], ids=["scaling-estimator", "scaling-t", "scaling-p", "scaling-replications",
         "scaling-cross-correlation", "table-path", "mgf-summands", "mgf-sigma",
         "conditional-state", "mixing-lag", "table-kernel-iid", "table-kernel-states",
@@ -278,12 +304,65 @@ BIAS = {"schema_version": 1, "experiment": "bias-curve", "seed": 3, "process": C
         "t-grid-string", "x-grid-string", "x-grid-nan", "theta-draws-string",
         "theta-scalar", "conditional-scalar", "simulate-length-string", "bias-order-string",
         "table-entry-state-negative", "table-entry-state-large", "mgf-rademacher-overflow",
-        "mgf-uniform-overflow"])
-def test_config_errors_in_experiment_bodies_exit_2(tmp_path, capsys, command, payload):
+        "mgf-uniform-overflow", "t-grid-float", "replications-bool", "out-dir-int",
+        "window-float", "simulate-length-float", "conditioning-time-float",
+        "block-len-float", "table-entry-state-float", "constants-r-float",
+        "constants-c5-bool", "seed-bool", "threads-zero", "budget-inf",
+        "mixing-17-states"])
+def test_config_errors_in_experiment_bodies_exit_2(tmp_path, capsys, command, payload, field):
     assert main([command, "--config", write_config(tmp_path, payload),
                  "--out", str(tmp_path / "o")]) == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err and field in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag,value,field", [("--budget", "nan", "budget"),
+                                              ("--threads", "0", "threads"),
+                                              ("--threads", "-1", "threads")])
+def test_run_flags_go_through_the_config_checks(tmp_path, capsys, flag, value, field):
+    """A NaN budget would turn the budget guard off; fewer than one worker
+    would silently run serial."""
+    assert main(["tail", "--config", write_config(tmp_path, tail_payload()),
+                 "--out", str(tmp_path / "o"), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and field in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    tail = tmp_path / "tail"
+    assert main(["tail", "--config", write_config(tmp_path, tail_payload()),
+                 "--out", str(tail)]) == 0
+    runs = [["tail", "--config", write_config(tmp_path, tail_payload(), "t.json")],
+            ["simulate", "--config", write_config(tmp_path, SIMULATE, "s.json")],
+            ["calibrate", "--result", str(tail), "--train", "30,60"]]
+    for argv in runs:
+        assert main(argv + ["--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and str(taken) in err
+
+
+def test_a_table_file_is_read_once_per_run(tmp_path, monkeypatch):
+    """The CLI parses the config once, with --seed applied, and the tail
+    blocks receive the parsed kernel."""
+    table = tmp_path / "table.txt"
+    table.write_text("0 0 0.5\n0 1 -0.5\n1 1 0.5\n")
+    kernel = {"kind": "table", "order": 2, "state_count": 2, "path": str(table)}
+    payload = tail_payload(process=CHAIN, kernel=kernel, t_grid=[10, 20], replications=4)
+    reads = []
+
+    def counting(*args, **kwargs):
+        reads.append(args)
+        return load_table_kernel(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "load_table_kernel", counting)
+    assert main(["tail", "--config", write_config(tmp_path, payload), "--seed", "9",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert len(reads) == 1
+    assert json.loads((tmp_path / "o" / "config.json").read_text())["seed"] == 9
 
 
 @pytest.mark.parametrize("state", [-1, 5])

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -121,3 +122,25 @@ def test_table_kernel_rejects_states_outside_the_alphabet(key):
     fall off the table."""
     with pytest.raises(ValueError, match=r"outside 0\.\.1"):
         table_kernel({key: 1.0}, order=2, state_count=2)
+
+
+@pytest.mark.parametrize("kernel", [
+    mean_kernel(bound=2.0), sign_product_kernel(), spearman_symmetric_kernel(),
+    table_kernel({(0, 0): 0.5, (0, 1): -0.25, (1, 1): 1.0}, order=2, state_count=2),
+], ids=["mean", "sign_product", "spearman_sym", "table"])
+def test_kernel_specs_pickle(kernel):
+    """Pool workers receive kernels by pickle; a round trip keeps fn and sample_fn."""
+    again = pickle.loads(pickle.dumps(kernel))
+    assert again == kernel
+    rng = np.random.default_rng(3)
+    if kernel.kind == "table":
+        for states in itertools.product(range(2), repeat=2):
+            assert again.fn(*states) == kernel.fn(*states)
+        assert np.array_equal(again.table, kernel.table)
+        return
+    d = 1 if kernel.kind == "mean" else 2
+    samples = rng.uniform(-1.0, 1.0, size=(50, kernel.order, d))
+    assert np.array_equal(again.sample_fn(samples), kernel.sample_fn(samples))
+    for draw in samples[:5]:
+        points = draw[:, 0] if d == 1 else draw
+        assert again.fn(*points) == kernel.fn(*points)
