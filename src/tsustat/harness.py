@@ -4,10 +4,11 @@ Configs are versioned and fail closed: unknown fields anywhere in the file
 are rejected, and ``ExperimentConfig.from_dict`` reads each value once,
 through ``read_field`` and its ``_FIELDS`` type table, into a typed field.
 ``tail``, ``scaling`` and ``decompose-check`` each make one
-``processes.map_replication_blocks`` call, one job per T value or (T, p)
-cell; each replication draws from its own counter-based stream keyed by
-(seed, replication index), and blocks are reduced in index order, so results
-are identical for any worker count.
+``processes.map_replication_blocks`` call, one job per run (per p for
+``scaling``); each replication draws from its own counter-based stream keyed
+by (seed, replication index), once, at the largest T of the grid, and every
+T is evaluated on a prefix of that path. Blocks are reduced in index order,
+so results are identical for any worker count.
 
 Every experiment but ``simulate`` runs through ``run_experiment``, which
 looks the experiment up in ``RUNNERS``, checks its work estimate against the
@@ -385,21 +386,25 @@ def _kernel_values(kernel: KernelSpec, samples: np.ndarray) -> np.ndarray:
 
 
 def _u_values_block(args, start: int, count: int) -> np.ndarray:
-    """U-statistic per replication for replications [start, start + count).
+    """U-statistic per T of the grid and replication in [start, start + count),
+    as a (len(t_grid), count) array.
 
+    Each path is drawn once, at the largest T, and every T reads its prefix.
     The kernel arrives as the config's ``KernelSpec``, which pickles for pool
     workers. The config check has matched kernel and process, and the rank
     kernels read the latent copula paths.
     """
-    spec, T, kernel = args
+    spec, t_grid, kernel = args
     if kernel.kind in RANK_KERNELS:
-        latent = latent_batch(spec, T, count, rep_offset=start)
+        latent = latent_batch(spec, max(t_grid), count, rep_offset=start)
         rank_u = kendall_tau_batch if kernel.kind == "sign_product" else spearman_rho3_batch
-        return rank_u(latent[:, :, 0], latent[:, :, 1])
-    batch = generate_batch(spec, T, count, rep_offset=start)
+        return np.array([rank_u(latent[:, :T, 0], latent[:, :T, 1]) for T in t_grid])
+    batch = generate_batch(spec, max(t_grid), count, rep_offset=start)
     if kernel.kind == "table":
-        return np.array([_u_table_path(states, kernel.table) for states in batch])
-    return _kernel_values(kernel, batch.reshape(-1, 1, 1)).reshape(count, T).mean(axis=1)
+        return np.array([[_u_table_path(states[:T], kernel.table) for states in batch]
+                         for T in t_grid])
+    values = _kernel_values(kernel, batch.reshape(-1, 1, 1)).reshape(count, -1)
+    return np.array([values[:, :T].mean(axis=1) for T in t_grid])
 
 
 def _path_cost(kernel: KernelSpec, T: int) -> float:
@@ -529,12 +534,12 @@ def _run_tail(cfg: ExperimentConfig) -> TailExperiment:
                 f"oracle precision insufficient: se {theta_se:.3g} > 10% of x step {min_step:.3g}")
     M = cfg.kernel.bound
     cc = cfg.constants
-    # one job per T; called by its module-level name, which perfbench/spans.py wraps
-    jobs = [(cfg.process, T, cfg.kernel) for T in cfg.t_grid]
-    u_blocks = map_replication_blocks(_u_values_block, jobs, cfg.replications,
-                                      threads=cfg.threads)
+    # one job: every T reads prefixes of the same paths. Called by its
+    # module-level name, which perfbench/spans.py wraps
+    [u_blocks] = map_replication_blocks(_u_values_block, [(cfg.process, cfg.t_grid, cfg.kernel)],
+                                        cfg.replications, threads=cfg.threads)
     curves = []
-    for T, blocks in zip(cfg.t_grid, u_blocks):
+    for i, T in enumerate(cfg.t_grid):
         xs = list(cfg.x_grid)
         offset = bias_offset(T, M, cc.c4)
         bound_vals = [ustat_tail_bound(max(x - offset, 0.0), T, M, cc.c5) for x in xs]
@@ -542,7 +547,7 @@ def _run_tail(cfg: ExperimentConfig) -> TailExperiment:
             curves.append(TailCurve(T=T, x=xs, counts=[0] * len(xs), empirical=[],
                                     stderr=[], bound=bound_vals))
             continue
-        u_vals = np.concatenate(blocks)
+        u_vals = np.concatenate([block[i] for block in u_blocks])
         dev = np.abs(u_vals - theta)
         counts = [int((dev >= x).sum()) for x in xs]
         n = cfg.replications
@@ -660,21 +665,24 @@ def estimate_decompose_budget(cfg: ExperimentConfig) -> float:
 
 
 def _decompose_block(args, start: int, count: int) -> np.ndarray:
-    """(|residual|, b-ratio) per replication for replications
-    [start, start + count), from one ``decompose`` call on the block's
-    paths. The kernel arrives as its table, which pickles for pool workers."""
-    spec, T, table, order = args
-    reports = decompose(generate_batch(spec, T, count, rep_offset=start),
-                        spec.chain, table, order)
-    return np.array([(abs(rep.residual), rep.b_ratio) for rep in reports]).reshape(count, 2)
+    """(|residual|, b-ratio) per T of the grid and replication in
+    [start, start + count), as a (len(t_grid), count, 2) array: the paths are
+    drawn once, at the largest T, and each T is one ``decompose`` call on
+    their prefixes. The kernel arrives as its table, which pickles for pool
+    workers."""
+    spec, t_grid, table, order = args
+    paths = generate_batch(spec, max(t_grid), count, rep_offset=start)
+    return np.array([[(abs(rep.residual), rep.b_ratio)
+                      for rep in decompose(paths[:, :T], spec.chain, table, order)]
+                     for T in t_grid]).reshape(len(t_grid), count, 2)
 
 
 def _run_decompose_check(cfg: ExperimentConfig) -> DecomposeCheckReport:
     chain = cfg.process.chain
-    jobs = [(cfg.process, T, cfg.kernel.table, cfg.order) for T in cfg.t_grid]
-    blocks = map_replication_blocks(_decompose_block, jobs, cfg.replications,
-                                    threads=cfg.threads)
-    per_path = np.concatenate([np.empty((0, 2))] + [b for job in blocks for b in job])
+    [blocks] = map_replication_blocks(_decompose_block,
+                                      [(cfg.process, cfg.t_grid, cfg.kernel.table, cfg.order)],
+                                      cfg.replications, threads=cfg.threads)
+    per_path = np.concatenate([np.empty((0, 2))] + [b.reshape(-1, 2) for b in blocks])
     max_residual, max_ratio = per_path.max(axis=0, initial=0.0).tolist()
     p1_dev = max(check_zero_conditional_means(chain, cfg.kernel, T, cfg.order)
                  for T in cfg.t_grid)
@@ -706,6 +714,17 @@ class MixingProfileResult:
                 lines.append(f"{lag},{v:.17g}")
             out[f"mixing_{kind}.csv"] = "\n".join(lines) + "\n"
         return out
+
+
+def estimate_mixing_budget(cfg: ExperimentConfig) -> float:
+    """Work units of the mixing-profile run: per lag, the 2^S state subsets
+    ``alpha_coeff`` enumerates and, with a conditional block, the S^block_len
+    present-block atoms ``conditional_phi_coeff`` enumerates."""
+    s = cfg.process.chain.state_count
+    atoms = 0.0
+    if cfg.conditioning is not None:
+        atoms = math.inf if cfg.block_len * math.log2(s) > 1000 else float(s) ** cfg.block_len
+    return len(cfg.lags) * (2.0 ** s + atoms)
 
 
 def _run_mixing_profile(cfg: ExperimentConfig) -> MixingProfileResult:
@@ -815,7 +834,7 @@ RUNNERS: dict[str, tuple[Callable, Callable | None]] = {
     "scaling": (_run_scaling, estimate_scaling_budget),
     "bias-curve": (_run_bias_curve, None),
     "decompose-check": (_run_decompose_check, estimate_decompose_budget),
-    "mixing-profile": (_run_mixing_profile, None),
+    "mixing-profile": (_run_mixing_profile, estimate_mixing_budget),
     "mgf-check": (_run_mgf_check, None),
 }
 

@@ -150,16 +150,19 @@ class ScalingReport:
 
 
 def _deviations_block(args, start: int, count: int) -> np.ndarray:
-    """Max-norm deviation per replication [start, start + count) of one cell.
+    """Max-norm deviation per T of the grid and replication in
+    [start, start + count) of one p, as a (len(t_grid), count) array; each
+    path is drawn once, at the largest T, and every T reads its prefix.
 
     The estimators and ``max_norm_deviation`` are looked up at call time,
     so the wrappers perfbench/spans.py installs on this module are seen.
     """
-    spec_p, T, rep_base, kind = args
+    spec_p, t_grid, rep_base, kind = args
     pop = population_matrix(spec_p.cross_correlation, kind)
     estimator = kendall_matrix if kind == "kendall" else spearman_matrix
-    batch = latent_batch(spec_p, T, count, rep_offset=rep_base + start)
-    return np.array([max_norm_deviation(estimator(path), pop) for path in batch])
+    batch = latent_batch(spec_p, max(t_grid), count, rep_offset=rep_base + start)
+    return np.array([[max_norm_deviation(estimator(path[:T]), pop) for path in batch]
+                     for T in t_grid])
 
 
 def scaling_experiment(base_spec: ProcessSpec, t_grid, p_grid, replications: int,
@@ -170,9 +173,10 @@ def scaling_experiment(base_spec: ProcessSpec, t_grid, p_grid, replications: int
     coordinates are independent and ``population_matrix`` is the identity.
     The estimators read ``latent_batch`` paths, whose ranks are those of
     ``generate_batch``'s uniform paths. Replication seeds are keyed by
-    (seed, p-index * 10^6 + replication), so cells at the same p reuse
-    nothing across T. Each (T, p) cell is one job of one
-    ``map_replication_blocks`` call over ``threads`` workers.
+    (seed, p-index * 10^6 + replication), so the cells at one p share their
+    paths: each is drawn once, at the largest T, and every T of the grid
+    reads its prefix. Each p is one job of one ``map_replication_blocks``
+    call over ``threads`` workers.
     """
     if not t_grid or not p_grid:
         raise ValueError("grids must be non-empty")
@@ -185,28 +189,28 @@ def scaling_experiment(base_spec: ProcessSpec, t_grid, p_grid, replications: int
     if not base_spec.identity_correlation:
         raise ValueError("scaling experiments need an identity cross_correlation")
 
-    jobs = []
-    for pi, p in enumerate(p_grid):
-        spec_p = replace(base_spec, dimension=int(p), cross_correlation=np.eye(int(p)))
-        jobs += [(spec_p, int(T), pi * 1_000_000, kind) for T in t_grid]
+    t_grid = [int(T) for T in t_grid]
+    jobs = [(replace(base_spec, dimension=int(p), cross_correlation=np.eye(int(p))),
+             t_grid, pi * 1_000_000, kind) for pi, p in enumerate(p_grid)]
     dev_blocks = map_replication_blocks(_deviations_block, jobs, replications,
                                         threads=threads, block=SCALING_BLOCK)
     cells = []
     medians: dict[int, list[tuple[int, float]]] = {int(p): [] for p in p_grid}
-    for (spec_p, T, _, _), blocks in zip(jobs, dev_blocks):
+    for (spec_p, *_), blocks in zip(jobs, dev_blocks):
         p = spec_p.dimension
-        devs = np.concatenate(blocks)
-        med = float(np.median(devs))
-        rate = math.sqrt(math.log(T * p) / T)
-        cells.append(ScalingCell(
-            T=T, p=p, replications=replications,
-            median_deviation=med,
-            q25=float(np.quantile(devs, 0.25)),
-            q75=float(np.quantile(devs, 0.75)),
-            ratio_to_rate=med / rate,
-            slope_defined=replications > 1 and len(t_grid) > 1,
-        ))
-        medians[p].append((T, med))
+        for i, T in enumerate(t_grid):
+            devs = np.concatenate([block[i] for block in blocks])
+            med = float(np.median(devs))
+            rate = math.sqrt(math.log(T * p) / T)
+            cells.append(ScalingCell(
+                T=T, p=p, replications=replications,
+                median_deviation=med,
+                q25=float(np.quantile(devs, 0.25)),
+                q75=float(np.quantile(devs, 0.75)),
+                ratio_to_rate=med / rate,
+                slope_defined=replications > 1 and len(t_grid) > 1,
+            ))
+            medians[p].append((T, med))
 
     slopes: dict[int, float | None] = {}
     for p, pairs in medians.items():

@@ -15,6 +15,7 @@ values ``fn`` gives draw by draw.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -172,6 +173,20 @@ def load_table_kernel(path, order: int, state_count: int) -> KernelSpec:
             parts = line.split()
             if len(parts) != order + 1:
                 raise ValueError(f"{path}:{lineno}: expected {order} states and a value")
-            key = tuple(int(p) for p in parts[:order])
-            entries[key] = float(parts[order])
+            key = tuple(_table_token(int, p, f"{path}:{lineno}") for p in parts[:order])
+            entries[key] = _table_token(float, parts[order], f"{path}:{lineno}")
     return table_kernel(entries, order=order, state_count=state_count)
+
+
+def _table_token(kind, token: str, where: str):
+    """``token`` read as an int state or a finite float value, or a
+    ValueError that names ``where`` and the token."""
+    try:
+        value = kind(token)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    what = "state" if kind is int else "value"
+    need = "an integer" if kind is int else "a finite number"
+    raise ValueError(f"{where}: {what} {token!r} is not {need}")

@@ -12,16 +12,19 @@ read the latent paths, since a strictly increasing marginal map leaves
 ranks unchanged. Only the uniform outputs need scipy, which
 ``uniform_marginals`` imports on first use; nothing else imports it.
 
-All generation is deterministic given (spec, seed, length): replication i
-draws from a counter-based Philox stream keyed by SeedSequence(seed,
+All generation is deterministic given (spec, seed): replication i draws
+from a counter-based Philox stream keyed by SeedSequence(seed,
 spawn_key=(i,)), so parallel replications reproduce independently of
 scheduling. Every generator fills one preallocated (R, ...) buffer, one
-replication's stream per row. ``map_replication_blocks`` is the experiments'
-one replication loop and the one place that starts a worker pool.
+replication's stream per row, and reads the stream in time order, so a path
+of length T is the first T steps of the same replication's longer path. The
+experiments draw each replication once, at the largest T of their grid, and
+read every shorter T from its prefix. ``map_replication_blocks`` is their
+one replication loop and the one place that starts a worker pool, through
+``_open_pool``; ``concurrent.futures`` is imported only when a pool opens.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -223,6 +226,13 @@ def _run_block(payload):
     return fn(args, start, count)
 
 
+def _open_pool(threads: int):
+    """A process pool of ``threads`` workers; imported here, not at module
+    load, so runs that never pool never load ``concurrent.futures``."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=threads)
+
+
 def map_replication_blocks(fn: Callable, jobs: Sequence[tuple], replications: int,
                            threads: int = 1, block: int = DEFAULT_BLOCK) -> list[list]:
     """Apply fn(args, start, count) over fixed blocks of replications
@@ -238,7 +248,7 @@ def map_replication_blocks(fn: Callable, jobs: Sequence[tuple], replications: in
     if threads <= 1 or len(payloads) <= 1:
         results = [_run_block(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with _open_pool(threads) as pool:
             results = list(pool.map(_run_block, payloads))
     n = len(starts)
     return [results[i * n:(i + 1) * n] for i in range(len(jobs))]

@@ -112,8 +112,9 @@ def _count_inversions_batch(rows: np.ndarray) -> np.ndarray:
     the positions they would take at the block's front; one ``einsum`` over
     the zero mask sums them for the whole row. Each block holds exactly 2^b
     zeros, so two flat ``compress`` calls then move them stably to the
-    block's front. The Python loop runs B times regardless of the number of
-    rows, on the narrowest unsigned dtype that holds n - 1.
+    block's front, except after the last level. The Python loop runs B times
+    regardless of the number of rows, on the narrowest unsigned dtype that
+    holds n - 1.
     """
     rows = np.asarray(rows)
     R, T = rows.shape
@@ -132,6 +133,8 @@ def _count_inversions_batch(rows: np.ndarray) -> np.ndarray:
         # 0..half-1, plus each block's offset 2 * half * k for k < m
         front = m * (half * (half - 1) // 2) + 2 * half * half * (m * (m - 1) // 2)
         inv += np.einsum("ij,j->i", zero, positions) - front
+        if half == 1:  # the last level: nothing reads its partition
+            break
         flat, values = zero.ravel(), arr.ravel()
         parted = np.empty((R * m, 2, half), dtype=dtype)
         parted[:, 0] = np.compress(flat, values).reshape(R * m, half)

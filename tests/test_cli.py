@@ -229,6 +229,8 @@ BIAS = {"schema_version": 1, "experiment": "bias-curve", "seed": 3, "process": C
         "kernel": MATCH_KERNEL, "order": 2, "t_grid": [20, 40]}
 
 
+FLOAT_STATE_TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                 "table_with_a_float_state.txt")
 STATES17 = {"kind": "markov_chain", "transition": [[1 / 17] * 17] * 17}
 
 
@@ -296,6 +298,9 @@ STATES17 = {"kind": "markov_chain", "transition": [[1 / 17] * 17] * 17}
     ("tail", tail_payload(threads=0), "threads"),
     ("tail", tail_payload(budget=float("inf")), "budget"),
     ("mixing-profile", dict(MIXING, process=STATES17), "17 states"),
+    ("tail", tail_payload(process=CHAIN, t_grid=[30], kernel={
+        "kind": "table", "order": 2, "state_count": 2, "path": FLOAT_STATE_TABLE}),
+     "table_with_a_float_state.txt:3: state '1.5' is not an integer"),
 ], ids=["scaling-estimator", "scaling-t", "scaling-p", "scaling-replications",
         "scaling-cross-correlation", "table-path", "mgf-summands", "mgf-sigma",
         "conditional-state", "mixing-lag", "table-kernel-iid", "table-kernel-states",
@@ -308,7 +313,7 @@ STATES17 = {"kind": "markov_chain", "transition": [[1 / 17] * 17] * 17}
         "window-float", "simulate-length-float", "conditioning-time-float",
         "block-len-float", "table-entry-state-float", "constants-r-float",
         "constants-c5-bool", "seed-bool", "threads-zero", "budget-inf",
-        "mixing-17-states"])
+        "mixing-17-states", "table-file-state-float"])
 def test_config_errors_in_experiment_bodies_exit_2(tmp_path, capsys, command, payload, field):
     assert main([command, "--config", write_config(tmp_path, payload),
                  "--out", str(tmp_path / "o")]) == 2
@@ -424,6 +429,15 @@ def test_decompose_check_budget_exits_3_within_the_cap(tmp_path):
     cfg = write_config(tmp_path, dict(DECOMPOSE, t_grid=[500], replications=10 ** 6))
     assert main(["decompose-check", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--budget", "1e11"]) == 3
+    assert not (tmp_path / "o").exists()
+
+
+def test_mixing_profile_budget_exits_3_before_enumerating(tmp_path):
+    """A 22-coordinate present block of a 2-state chain has 2^22 atoms per lag."""
+    cfg = write_config(tmp_path, dict(MIXING, conditional={"conditioning": [[0, 0]],
+                                                           "block_len": 22}))
+    assert main(["mixing-profile", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--budget", "10"]) == 3
     assert not (tmp_path / "o").exists()
 
 

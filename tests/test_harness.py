@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from tsustat import processes
 from tsustat.harness import (DEFAULT_BUDGET, BudgetError, ConfigError, ExperimentConfig,
-                             _oracle_samples, _u_table_path, calibrate_from_tail,
-                             emit_outputs, estimate_scaling_budget, estimate_tail_budget,
-                             run_experiment)
+                             _decompose_block, _oracle_samples, _u_table_path,
+                             calibrate_from_tail, emit_outputs, estimate_scaling_budget,
+                             estimate_tail_budget, run_experiment)
+from tsustat.hidim import ESTIMATOR_KINDS
 from tsustat.kernels import table_kernel
 from tsustat.processes import DEFAULT_BLOCK, SeriesPath
 from tsustat.ustat import u_statistic
@@ -144,9 +145,10 @@ DECOMPOSE = {"schema_version": 1, "experiment": "decompose-check", "seed": 21,
                                   "decompose-check", "decompose-check-0"])
 def test_tail_run_deterministic_and_thread_invariant(tmp_path, case):
     """Every replicated experiment writes the same files at one and two
-    workers. Tail runs have more replications than one block, so two workers
-    split each T's blocks and each parses the kernel config itself; scaling
-    cells hold two blocks each; decompose-check has one job per T."""
+    workers. Each run is one job per p, or one job, over the prefixes of one
+    set of paths. Tail and decompose-check runs have more replications than
+    one block, so two workers split them and each gets the parsed kernel;
+    each p of a scaling run holds two blocks."""
     tail_overrides = {
         "sign_product": {},
         "spearman_sym": {"kernel": {"kind": "spearman_sym"}, "theta": {"mode": "exact-zero"}},
@@ -160,7 +162,7 @@ def test_tail_run_deterministic_and_thread_invariant(tmp_path, case):
     (tmp_path / "match.txt").write_text(MATCH_TABLE_FILE)
     raw = {"scaling-kendall": dict(SCALING, estimator="kendall"),
            "scaling-spearman": dict(SCALING, estimator="spearman"),
-           "decompose-check": DECOMPOSE,
+           "decompose-check": dict(DECOMPOSE, replications=DEFAULT_BLOCK + 1),
            "decompose-check-0": dict(DECOMPOSE, replications=0)}.get(case)
     if raw is None:
         raw = tail_config(t_grid=[8, 16], replications=DEFAULT_BLOCK + 100,
@@ -188,18 +190,18 @@ def test_tail_run_deterministic_and_thread_invariant(tmp_path, case):
 
 
 @pytest.mark.parametrize("raw", [
-    tail_config(t_grid=[8, 12, 16], replications=DEFAULT_BLOCK + 1),  # 3 T x 2 blocks
+    tail_config(t_grid=[8, 12, 16], replications=DEFAULT_BLOCK + 1),  # 2 blocks
     dict(SCALING, estimator="kendall"),
     dict(SCALING, estimator="spearman"),
-    DECOMPOSE,
+    dict(DECOMPOSE, replications=DEFAULT_BLOCK + 1),
 ], ids=["tail", "scaling-kendall", "scaling-spearman", "decompose-check"])
 def test_each_run_opens_one_pool(monkeypatch, raw):
     """A multi-worker run maps all its replications through one pool."""
     opened = []
 
     class RecordingPool:  # in-process stand-in for ProcessPoolExecutor
-        def __init__(self, max_workers):
-            opened.append(max_workers)
+        def __init__(self, threads):
+            opened.append(threads)
 
         def __enter__(self):
             return self
@@ -210,12 +212,51 @@ def test_each_run_opens_one_pool(monkeypatch, raw):
         def map(self, fn, items):
             return list(map(fn, items))
 
-    monkeypatch.setattr(processes, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(processes, "_open_pool", RecordingPool)
     cfg = ExperimentConfig.from_dict(raw)
     cfg.threads = 2
     pooled = run_experiment(cfg).result.data_dict()
     assert opened == [2]
     assert pooled == run_experiment(ExperimentConfig.from_dict(raw)).result.data_dict()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_each_t_of_a_grid_reads_the_same_paths(threads):
+    """Replication i at every T is a prefix of one path, so at T = 500 a run
+    over the grid [250, 500, 2000] gives what a run over [500] alone gives.
+    A decompose-check report is a maximum over the whole grid, so its check
+    is made on the block function's row for T = 500."""
+    grid = [250, 500, 2000]
+
+    def run(raw, t_grid):
+        cfg = ExperimentConfig.from_dict(dict(raw, t_grid=t_grid))
+        cfg.threads = threads
+        return run_experiment(cfg).result
+
+    for tail in (tail_config(replications=DEFAULT_BLOCK + 3),  # two blocks
+                 tail_config(process={"kind": "ar1", "coefficient": 0.6}, replications=64,
+                             kernel={"kind": "mean", "bound": 10.0},
+                             theta={"mode": "exact-zero"}),
+                 tail_config(process=CHAIN, kernel=MATCH_KERNEL, replications=24)):
+        assert run(tail, grid).curves[1] == run(tail, [500]).curves[0]
+
+    def cells(report):
+        return [(c.T, c.p, c.median_deviation, c.q25, c.q75, c.ratio_to_rate)
+                for c in report.cells if c.T == 500]
+
+    for estimator in ESTIMATOR_KINDS:  # two blocks per p
+        raw = dict(SCALING, estimator=estimator)
+        assert cells(run(raw, grid)) == cells(run(raw, [500]))
+
+    cfg = ExperimentConfig.from_dict(DECOMPOSE)
+
+    def decompose_rows(t_grid, at):
+        job = (cfg.process, t_grid, cfg.kernel.table, cfg.order)
+        [blocks] = processes.map_replication_blocks(_decompose_block, [job], 6,
+                                                    threads=threads, block=4)
+        return np.concatenate([block[at] for block in blocks])
+
+    np.testing.assert_array_equal(decompose_rows(grid, 1), decompose_rows([500], 0))
 
 
 def test_tail_counts_consistent_and_theta_exact_zero():

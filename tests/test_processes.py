@@ -73,6 +73,57 @@ def test_generation_deterministic(kind, kwargs):
     np.testing.assert_array_equal(batch[1:], tail)
 
 
+_PREFIX_SPECS = {
+    "iid": lambda seed, draw: ProcessSpec(kind="iid", seed=seed),
+    "ar1": lambda seed, draw: ProcessSpec(kind="ar1", seed=seed,
+                                          ar_coefficient=draw(st.floats(-0.95, 0.95))),
+    "m_dependent": lambda seed, draw: ProcessSpec(kind="m_dependent", seed=seed,
+                                                  window=draw(st.integers(0, 5))),
+    "markov_chain": lambda seed, draw: ProcessSpec(
+        kind="markov_chain", seed=seed,
+        chain=random_chain(draw(st.integers(2, 4)), np.random.default_rng(seed))),
+    "identity_copula": lambda seed, draw: ProcessSpec(
+        kind="gaussian_copula_vector", seed=seed, dimension=draw(st.integers(1, 4)),
+        temporal_coefficient=draw(st.floats(-0.95, 0.95))),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(_PREFIX_SPECS)), seed=st.integers(0, 2 ** 32 - 1),
+       T=st.integers(1, 80), extra=st.integers(0, 300), R=st.integers(1, 4),
+       offset=st.integers(0, 100), data=st.data())
+def test_a_shorter_path_is_a_prefix_of_the_longer_one(kind, seed, T, extra, R, offset, data):
+    """Replication i reads its stream in time order, so its path of length T
+    is the first T steps of its path at any longer length; the experiments
+    draw each replication once, at the largest T of their grid."""
+    spec = _PREFIX_SPECS[kind](seed, data.draw)
+    longer = generate_batch(spec, T + extra, R, rep_offset=offset)
+    np.testing.assert_array_equal(generate_batch(spec, T, R, rep_offset=offset),
+                                  longer[:, :T])
+    if spec.kind == "gaussian_copula_vector":
+        np.testing.assert_array_equal(latent_batch(spec, T, R, rep_offset=offset),
+                                      latent_batch(spec, T + extra, R, rep_offset=offset)[:, :T])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rho=st.floats(-0.95, 0.95),
+       phi=st.floats(-0.95, 0.95), T=st.integers(2, 80), extra=st.integers(0, 300),
+       R=st.integers(1, 4), offset=st.integers(0, 100))
+def test_a_correlated_bivariate_prefix_at_t_2_and_beyond(seed, rho, phi, T, extra, R, offset):
+    """A correlated copula applies its factor as one (T, p) product per path,
+    and BLAS may pick another matmul kernel for a short stack, which can
+    round differently: measured, 1 ulp at T = 1 for p = 2 and at small T for
+    p = 40. No run the CLI accepts meets those cases, so they are not tested:
+    the rank kernels need p = 2 and T >= 2, the mean kernel needs p = 1 (an
+    identity factor) and ``scaling`` needs the identity."""
+    spec = ProcessSpec(kind="gaussian_copula_vector", seed=seed, dimension=2,
+                       temporal_coefficient=phi,
+                       cross_correlation=np.array([[1.0, rho], [rho, 1.0]]))
+    for draw in (latent_batch, generate_batch):
+        np.testing.assert_array_equal(draw(spec, T, R, rep_offset=offset),
+                                      draw(spec, T + extra, R, rep_offset=offset)[:, :T])
+
+
 def _lfilter_ar1(innov, x0, phi):
     """AR(1) along axis 1 by scipy's IIR filter: x_t = innov_t + phi x_{t-1}."""
     out = np.empty((innov.shape[0], innov.shape[1] + 1) + innov.shape[2:])
