@@ -519,6 +519,11 @@ class TailExperiment:
         return pts
 
 
+def _path_values(cfg: ExperimentConfig) -> int:
+    """Values in one path of a run: max T times the process dimension."""
+    return max(cfg.t_grid) * (cfg.process.dimension or 1)
+
+
 def estimate_tail_budget(cfg: ExperimentConfig) -> float:
     """Work units of the tail run: replications times the per-path cost of
     the evaluator the kernel kind selects."""
@@ -537,7 +542,8 @@ def _run_tail(cfg: ExperimentConfig) -> TailExperiment:
     # one job: every T reads prefixes of the same paths. Called by its
     # module-level name, which perfbench/spans.py wraps
     [u_blocks] = map_replication_blocks(_u_values_block, [(cfg.process, cfg.t_grid, cfg.kernel)],
-                                        cfg.replications, threads=cfg.threads)
+                                        cfg.replications, [_path_values(cfg)],
+                                        threads=cfg.threads)
     curves = []
     for i, T in enumerate(cfg.t_grid):
         xs = list(cfg.x_grid)
@@ -681,7 +687,8 @@ def _run_decompose_check(cfg: ExperimentConfig) -> DecomposeCheckReport:
     chain = cfg.process.chain
     [blocks] = map_replication_blocks(_decompose_block,
                                       [(cfg.process, cfg.t_grid, cfg.kernel.table, cfg.order)],
-                                      cfg.replications, threads=cfg.threads)
+                                      cfg.replications, [_path_values(cfg)],
+                                      threads=cfg.threads)
     per_path = np.concatenate([np.empty((0, 2))] + [b.reshape(-1, 2) for b in blocks])
     max_residual, max_ratio = per_path.max(axis=0, initial=0.0).tolist()
     p1_dev = max(check_zero_conditional_means(chain, cfg.kernel, T, cfg.order)

@@ -23,7 +23,6 @@ from .processes import ProcessSpec, latent_batch, map_replication_blocks
 from .ustat import _count_inversions_batch, _ranks, kendall_tau_numerator
 
 ESTIMATOR_KINDS = ("kendall", "spearman")
-SCALING_BLOCK = 8  # paths per block: bounds memory at block x T x p latent values
 
 
 @dataclass
@@ -193,7 +192,7 @@ def scaling_experiment(base_spec: ProcessSpec, t_grid, p_grid, replications: int
     jobs = [(replace(base_spec, dimension=int(p), cross_correlation=np.eye(int(p))),
              t_grid, pi * 1_000_000, kind) for pi, p in enumerate(p_grid)]
     dev_blocks = map_replication_blocks(_deviations_block, jobs, replications,
-                                        threads=threads, block=SCALING_BLOCK)
+                                        [max(t_grid) * int(p) for p in p_grid], threads=threads)
     cells = []
     medians: dict[int, list[tuple[int, float]]] = {int(p): [] for p in p_grid}
     for (spec_p, *_), blocks in zip(jobs, dev_blocks):

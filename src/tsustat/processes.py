@@ -20,8 +20,9 @@ replication's stream per row, and reads the stream in time order, so a path
 of length T is the first T steps of the same replication's longer path. The
 experiments draw each replication once, at the largest T of their grid, and
 read every shorter T from its prefix. ``map_replication_blocks`` is their
-one replication loop and the one place that starts a worker pool, through
-``_open_pool``; ``concurrent.futures`` is imported only when a pool opens.
+one replication loop, in blocks of at most ``BLOCK_VALUES`` path values, and
+the one place that starts a worker pool, through ``_open_pool``;
+``concurrent.futures`` is imported only when a pool opens.
 """
 from __future__ import annotations
 
@@ -218,7 +219,14 @@ def _rep_rng(seed: int, rep: int) -> Generator:
     return Generator(Philox(SeedSequence(entropy=seed, spawn_key=(rep,))))
 
 
-DEFAULT_BLOCK = 2048
+# Values per block of replications: a block holds as many paths as keep
+# paths x max T x dimension within it (a 2^20-value float64 block is 8 MiB)
+BLOCK_VALUES = 1 << 20
+
+
+def block_replications(path_values: int) -> int:
+    """Replications per block of paths that hold ``path_values`` values each."""
+    return max(1, BLOCK_VALUES // path_values)
 
 
 def _run_block(payload):
@@ -234,24 +242,32 @@ def _open_pool(threads: int):
 
 
 def map_replication_blocks(fn: Callable, jobs: Sequence[tuple], replications: int,
-                           threads: int = 1, block: int = DEFAULT_BLOCK) -> list[list]:
-    """Apply fn(args, start, count) over fixed blocks of replications
+                           path_values: Sequence[int], threads: int = 1) -> list[list]:
+    """Apply fn(args, start, count) over blocks of replications
     [0, replications) of every job's args; one list of block results per job.
 
-    Blocks never span two jobs and do not depend on the worker count, and
-    each job's results come back in block order, so the output is
-    scheduler-independent. One pool serves every block of the call.
+    ``path_values[k]`` is the number of values one path of job k holds, its
+    max T times its dimension, and ``block_replications`` sizes that job's
+    blocks from it, so a block is drawn, ranked and counted within a fixed
+    memory budget. Blocks never span two jobs and do not depend on the
+    worker count, and each job's results come back in block order, so the
+    output is scheduler-independent. One pool serves every block of the call.
     """
-    starts = range(0, replications, block)
-    payloads = [(fn, args, start, min(block, replications - start))
-                for args in jobs for start in starts]
+    payloads, owner = [], []
+    for k, (args, values) in enumerate(zip(jobs, path_values, strict=True)):
+        block = block_replications(values)
+        for start in range(0, replications, block):
+            payloads.append((fn, args, start, min(block, replications - start)))
+            owner.append(k)
     if threads <= 1 or len(payloads) <= 1:
         results = [_run_block(p) for p in payloads]
     else:
         with _open_pool(threads) as pool:
             results = list(pool.map(_run_block, payloads))
-    n = len(starts)
-    return [results[i * n:(i + 1) * n] for i in range(len(jobs))]
+    out: list[list] = [[] for _ in jobs]
+    for k, result in zip(owner, results):
+        out[k].append(result)
+    return out
 
 
 def correlation_factor(R: np.ndarray) -> np.ndarray:
@@ -282,10 +298,15 @@ def _ar1_in_place(z: np.ndarray, phi: float) -> None:
     """Run z[:, t] = z[:, t] + phi * z[:, t-1] along axis 1 (time) in place.
 
     With z[:, 0] the start values and z[:, 1:] the innovations this is the
-    AR(1) recurrence, each step one vectorized update over all replications.
+    AR(1) recurrence. It runs on a time-major copy, so each step is one
+    vectorized update over the contiguous values of all replications and
+    coordinates at that time; every value sees the same operations as
+    stepping ``z`` itself, so the result is bit-identical.
     """
-    for t in range(1, z.shape[1]):
-        z[:, t] += phi * z[:, t - 1]
+    steps = np.moveaxis(z, 1, 0).copy()
+    for t in range(1, steps.shape[0]):
+        steps[t] += phi * steps[t - 1]
+    np.moveaxis(z, 1, 0)[...] = steps
 
 
 def generate(spec: ProcessSpec, length: int) -> SeriesPath:

@@ -5,8 +5,10 @@ with compensated summation and serves as the slow oracle. Fast paths:
 Kendall's tau as the inversion count of a rank permutation, by a top-down
 value-bit partition vectorized across whole batches of rows, Spearman's rho
 from exact integer rank sums, and the order-3 symmetric rank kernel from the
-same counts through Hoeffding's identity. Batched paths route rows with ties
-to the exact oracles. Hoeffding's permutation decoupling, a proof device,
+same counts through Hoeffding's identity. Every rank comes from one sort of
+uint64 keys per coordinate, value bits above and an index below; rows with
+near ties take an argsort, and rows with ties the exact oracles. Non-finite
+values are rejected. Hoeffding's permutation decoupling, a proof device,
 is checked against ``u_statistic`` by a literal oracle in the tests.
 
 For paths generated by a finite Markov chain the module also evaluates the
@@ -181,19 +183,85 @@ def _tied_rows(sorted_rows: np.ndarray) -> np.ndarray:
     return (sorted_rows[:, 1:] == sorted_rows[:, :-1]).any(axis=1)
 
 
-def _ranks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order, ranks, tied) of each row of a 2-D array.
+_SIGN_BIT = np.uint64(1 << 63)
+# Keys of finite values lie in [_FINITE_KEYS[0], _FINITE_KEYS[1]) whatever
+# their low 52 bits hold; infinities and NaNs sort outside, to either end.
+_FINITE_KEYS = (np.uint64(0x0010_0000_0000_0000), np.uint64(0xFFF0_0000_0000_0000))
 
-    ``order`` is one unstable argsort per row and ``ranks`` its inverse, the
-    0-based ranks. ``tied`` flags the rows holding equal entries; only in
-    those rows do order and ranks depend on the sort, so tie-free results
-    are exact and tied rows must take another path.
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """uint64 sort keys of a 2-D batch of T columns, low ceil(log2 T) bits
+    cleared for the index ``_key_order`` puts there.
+
+    A key is the order-preserving bit image of the float64 value: negative
+    values get every bit flipped, the others the sign bit set, and -0.0 is
+    read as +0.0. Distinct values whose keys differ above the low bits
+    compare as their keys do.
     """
-    rows = np.asarray(rows)
+    keys = np.add(rows, 0.0, dtype=np.float64, order="C").view(np.uint64)
+    flip = (keys.view(np.int64) >> 63).view(np.uint64)  # all ones where negative
+    flip |= _SIGN_BIT
+    keys ^= flip
+    keys &= ~np.uint64((1 << (keys.shape[1] - 1).bit_length()) - 1)
+    return keys
+
+
+def _key_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Put each key's column index in its low bits and sort each row in
+    place; return the sorted low bits, the row's ordering, as int64, and a
+    per-row flag for near ties.
+
+    A flagged row holds two adjacent sorted keys that share their high bits:
+    a tie, or two values within 2^bits ulps. Only in flagged rows can the low
+    bits differ from the ordering by value, so those rows take the argsort
+    route. Non-finite values are rejected.
+    """
+    T = keys.shape[1]
+    low = np.uint64((1 << (T - 1).bit_length()) - 1)
+    keys |= np.arange(T, dtype=np.uint64)
+    keys.sort(axis=1)
+    lo, hi = _FINITE_KEYS
+    if (keys[:, 0] < lo).any() or (keys[:, -1] >= hi).any():
+        raise ValueError("rank statistics need finite values")
+    near = ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
+    keys &= low
+    return keys.view(np.int64), near
+
+
+def _argsort_ranks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_ranks`` by one unstable argsort per row, for the rows it flags."""
     order = np.argsort(rows, axis=1)
     ranks = np.empty(order.shape, dtype=np.int64)
     np.put_along_axis(ranks, order, np.arange(rows.shape[1]), axis=1)
     return order, ranks, _tied_rows(np.take_along_axis(rows, order, axis=1))
+
+
+def _ranks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, ranks, tied) of each row of a 2-D array of finite values.
+
+    ``order`` sorts the row and ``ranks`` is its inverse, the 0-based ranks.
+    One sort of uint64 keys per row gives the order: each key holds the
+    value's bits above the low ceil(log2 T) and the time index below them.
+    Rows with a near tie take ``_argsort_ranks``. ``tied`` flags the rows
+    holding equal entries; only in those do order and ranks depend on the
+    sort, so tie-free results are exact and tied rows must take another path.
+    """
+    rows = np.asarray(rows)
+    order, near = _key_order(_keys(rows))
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(rows.shape[1]), axis=1)
+    tied = np.zeros(rows.shape[0], dtype=bool)
+    if near.any():
+        order[near], ranks[near], tied[near] = _argsort_ranks(rows[near])
+    return order, ranks, tied
+
+
+def _argsort_rank_pair(x_rows: np.ndarray, y_rows: np.ndarray):
+    """``_rank_pair_batch`` by argsorts, for the rows it flags; tie-free rows
+    have unique orderings and tied rows take the exact fallbacks."""
+    order, _, tied = _argsort_ranks(x_rows)
+    y_order, _, y_tied = _argsort_ranks(np.take_along_axis(y_rows, order, axis=1))
+    return _count_inversions_batch(y_order), y_order, tied | y_tied
 
 
 def _rank_pair_batch(x_rows: np.ndarray, y_rows: np.ndarray):
@@ -203,20 +271,27 @@ def _rank_pair_batch(x_rows: np.ndarray, y_rows: np.ndarray):
     element with y-rank j (the inverse of the y-ranks in x order, with the
     same inversions), so the rank-difference sum d2 of row i is
     sum_j (y_order[i, j] - j)^2. ``tied`` marks rows with a tie in either
-    coordinate, read through the two argsorts already taken; neither needs
-    stability, as tie-free rows have unique orderings and tied rows take the
-    exact fallbacks.
+    coordinate.
+
+    Each coordinate is one sort of uint64 keys (see ``_ranks``): x keys carry
+    the time index in their low bits, so the sorted low bits are the x order;
+    the y keys, gathered in that order, carry the x-rank, so their sorted
+    low bits are ``y_order``. Rows with a near tie in either coordinate take
+    ``_argsort_rank_pair``; every row is counted once.
     """
     x_rows = np.asarray(x_rows)
     y_rows = np.asarray(y_rows)
-    order = np.argsort(x_rows, axis=1)
-    tied = _tied_rows(np.take_along_axis(x_rows, order, axis=1))
-    permuted = np.take_along_axis(y_rows, order, axis=1)
+    order, near = _key_order(_keys(x_rows))
+    y_order, y_near = _key_order(np.take_along_axis(_keys(y_rows), order, axis=1))
     del order  # each (R, T) temporary is dropped once read, to keep the peak down
-    y_order = np.argsort(permuted, axis=1)
-    tied |= _tied_rows(np.take_along_axis(permuted, y_order, axis=1))
-    del permuted
-    return _count_inversions_batch(y_order), y_order, tied
+    near |= y_near
+    if not near.any():
+        return _count_inversions_batch(y_order), y_order, near
+    inv = np.empty(near.shape, dtype=np.int64)
+    tied = np.zeros(near.shape, dtype=bool)
+    inv[near], y_order[near], tied[near] = _argsort_rank_pair(x_rows[near], y_rows[near])
+    inv[~near] = _count_inversions_batch(y_order[~near])
+    return inv, y_order, tied
 
 
 def kendall_tau_batch(x_rows: np.ndarray, y_rows: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from tsustat.harness import (DEFAULT_BUDGET, BudgetError, ConfigError, Experimen
                              estimate_tail_budget, run_experiment)
 from tsustat.hidim import ESTIMATOR_KINDS
 from tsustat.kernels import table_kernel
-from tsustat.processes import DEFAULT_BLOCK, SeriesPath
+from tsustat.processes import SeriesPath, block_replications
 from tsustat.ustat import u_statistic
 
 CHAIN = {"kind": "markov_chain", "transition": [[0.75, 0.25], [0.25, 0.75]]}
@@ -140,10 +140,18 @@ DECOMPOSE = {"schema_version": 1, "experiment": "decompose-check", "seed": 21,
              "replications": 40}
 
 
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of 2^10 values, so that runs of a few dozen replications at
+    small T hold several blocks; replication counts that must split into
+    blocks are read from ``block_replications`` under this budget."""
+    monkeypatch.setattr(processes, "BLOCK_VALUES", 1 << 10)
+
+
 @pytest.mark.parametrize("case", ["sign_product", "spearman_sym", "mean", "table-entries",
                                   "table-path", "scaling-kendall", "scaling-spearman",
                                   "decompose-check", "decompose-check-0"])
-def test_tail_run_deterministic_and_thread_invariant(tmp_path, case):
+def test_tail_run_deterministic_and_thread_invariant(tmp_path, case, small_blocks):
     """Every replicated experiment writes the same files at one and two
     workers. Each run is one job per p, or one job, over the prefixes of one
     set of paths. Tail and decompose-check runs have more replications than
@@ -162,10 +170,10 @@ def test_tail_run_deterministic_and_thread_invariant(tmp_path, case):
     (tmp_path / "match.txt").write_text(MATCH_TABLE_FILE)
     raw = {"scaling-kendall": dict(SCALING, estimator="kendall"),
            "scaling-spearman": dict(SCALING, estimator="spearman"),
-           "decompose-check": dict(DECOMPOSE, replications=DEFAULT_BLOCK + 1),
+           "decompose-check": dict(DECOMPOSE, replications=block_replications(20) + 1),
            "decompose-check-0": dict(DECOMPOSE, replications=0)}.get(case)
-    if raw is None:
-        raw = tail_config(t_grid=[8, 16], replications=DEFAULT_BLOCK + 100,
+    if raw is None:  # a bivariate copula path at T = 16 holds 32 values
+        raw = tail_config(t_grid=[8, 16], replications=block_replications(32) + 100,
                           **tail_overrides[case])
     texts = []
     for threads in (1, 2):
@@ -189,14 +197,18 @@ def test_tail_run_deterministic_and_thread_invariant(tmp_path, case):
         assert (data["max_b_ratio"] > 0) == (raw["replications"] > 0)
 
 
-@pytest.mark.parametrize("raw", [
-    tail_config(t_grid=[8, 12, 16], replications=DEFAULT_BLOCK + 1),  # 2 blocks
-    dict(SCALING, estimator="kendall"),
-    dict(SCALING, estimator="spearman"),
-    dict(DECOMPOSE, replications=DEFAULT_BLOCK + 1),
+@pytest.mark.parametrize("raw,path_values", [
+    (tail_config(t_grid=[8, 12, 16]), 32),
+    (dict(SCALING, estimator="kendall"), None),
+    (dict(SCALING, estimator="spearman"), None),
+    (DECOMPOSE, 20),
 ], ids=["tail", "scaling-kendall", "scaling-spearman", "decompose-check"])
-def test_each_run_opens_one_pool(monkeypatch, raw):
-    """A multi-worker run maps all its replications through one pool."""
+def test_each_run_opens_one_pool(monkeypatch, small_blocks, raw, path_values):
+    """A multi-worker run maps all its replications through one pool. Tail
+    and decompose-check runs hold two blocks of their paths' values; a
+    scaling run holds two jobs."""
+    if path_values is not None:
+        raw = dict(raw, replications=block_replications(path_values) + 1)
     opened = []
 
     class RecordingPool:  # in-process stand-in for ProcessPoolExecutor
@@ -221,11 +233,14 @@ def test_each_run_opens_one_pool(monkeypatch, raw):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_each_t_of_a_grid_reads_the_same_paths(threads):
+def test_each_t_of_a_grid_reads_the_same_paths(monkeypatch, threads):
     """Replication i at every T is a prefix of one path, so at T = 500 a run
     over the grid [250, 500, 2000] gives what a run over [500] alone gives.
     A decompose-check report is a maximum over the whole grid, so its check
-    is made on the block function's row for T = 500."""
+    is made on the block function's row for T = 500. Under a budget of 16
+    paths of 2000 values, the grid runs below hold two blocks (per p for
+    scaling) and the runs at [500] fewer."""
+    monkeypatch.setattr(processes, "BLOCK_VALUES", 16 * 2000)
     grid = [250, 500, 2000]
 
     def run(raw, t_grid):
@@ -233,7 +248,7 @@ def test_each_t_of_a_grid_reads_the_same_paths(threads):
         cfg.threads = threads
         return run_experiment(cfg).result
 
-    for tail in (tail_config(replications=DEFAULT_BLOCK + 3),  # two blocks
+    for tail in (tail_config(replications=block_replications(2000 * 2) + 3),
                  tail_config(process={"kind": "ar1", "coefficient": 0.6}, replications=64,
                              kernel={"kind": "mean", "bound": 10.0},
                              theta={"mode": "exact-zero"}),
@@ -244,19 +259,55 @@ def test_each_t_of_a_grid_reads_the_same_paths(threads):
         return [(c.T, c.p, c.median_deviation, c.q25, c.q75, c.ratio_to_rate)
                 for c in report.cells if c.T == 500]
 
-    for estimator in ESTIMATOR_KINDS:  # two blocks per p
-        raw = dict(SCALING, estimator=estimator)
+    for estimator in ESTIMATOR_KINDS:
+        raw = dict(SCALING, estimator=estimator,
+                   replications=block_replications(2000 * min(SCALING["p_grid"])) + 1)
         assert cells(run(raw, grid)) == cells(run(raw, [500]))
 
     cfg = ExperimentConfig.from_dict(DECOMPOSE)
 
     def decompose_rows(t_grid, at):
         job = (cfg.process, t_grid, cfg.kernel.table, cfg.order)
-        [blocks] = processes.map_replication_blocks(_decompose_block, [job], 6,
-                                                    threads=threads, block=4)
+        [blocks] = processes.map_replication_blocks(_decompose_block, [job],
+                                                    block_replications(2000) + 1,
+                                                    [max(t_grid)], threads=threads)
         return np.concatenate([block[at] for block in blocks])
 
     np.testing.assert_array_equal(decompose_rows(grid, 1), decompose_rows([500], 0))
+
+
+@pytest.mark.parametrize("raw", [
+    tail_config(t_grid=[30, 60], replications=24),
+    tail_config(t_grid=[30, 60], replications=24,
+                process=dict(COPULA, cross_correlation={"kind": "equicorrelation", "rho": 0.6})),
+    tail_config(t_grid=[30, 60], replications=24, process=CHAIN, kernel=MATCH_KERNEL),
+    tail_config(t_grid=[30, 60], replications=24, process={"kind": "ar1", "coefficient": 0.6},
+                kernel={"kind": "mean", "bound": 10.0}, theta={"mode": "exact-zero"}),
+    dict(SCALING, estimator="kendall", replications=6),
+    dict(SCALING, estimator="spearman", replications=6),
+    dict(DECOMPOSE, replications=12),
+], ids=["tail-identity", "tail-equicorrelated", "tail-table", "tail-mean",
+        "scaling-kendall", "scaling-spearman", "decompose-check"])
+def test_block_size_does_not_change_the_data(monkeypatch, tmp_path, raw):
+    """Blocks of one path, the default budget and one block for the whole
+    run write byte-identical data blocks and CSVs."""
+    texts = []
+    for budget in (1, processes.BLOCK_VALUES, 1 << 62):
+        monkeypatch.setattr(processes, "BLOCK_VALUES", budget)
+        out = tmp_path / str(budget)
+        written = emit_outputs(run_experiment(ExperimentConfig.from_dict(raw)), str(out))
+        texts.append([json.dumps(json.loads((out / "result.json").read_text())["data"])] +
+                     [Path(p).read_text() for p in written if not p.endswith("result.json")])
+    assert texts[0] == texts[1] == texts[2]
+
+
+def test_block_replications_follow_the_value_budget():
+    """A tail-kendall path (T = 2000, two coordinates) and a scaling path at
+    p = 40 hold 4000 and 80000 values: 262 and 13 of them fill 2^20."""
+    assert processes.BLOCK_VALUES == 1 << 20
+    assert block_replications(2000 * 2) == 262
+    assert block_replications(2000 * 40) == 13
+    assert block_replications(1 << 21) == 1
 
 
 def test_tail_counts_consistent_and_theta_exact_zero():

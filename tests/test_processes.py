@@ -14,9 +14,10 @@ from scipy.special import ndtr
 from tsustat.cli import main
 from tsustat.harness import ExperimentConfig, _estimate_theta
 from tsustat.hidim import kendall_matrix, spearman_matrix
-from tsustat.processes import (FiniteMarkovChain, ProcessSpec, SeriesPath, _rep_rng,
-                               correlation_factor, cycle_chain, generate, generate_batch,
-                               iid_chain, latent_batch, random_chain, two_state_chain)
+from tsustat.processes import (FiniteMarkovChain, ProcessSpec, SeriesPath, _ar1_in_place,
+                               _rep_rng, correlation_factor, cycle_chain, generate,
+                               generate_batch, iid_chain, latent_batch, random_chain,
+                               two_state_chain)
 from tsustat.ustat import kendall_tau_batch, spearman_rho3_batch
 
 
@@ -136,16 +137,24 @@ def _lfilter_ar1(innov, x0, phi):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), phi=st.floats(-0.95, 0.95),
        T=st.integers(1, 60), R=st.integers(1, 5), offset=st.integers(0, 100),
-       rho=st.floats(-0.9, 0.9))
-@example(seed=3, phi=0.5, T=1, R=2, offset=7, rho=0.0)
-@example(seed=4, phi=-0.3, T=1, R=3, offset=0, rho=0.6)
-def test_ar1_recurrence_matches_lfilter(seed, phi, T, R, offset, rho):
+       rho=st.floats(-0.9, 0.9), p=st.integers(1, 8))
+@example(seed=3, phi=0.5, T=1, R=2, offset=7, rho=0.0, p=1)
+@example(seed=4, phi=-0.3, T=1, R=3, offset=0, rho=0.6, p=1)
+@example(seed=5, phi=0.7, T=40, R=5, offset=0, rho=0.0, p=2)  # more replications
+@example(seed=6, phi=-0.7, T=40, R=1, offset=0, rho=0.0, p=8)  # more coordinates
+def test_ar1_recurrence_matches_lfilter(seed, phi, T, R, offset, rho, p):
+    """The AR(1) kind, and the recurrence on an (R, T, p) stack with either
+    more replications or more coordinates, equal scipy's IIR filter."""
     rngs = [_rep_rng(seed, offset + i) for i in range(R)]
     draws = np.stack([rng.standard_normal(T) for rng in rngs])
     x0 = draws[:, 0] * np.sqrt(1.0 / (1.0 - phi * phi))
     want = _lfilter_ar1(draws[:, 1:], x0, phi)[:, :, None]
     spec = ProcessSpec(kind="ar1", seed=seed, ar_coefficient=phi)
     np.testing.assert_array_equal(generate_batch(spec, T, R, rep_offset=offset), want)
+    z = np.random.default_rng(seed).standard_normal((R, T, p))
+    want = _lfilter_ar1(z[:, 1:], z[:, 0], phi)
+    _ar1_in_place(z, phi)
+    np.testing.assert_array_equal(z, want)
 
     corr = np.array([[1.0, rho], [rho, 1.0]])
     rngs = [_rep_rng(seed, offset + i) for i in range(R)]

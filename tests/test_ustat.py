@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsustat import ustat
+from tsustat.hidim import kendall_matrix, spearman_matrix
 from tsustat.kernels import (KernelSpec, mean_kernel, sign_product_kernel,
                              spearman_symmetric_kernel, table_kernel)
 from tsustat.processes import (ProcessSpec, SeriesPath, generate_batch, iid_chain,
@@ -285,3 +287,113 @@ def test_sign_product_time_reversal_consistency():
     manual = np.mean([MATCH[states[i], states[j]]
                       for i, j in itertools.combinations(range(30), 2)])
     assert direct == pytest.approx(manual, abs=1e-13)
+
+
+RANK_EVALUATORS = {
+    "kendall_tau_batch": lambda xy: kendall_tau_batch(xy[None, :, 0], xy[None, :, 1]),
+    "spearman_rho3_batch": lambda xy: spearman_rho3_batch(xy[None, :, 0], xy[None, :, 1]),
+    "kendall_tau_numerator": lambda xy: kendall_tau_numerator(xy[:, 0], xy[:, 1]),
+    "kendall_tau": kendall_tau,
+    "spearman_rho": spearman_rho,
+    "kendall_matrix": kendall_matrix,
+    "spearman_matrix": spearman_matrix,
+}
+
+
+@pytest.mark.parametrize("name", list(RANK_EVALUATORS))
+def test_rank_evaluators_reject_non_finite_values(name):
+    """A NaN, or two equal infinities (whose difference is NaN), in either
+    coordinate is a ValueError, not a rank."""
+    evaluate = RANK_EVALUATORS[name]
+    xy = np.random.default_rng(21).standard_normal((9, 2))
+    evaluate(xy)
+    for bad in (np.nan, np.inf, -np.inf):
+        for col in (0, 1):
+            broken = xy.copy()
+            broken[[2, 6], col] = bad
+            with pytest.raises(ValueError, match="finite"):
+                evaluate(broken)
+
+
+ROW_KINDS = ("plain", "rounded", "signed-zeros", "nextafter", "ulp-run")
+
+
+def _near_tie_row(rng, T: int, kind: str) -> np.ndarray:
+    """One row of T values of the given kind: distinct normals, rounding
+    ties, +0.0 and -0.0 mixed in, entries one ulp above others, or a run of
+    values within 2^bits ulps of one value, bits = ceil(log2 T) as in the
+    rank keys."""
+    v = rng.standard_normal(T)
+    if kind == "rounded":
+        return np.round(2 * v)
+    if kind == "signed-zeros":
+        v[rng.random(T) < 0.4] = 0.0
+        v[rng.random(T) < 0.3] = -0.0
+    elif kind == "nextafter":
+        i, j = rng.integers(0, T, size=(2, T // 2 + 1))
+        v[j] = np.nextafter(v[i], np.inf)
+    elif kind == "ulp-run":
+        bits = (T - 1).bit_length()
+        v = (v[:1].view(np.int64) + rng.integers(0, 1 << bits, size=T)).view(np.float64)
+    return v
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 4),
+       T=st.sampled_from([2, 3, 4, 5, 8, 9, 16, 17, 32, 33]),
+       kinds=st.tuples(st.sampled_from(ROW_KINDS), st.sampled_from(ROW_KINDS)))
+def test_key_sort_rank_kernels_match_their_oracles(seed, rows, T, kinds):
+    """The key-sort evaluators against pairwise counting and enumeration on
+    rows built to put near ties in the keys, at T = 2^k and 2^k + 1, where
+    the key's index width changes."""
+    rng = np.random.default_rng(seed)
+    x = np.stack([_near_tie_row(rng, T, kinds[0]) for _ in range(rows)])
+    y = np.stack([_near_tie_row(rng, T, kinds[1]) for _ in range(rows)])
+    pairs = math.comb(T, 2)
+    tau = kendall_tau_batch(x, y)
+    rho3 = spearman_rho3_batch(x, y) if T >= 3 else None
+    for i in range(rows):
+        xy = np.column_stack([x[i], y[i]])
+        assert tau[i] == kendall_tau_numerator(x[i], y[i]) / pairs
+        assert tau[i] == brute_tau_numerator(x[i], y[i]) / pairs
+        assert tau[i] == u_statistic(xy, sign_product_kernel())
+        if rho3 is not None:
+            assert rho3[i] == u_statistic(xy, spearman_symmetric_kernel())
+    data = np.column_stack([*x, *y])
+    data = data[:, data.max(axis=0) > data.min(axis=0)]  # constant columns are rejected
+    if T >= 3 and data.shape[1] >= 2:
+        km = kendall_matrix(data).matrix
+        for j, k in itertools.combinations(range(data.shape[1]), 2):
+            assert km[j, k] == kendall_tau_numerator(data[:, j], data[:, k]) / pairs
+            assert km[j, k] == brute_tau_numerator(data[:, j], data[:, k]) / pairs
+
+
+def test_near_ties_take_the_argsort_route(monkeypatch):
+    """Two distinct values one ulp apart, 1.0 and the next float (low key
+    bits 0 and 1), share their keys' high bits, so their row, and only it,
+    takes the argsort route, and is not tied."""
+    calls = []
+
+    def recording(name):
+        original = getattr(ustat, name)
+
+        def record(*rows):
+            calls.append((name, rows[0].shape[0]))
+            return original(*rows)
+        monkeypatch.setattr(ustat, name, record)
+
+    recording("_argsort_rank_pair")
+    recording("_argsort_ranks")
+    rng = np.random.default_rng(8)
+    x, y = rng.standard_normal((2, 3, 9))
+    x[1, 7] = 1.0
+    x[1, 4] = np.nextafter(1.0, np.inf)
+    tau = kendall_tau_batch(x, y)
+    assert ("_argsort_rank_pair", 1) in calls and all(n == 1 for _, n in calls)
+    for i in range(3):
+        assert tau[i] == u_statistic(np.column_stack([x[i], y[i]]), sign_product_kernel())
+    calls.clear()
+    order, ranks, tied = _ranks(x)
+    assert calls == [("_argsort_ranks", 1)] and not tied.any()
+    assert np.array_equal(order[1], np.argsort(x[1]))
+    assert np.array_equal(ranks[1][order[1]], np.arange(9))
