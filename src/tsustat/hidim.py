@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .processes import ProcessSpec, latent_batch, map_replication_blocks
+from .processes import ProcessSpec, block_replications, latent_batch, map_replication_blocks
 from .ustat import _count_inversions_batch, _ranks, kendall_tau_numerator
 
 ESTIMATOR_KINDS = ("kendall", "spearman")
@@ -58,19 +58,23 @@ def _validate_matrix_input(data: np.ndarray) -> np.ndarray:
     return data
 
 
-def kendall_matrix(data, pair_chunk: int = 1024) -> CorrelationMatrixEstimate:
+def kendall_matrix(data) -> CorrelationMatrixEstimate:
     """Pairwise Kendall's tau matrix of a (T x p) sample. A tie-free pair (j, k)
-    is counted on the k-ranks read in j order, a permutation of 0..T-1."""
+    is counted on the k-ranks read in j order, a permutation of 0..T-1,
+    gathered on the narrowest unsigned dtype in blocks of
+    ``block_replications(T)`` pairs."""
     data = _validate_matrix_input(data)
     T, p = data.shape
     order, ranks, tied = _ranks(data.T)
+    ranks = ranks.astype(np.min_scalar_type(T - 1))
     js, ks = np.triu_indices(p, k=1)
     clean = ~(tied[js] | tied[ks])
     denom = math.comb(T, 2)
     M = np.eye(p)
     cj, ck = js[clean], ks[clean]
-    for start in range(0, cj.size, pair_chunk):
-        j, k = cj[start:start + pair_chunk], ck[start:start + pair_chunk]
+    chunk = block_replications(T)
+    for start in range(0, cj.size, chunk):
+        j, k = cj[start:start + chunk], ck[start:start + chunk]
         inv = _count_inversions_batch(ranks[k[:, None], order[j]])
         M[j, k] = M[k, j] = (denom - 2 * inv) / denom
     for j, k in zip(js[~clean], ks[~clean]):

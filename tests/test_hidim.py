@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tsustat import processes
 from tsustat.hidim import (CorrelationMatrixEstimate, kendall_matrix, max_norm_deviation,
                            population_matrix, scaling_experiment, spearman_matrix)
 from tsustat.processes import ProcessSpec, correlation_factor
@@ -28,15 +29,17 @@ def test_matrix_entries_match_scalar_estimators_exactly():
             assert sm[j, k] == spearman_rho(pair).rho
 
 
-def test_kendall_matrix_matches_numerator_with_a_tied_column():
+def test_kendall_matrix_matches_numerator_with_a_tied_column(monkeypatch):
     """T = 257 puts the counter on its uint16 dtype; column 2 takes the tied
-    fallback, the rest the batched counter, split over several pair chunks."""
+    fallback, the rest the batched counter, in one pair block and then, with a
+    value budget of 4 rows, in several."""
     rng = np.random.default_rng(4)
     T, p = 257, 6
     data = rng.standard_normal((T, p))
     data[:, 2] = np.round(data[:, 2])
-    for chunk in (1024, 4):
-        km = kendall_matrix(data, pair_chunk=chunk).matrix
+    for budget in (processes.BLOCK_VALUES, 4 * T):
+        monkeypatch.setattr(processes, "BLOCK_VALUES", budget)
+        km = kendall_matrix(data).matrix
         for j in range(p):
             for k in range(j + 1, p):
                 expected = kendall_tau_numerator(data[:, j], data[:, k]) / math.comb(T, 2)

@@ -66,17 +66,36 @@ def brute_inversions(row):
     return int(np.triu(row[:, None] > row[None, :], k=1).sum())
 
 
-@pytest.mark.parametrize("T", [1, 2, 3, 255, 256, 257, 1025])
+S = ustat._INVERSION_BLOCK  # width of the blocks the counter compares directly
+
+
+def reversed_blocks(T):
+    """0..T-1 with every aligned block of S positions reversed: each full
+    block holds S(S-1)/2 inversions, the most the per-block counts hold."""
+    return np.concatenate([np.arange(a, min(a + S, T))[::-1] for a in range(0, T, S)])
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, S - 1, S, S + 1, 2 * S, 2 * S + 1,
+                               255, 256, 257, 1025])
 def test_inversion_counter_matches_pair_count(T):
-    """Random permutations plus the identity and the reversed row, on both
-    sides of the uint8 and uint16 working-dtype boundaries."""
+    """Random permutations plus the identity, the reversed row and the row of
+    reversed S-blocks, on both sides of the in-block width and of the uint8
+    and uint16 working-dtype boundaries."""
     rng = np.random.default_rng(T)
-    rows = np.stack([np.arange(T), np.arange(T)[::-1]]
+    rows = np.stack([np.arange(T), np.arange(T)[::-1], reversed_blocks(T)]
                     + [rng.permutation(T) for _ in range(6)])
     inv = _count_inversions_batch(rows)
     assert inv.dtype == np.int64
     assert inv.tolist() == [brute_inversions(r) for r in rows]
     assert inv[1] == math.comb(T, 2)
+    assert inv[2] == (T // S) * math.comb(S, 2) + math.comb(T % S, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), T=st.integers(1, 600), n_rows=st.integers(1, 8))
+def test_inversion_counter_matches_pair_count_on_any_permutations(data, T, n_rows):
+    rows = np.array([data.draw(st.permutations(range(T))) for _ in range(n_rows)])
+    assert _count_inversions_batch(rows).tolist() == [brute_inversions(r) for r in rows]
 
 
 def test_inversion_counter_wide_row_in_closed_form():
