@@ -177,23 +177,29 @@ def test_calibrate_rejects_non_integer_train(tmp_path):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("payload,flags,field", [
-    (tail_payload(x_grid=[0.05, 0.1]), ["--train", "30,60"], "calibrate"),  # 4 points of 5
-    (tail_payload(), ["--train", "30"], "calibrate"),                        # a single T
-    # a non-finite c4 would write bare NaN tokens, which are not JSON
-    (tail_payload(), ["--train", "30,60", "--c4", "nan"], "c4"),
-    (tail_payload(), ["--train", "30,60", "--c4", "inf"], "c4"),
+@pytest.mark.parametrize("payload,train", [
+    (tail_payload(x_grid=[0.05, 0.1]), "30,60"),  # 4 points, calibration needs 5
+    (tail_payload(), "30"),                        # a single T
 ])
-def test_calibrate_errors_exit_2(tmp_path, capsys, payload, flags, field):
+def test_calibrate_errors_exit_2(tmp_path, payload, train):
     out = tmp_path / "tail"
     assert main(["tail", "--config", write_config(tmp_path, payload),
                  "--out", str(out)]) == 0
+    assert main(["calibrate", "--result", str(out), "--train", train]) == 2
+    assert main(["calibrate", "--result", str(tmp_path / "missing"), "--train", train]) == 2
+
+
+@pytest.mark.parametrize("c4", ["nan", "inf"])
+def test_calibrate_non_finite_c4_exits_2(tmp_path, capsys, c4):
+    """A non-finite c4 would write bare NaN tokens, which are not JSON."""
+    out = tmp_path / "tail"
+    assert main(["tail", "--config", write_config(tmp_path, tail_payload()),
+                 "--out", str(out)]) == 0
     capsys.readouterr()
-    assert main(["calibrate", "--result", str(out), *flags]) == 2
+    assert main(["calibrate", "--result", str(out), "--train", "30,60", "--c4", c4]) == 2
     err = capsys.readouterr().err
-    assert "config error:" in err and field in err
+    assert "config error:" in err and "c4" in err
     assert not (out / "calibration.json").exists()
-    assert main(["calibrate", "--result", str(tmp_path / "missing"), *flags]) == 2
 
 
 @pytest.mark.parametrize("kernel,T", [({"kind": "spearman_sym"}, 2),
