@@ -90,7 +90,7 @@ def _require_keys(d: dict, allowed: set[str], required: set[str], where: str) ->
 # takes JSON integers only, never a float or a boolean; a "float" takes finite
 # numbers; a "<type> list" is non-empty, and each item is checked in turn.
 _FIELDS = {
-    "seed": ("int", None), "budget": ("float", None), "threads": ("int", 1),
+    "seed": ("int", 0), "budget": ("float", None), "threads": ("int", 1),
     "out_dir": ("str", None), "t_grid": ("int list", None), "p_grid": ("int list", None),
     "lags": ("int list", 1), "x_grid": ("float list", 0.0), "replications": ("int", 0),
     "length": ("int", 1), "order": ("int", None), "estimator": ("str", None),
@@ -197,6 +197,8 @@ def parse_kernel(d: dict) -> KernelSpec:
         _require_keys(d, {"kind", "entries", "path", "order", "state_count"},
                       {"kind", "order", "state_count"}, "kernel")
         order = read_field("kernel.order", d["order"])
+        if order > 3:  # where the tuple counts and the theta evaluators stop
+            raise ConfigError(f"kernel.order must be <= 3, got {order}")
         s = read_field("kernel.state_count", d["state_count"])
         if "path" in d:
             return load_table_kernel(read_field("kernel.path", d["path"]), order, s)

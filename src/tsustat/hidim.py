@@ -2,8 +2,9 @@
 
 Both estimators read one rank transform per coordinate, ``ustat._ranks``.
 Pairwise Kendall entries run through the batched inversion counter, so the
-p(p-1)/2 upper triangle fills in a handful of vectorized passes; Spearman
-entries come from exact integer rank Gram sums. Under a Gaussian copula the
+p(p-1)/2 upper triangle fills in a handful of vectorized passes, and pairs
+with a tie take the batched ``ustat._tie_exact_counts``; Spearman entries
+come from exact integer rank Gram sums. Under a Gaussian copula the
 population matrices are exact functions of the correlation matrix R:
 (2/pi) arcsin R for Kendall and (6/pi) arcsin(R/2) for Spearman.
 ``scaling_experiment`` measures how the worst entrywise deviation from the
@@ -20,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .processes import ProcessSpec, block_replications, latent_batch, map_replication_blocks
-from .ustat import _count_inversions_batch, _ranks, kendall_tau_numerator
+from .ustat import _count_inversions_batch, _ranks, _tie_exact_counts
 
 ESTIMATOR_KINDS = ("kendall", "spearman")
 
@@ -59,26 +60,26 @@ def _validate_matrix_input(data: np.ndarray) -> np.ndarray:
 
 
 def kendall_matrix(data) -> CorrelationMatrixEstimate:
-    """Pairwise Kendall's tau matrix of a (T x p) sample. A tie-free pair (j, k)
-    is counted on the k-ranks read in j order, a permutation of 0..T-1,
-    gathered on the narrowest unsigned dtype in blocks of
-    ``block_replications(T)`` pairs."""
+    """Pairwise Kendall's tau matrix of a (T x p) sample, in blocks of
+    ``block_replications(T)`` pairs. A pair (j, k) is counted on the k-ranks
+    read in j order, a permutation of 0..T-1, gathered on the narrowest
+    unsigned dtype; pairs touching a tied column are recounted by
+    ``_tie_exact_counts``, since only tie-free ranks are unique."""
     data = _validate_matrix_input(data)
     T, p = data.shape
     order, ranks, tied = _ranks(data.T)
     ranks = ranks.astype(np.min_scalar_type(T - 1))
     js, ks = np.triu_indices(p, k=1)
-    clean = ~(tied[js] | tied[ks])
     denom = math.comb(T, 2)
     M = np.eye(p)
-    cj, ck = js[clean], ks[clean]
     chunk = block_replications(T)
-    for start in range(0, cj.size, chunk):
-        j, k = cj[start:start + chunk], ck[start:start + chunk]
-        inv = _count_inversions_batch(ranks[k[:, None], order[j]])
-        M[j, k] = M[k, j] = (denom - 2 * inv) / denom
-    for j, k in zip(js[~clean], ks[~clean]):
-        M[j, k] = M[k, j] = kendall_tau_numerator(data[:, j], data[:, k]) / denom
+    for start in range(0, js.size, chunk):
+        j, k = js[start:start + chunk], ks[start:start + chunk]
+        K = denom - 2 * _count_inversions_batch(ranks[k[:, None], order[j]])
+        tie = tied[j] | tied[k]
+        if tie.any():
+            K[tie] = _tie_exact_counts(data.T[j[tie]], data.T[k[tie]])[0]
+        M[j, k] = M[k, j] = K / denom
     return CorrelationMatrixEstimate(kind="kendall", matrix=M, sample_length=T)
 
 

@@ -1,17 +1,18 @@
 """U-statistics over time-ordered data.
 
 The generic evaluator enumerates index combinations in colexicographic order
-with compensated summation and serves as the slow oracle. Fast paths:
-Kendall's tau as the inversion count of a rank permutation, vectorized
-across whole batches of rows in two phases: a top-down partition on the high
-value bits, then direct comparisons within small blocks of positions on the
-low bits. Spearman's rho comes from exact integer rank sums, and the order-3
-symmetric rank kernel from the same counts through Hoeffding's identity.
-Every rank comes from one sort of uint64 keys per coordinate, value bits
-above and an index below; rows with near ties take an argsort, and rows with
-ties the exact oracles. Non-finite values are rejected. Hoeffding's
-permutation decoupling, a proof device, is checked against ``u_statistic``
-by a literal oracle in the tests.
+with compensated summation; it and the pairwise ``kendall_tau_numerator``
+serve as the slow oracles. Fast paths: Kendall's tau as the inversion count
+of a rank permutation, vectorized across whole batches of rows in two
+phases: a top-down partition on the high value bits, then direct
+comparisons within small blocks of positions on the low bits. Spearman's
+rho comes from exact integer rank sums, and the order-3 symmetric rank
+kernel from the same counts through Hoeffding's identity. Every rank comes
+from one sort of uint64 keys per coordinate, value bits above and an index
+below; rows with a tie or a near tie take one batched tie-exact count
+(Knight 1966) on the same counter. Non-finite values are rejected.
+Hoeffding's permutation decoupling, a proof device, is checked against
+``u_statistic`` by a literal oracle in the tests.
 
 For paths generated by a finite Markov chain the module also evaluates the
 chain-law expectation of the U-statistic, the product-measure expectation,
@@ -185,40 +186,25 @@ def _count_within_blocks(arr: np.ndarray, s: int) -> np.ndarray:
 
 
 def kendall_tau_numerator(x: np.ndarray, y: np.ndarray) -> int:
-    """Concordant-minus-discordant pair count (exact integer, ties give 0)."""
+    """Concordant-minus-discordant pair count by pairwise signs in O(T^2),
+    ties giving 0: the exact oracle of the rank evaluators."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    T = x.size
-    inv, _, tied = _rank_pair_batch(x[None], y[None])
-    if not tied[0]:
-        return math.comb(T, 2) - 2 * int(inv[0])
-    total = 0
-    for a in range(0, T, 512):
-        b = min(a + 512, T)
-        sx = np.sign(x[a:b, None] - x[None, :])
-        sy = np.sign(y[a:b, None] - y[None, :])
-        prod = (sx * sy).astype(np.int64)
-        keep = np.arange(T)[None, :] > np.arange(a, b)[:, None]
-        total += int(prod[keep].sum())
-    return total
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("rank statistics need finite values")
+    # every pair is met twice, from each end, in blocks of 64 rows of signs,
+    # so no temporary passes about 1 MB at T = 2000 and a check barely
+    # raises the peak memory of the process it runs in
+    total = sum(int((np.sign(x[a:a + 64, None] - x) * np.sign(y[a:a + 64, None] - y)).sum())
+                for a in range(0, x.size, 64))
+    return total // 2
 
 
 def kendall_tau(path) -> float:
-    """Kendall's tau: the order-2 sign-product U-statistic of a bivariate path.
-
-    O(T log T) inversion counting when both coordinates are tie-free, exact
-    O(T^2) pairwise counting otherwise.
-    """
+    """Kendall's tau: the order-2 sign-product U-statistic of a bivariate path,
+    by ``kendall_tau_batch``."""
     xy = _bivariate(path)
-    T = xy.shape[0]
-    if T < 2:
-        raise ValueError("Kendall's tau needs at least 2 observations")
-    return kendall_tau_numerator(xy[:, 0], xy[:, 1]) / math.comb(T, 2)
-
-
-def _tied_rows(sorted_rows: np.ndarray) -> np.ndarray:
-    """Per-row flag: a row, already in sorted order, holds equal entries."""
-    return (sorted_rows[:, 1:] == sorted_rows[:, :-1]).any(axis=1)
+    return float(kendall_tau_batch(xy[None, :, 0], xy[None, :, 1])[0])
 
 
 _SIGN_BIT = np.uint64(1 << 63)
@@ -271,7 +257,8 @@ def _argsort_ranks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     order = np.argsort(rows, axis=1)
     ranks = np.empty(order.shape, dtype=np.int64)
     np.put_along_axis(ranks, order, np.arange(rows.shape[1]), axis=1)
-    return order, ranks, _tied_rows(np.take_along_axis(rows, order, axis=1))
+    sorted_rows = np.take_along_axis(rows, order, axis=1)
+    return order, ranks, (sorted_rows[:, 1:] == sorted_rows[:, :-1]).any(axis=1)
 
 
 def _ranks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -294,58 +281,78 @@ def _ranks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, ranks, tied
 
 
-def _argsort_rank_pair(x_rows: np.ndarray, y_rows: np.ndarray):
-    """``_rank_pair_batch`` by argsorts, for the rows it flags; tie-free rows
-    have unique orderings and tied rows take the exact fallbacks."""
-    order, _, tied = _argsort_ranks(x_rows)
-    y_order, _, y_tied = _argsort_ranks(np.take_along_axis(y_rows, order, axis=1))
-    return _count_inversions_batch(y_order), y_order, tied | y_tied
-
-
 def _rank_pair_batch(x_rows: np.ndarray, y_rows: np.ndarray):
-    """Inversions of y read in x order, with the orderings and a tie mask.
+    """Inversions of y read in x order, with the orderings and a near-tie mask.
 
-    Returns (inv, y_order, tied): ``y_order[i, j]`` is the x-rank of the
+    Returns (inv, y_order, near): ``y_order[i, j]`` is the x-rank of the
     element with y-rank j (the inverse of the y-ranks in x order, with the
     same inversions), so the rank-difference sum d2 of row i is
-    sum_j (y_order[i, j] - j)^2. ``tied`` marks rows with a tie in either
-    coordinate.
+    sum_j (y_order[i, j] - j)^2. ``near`` flags the rows with a near tie in
+    either coordinate, whose values callers take from ``_tie_exact_counts``.
 
     Each coordinate is one sort of uint64 keys (see ``_ranks``): x keys carry
     the time index in their low bits, so the sorted low bits are the x order;
     the y keys, gathered in that order, carry the x-rank, so their sorted
-    low bits are ``y_order``. Rows with a near tie in either coordinate take
-    ``_argsort_rank_pair``; every row is counted once.
+    low bits are ``y_order``, a permutation in every row, flagged or not.
     """
-    x_rows = np.asarray(x_rows)
-    y_rows = np.asarray(y_rows)
     order, near = _key_order(_keys(x_rows))
     y_order, y_near = _key_order(np.take_along_axis(_keys(y_rows), order, axis=1))
     del order  # each (R, T) temporary is dropped once read, to keep the peak down
-    near |= y_near
-    if not near.any():
-        return _count_inversions_batch(y_order), y_order, near
-    inv = np.empty(near.shape, dtype=np.int64)
-    tied = np.zeros(near.shape, dtype=bool)
-    inv[near], y_order[near], tied[near] = _argsort_rank_pair(x_rows[near], y_rows[near])
-    inv[~near] = _count_inversions_batch(y_order[~near])
-    return inv, y_order, tied
+    return _count_inversions_batch(y_order), y_order, near | y_near
+
+
+def _run_starts(step: np.ndarray) -> np.ndarray:
+    """First position of the run of equal values holding each position of
+    sorted rows, given ``step``, the (R, T-1) mask of the positions whose
+    value differs from the one before: the count of strictly smaller values."""
+    first = np.pad(step, ((0, 0), (1, 0)), constant_values=True)
+    return np.maximum.accumulate(np.where(first, np.arange(first.shape[1]), 0), axis=1)
+
+
+def _tie_exact_counts(x_rows: np.ndarray, y_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K, W) per row of a bivariate batch, exact with ties: K the concordant
+    minus discordant pairs, W twice the order-3 rank kernel's sum over all
+    triples (that sum may be a half-integer), under sign(0) = 0.
+
+    Knight's (1966) count: in each row ordered by (x, y), the inversions of
+    the stable y order are the strictly discordant pairs, and
+    K = C(T, 2) - n1 - n2 + n3 - 2 disc, with n1, n2 and n3 the pairs tied in
+    x, in y and in both, read from the runs of the sorted rows. The runs also
+    give S_a = #{b: v_b < v_a} - #{b: v_b > v_a}, and W = sum_a S^x_a S^y_a - 2K.
+    """
+    T = x_rows.shape[1]
+    order = np.lexsort((y_rows, x_rows), axis=1)
+    xs = np.take_along_axis(x_rows, order, axis=1)
+    ys = np.take_along_axis(y_rows, order, axis=1)
+    by_y = np.argsort(ys, axis=1, kind="stable")
+    sorted_y = np.take_along_axis(ys, by_y, axis=1)
+    step_x, step_y = xs[:, 1:] != xs[:, :-1], sorted_y[:, 1:] != sorted_y[:, :-1]
+    x_less, y_less = _run_starts(step_x), _run_starts(step_y)
+    n1, n2, n3 = ((np.arange(T) - start).sum(axis=1) for start in
+                  (x_less, y_less, _run_starts(step_x | (ys[:, 1:] != ys[:, :-1]))))
+    K = math.comb(T, 2) - n1 - n2 + n3 - 2 * _count_inversions_batch(by_y)
+    # a value's greater values are its smaller ones in the row reversed
+    sx = x_less - _run_starts(step_x[:, ::-1])[:, ::-1]
+    sy = y_less - _run_starts(step_y[:, ::-1])[:, ::-1]
+    return K, (np.take_along_axis(sx, by_y, axis=1) * sy).sum(axis=1) - 2 * K
 
 
 def kendall_tau_batch(x_rows: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
     """Kendall's tau per row for a batch of bivariate paths.
 
-    Rows without ties take the batched inversion counter; rows with a tie in
-    either coordinate take the exact ``kendall_tau_numerator``.
+    Rows without a near tie take the batched inversion counter; rows with a
+    tie or a near tie in either coordinate take ``_tie_exact_counts``, in one
+    call for the batch.
     """
-    T = np.shape(x_rows)[1]
+    x_rows, y_rows = np.asarray(x_rows), np.asarray(y_rows)
+    T = x_rows.shape[1]
     if T < 2:
         raise ValueError("Kendall's tau needs at least 2 observations")
-    inv, _, tied = _rank_pair_batch(x_rows, y_rows)
+    inv, _, near = _rank_pair_batch(x_rows, y_rows)
     denom = math.comb(T, 2)
     out = (denom - 2 * inv) / denom
-    for i in np.flatnonzero(tied):
-        out[i] = kendall_tau_numerator(x_rows[i], y_rows[i]) / denom
+    if near.any():
+        out[near] = _tie_exact_counts(x_rows[near], y_rows[near])[0] / denom
     return out
 
 
@@ -353,21 +360,21 @@ def spearman_rho3_batch(x_rows: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
     """Order-3 symmetric rank-kernel U-statistic per row of a bivariate batch.
 
     Hoeffding's identity rho = ((T-2) rho3 + 3 tau) / (T+1) gives the exact
-    integer kernel sum C(T,3) - d2 + 2 inv per tie-free row, with d2 the
-    squared rank differences and inv the discordant pairs, in O(T log T).
-    Rows with a tie take the ``u_statistic`` enumerator, where the kernel's
-    sign(0) = 0 convention applies.
+    integer kernel sum C(T,3) - d2 + 2 inv per row without a near tie, with
+    d2 the squared rank differences and inv the discordant pairs, in
+    O(T log T). Rows with a tie or a near tie take ``_tie_exact_counts``,
+    where the kernel's sign(0) = 0 convention applies.
     """
-    T = np.shape(x_rows)[1]
+    x_rows, y_rows = np.asarray(x_rows), np.asarray(y_rows)
+    T = x_rows.shape[1]
     if T < 3:
         raise ValueError("the order-3 rank kernel needs at least 3 observations")
-    inv, y_order, tied = _rank_pair_batch(x_rows, y_rows)
+    inv, y_order, near = _rank_pair_batch(x_rows, y_rows)
     d2 = ((y_order - np.arange(T)) ** 2).sum(axis=1)
     n_terms = math.comb(T, 3)
     out = (n_terms - d2 + 2 * inv) / n_terms
-    kernel = spearman_symmetric_kernel()
-    for i in np.flatnonzero(tied):
-        out[i] = u_statistic(np.column_stack([x_rows[i], y_rows[i]]), kernel)
+    if near.any():
+        out[near] = _tie_exact_counts(x_rows[near], y_rows[near])[1] / (2 * n_terms)
     return out
 
 

@@ -3,7 +3,8 @@
 Each one computes by brute force what the library computes in closed form:
 Hoeffding's permutation decoupling of a U-statistic, the beta coefficient as
 a supremum over pairs of partitions, and the conditional phi coefficient
-with the future block enumerated atom by atom.
+with the future block enumerated atom by atom. One exact law serves the
+tail harness: the null law of Kendall's tau, by inversion counts.
 """
 import itertools
 import math
@@ -89,3 +90,21 @@ def conditional_phi_enumerated(chain, conditioning, block_len: int, n: int,
             diff = _block_law(Pn[atom[-1]] - mu_bar, P, horizon)
             best = max(best, 0.5 * float(np.abs(diff).sum()))
     return best
+
+
+def mahonian_law(T: int) -> np.ndarray:
+    """P(k inversions), k = 0..C(T, 2), for a uniform random permutation of T items.
+
+    The law's generating function is the product over j = 1..T of
+    (1 + q + ... + q^(j-1)) / j: placing item j adds 0..j-1 inversions, each
+    equally likely. Each factor is one convolution with a width-j box, read
+    as a difference of prefix sums, in float64; T is kept <= 500, where the
+    prefix sums' rounding stays far below any Monte Carlo error.
+    """
+    assert 1 <= T <= 500, "the float64 law is built for T <= 500"
+    law = np.ones(1)
+    for j in range(2, T + 1):
+        # coefficient k of the product is the sum of law[k-j+1 .. k]
+        prefix = np.cumsum(np.concatenate([np.zeros(j), law, np.zeros(j - 1)]))
+        law = (prefix[j:] - prefix[:-j]) / j
+    return law

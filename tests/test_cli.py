@@ -308,6 +308,12 @@ STATES17 = {"kind": "markov_chain", "transition": [[1 / 17] * 17] * 17}
     ("tail", tail_payload(constants={"r": 2.5}), "constants.r"),
     ("tail", tail_payload(constants={"c5": True}), "constants.c5"),
     ("tail", tail_payload(seed=True), "seed"),
+    ("tail", tail_payload(seed=-1), "seed must be >= 0"),
+    # orders past 3 are rejected before a table of S^order entries is built
+    ("tail", tail_payload(process=CHAIN, t_grid=[30], kernel=dict(MATCH_KERNEL, order=4)),
+     "kernel.order must be <= 3"),
+    ("tail", tail_payload(process=CHAIN, t_grid=[30], kernel=dict(MATCH_KERNEL, order=10 ** 30)),
+     "kernel.order must be <= 3"),
     ("tail", tail_payload(threads=0), "threads"),
     ("tail", tail_payload(budget=float("inf")), "budget"),
     ("mixing-profile", dict(MIXING, process=STATES17), "17 states"),
@@ -325,7 +331,8 @@ STATES17 = {"kind": "markov_chain", "transition": [[1 / 17] * 17] * 17}
         "mgf-uniform-overflow", "t-grid-float", "replications-bool", "out-dir-int",
         "window-float", "simulate-length-float", "conditioning-time-float",
         "block-len-float", "table-entry-state-float", "constants-r-float",
-        "constants-c5-bool", "seed-bool", "threads-zero", "budget-inf",
+        "constants-c5-bool", "seed-bool", "seed-negative", "table-order-4",
+        "table-order-huge", "threads-zero", "budget-inf",
         "mixing-17-states", "table-file-state-float"])
 def test_config_errors_in_experiment_bodies_exit_2(tmp_path, capsys, command, payload, field):
     assert main([command, "--config", write_config(tmp_path, payload),
@@ -337,10 +344,11 @@ def test_config_errors_in_experiment_bodies_exit_2(tmp_path, capsys, command, pa
 
 @pytest.mark.parametrize("flag,value,field", [("--budget", "nan", "budget"),
                                               ("--threads", "0", "threads"),
-                                              ("--threads", "-1", "threads")])
+                                              ("--threads", "-1", "threads"),
+                                              ("--seed", "-1", "seed")])
 def test_run_flags_go_through_the_config_checks(tmp_path, capsys, flag, value, field):
     """A NaN budget would turn the budget guard off; fewer than one worker
-    would silently run serial."""
+    would silently run serial; a negative seed has no random stream."""
     assert main(["tail", "--config", write_config(tmp_path, tail_payload()),
                  "--out", str(tmp_path / "o"), flag, value]) == 2
     err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from pathlib import Path
@@ -16,6 +17,8 @@ from tsustat.hidim import ESTIMATOR_KINDS
 from tsustat.kernels import table_kernel
 from tsustat.processes import SeriesPath, block_replications
 from tsustat.ustat import u_statistic
+
+from oracles import mahonian_law
 
 CHAIN = {"kind": "markov_chain", "transition": [[0.75, 0.25], [0.25, 0.75]]}
 MATCH_KERNEL = {"kind": "table", "order": 2, "state_count": 2,
@@ -320,6 +323,33 @@ def test_tail_counts_consistent_and_theta_exact_zero():
         for c, p, se in zip(curve.counts, curve.empirical, curve.stderr):
             assert p == c / cfg.replications
             assert se == pytest.approx(math.sqrt(p * (1 - p) / cfg.replications))
+
+
+def test_tail_matches_the_exact_null_law_of_kendall_tau():
+    """With independent coordinates and no temporal dependence every rank
+    permutation is equally likely, so the inversion count has the Mahonian
+    law and P(|tau| >= x) is exact. Every tail point of a run lies within
+    |z| <= 4 of it, z in binomial standard errors of the exact probability;
+    a counter that loses inversions, or paths that keep a temporal
+    coefficient, miss by far more."""
+    perms = np.array(list(itertools.permutations(range(6))))
+    inversions = (perms[:, :, None] > perms[:, None, :]).sum(axis=(1, 2), where=np.triu(
+        np.ones((6, 6), dtype=bool), 1))
+    assert np.allclose(mahonian_law(6), np.bincount(inversions) / len(perms), rtol=0, atol=1e-15)
+
+    cfg = ExperimentConfig.from_dict(tail_config(
+        seed=11, process=dict(COPULA, temporal_coefficient=0.0), t_grid=[250, 500],
+        x_grid=[0.03, 0.06, 0.09], replications=8000))
+    exp = run_experiment(cfg).result
+    assert exp.theta == 0.0 and exp.theta_mode == "exact-independent"
+    for curve in exp.curves:
+        N = math.comb(curve.T, 2)
+        tau = (N - 2 * np.arange(N + 1)) / N  # tau of each inversion count, as the harness has it
+        law = mahonian_law(curve.T)
+        for x, p_hat in zip(curve.x, curve.empirical):
+            p = law[np.abs(tau - exp.theta) >= x].sum()
+            z = (p_hat - p) / math.sqrt(p * (1 - p) / cfg.replications)
+            assert abs(z) <= 4.0, (curve.T, x, p_hat, p, z)
 
 
 def test_tail_chain_theta_exact():

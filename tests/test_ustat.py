@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsustat import ustat
+from tsustat import hidim, ustat
 from tsustat.hidim import kendall_matrix, spearman_matrix
 from tsustat.kernels import (KernelSpec, mean_kernel, sign_product_kernel,
                              spearman_symmetric_kernel, table_kernel)
@@ -387,10 +387,70 @@ def test_key_sort_rank_kernels_match_their_oracles(seed, rows, T, kinds):
             assert km[j, k] == brute_tau_numerator(data[:, j], data[:, k]) / pairs
 
 
+def sign_sums(v):
+    """S_a = sum_b sign(v_a - v_b) per point, by O(T^2) pairwise signs."""
+    return np.sign(v[:, None] - v[None, :]).sum(axis=1).astype(np.int64)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 3),
+       T=st.sampled_from([2, 3, 5, 17, 33, 40, 41, 300, 2000]),
+       kinds=st.tuples(st.sampled_from(ROW_KINDS), st.sampled_from(ROW_KINDS)),
+       decimals=st.sampled_from([None, 0, 1, 2]))
+def test_tie_exact_counts_match_their_oracles(seed, rows, T, kinds, decimals):
+    """The tie-exact counts on rows with rounding ties, +-0.0 (rounding
+    makes -0.0 too) and near ties, up to T = 2000: K against pairwise
+    counting, W against the enumerator at T <= 40 and, at every T, against
+    the pairwise identity W = sum_a S^x_a S^y_a - 2K, S_a = sum_b
+    sign(v_a - v_b); the batch evaluators read the same values."""
+    rng = np.random.default_rng(seed)
+    x, y = (np.stack([_near_tie_row(rng, T, kind) for _ in range(rows)]) for kind in kinds)
+    if decimals is not None:
+        x, y = np.round(x, decimals), np.round(y, decimals)
+    K, W = ustat._tie_exact_counts(x, y)
+    assert np.array_equal(kendall_tau_batch(x, y), K / math.comb(T, 2))
+    if T >= 3:
+        assert np.array_equal(spearman_rho3_batch(x, y), W / (2 * math.comb(T, 3)))
+    for i in range(rows):
+        assert K[i] == kendall_tau_numerator(x[i], y[i])
+        assert W[i] == sign_sums(x[i]) @ sign_sums(y[i]) - 2 * K[i]
+        if 3 <= T <= 40:
+            assert W[i] / (2 * math.comb(T, 3)) == u_statistic(
+                np.column_stack([x[i], y[i]]), spearman_symmetric_kernel())
+
+
+def test_tied_rows_never_reach_the_oracles(monkeypatch):
+    """With ``u_statistic`` and ``kendall_tau_numerator`` made to raise,
+    tied rows and pairs still evaluate, at T = 1000, where one tied row of
+    the order-3 kernel is past the enumerator's term cap."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a production rank path called an oracle")
+    for module in (ustat, hidim):
+        for name in ("u_statistic", "kendall_tau_numerator"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    rng = np.random.default_rng(5)
+    x, y = np.round(rng.standard_normal((2, 3, 1000)), 1)
+    data = np.column_stack([*x, *y])
+    tau = kendall_tau_batch(x, y)
+    rho3 = spearman_rho3_batch(x, y)
+    scalar = kendall_tau(data[:, [0, 3]])
+    km = kendall_matrix(data).matrix
+    monkeypatch.undo()
+    pairs = math.comb(1000, 2)
+    for i in range(3):
+        K = kendall_tau_numerator(x[i], y[i])
+        assert tau[i] == K / pairs
+        assert rho3[i] == (sign_sums(x[i]) @ sign_sums(y[i]) - 2 * K) / (2 * math.comb(1000, 3))
+    assert scalar == tau[0]
+    for j, k in itertools.combinations(range(6), 2):
+        assert km[j, k] == kendall_tau_numerator(data[:, j], data[:, k]) / pairs
+
+
 def test_near_ties_take_the_argsort_route(monkeypatch):
     """Two distinct values one ulp apart, 1.0 and the next float (low key
     bits 0 and 1), share their keys' high bits, so their row, and only it,
-    takes the argsort route, and is not tied."""
+    takes the argsort routes, ``_tie_exact_counts`` for tau and
+    ``_argsort_ranks`` for the ranks, and is not tied."""
     calls = []
 
     def recording(name):
@@ -401,14 +461,14 @@ def test_near_ties_take_the_argsort_route(monkeypatch):
             return original(*rows)
         monkeypatch.setattr(ustat, name, record)
 
-    recording("_argsort_rank_pair")
+    recording("_tie_exact_counts")
     recording("_argsort_ranks")
     rng = np.random.default_rng(8)
     x, y = rng.standard_normal((2, 3, 9))
     x[1, 7] = 1.0
     x[1, 4] = np.nextafter(1.0, np.inf)
     tau = kendall_tau_batch(x, y)
-    assert ("_argsort_rank_pair", 1) in calls and all(n == 1 for _, n in calls)
+    assert calls == [("_tie_exact_counts", 1)]
     for i in range(3):
         assert tau[i] == u_statistic(np.column_stack([x[i], y[i]]), sign_product_kernel())
     calls.clear()
