@@ -12,8 +12,9 @@ import json
 import sys
 
 from .harness import (EXPERIMENTS, BudgetError, CheckFailure, ConfigError,
-                      ExperimentConfig, _read_json, calibrate_from_tail, emit_outputs,
-                      load_tail_result, read_field, run_experiment, write_files)
+                      ExperimentConfig, _read_json, calibrate_from_tail, check_budget,
+                      emit_outputs, load_tail_result, read_field, run_experiment,
+                      write_files)
 from .processes import generate
 
 EXIT_OK = 0
@@ -81,6 +82,7 @@ def _run_calibrate(args) -> int:
 
 
 def _run_simulate(cfg: ExperimentConfig) -> int:
+    check_budget(cfg)
     buf = io.StringIO()
     generate(cfg.process, cfg.length).to_csv(buf)
     print(*write_files(cfg.out_dir or ".", {"path.csv": buf.getvalue()}), sep="\n")

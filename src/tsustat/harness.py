@@ -10,9 +10,10 @@ by (seed, replication index), once, at the largest T of the grid, and every
 T is evaluated on a prefix of that path. Blocks are reduced in index order,
 so results are identical for any worker count.
 
-Every experiment but ``simulate`` runs through ``run_experiment``, which
-looks the experiment up in ``RUNNERS``, checks its work estimate against the
-budget and times the body. Outputs, all written by ``write_files``:
+Every experiment has a work estimate in ``RUNNERS``, which ``check_budget``
+compares with the budget before any work. Every experiment but ``simulate``
+runs through ``run_experiment``, which makes that check and times the body
+``RUNNERS`` holds beside it. Outputs, all written by ``write_files``:
 ``config.json`` (exact input snapshot), ``result.json`` with a ``data``
 block (byte-stable across reruns) and a ``meta`` block (wall clock), plus
 plot-ready CSV files per experiment.
@@ -36,8 +37,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import (BernsteinParams, BoundConstants, CalibrationResult, TailPoint,
-                     bernstein_envelope, calibrate_constants, combine_bernstein_params,
-                     empirical_log_mgf, ustat_tail_bound, bias_offset)
+                     bernstein_envelope, calibrate_constants, empirical_log_mgf,
+                     ustat_tail_bound, bias_offset)
 from .hidim import ESTIMATOR_KINDS, ScalingReport, scaling_experiment
 from .kernels import (KernelSpec, load_table_kernel, mean_kernel, sign_product_kernel,
                       spearman_symmetric_kernel, table_kernel)
@@ -46,7 +47,7 @@ from .mixing import (ALPHA_MAX_STATES, MixingProfile, check_conditioning,
 from .processes import (FiniteMarkovChain, ProcessSpec, _rep_rng, correlation_factor,
                         generate_batch, latent_batch, map_replication_blocks,
                         uniform_marginals)
-from .ustat import (_THETA_STAR_T_CAP, _tuple_counts, check_zero_conditional_means,
+from .ustat import (_THETA_STAR_T_CAP, _u_table_path, check_zero_conditional_means,
                     decompose, kendall_tau_batch, spearman_rho3_batch, theta_independent)
 
 SCHEMA_VERSION = 1
@@ -418,15 +419,6 @@ def _path_cost(kernel: KernelSpec, T: int) -> float:
     return float(T * kernel.table.shape[0] ** kernel.order)  # table: tuple counts
 
 
-def _u_table_path(states: np.ndarray, H: np.ndarray) -> float:
-    """U-statistic of a table kernel on a state path, <N, H> / C(T, r) from
-    the exact tuple counts N of ``ustat._tuple_counts``."""
-    T, r = states.shape[0], H.ndim
-    if T < r:
-        raise ValueError(f"path length {T} shorter than kernel order {r}")
-    return math.fsum((_tuple_counts(states, H.shape[0], r) * H).ravel()) / math.comb(T, r)
-
-
 def _oracle_samples(cfg: ExperimentConfig) -> np.ndarray:
     """(draws, r, d) iid draws of r points from the stationary marginal.
 
@@ -449,20 +441,29 @@ def _oracle_samples(cfg: ExperimentConfig) -> np.ndarray:
     raise ConfigError("no independent-sampling oracle for this process")
 
 
-def _estimate_theta(cfg: ExperimentConfig) -> tuple[float, float, str]:
-    """(theta, standard error, mode used) for the configured process/kernel."""
+def _exact_theta(cfg: ExperimentConfig) -> tuple[float, str] | None:
+    """(theta, mode) where the config fixes theta exactly, None where the
+    Monte Carlo oracle estimates it."""
     spec, kernel = cfg.process, cfg.kernel
     if cfg.theta_mode == "exact-zero":
-        return 0.0, 0.0, "exact-zero"
+        return 0.0, "exact-zero"
     if cfg.theta_mode == "auto":
         if spec.kind == "markov_chain" and kernel.kind == "table":
-            return (theta_independent(spec.chain, kernel, kernel.order), 0.0, "exact-chain")
+            return theta_independent(spec.chain, kernel, kernel.order), "exact-chain"
         if (spec.kind == "gaussian_copula_vector" and kernel.kind == "sign_product"
                 and spec.identity_correlation):
             # independent continuous coordinates: the sign product integrates to zero
-            return 0.0, 0.0, "exact-independent"
+            return 0.0, "exact-independent"
+    return None
+
+
+def _estimate_theta(cfg: ExperimentConfig) -> tuple[float, float, str]:
+    """(theta, standard error, mode used) for the configured process/kernel."""
+    exact = _exact_theta(cfg)
+    if exact is not None:
+        return exact[0], 0.0, exact[1]
     # iid oracle on the stationary cross-sectional marginal
-    vals = _kernel_values(kernel, _oracle_samples(cfg))
+    vals = _kernel_values(cfg.kernel, _oracle_samples(cfg))
     theta = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(vals.size))
     return theta, se, "mc"
@@ -528,8 +529,10 @@ def _path_values(cfg: ExperimentConfig) -> int:
 
 def estimate_tail_budget(cfg: ExperimentConfig) -> float:
     """Work units of the tail run: replications times the per-path cost of
-    the evaluator the kernel kind selects."""
-    return cfg.replications * math.fsum(_path_cost(cfg.kernel, T) for T in cfg.t_grid)
+    the evaluator the kernel kind selects, plus r per Monte Carlo theta draw
+    of r points."""
+    draws = cfg.theta_draws * cfg.kernel.order if _exact_theta(cfg) is None else 0
+    return draws + cfg.replications * math.fsum(_path_cost(cfg.kernel, T) for T in cfg.t_grid)
 
 
 def _run_tail(cfg: ExperimentConfig) -> TailExperiment:
@@ -619,6 +622,13 @@ class BiasReport:
         for row in self.rows:
             lines.append(f"{row['T']},{row['bias']:.17g},{row['sqrt_t_scaled']:.17g}")
         return {"bias.csv": "\n".join(lines) + "\n"}
+
+
+def estimate_bias_budget(cfg: ExperimentConfig) -> float:
+    """Work units of the bias run: per T, the T^(r-1) S^2 entries of the gap
+    tables ``theta_star`` builds."""
+    s, r = cfg.kernel.table.shape[0], cfg.order
+    return math.fsum(T ** (r - 1) * s * s for T in cfg.t_grid)
 
 
 def _run_bias_curve(cfg: ExperimentConfig) -> BiasReport:
@@ -727,13 +737,8 @@ class MixingProfileResult:
 
 def estimate_mixing_budget(cfg: ExperimentConfig) -> float:
     """Work units of the mixing-profile run: per lag, the 2^S state subsets
-    ``alpha_coeff`` enumerates and, with a conditional block, the S^block_len
-    present-block atoms ``conditional_phi_coeff`` enumerates."""
-    s = cfg.process.chain.state_count
-    atoms = 0.0
-    if cfg.conditioning is not None:
-        atoms = math.inf if cfg.block_len * math.log2(s) > 1000 else float(s) ** cfg.block_len
-    return len(cfg.lags) * (2.0 ** s + atoms)
+    ``alpha_coeff`` enumerates."""
+    return len(cfg.lags) * 2.0 ** cfg.process.chain.state_count
 
 
 def _run_mixing_profile(cfg: ExperimentConfig) -> MixingProfileResult:
@@ -784,10 +789,17 @@ def _summand_log_mgf(distribution: str, scale: float, eta: float) -> float:
     return 0.0 if z == 0 else math.log(math.sinh(z) / z)  # uniform
 
 
+def estimate_mgf_budget(cfg: ExperimentConfig) -> float:
+    """Work units of the mgf-check run: the samples x summands draws and one
+    pass over the samples per eta point."""
+    return float(cfg.samples) * (cfg.summands + cfg.eta_points)
+
+
 def _run_mgf_check(cfg: ExperimentConfig) -> MgfCheckReport:
     dist, n, scale, points = cfg.distribution, cfg.summands, cfg.scale, cfg.eta_points
     per = BernsteinParams(cfg.summand_sigma, cfg.summand_kappa)
-    combined = combine_bernstein_params([per] * n)
+    # the sum of n copies, as combine_bernstein_params([per] * n) gives it for n < 2^53
+    combined = BernsteinParams(n * per.sigma, n * per.kappa)
     eta_max = 0.99 / combined.kappa if combined.kappa > 0 else cfg.eta_max
     if eta_max is None:
         raise ConfigError("eta_max is required when the combined kappa is zero")
@@ -836,16 +848,29 @@ def _run_scaling(cfg: ExperimentConfig) -> ScalingReport:
 # the one runner and output emission
 # ---------------------------------------------------------------------------
 
-# experiment -> (body, work estimate checked against the budget before the body
-# runs, or None). ``simulate`` writes a path, not a result, and is not here.
-RUNNERS: dict[str, tuple[Callable, Callable | None]] = {
+def estimate_simulate_budget(cfg: ExperimentConfig) -> float:
+    """Work units of the simulate run: the values of its one path."""
+    return float(cfg.length) * (cfg.process.dimension or 1)
+
+
+# experiment -> (body, work estimate checked against the budget before any
+# work). ``simulate`` writes a path, not a result: the CLI runs it, no body here.
+RUNNERS: dict[str, tuple[Callable | None, Callable]] = {
+    "simulate": (None, estimate_simulate_budget),
     "tail": (_run_tail, estimate_tail_budget),
     "scaling": (_run_scaling, estimate_scaling_budget),
-    "bias-curve": (_run_bias_curve, None),
+    "bias-curve": (_run_bias_curve, estimate_bias_budget),
     "decompose-check": (_run_decompose_check, estimate_decompose_budget),
     "mixing-profile": (_run_mixing_profile, estimate_mixing_budget),
-    "mgf-check": (_run_mgf_check, None),
+    "mgf-check": (_run_mgf_check, estimate_mgf_budget),
 }
+
+
+def check_budget(cfg: ExperimentConfig) -> None:
+    """A BudgetError if the work estimate of ``cfg`` exceeds its budget."""
+    cost = RUNNERS[cfg.experiment][1](cfg)
+    if cost > cfg.budget:
+        raise BudgetError(f"estimated {cost:.3g} work units exceed budget {cfg.budget:.3g}")
 
 
 @dataclass
@@ -860,14 +885,11 @@ class ExperimentRun:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentRun:
     """Run ``cfg`` through its ``RUNNERS`` body after the budget check."""
-    if cfg.experiment not in RUNNERS:
+    body = RUNNERS[cfg.experiment][0]
+    if body is None:
         raise ConfigError(f"experiment '{cfg.experiment}' has no result runner")
-    body, estimate = RUNNERS[cfg.experiment]
     t0 = time.time()
-    if estimate is not None:
-        cost = estimate(cfg)
-        if cost > cfg.budget:
-            raise BudgetError(f"estimated {cost:.3g} work units exceed budget {cfg.budget:.3g}")
+    check_budget(cfg)
     result = body(cfg)
     return ExperimentRun(result=result, config=cfg.raw,
                          meta={"wall_seconds": time.time() - t0})

@@ -2,11 +2,12 @@
 
 Both estimators read one rank transform per coordinate, ``ustat._ranks``.
 Pairwise Kendall entries run through the batched inversion counter, so the
-p(p-1)/2 upper triangle fills in a handful of vectorized passes, and pairs
-with a tie take the batched ``ustat._tie_exact_counts``; Spearman entries
-come from exact integer rank Gram sums. Under a Gaussian copula the
-population matrices are exact functions of the correlation matrix R:
-(2/pi) arcsin R for Kendall and (6/pi) arcsin(R/2) for Spearman.
+p(p-1)/2 upper triangle fills in a handful of vectorized passes; Spearman
+entries come from exact integer rank Gram sums. In both, pairs with a tie or
+a near tie take the batched ``ustat._tie_exact_counts``, under sign(0) = 0.
+Under a Gaussian copula the population matrices are exact functions of the
+correlation matrix R: (2/pi) arcsin R for Kendall and (6/pi) arcsin(R/2) for
+Spearman.
 ``scaling_experiment`` measures how the worst entrywise deviation from the
 population matrix scales against sqrt(log(Tp)/T) over a (T, p) grid. It
 estimates on the copula's latent Gaussian paths: the marginal CDF is
@@ -59,15 +60,28 @@ def _validate_matrix_input(data: np.ndarray) -> np.ndarray:
     return data
 
 
+def _tie_exact_pairs(data: np.ndarray, near: np.ndarray, out: np.ndarray, entry) -> None:
+    """Set out[j, k] = out[k, j] = entry(K, W) from ``_tie_exact_counts`` on
+    each pair j < k touching a column ``near`` flags (only there can key-sort
+    ranks be off), in blocks of ``block_replications(T)`` pairs."""
+    js, ks = np.triu_indices(data.shape[1], k=1)
+    tie = near[js] | near[ks]
+    js, ks = js[tie], ks[tie]
+    chunk = block_replications(data.shape[0])
+    for start in range(0, js.size, chunk):
+        j, k = js[start:start + chunk], ks[start:start + chunk]
+        out[j, k] = out[k, j] = entry(*_tie_exact_counts(data.T[j], data.T[k]))
+
+
 def kendall_matrix(data) -> CorrelationMatrixEstimate:
     """Pairwise Kendall's tau matrix of a (T x p) sample, in blocks of
     ``block_replications(T)`` pairs. A pair (j, k) is counted on the k-ranks
     read in j order, a permutation of 0..T-1, gathered on the narrowest
-    unsigned dtype; pairs touching a tied column are recounted by
-    ``_tie_exact_counts``, since only tie-free ranks are unique."""
+    unsigned dtype; ``_tie_exact_pairs`` then recounts the pairs touching a
+    column with a tie or a near tie."""
     data = _validate_matrix_input(data)
     T, p = data.shape
-    order, ranks, tied = _ranks(data.T)
+    order, ranks, near = _ranks(data.T)
     ranks = ranks.astype(np.min_scalar_type(T - 1))
     js, ks = np.triu_indices(p, k=1)
     denom = math.comb(T, 2)
@@ -76,25 +90,23 @@ def kendall_matrix(data) -> CorrelationMatrixEstimate:
     for start in range(0, js.size, chunk):
         j, k = js[start:start + chunk], ks[start:start + chunk]
         K = denom - 2 * _count_inversions_batch(ranks[k[:, None], order[j]])
-        tie = tied[j] | tied[k]
-        if tie.any():
-            K[tie] = _tie_exact_counts(data.T[j[tie]], data.T[k[tie]])[0]
         M[j, k] = M[k, j] = K / denom
+    _tie_exact_pairs(data, near, M, lambda K, W: K / denom)
     return CorrelationMatrixEstimate(kind="kendall", matrix=M, sample_length=T)
 
 
 def spearman_matrix(data) -> CorrelationMatrixEstimate:
-    """Pairwise Spearman's rho matrix from exact integer rank sums (no ties)."""
+    """Pairwise Spearman's rho matrix, 1 - 6 d2 / (T(T^2-1)) per pair, d2 the
+    squared rank differences from the exact integer rank Gram; on the pairs
+    ``_tie_exact_pairs`` takes, d2 = (T(T^2-1) - 3(W + 2K)) / 6, Hoeffding's
+    identity under sign(0) = 0 (the exact d2 without a tie). The diagonal is 1."""
     data = _validate_matrix_input(data)
     T, p = data.shape
-    _, ranks0, tied = _ranks(data.T)
-    if tied.any():
-        raise ValueError(f"coordinate {np.argmax(tied)} has ties; Spearman entries are undefined")
-    ranks = ranks0 + 1  # 1..T
-    gram = ranks @ ranks.T
-    sum_sq = T * (T + 1) * (2 * T + 1) // 6
-    d2 = 2 * (sum_sq - gram)  # sum of squared rank differences per pair
-    M = 1.0 - 6.0 * d2 / (T * (T * T - 1))
+    _, ranks, near = _ranks(data.T)
+    n = T * (T * T - 1)
+    d2 = 2.0 * ((T - 1) * T * (2 * T - 1) // 6 - ranks @ ranks.T)  # 0-based rank Gram
+    _tie_exact_pairs(data, near, d2, lambda K, W: (n - 3 * (W + 2 * K)) / 6)
+    M = 1.0 - 6.0 * d2 / n
     np.fill_diagonal(M, 1.0)
     return CorrelationMatrixEstimate(kind="spearman", matrix=M, sample_length=T)
 

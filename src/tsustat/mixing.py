@@ -12,7 +12,6 @@ total variation exactly by the total variation of their first coordinates.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -127,29 +126,19 @@ def conditional_phi_coeff(
     over present events is attained at atoms (conditional probabilities are
     convex combinations of atom values) and the supremum over future events is
     a total variation distance. Both future block laws evolve with the same
-    kernel, so that distance is the TV of the first future coordinate.
+    kernel, so that distance is the TV of the first future coordinate, which
+    depends on an atom only through its last state: the supremum runs over
+    the states the last present coordinate takes with positive probability.
     """
     if n < 1:
         raise ValueError("lag must be >= 1")
     check_conditioning(chain, conditioning, block_len)
-    s = chain.state_count
-
-    P = chain.transition
     Pn = chain.power(n)
-    start = P[int(conditioning[-1][1])]  # law of the first present coordinate
+    start = chain.transition[int(conditioning[-1][1])]  # law of the first present coordinate
     # law of the last present coordinate given the conditioning
     end_marginal = start @ chain.power(block_len - 1)
     mu_bar = end_marginal @ Pn  # future start marginal given conditioning only
-
-    best = 0.0
-    for atom in itertools.product(range(s), repeat=block_len):
-        w = start[atom[0]]
-        for a, b in zip(atom, atom[1:]):
-            w *= P[a, b]
-        if w <= 0.0:
-            continue
-        best = max(best, _tv(Pn[atom[-1]], mu_bar))
-    return best
+    return max(_tv(Pn[x], mu_bar) for x in np.flatnonzero(end_marginal > 0))
 
 
 def fit_decay_rate(profile: tuple[Sequence[int], Sequence[float]]) -> float:

@@ -74,12 +74,19 @@ class FiniteMarkovChain:
         return self.transition.shape[0]
 
     def power(self, n: int) -> np.ndarray:
-        """P^n, memoized per chain."""
+        """P^n, memoized: P^(n//2) squared, times P for odd n, with each
+        product's rows rescaled to sum to 1, so their rounding cannot compound
+        over the squarings and P^n stays stochastic at any n."""
         if n < 0:
             raise ValueError("matrix power needs n >= 0")
         got = self._powers.get(n)
         if got is None:
-            got = np.linalg.matrix_power(self.transition, n)
+            if n < 2:
+                got = np.linalg.matrix_power(self.transition, n)
+            else:
+                half = self.power(n // 2)
+                got = half @ half if n % 2 == 0 else half @ half @ self.transition
+                got /= got.sum(axis=1, keepdims=True)
             self._powers[n] = got
         return got
 
@@ -180,7 +187,6 @@ class SeriesPath:
 
     values: np.ndarray | None = None
     states: np.ndarray | None = None
-    spec: ProcessSpec | None = None
 
     def __post_init__(self):
         if (self.values is None) == (self.states is None):
@@ -313,8 +319,8 @@ def generate(spec: ProcessSpec, length: int) -> SeriesPath:
     """One path; equals replication 0 of ``generate_batch``."""
     batch = generate_batch(spec, length, 1)
     if spec.kind == "markov_chain":
-        return SeriesPath(states=batch[0], spec=spec)
-    return SeriesPath(values=batch[0], spec=spec)
+        return SeriesPath(states=batch[0])
+    return SeriesPath(values=batch[0])
 
 
 def latent_batch(spec: ProcessSpec, length: int, replications: int,

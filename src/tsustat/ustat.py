@@ -5,12 +5,12 @@ with compensated summation; it and the pairwise ``kendall_tau_numerator``
 serve as the slow oracles. Fast paths: Kendall's tau as the inversion count
 of a rank permutation, vectorized across whole batches of rows in two
 phases: a top-down partition on the high value bits, then direct
-comparisons within small blocks of positions on the low bits. Spearman's
-rho comes from exact integer rank sums, and the order-3 symmetric rank
-kernel from the same counts through Hoeffding's identity. Every rank comes
-from one sort of uint64 keys per coordinate, value bits above and an index
-below; rows with a tie or a near tie take one batched tie-exact count
-(Knight 1966) on the same counter. Non-finite values are rejected.
+comparisons within small blocks of positions on the low bits. The order-3
+symmetric rank kernel comes from the same counts and integer rank sums
+through Hoeffding's identity. Every rank comes from one sort of uint64 keys
+per coordinate, value bits above and an index below; rows with a tie or a
+near tie take one batched tie-exact count (Knight 1966) on the same counter,
+which gives Spearman's rho too. Non-finite values are rejected.
 Hoeffding's permutation decoupling, a proof device, is checked against
 ``u_statistic`` by a literal oracle in the tests.
 
@@ -237,8 +237,8 @@ def _key_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A flagged row holds two adjacent sorted keys that share their high bits:
     a tie, or two values within 2^bits ulps. Only in flagged rows can the low
-    bits differ from the ordering by value, so those rows take the argsort
-    route. Non-finite values are rejected.
+    bits differ from the ordering by value, so those rows take
+    ``_tie_exact_counts``. Non-finite values are rejected.
     """
     T = keys.shape[1]
     low = np.uint64((1 << (T - 1).bit_length()) - 1)
@@ -252,33 +252,20 @@ def _key_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys.view(np.int64), near
 
 
-def _argsort_ranks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_ranks`` by one unstable argsort per row, for the rows it flags."""
-    order = np.argsort(rows, axis=1)
-    ranks = np.empty(order.shape, dtype=np.int64)
-    np.put_along_axis(ranks, order, np.arange(rows.shape[1]), axis=1)
-    sorted_rows = np.take_along_axis(rows, order, axis=1)
-    return order, ranks, (sorted_rows[:, 1:] == sorted_rows[:, :-1]).any(axis=1)
-
-
 def _ranks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order, ranks, tied) of each row of a 2-D array of finite values.
+    """(order, ranks, near) of each row of a 2-D array of finite values.
 
-    ``order`` sorts the row and ``ranks`` is its inverse, the 0-based ranks.
     One sort of uint64 keys per row gives the order: each key holds the
     value's bits above the low ceil(log2 T) and the time index below them.
-    Rows with a near tie take ``_argsort_ranks``. ``tied`` flags the rows
-    holding equal entries; only in those do order and ranks depend on the
-    sort, so tie-free results are exact and tied rows must take another path.
+    ``ranks`` is its inverse, the 0-based ranks. ``near`` flags the rows with
+    a tie or a near tie (see ``_key_order``); ``order`` and ``ranks`` are
+    exact only where ``near`` is False, so flagged rows must take
+    ``_tie_exact_counts``.
     """
-    rows = np.asarray(rows)
-    order, near = _key_order(_keys(rows))
+    order, near = _key_order(_keys(np.asarray(rows)))
     ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(rows.shape[1]), axis=1)
-    tied = np.zeros(rows.shape[0], dtype=bool)
-    if near.any():
-        order[near], ranks[near], tied[near] = _argsort_ranks(rows[near])
-    return order, ranks, tied
+    np.put_along_axis(ranks, order, np.arange(order.shape[1]), axis=1)
+    return order, ranks, near
 
 
 def _rank_pair_batch(x_rows: np.ndarray, y_rows: np.ndarray):
@@ -395,24 +382,23 @@ class SpearmanResult(NamedTuple):
 
 
 def spearman_rho(path) -> SpearmanResult:
-    """Spearman's rho of a tie-free bivariate path, with its U-statistic parts.
-
-    ``rho`` comes from exact integer rank sums; ``rho3`` is the order-3
-    symmetric-kernel U-statistic and ``tau`` the order-2 one, satisfying
-    rho = ((T-2) rho3 + 3 tau) / (T+1).
+    """Spearman's rho of a bivariate path with its U-statistic parts, ties
+    scored by sign(0) = 0: ``rho3`` (the order-3 symmetric kernel, by
+    enumeration) and ``tau`` (order 2). rho = ((T-2) rho3 + 3 tau) / (T+1)
+    comes with tau from one ``_tie_exact_counts`` call, as 1 - 6 d2 / (T(T^2-1))
+    with d2 = (T(T^2-1) - 3(W + 2K)) / 6, the squared rank differences if tie-free.
     """
     xy = _bivariate(path)
     T = xy.shape[0]
     if T < 3:
         raise ValueError("Spearman's rho needs at least 3 observations")
-    _, (rx, ry), tied = _ranks(xy.T)
-    if tied.any():
-        raise ValueError("Spearman's rho is defined here for tie-free paths")
-    d2 = int(((rx - ry) ** 2).sum())
-    rho = 1.0 - 6.0 * d2 / (T * (T * T - 1))
+    if not np.isfinite(xy).all():
+        raise ValueError("rank statistics need finite values")
+    K, W = (int(v[0]) for v in _tie_exact_counts(xy[None, :, 0], xy[None, :, 1]))
+    n = T * (T * T - 1)
+    rho = 1.0 - 6.0 * ((n - 3 * (W + 2 * K)) / 6) / n
     rho3 = u_statistic(path, spearman_symmetric_kernel())
-    tau = kendall_tau(path)
-    return SpearmanResult(rho=rho, rho3=rho3, tau=tau)
+    return SpearmanResult(rho=rho, rho3=rho3, tau=K / math.comb(T, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +418,15 @@ def _tuple_counts(states: np.ndarray, s: int, r: int) -> np.ndarray:
     if r == 2:
         return (seen - onehot).T @ onehot
     return np.einsum("ta,tb,tc->abc", seen - onehot, onehot, seen[-1] - seen)
+
+
+def _u_table_path(states: np.ndarray, H: np.ndarray) -> float:
+    """U-statistic of a table kernel on a state path, <N, H> / C(T, r) from
+    the exact tuple counts N of ``_tuple_counts``."""
+    T, r = states.shape[0], H.ndim
+    if T < r:
+        raise ValueError(f"path length {T} shorter than kernel order {r}")
+    return math.fsum((_tuple_counts(states, H.shape[0], r) * H).ravel()) / math.comb(T, r)
 
 
 def _kernel_table(kernel: KernelSpec | np.ndarray, state_count: int, r: int) -> np.ndarray:
@@ -587,8 +582,8 @@ def decompose(paths, chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
     path_sums = _path_sums(H, tables, T)
     reports = []
     for row in np.atleast_2d(states):
-        u_sum, sums, b_max = path_sums(row)
-        u_value = u_sum / n_tuples
+        u_value = _u_table_path(row, H)
+        sums, b_max = path_sums(row)
         s_terms = [v / n_tuples for v in sums]
         reports.append(DecompositionReport(
             order=r, length=T, s_terms=s_terms, u_value=u_value,
@@ -600,8 +595,8 @@ def decompose(paths, chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
 
 def _path_sums(H: np.ndarray, tables: list[np.ndarray], T: int):
     """Build the path-independent tables of ``decompose`` once; return the
-    per-path evaluator states -> (sum of h, [sum of term k for k = 1..r],
-    largest |b-term|).
+    per-path evaluator states -> ([sum of term k for k = 1..r], largest
+    |b-term|).
 
     With pairs (a, b), a < b, gap g = b - a and rest n = T - 1 - b:
 
@@ -644,7 +639,6 @@ def _path_sums(H: np.ndarray, tables: list[np.ndarray], T: int):
         C1_row = (gap * T + rest) * s
 
     def evaluate(x: np.ndarray):
-        u_sum = math.fsum((_tuple_counts(x, s, r) * H).ravel())
         pair = x[a] * s + x[b]
         top = K[K_row + pair]
         f = F[F_row + x]
@@ -660,7 +654,7 @@ def _path_sums(H: np.ndarray, tables: list[np.ndarray], T: int):
             b_max = max(b_max, float(np.max(np.abs(mid), initial=0.0)) / T)
             top = np.where(weight > 0, top, 0.0)
         b_max = max(b_max, float(np.max(np.abs(top), initial=0.0)))
-        return u_sum, [float(v) for v in sums], b_max
+        return [float(v) for v in sums], b_max
 
     return evaluate
 

@@ -454,11 +454,45 @@ def test_decompose_check_budget_exits_3_within_the_cap(tmp_path):
 
 
 def test_mixing_profile_budget_exits_3_before_enumerating(tmp_path):
-    """A 22-coordinate present block of a 2-state chain has 2^22 atoms per lag."""
-    cfg = write_config(tmp_path, dict(MIXING, conditional={"conditioning": [[0, 0]],
-                                                           "block_len": 22}))
+    """alpha enumerates the 2^16 state subsets of a 16-state chain per lag:
+    three lags exceed a budget of 10^5 before any subset is enumerated."""
+    states16 = {"kind": "markov_chain", "transition": [[1 / 16] * 16] * 16}
+    cfg = write_config(tmp_path, dict(MIXING, process=states16))
     assert main(["mixing-profile", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--budget", "10"]) == 3
+                 "--budget", "1e5"]) == 3
+    assert not (tmp_path / "o").exists()
+
+
+def test_mixing_profile_runs_at_a_huge_lag_and_a_long_block(tmp_path):
+    """Lag 10^30 and a present block of 10^6 coordinates: the matrix powers
+    stay stochastic and no present-block atom is enumerated."""
+    chain = {"kind": "markov_chain", "transition": [[0.7, 0.3], [0.1, 0.9]]}
+    payload = dict(MIXING, process=chain, lags=[1, 10 ** 30],
+                   conditional={"conditioning": [[0, 0]], "block_len": 10 ** 6})
+    out = tmp_path / "m"
+    assert main(["mixing-profile", "--config", write_config(tmp_path, payload),
+                 "--out", str(out)]) == 0
+    profiles = json.loads((out / "result.json").read_text())["data"]["profiles"]
+    for prof in profiles.values():
+        assert prof["lags"] == [1, 10 ** 30] and 0.0 <= prof["values"][1] <= 1e-15
+
+
+# each case: command, payload, and --budget (None for the default)
+@pytest.mark.parametrize("command,payload,budget", [
+    ("tail", tail_payload(kernel={"kind": "spearman_sym"}, t_grid=[10],
+                          theta={"mode": "mc", "draws": 10 ** 30}), None),
+    ("mgf-check", dict(MGF, summands=10 ** 30), None),
+    ("mgf-check", dict(MGF, samples=10 ** 30), None),
+    ("simulate", dict(SIMULATE, length=10 ** 30), None),
+    ("bias", BIAS, "10"),
+], ids=["theta-draws", "mgf-summands", "mgf-samples", "simulate-length", "bias"])
+def test_every_experiment_checks_its_work_estimate(tmp_path, capsys, command, payload, budget):
+    """Each input asks for more work than the budget allows, so it exits 3
+    before any of that work starts, never on a failed allocation."""
+    argv = [command, "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "o")]
+    assert main(argv + (["--budget", budget] if budget else [])) == 3
+    err = capsys.readouterr().err
+    assert "budget exceeded:" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -516,19 +550,25 @@ def test_rank_runs_do_not_import_scipy(tmp_path):
 
 
 _BENCHMARK_PROBE = """
-import json
+import json, sys
 from perfbench.spans import SpanRecorder, install
-from perfbench.workloads import spot_checks
-print(json.dumps([install(SpanRecorder()), spot_checks([])]))
+from perfbench.workloads import WORKLOADS, spot_checks
+steps = [step for make in WORKLOADS.values() for step in make(1, sys.argv[1])]
+checked = spot_checks(steps)
+print(json.dumps([install(SpanRecorder()), spot_checks([]), checked]))
 """
 
 
-def test_benchmark_hooks_find_their_names():
+def test_benchmark_hooks_find_their_names(tmp_path):
     """The benchmark wraps named layers and its spot-checks import named
-    oracles; a refactor that moves one of those names fails here."""
+    oracles; a refactor that moves one of those names fails here. The
+    spot-checks also run on the real steps of both workloads at seed 1, each
+    fast path against its oracle, and report no problem."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", "."]))
-    proc = subprocess.run([sys.executable, "-c", _BENCHMARK_PROBE], cwd=root,
+    proc = subprocess.run([sys.executable, "-c", _BENCHMARK_PROBE, str(tmp_path)], cwd=root,
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]
+    missing, imports, checked = json.loads(proc.stdout.splitlines()[-1])
+    assert missing == [] and imports == []
+    assert len(checked) == 4 and all(problems == [] for _, problems in checked), checked

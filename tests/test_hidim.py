@@ -56,15 +56,20 @@ def test_matrix_shape_invariants():
         assert np.max(np.abs(M)) <= 1.0
 
 
-def test_kendall_matrix_handles_ties_spearman_rejects():
+def test_rank_matrices_handle_ties():
+    """With ties in one coordinate, both matrices hold the scalar estimators'
+    values under sign(0) = 0, which for Spearman satisfy Hoeffding's
+    identity, and keep a unit diagonal."""
     rng = np.random.default_rng(2)
     data = rng.standard_normal((30, 3))
     data[:, 1] = np.round(data[:, 1])  # introduce ties in one coordinate
     km = kendall_matrix(data).matrix
-    pair = data[:, [0, 1]]
-    assert km[0, 1] == pytest.approx(kendall_tau(pair), abs=1e-15)
-    with pytest.raises(ValueError):
-        spearman_matrix(data)
+    sm = spearman_matrix(data).matrix
+    for j, k in ((0, 1), (0, 2), (1, 2)):
+        r = spearman_rho(data[:, [j, k]])
+        assert km[j, k] == kendall_tau(data[:, [j, k]]) == r.tau
+        assert sm[j, k] == r.rho == pytest.approx((28 * r.rho3 + 3 * r.tau) / 31, abs=1e-12)
+    assert np.all(np.diag(km) == 1.0) and np.all(np.diag(sm) == 1.0)
 
 
 def test_validation_errors():

@@ -7,7 +7,8 @@ import pytest
 from tsustat.harness import MixingProfileResult
 from tsustat.mixing import (MixingProfile, alpha_coeff, beta_coeff, conditional_phi_coeff,
                             fit_decay_rate, mixing_profile, phi_coeff)
-from tsustat.processes import cycle_chain, iid_chain, random_chain, two_state_chain
+from tsustat.processes import (FiniteMarkovChain, cycle_chain, iid_chain, random_chain,
+                               two_state_chain)
 
 from oracles import beta_coeff_bruteforce, conditional_phi_enumerated
 
@@ -150,6 +151,56 @@ def test_conditional_phi_horizon_invariant_and_matches_collapse():
         for h in (1, 2, n + 4):
             lit = conditional_phi_enumerated(chain, cond, j, n, horizon=h)
             assert lit == pytest.approx(exact, abs=1e-12)
+
+
+def test_conditional_phi_matches_enumeration_at_longer_blocks():
+    """Present blocks up to 6 coordinates long, on random chains and on a
+    chain whose zero transitions leave some last present states unreachable
+    from the conditioning state: the value reads only those states."""
+    rng = np.random.default_rng(33)
+    sparse = FiniteMarkovChain(np.array([[0.0, 0.5, 0.5], [0.0, 0.2, 0.8], [0.3, 0.0, 0.7]]))
+    chains = [random_chain(int(rng.integers(2, 4)), rng) for _ in range(4)] + [sparse]
+    for chain in chains:
+        for j in range(1, 7):
+            for n in (1, 3):
+                cond = [(0, int(rng.integers(chain.state_count)))]
+                lit = conditional_phi_enumerated(chain, cond, j, n, horizon=2)
+                assert conditional_phi_coeff(chain, cond, j, n) == pytest.approx(lit, abs=1e-12)
+    # from state 0 the sparse chain's next state is never 0
+    assert conditional_phi_coeff(sparse, [(0, 0)], 1, 1) == pytest.approx(
+        max(0.5 * np.abs(sparse.power(1)[x] - sparse.power(2)[0]).sum() for x in (1, 2)))
+
+
+def test_conditional_phi_at_a_long_block_is_phi():
+    """A present block of 10^6 coordinates forgets the conditioning: its last
+    state follows pi, so the value is phi(n). The atoms are not enumerated."""
+    chain = two_state_chain(0.3, 0.1)
+    for n in (1, 2, 5):
+        assert conditional_phi_coeff(chain, [(0, 0)], 10 ** 6, n) == pytest.approx(
+            phi_coeff(chain, n), abs=1e-12)
+
+
+def test_power_matches_matrix_power_below_200():
+    rng = np.random.default_rng(5)
+    periodic = FiniteMarkovChain(np.array([[0, 0, 0.5, 0.5], [0, 0, 0.3, 0.7],
+                                           [0.4, 0.6, 0, 0], [0.2, 0.8, 0, 0]]))
+    for chain in (two_state_chain(0.3, 0.1), random_chain(5, rng), cycle_chain(3), periodic):
+        for g in range(200):
+            np.testing.assert_allclose(chain.power(g), np.linalg.matrix_power(chain.transition, g),
+                                       rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("lag", [10 ** 12, 10 ** 30])
+def test_power_stays_stochastic_at_huge_lags(lag):
+    """Repeated squaring alone compounds the rounding of the row sums: on this
+    chain it read beta, phi and alpha as about 2.3e-6 at lag 10^12 and inf at
+    10^30, where the true values are about 0.6^lag."""
+    chain = two_state_chain(0.3, 0.1)
+    assert np.max(np.abs(chain.power(lag).sum(axis=1) - 1.0)) <= 1e-15
+    for coeff in (beta_coeff, phi_coeff, alpha_coeff):
+        assert 0.0 <= coeff(chain, lag) <= 1e-15
+    cycle = cycle_chain(3)  # periodic: P^lag = P^(lag mod 3), exactly
+    assert np.array_equal(cycle.power(lag), cycle.power(lag % 3))
 
 
 def test_conditional_phi_errors():

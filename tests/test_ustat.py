@@ -119,20 +119,22 @@ def test_inversion_counter_wide_row_in_closed_form():
 
 @pytest.mark.parametrize("rows,T", [(1, 1), (1, 7), (1, 300), (9, 2), (9, 40), (9, 300)])
 def test_ranks_invert_the_order_and_flag_ties(rows, T):
-    """Ranks are the inverse permutation of the order, the order sorts each
-    row, and the tie flag agrees with a count of distinct values, on rows
-    with and without rounding ties."""
+    """Ranks are the inverse permutation of the order and the order sorts
+    each row, on rows with and without rounding ties. These rows hold no near
+    tie that is not a tie, so the near-tie flag agrees with a count of
+    distinct values; tied rows still sort, though callers must take them
+    from ``_tie_exact_counts``."""
     rng = np.random.default_rng(rows * 1000 + T)
     data = rng.standard_normal((rows, T))
     data[::2] = np.round(data[::2] * 3)  # ties in every other row, once T allows
-    order, ranks, tied = _ranks(data)
-    assert order.shape == ranks.shape == data.shape and tied.shape == (rows,)
+    order, ranks, near = _ranks(data)
+    assert order.shape == ranks.shape == data.shape and near.shape == (rows,)
     for i in range(rows):
         assert np.array_equal(ranks[i][order[i]], np.arange(T))
         assert np.all(np.diff(data[i][order[i]]) >= 0)
-        assert tied[i] == (np.unique(data[i]).size < T)
+        assert near[i] == (np.unique(data[i]).size < T)
     if T >= 40:  # both kinds of row occur
-        assert tied[0] and (rows == 1 or not tied[1])
+        assert near[0] and (rows == 1 or not near[1])
 
 
 def test_kendall_tau_monotone_paths():
@@ -222,10 +224,12 @@ def test_spearman_identity_fuzz():
         assert abs(r.rho - rhs) <= 1e-12
 
 
-def test_spearman_rejects_ties_and_short_paths():
-    with pytest.raises(ValueError):
-        spearman_rho(np.array([[1.0, 2.0], [1.0, 3.0], [2.0, 4.0]]))
-    with pytest.raises(ValueError):
+def test_spearman_takes_ties_and_rejects_short_paths():
+    """x = (1, 1, 2), y = (2, 3, 4): the sign sums are S^x = (-1, -1, 2) and
+    S^y = (-2, 0, 2), so rho = 3 * 6 / (3 * 8) = 0.75 under sign(0) = 0."""
+    r = spearman_rho(np.array([[1.0, 2.0], [1.0, 3.0], [2.0, 4.0]]))
+    assert (r.rho, r.rho3, r.tau) == (0.75, 1.0, 2 / 3)
+    with pytest.raises(ValueError, match="3 observations"):
         spearman_rho(np.array([[1.0, 2.0], [2.0, 3.0]]))
 
 
@@ -419,10 +423,52 @@ def test_tie_exact_counts_match_their_oracles(seed, rows, T, kinds, decimals):
                 np.column_stack([x[i], y[i]]), spearman_symmetric_kernel())
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 2), T=st.integers(3, 40),
+       kinds=st.tuples(st.sampled_from(ROW_KINDS), st.sampled_from(ROW_KINDS)))
+def test_spearman_with_ties_matches_hoeffding(seed, rows, T, kinds):
+    """Spearman's rho on rows with rounding ties, +-0.0 and near ties, T <= 40:
+    ``spearman_rho`` against Hoeffding's ((T-2) rho3 + 3 tau) / (T+1), rho3 by
+    ``u_statistic`` and tau by ``kendall_tau_numerator``; ``spearman_matrix``
+    entries equal to it and to 1 - 6 d2 / (T(T^2-1)) with d2 from pairwise
+    sign sums; tie-free pairs bit-identical to d2 from argsort ranks."""
+    rng = np.random.default_rng(seed)
+    x, y = (np.stack([_near_tie_row(rng, T, kind) for _ in range(rows)]) for kind in kinds)
+    n = T * (T * T - 1)
+
+    def tie_free_rho(u, v):
+        """1 - 6 d2 / n from argsort ranks, or None when u or v has a tie."""
+        if np.unique(u).size < T or np.unique(v).size < T:
+            return None
+        d2 = int(((np.argsort(np.argsort(u)) - np.argsort(np.argsort(v))) ** 2).sum())
+        return 1.0 - 6.0 * d2 / n
+
+    for i in range(rows):
+        r = spearman_rho(np.column_stack([x[i], y[i]]))
+        assert r.rho3 == u_statistic(np.column_stack([x[i], y[i]]), spearman_symmetric_kernel())
+        tau = kendall_tau_numerator(x[i], y[i]) / math.comb(T, 2)
+        assert r.tau == tau
+        assert abs(r.rho - ((T - 2) * r.rho3 + 3 * tau) / (T + 1)) <= 1e-12
+        assert tie_free_rho(x[i], y[i]) in (None, r.rho)
+    data = np.column_stack([*x, *y])
+    data = data[:, data.max(axis=0) > data.min(axis=0)]  # constant columns are rejected
+    if data.shape[1] < 2:
+        return
+    sm = spearman_matrix(data).matrix
+    assert np.all(np.diag(sm) == 1.0)
+    for j, k in itertools.combinations(range(data.shape[1]), 2):
+        u, v = data[:, j], data[:, k]
+        d2 = (n - 3 * int(sign_sums(u) @ sign_sums(v))) / 6
+        assert sm[j, k] == sm[k, j] == 1.0 - 6.0 * d2 / n
+        assert sm[j, k] == spearman_rho(data[:, [j, k]]).rho
+        assert tie_free_rho(u, v) in (None, sm[j, k])
+
+
 def test_tied_rows_never_reach_the_oracles(monkeypatch):
     """With ``u_statistic`` and ``kendall_tau_numerator`` made to raise,
-    tied rows and pairs still evaluate, at T = 1000, where one tied row of
-    the order-3 kernel is past the enumerator's term cap."""
+    tied rows and pairs, Spearman matrix entries included, still evaluate,
+    at T = 1000, where one tied row of the order-3 kernel is past the
+    enumerator's term cap."""
     def forbidden(*args, **kwargs):
         raise AssertionError("a production rank path called an oracle")
     for module in (ustat, hidim):
@@ -435,6 +481,7 @@ def test_tied_rows_never_reach_the_oracles(monkeypatch):
     rho3 = spearman_rho3_batch(x, y)
     scalar = kendall_tau(data[:, [0, 3]])
     km = kendall_matrix(data).matrix
+    sm = spearman_matrix(data).matrix
     monkeypatch.undo()
     pairs = math.comb(1000, 2)
     for i in range(3):
@@ -442,37 +489,47 @@ def test_tied_rows_never_reach_the_oracles(monkeypatch):
         assert tau[i] == K / pairs
         assert rho3[i] == (sign_sums(x[i]) @ sign_sums(y[i]) - 2 * K) / (2 * math.comb(1000, 3))
     assert scalar == tau[0]
+    n = 1000 * (1000 ** 2 - 1)
     for j, k in itertools.combinations(range(6), 2):
         assert km[j, k] == kendall_tau_numerator(data[:, j], data[:, k]) / pairs
+        d2 = (n - 3 * int(sign_sums(data[:, j]) @ sign_sums(data[:, k]))) / 6
+        assert sm[j, k] == 1.0 - 6.0 * d2 / n
 
 
 def test_near_ties_take_the_argsort_route(monkeypatch):
     """Two distinct values one ulp apart, 1.0 and the next float (low key
     bits 0 and 1), share their keys' high bits, so their row, and only it,
-    takes the argsort routes, ``_tie_exact_counts`` for tau and
-    ``_argsort_ranks`` for the ranks, and is not tied."""
+    is flagged and takes the argsort route, ``_tie_exact_counts`` (a lexsort
+    and a stable argsort per row): one call with that row from
+    ``kendall_tau_batch``, none from ``_ranks``, and one with that pair from
+    each of ``kendall_matrix`` and ``spearman_matrix``."""
     calls = []
+    original = ustat._tie_exact_counts
 
-    def recording(name):
-        original = getattr(ustat, name)
-
-        def record(*rows):
-            calls.append((name, rows[0].shape[0]))
-            return original(*rows)
-        monkeypatch.setattr(ustat, name, record)
-
-    recording("_tie_exact_counts")
-    recording("_argsort_ranks")
+    def record(x_rows, y_rows):
+        calls.append(x_rows.shape[0])
+        return original(x_rows, y_rows)
+    for module in (ustat, hidim):
+        monkeypatch.setattr(module, "_tie_exact_counts", record)
     rng = np.random.default_rng(8)
     x, y = rng.standard_normal((2, 3, 9))
     x[1, 7] = 1.0
     x[1, 4] = np.nextafter(1.0, np.inf)
     tau = kendall_tau_batch(x, y)
-    assert calls == [("_tie_exact_counts", 1)]
+    assert calls == [1]
     for i in range(3):
         assert tau[i] == u_statistic(np.column_stack([x[i], y[i]]), sign_product_kernel())
     calls.clear()
-    order, ranks, tied = _ranks(x)
-    assert calls == [("_argsort_ranks", 1)] and not tied.any()
-    assert np.array_equal(order[1], np.argsort(x[1]))
-    assert np.array_equal(ranks[1][order[1]], np.arange(9))
+    order, ranks, near = _ranks(x)
+    assert calls == [] and near.tolist() == [False, True, False]
+    for i in (0, 2):
+        assert np.array_equal(order[i], np.argsort(x[i]))
+        assert np.array_equal(ranks[i][order[i]], np.arange(9))
+    pair = np.column_stack([x[1], y[1]])
+    estimates = []
+    for estimator in (kendall_matrix, spearman_matrix):
+        calls.clear()
+        estimates.append(estimator(pair).matrix[0, 1])
+        assert calls == [1]
+    d2 = int(((np.argsort(np.argsort(x[1])) - np.argsort(np.argsort(y[1]))) ** 2).sum())
+    assert estimates == [tau[1], 1.0 - 6.0 * d2 / (9 * 80)]
