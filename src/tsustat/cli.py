@@ -7,15 +7,11 @@ exceeded, 4 property-check failure.
 from __future__ import annotations
 
 import argparse
-import io
-import json
 import sys
 
 from .harness import (EXPERIMENTS, BudgetError, CheckFailure, ConfigError,
-                      ExperimentConfig, _read_json, calibrate_from_tail, check_budget,
-                      emit_outputs, load_tail_result, read_field, run_experiment,
-                      write_files)
-from .processes import generate
+                      ExperimentConfig, _read_json, calibrate_from_tail, emit_outputs,
+                      load_tail_result, read_field, run_experiment, write_files)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,16 +72,8 @@ def _load_config(args) -> ExperimentConfig:
 def _run_calibrate(args) -> int:
     c4 = None if args.c4 is None else read_field("constants.c4", args.c4)  # NaN, inf exit 2
     result = calibrate_from_tail(load_tail_result(args.result), args.train, c4=c4)
-    text = json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n"
-    print(*write_files(args.out or args.result, {"calibration.json": text}), sep="\n")
-    return EXIT_OK
-
-
-def _run_simulate(cfg: ExperimentConfig) -> int:
-    check_budget(cfg)
-    buf = io.StringIO()
-    generate(cfg.process, cfg.length).to_csv(buf)
-    print(*write_files(cfg.out_dir or ".", {"path.csv": buf.getvalue()}), sep="\n")
+    print(*write_files(args.out or args.result, {"calibration.json": result.to_dict()}),
+          sep="\n")
     return EXIT_OK
 
 
@@ -95,8 +83,6 @@ def main(argv=None) -> int:
         if args.command == "calibrate":
             return _run_calibrate(args)
         cfg = _load_config(args)
-        if cfg.experiment == "simulate":
-            return _run_simulate(cfg)
         run = run_experiment(cfg)
         for written in emit_outputs(run, cfg.out_dir or "."):
             print(written)

@@ -10,13 +10,13 @@ by (seed, replication index), once, at the largest T of the grid, and every
 T is evaluated on a prefix of that path. Blocks are reduced in index order,
 so results are identical for any worker count.
 
-Every experiment has a work estimate in ``RUNNERS``, which ``check_budget``
-compares with the budget before any work. Every experiment but ``simulate``
-runs through ``run_experiment``, which makes that check and times the body
-``RUNNERS`` holds beside it. Outputs, all written by ``write_files``:
-``config.json`` (exact input snapshot), ``result.json`` with a ``data``
-block (byte-stable across reruns) and a ``meta`` block (wall clock), plus
-plot-ready CSV files per experiment.
+Every experiment runs through ``run_experiment``, which checks the work
+estimate ``RUNNERS`` holds against the budget before any work, then times
+the body beside it. Outputs, each formatted by ``file_text`` and written by
+``write_files``: ``config.json`` (exact input snapshot), ``result.json``
+with a ``data`` block (byte-stable across reruns) and a ``meta`` block (wall
+clock), plus plot-ready CSV files per experiment (``path.csv`` for
+``simulate``).
 
 The rank kernels (``sign_product``, ``spearman_sym``) and their Monte Carlo
 theta oracle read the copula's latent Gaussian values, which have the same
@@ -32,6 +32,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import zip_longest
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,15 +40,15 @@ import numpy as np
 from .bounds import (BernsteinParams, BoundConstants, CalibrationResult, TailPoint,
                      bernstein_envelope, calibrate_constants, empirical_log_mgf,
                      ustat_tail_bound, bias_offset)
-from .hidim import ESTIMATOR_KINDS, ScalingReport, scaling_experiment
+from .hidim import ScalingReport, check_scaling_inputs, scaling_experiment
 from .kernels import (KernelSpec, load_table_kernel, mean_kernel, sign_product_kernel,
                       spearman_symmetric_kernel, table_kernel)
 from .mixing import (ALPHA_MAX_STATES, MixingProfile, check_conditioning,
                      conditional_phi_coeff, mixing_profile)
-from .processes import (FiniteMarkovChain, ProcessSpec, _rep_rng, correlation_factor,
-                        generate_batch, latent_batch, map_replication_blocks,
-                        uniform_marginals)
-from .ustat import (_THETA_STAR_T_CAP, _u_table_path, check_zero_conditional_means,
+from .processes import (FiniteMarkovChain, ProcessSpec, SeriesPath, _rep_rng,
+                        correlation_factor, generate, generate_batch, latent_batch,
+                        map_replication_blocks, uniform_marginals)
+from .ustat import (_u_table_path, check_chain_law_length, check_zero_conditional_means,
                     decompose, kendall_tau_batch, spearman_rho3_batch, theta_independent)
 
 SCHEMA_VERSION = 1
@@ -316,13 +317,15 @@ class ExperimentConfig:
         chain = process is not None and process.kind == "markov_chain"
         if self.theta_mode not in ("auto", "mc", "exact-zero"):
             raise ConfigError("theta.mode must be auto, mc, or exact-zero")
+        if e == "tail" and max(self.x_grid) > 2.0 * kernel.bound:  # |U - theta| <= 2M
+            raise ConfigError(f"x_grid values must be <= 2 * kernel bound = "
+                              f"{2.0 * kernel.bound:.17g}, got {max(self.x_grid)!r}")
         if e in ("bias-curve", "decompose-check"):
             if not (chain and kernel.kind == "table"):
                 raise ConfigError(f"{e} needs a finite chain and a table kernel")
             if self.order not in (2, 3) or self.order != kernel.order:
                 raise ConfigError(f"{e} order must be 2 or 3, the table kernel's order")
-            if max(self.t_grid) > _THETA_STAR_T_CAP[self.order]:  # the chain-law evaluators' cap
-                raise ConfigError(f"{e} t_grid values must be <= {_THETA_STAR_T_CAP[self.order]}")
+            check_chain_law_length(max(self.t_grid), self.order)
         if e == "mixing-profile":
             if not chain:
                 raise ConfigError("mixing profiles need a finite chain")
@@ -339,18 +342,8 @@ class ExperimentConfig:
             if self.summand_sigma is None:  # defaults to scale, within the same bounds
                 self.summand_sigma = read_field("summand_sigma", self.scale)
         if e == "scaling":
-            if process.kind != "gaussian_copula_vector":
-                raise ConfigError("scaling experiments use the Gaussian-copula vector process")
-            if self.estimator not in ESTIMATOR_KINDS:
-                raise ConfigError(f"estimator must be one of {ESTIMATOR_KINDS}")
-            # scaling_experiment draws independent coordinates at every p
-            if not process.identity_correlation:
-                raise ConfigError("scaling needs an identity cross_correlation")
-            # rank-correlation matrices need three observations and two coordinates
-            if min(self.t_grid) < 3 or min(self.p_grid) < 2:
-                raise ConfigError("scaling needs t_grid values >= 3 and p_grid values >= 2")
-            if self.replications < 1:
-                raise ConfigError("scaling needs replications >= 1")
+            check_scaling_inputs(process, self.t_grid, self.p_grid, self.replications,
+                                 self.estimator)
         if kernel is not None:
             # the tail bound's log factor needs T >= 2 as well
             low = max(kernel.order, 2)
@@ -363,6 +356,12 @@ class ExperimentConfig:
                 if not chain or process.chain.state_count != states:
                     raise ConfigError(f"a table kernel over {states} states needs a "
                                       f"markov_chain process with {states} states")
+                # U and the chain-law sums add up to C(T, r) entries of size <= M
+                tuples = math.comb(max(self.t_grid), kernel.order)
+                if tuples > sys.float_info.max / kernel.bound:
+                    raise ConfigError(f"kernel.entries: |entry| {kernel.bound:.3g} times "
+                                      f"C({max(self.t_grid)}, {kernel.order}) tuples "
+                                      "overflows a float")
             elif kernel.kind in RANK_KERNELS:
                 if process.kind != "gaussian_copula_vector" or process.dimension != 2:
                     raise ConfigError(f"{kernel.kind} needs a bivariate "
@@ -500,16 +499,11 @@ class TailExperiment:
             "curves": [vars(c) for c in self.curves],
         }
 
-    def csv_files(self) -> dict[str, str]:
-        out = {}
-        for c in self.curves:
-            lines = ["x,empirical,stderr,bound"]
-            for i, x in enumerate(c.x):
-                emp = f"{c.empirical[i]:.17g}" if self.replications else ""
-                se = f"{c.stderr[i]:.17g}" if self.replications else ""
-                lines.append(f"{x:.17g},{emp},{se},{c.bound[i]:.17g}")
-            out[f"tail_T{c.T}.csv"] = "\n".join(lines) + "\n"
-        return out
+    def csv_tables(self) -> dict[str, tuple[list[str], list]]:
+        # a dry run has no empirical or stderr values: those cells stay empty
+        return {f"tail_T{c.T}.csv": (["x", "empirical", "stderr", "bound"],
+                                     list(zip_longest(c.x, c.empirical, c.stderr, c.bound)))
+                for c in self.curves}
 
     def tail_points(self, t_values: Sequence[int] | None = None) -> list[TailPoint]:
         chosen = set(t_values) if t_values is not None else None
@@ -617,11 +611,9 @@ class BiasReport:
     def data_dict(self) -> dict:
         return {"experiment": "bias-curve", **asdict(self)}
 
-    def csv_files(self) -> dict[str, str]:
-        lines = ["T,bias,sqrt_t_scaled"]
-        for row in self.rows:
-            lines.append(f"{row['T']},{row['bias']:.17g},{row['sqrt_t_scaled']:.17g}")
-        return {"bias.csv": "\n".join(lines) + "\n"}
+    def csv_tables(self) -> dict[str, tuple[list[str], list]]:
+        header = ["T", "bias", "sqrt_t_scaled"]
+        return {"bias.csv": (header, [[row[k] for k in header] for row in self.rows])}
 
 
 def estimate_bias_budget(cfg: ExperimentConfig) -> float:
@@ -669,7 +661,7 @@ class DecomposeCheckReport:
     def data_dict(self) -> dict:
         return {"experiment": "decompose-check", **asdict(self)}
 
-    def csv_files(self) -> dict[str, str]:
+    def csv_tables(self) -> dict[str, tuple[list[str], list]]:
         return {}
 
 
@@ -725,14 +717,9 @@ class MixingProfileResult:
         return {"experiment": "mixing-profile",
                 "profiles": {k: asdict(v) for k, v in self.profiles.items()}}
 
-    def csv_files(self) -> dict[str, str]:
-        out = {}
-        for kind, prof in self.profiles.items():
-            lines = ["lag,value"]
-            for lag, v in zip(prof.lags, prof.values):
-                lines.append(f"{lag},{v:.17g}")
-            out[f"mixing_{kind}.csv"] = "\n".join(lines) + "\n"
-        return out
+    def csv_tables(self) -> dict[str, tuple[list[str], list]]:
+        return {f"mixing_{kind}.csv": (["lag", "value"], list(zip(prof.lags, prof.values)))
+                for kind, prof in self.profiles.items()}
 
 
 def estimate_mixing_budget(cfg: ExperimentConfig) -> float:
@@ -774,11 +761,9 @@ class MgfCheckReport:
     def data_dict(self) -> dict:
         return {"experiment": "mgf-check", **asdict(self)}
 
-    def csv_files(self) -> dict[str, str]:
-        lines = ["eta,empirical,envelope"]
-        for e, emp, env in zip(self.eta, self.empirical, self.envelope):
-            lines.append(f"{e:.17g},{emp:.17g},{env:.17g}")
-        return {"mgf.csv": "\n".join(lines) + "\n"}
+    def csv_tables(self) -> dict[str, tuple[list[str], list]]:
+        return {"mgf.csv": (["eta", "empirical", "envelope"],
+                            list(zip(self.eta, self.empirical, self.envelope)))}
 
 
 def _summand_log_mgf(distribution: str, scale: float, eta: float) -> float:
@@ -800,6 +785,9 @@ def _run_mgf_check(cfg: ExperimentConfig) -> MgfCheckReport:
     per = BernsteinParams(cfg.summand_sigma, cfg.summand_kappa)
     # the sum of n copies, as combine_bernstein_params([per] * n) gives it for n < 2^53
     combined = BernsteinParams(n * per.sigma, n * per.kappa)
+    for name, value in (("summand_sigma", combined.sigma), ("summand_kappa", combined.kappa)):
+        if math.isinf(value):
+            raise ConfigError(f"{name} * summands = {value} overflows a float")
     eta_max = 0.99 / combined.kappa if combined.kappa > 0 else cfg.eta_max
     if eta_max is None:
         raise ConfigError("eta_max is required when the combined kappa is zero")
@@ -809,6 +797,11 @@ def _run_mgf_check(cfg: ExperimentConfig) -> MgfCheckReport:
     if reach > 700.0:
         raise ConfigError(f"eta_max * summands * |scale| = {reach:.4g} exceeds 700, "
                           "the log-MGF overflow guard")
+    # the combined envelope grows with eta and bounds the per-summand one
+    top = combined.sigma * eta_max
+    if not math.isfinite(top * top / (1.0 - combined.kappa * eta_max)):
+        raise ConfigError(f"the Bernstein envelope of summand_sigma and summand_kappa "
+                          f"overflows at eta_max = {eta_max:.4g}")
     etas = [eta_max * (i + 1) / points for i in range(points)]
 
     per_ok = all(_summand_log_mgf(dist, scale, e) <= bernstein_envelope(per, e) + 1e-12
@@ -845,18 +838,39 @@ def _run_scaling(cfg: ExperimentConfig) -> ScalingReport:
 
 
 # ---------------------------------------------------------------------------
-# the one runner and output emission
+# simulate, the one runner and output emission
 # ---------------------------------------------------------------------------
+
+@dataclass
+class SimulatedPath:
+    path: SeriesPath
+
+    def data_dict(self) -> dict:
+        return {"experiment": "simulate", "length": self.path.length,
+                "dimension": self.path.dimension}
+
+    def csv_tables(self) -> dict[str, tuple[list[str], list]]:
+        path = self.path
+        if path.states is not None:
+            header, rows = ["t", "state"], path.states[:, None].tolist()
+        else:
+            header = ["t"] + [f"x{j + 1}" for j in range(path.dimension)]
+            rows = path.values.tolist()
+        return {"path.csv": (header, [(t, *row) for t, row in enumerate(rows)])}
+
 
 def estimate_simulate_budget(cfg: ExperimentConfig) -> float:
     """Work units of the simulate run: the values of its one path."""
     return float(cfg.length) * (cfg.process.dimension or 1)
 
 
-# experiment -> (body, work estimate checked against the budget before any
-# work). ``simulate`` writes a path, not a result: the CLI runs it, no body here.
-RUNNERS: dict[str, tuple[Callable | None, Callable]] = {
-    "simulate": (None, estimate_simulate_budget),
+def _run_simulate(cfg: ExperimentConfig) -> SimulatedPath:
+    return SimulatedPath(generate(cfg.process, cfg.length))
+
+
+# experiment -> (body, work estimate checked against the budget before any work)
+RUNNERS: dict[str, tuple[Callable, Callable]] = {
+    "simulate": (_run_simulate, estimate_simulate_budget),
     "tail": (_run_tail, estimate_tail_budget),
     "scaling": (_run_scaling, estimate_scaling_budget),
     "bias-curve": (_run_bias_curve, estimate_bias_budget),
@@ -878,31 +892,50 @@ class ExperimentRun:
     """An experiment's result, with the config snapshot and the run metadata
     ``emit_outputs`` writes beside it."""
 
-    result: object  # has data_dict() and csv_files(); check results also all_ok
+    result: object  # has data_dict() and csv_tables(); check results also all_ok
     config: dict
     meta: dict
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentRun:
     """Run ``cfg`` through its ``RUNNERS`` body after the budget check."""
-    body = RUNNERS[cfg.experiment][0]
-    if body is None:
-        raise ConfigError(f"experiment '{cfg.experiment}' has no result runner")
     t0 = time.time()
     check_budget(cfg)
-    result = body(cfg)
+    result = RUNNERS[cfg.experiment][0](cfg)
     return ExperimentRun(result=result, config=cfg.raw,
                          meta={"wall_seconds": time.time() - t0})
 
 
-def write_files(out_dir: str, files: dict[str, str]) -> list[str]:
-    """Write each {name: text} file into ``out_dir``, made if missing, and
-    return the paths written; files are overwritten idempotently. An unusable
-    directory or file is a config error that names the path."""
+def _csv_cell(value) -> str:
+    return "" if value is None else f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def file_text(name: str, content) -> str:
+    """The text of output file ``name``; the one CSV and JSON formatter.
+
+    A ``.csv`` file takes a (header, rows) table and writes integers plainly,
+    floats as ``.17g`` and None as an empty cell. Any other file takes JSON
+    data, with sorted keys; a NaN or an infinity in it is a CheckFailure."""
+    if name.endswith(".csv"):
+        header, rows = content
+        return "".join(",".join(cells) + "\n"
+                       for cells in [header, *(map(_csv_cell, row) for row in rows)])
+    try:
+        return json.dumps(content, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise CheckFailure(f"{name}: {exc}") from exc
+
+
+def write_files(out_dir: str, files: dict[str, object]) -> list[str]:
+    """Write each {name: content} file, formatted by ``file_text``, into
+    ``out_dir``, made if missing, and return the paths written; files are
+    overwritten idempotently. Every file is formatted before any is written.
+    An unusable directory or file is a config error that names the path."""
+    texts = {name: file_text(name, content) for name, content in files.items()}
     written = []
     try:
         os.makedirs(out_dir, exist_ok=True)
-        for name, text in files.items():
+        for name, text in texts.items():
             path = os.path.join(out_dir, name)
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -914,8 +947,7 @@ def write_files(out_dir: str, files: dict[str, str]) -> list[str]:
 
 def emit_outputs(run: ExperimentRun, out_dir: str) -> list[str]:
     """Write config.json, result.json, and per-figure CSVs; the paths written."""
-    payload = {"meta": run.meta, "data": run.result.data_dict()}
-    return write_files(out_dir, {
-        "config.json": json.dumps(run.config, sort_keys=True, indent=2) + "\n",
-        "result.json": json.dumps(payload, sort_keys=True, indent=2) + "\n",
-        **run.result.csv_files()})
+    return write_files(out_dir, {"config.json": run.config,
+                                 "result.json": {"meta": run.meta,
+                                                 "data": run.result.data_dict()},
+                                 **run.result.csv_tables()})

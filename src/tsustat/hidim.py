@@ -158,11 +158,10 @@ class ScalingReport:
                 "report": {"kind": self.kind, "cells": [vars(c) for c in self.cells],
                            "slopes_by_p": {str(k): v for k, v in self.slopes_by_p.items()}}}
 
-    def csv_files(self) -> dict[str, str]:
-        lines = ["T,p,median_dev,ratio_to_rate"]
-        for c in self.cells:
-            lines.append(f"{c.T},{c.p},{c.median_deviation:.17g},{c.ratio_to_rate:.17g}")
-        return {"scaling.csv": "\n".join(lines) + "\n"}
+    def csv_tables(self) -> dict[str, tuple[list[str], list]]:
+        return {"scaling.csv": (["T", "p", "median_dev", "ratio_to_rate"],
+                                [(c.T, c.p, c.median_deviation, c.ratio_to_rate)
+                                 for c in self.cells])}
 
 
 def _deviations_block(args, start: int, count: int) -> np.ndarray:
@@ -181,6 +180,24 @@ def _deviations_block(args, start: int, count: int) -> np.ndarray:
                      for T in t_grid])
 
 
+def check_scaling_inputs(spec: ProcessSpec, t_grid, p_grid, replications: int,
+                         kind: str) -> None:
+    """Raise ValueError, naming the config field, unless ``scaling_experiment``
+    can run these inputs."""
+    if spec.kind != "gaussian_copula_vector":
+        raise ValueError("scaling experiments use the Gaussian-copula vector process")
+    if kind not in ESTIMATOR_KINDS:
+        raise ValueError(f"estimator must be one of {ESTIMATOR_KINDS}")
+    # the coordinates are drawn independent at every p
+    if not spec.identity_correlation:
+        raise ValueError("scaling needs an identity cross_correlation")
+    # rank-correlation matrices need three observations and two coordinates
+    if not t_grid or not p_grid or min(t_grid) < 3 or min(p_grid) < 2:
+        raise ValueError("scaling needs t_grid values >= 3 and p_grid values >= 2")
+    if replications < 1:
+        raise ValueError("scaling needs replications >= 1")
+
+
 def scaling_experiment(base_spec: ProcessSpec, t_grid, p_grid, replications: int,
                        kind: str = "kendall", threads: int = 1) -> ScalingReport:
     """Distribution of max-norm deviations over a (T, p) grid.
@@ -194,17 +211,7 @@ def scaling_experiment(base_spec: ProcessSpec, t_grid, p_grid, replications: int
     reads its prefix. Each p is one job of one ``map_replication_blocks``
     call over ``threads`` workers.
     """
-    if not t_grid or not p_grid:
-        raise ValueError("grids must be non-empty")
-    if replications < 1:
-        raise ValueError("need at least one replication")
-    if kind not in ESTIMATOR_KINDS:
-        raise ValueError(f"unknown estimator kind '{kind}'")
-    if base_spec.kind != "gaussian_copula_vector":
-        raise ValueError("scaling experiments use the Gaussian-copula vector process")
-    if not base_spec.identity_correlation:
-        raise ValueError("scaling experiments need an identity cross_correlation")
-
+    check_scaling_inputs(base_spec, t_grid, p_grid, replications, kind)
     t_grid = [int(T) for T in t_grid]
     jobs = [(replace(base_spec, dimension=int(p), cross_correlation=np.eye(int(p))),
              t_grid, pi * 1_000_000, kind) for pi, p in enumerate(p_grid)]

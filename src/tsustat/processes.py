@@ -4,7 +4,6 @@ Process kinds: iid normals, AR(1), m-dependent moving windows over an iid
 base, finite-state Markov chains started from the stationary distribution,
 and a Gaussian-copula vector process (latent vector AR(1) pushed through the
 standard normal CDF, giving uniform marginals and exponential mixing).
-``SeriesPath.to_csv`` writes one path for ``simulate``.
 
 The copula generator is split in two: ``latent_batch`` draws the latent
 Gaussian paths and ``uniform_marginals`` applies the CDF. Rank statistics
@@ -207,18 +206,6 @@ class SeriesPath:
     @property
     def dimension(self) -> int:
         return self.values.shape[1] if self.values is not None else 1
-
-    def to_csv(self, fh) -> None:
-        if self.states is not None:
-            fh.write("t,state\n")
-            for t, s in enumerate(self.states):
-                fh.write(f"{t},{int(s)}\n")
-            return
-        d = self.dimension
-        fh.write("t," + ",".join(f"x{j + 1}" for j in range(d)) + "\n")
-        for t in range(self.length):
-            row = ",".join(f"{v:.17g}" for v in self.values[t])
-            fh.write(f"{t},{row}\n")
 
 
 def _rep_rng(seed: int, rep: int) -> Generator:

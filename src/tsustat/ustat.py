@@ -1,8 +1,8 @@
 """U-statistics over time-ordered data.
 
-The generic evaluator enumerates index combinations in colexicographic order
-with compensated summation; it and the pairwise ``kendall_tau_numerator``
-serve as the slow oracles. Fast paths: Kendall's tau as the inversion count
+The generic evaluator sums the kernel over every index combination with
+``math.fsum``; it and the pairwise ``kendall_tau_numerator`` serve as the
+slow oracles. Fast paths: Kendall's tau as the inversion count
 of a rank permutation, vectorized across whole batches of rows in two
 phases: a top-down partition on the high value bits, then direct
 comparisons within small blocks of positions on the low bits. The order-3
@@ -59,35 +59,9 @@ def _points_of(data) -> list:
     raise ValueError("data must be a SeriesPath, 1-D, or 2-D array")
 
 
-def _colex_combinations(T: int, r: int):
-    """Increasing index tuples ordered by their largest element."""
-    if r == 1:
-        for t in range(T):
-            yield (t,)
-        return
-    for last in range(r - 1, T):
-        for rest in itertools.combinations(range(last), r - 1):
-            yield rest + (last,)
-
-
-class _KahanSum:
-    """Compensated accumulator."""
-
-    __slots__ = ("total", "comp")
-
-    def __init__(self):
-        self.total = 0.0
-        self.comp = 0.0
-
-    def add(self, v: float) -> None:
-        y = v - self.comp
-        t = self.total + y
-        self.comp = (t - self.total) - y
-        self.total = t
-
-
 def u_statistic(data, kernel: KernelSpec, max_terms: int = MAX_GENERIC_TERMS) -> float:
-    """Average of the kernel over all increasing index tuples of size r."""
+    """Average of the kernel over all increasing index tuples of size r; the
+    kernel sum is correctly rounded (``math.fsum``)."""
     points = _points_of(data)
     T, r = len(points), kernel.order
     if T < r:
@@ -96,10 +70,7 @@ def u_statistic(data, kernel: KernelSpec, max_terms: int = MAX_GENERIC_TERMS) ->
     if n_terms > max_terms:
         raise ValueError(f"{n_terms} kernel terms exceed the cap of {max_terms}")
     fn = kernel.fn
-    acc = _KahanSum()
-    for idx in _colex_combinations(T, r):
-        acc.add(float(fn(*(points[t] for t in idx))))
-    return acc.total / n_terms
+    return math.fsum(float(fn(*idx)) for idx in itertools.combinations(points, r)) / n_terms
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +420,23 @@ def _kernel_table(kernel: KernelSpec | np.ndarray, state_count: int, r: int) -> 
 _THETA_STAR_T_CAP = {2: 2000, 3: 500}
 
 
-def _chain_law_tables(chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
-                      T: int, r: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The kernel table and its gap tables on ``chain.power``, after the
-    order, length and cap checks the exact chain-law evaluators share."""
+def check_chain_law_length(T: int, r: int) -> None:
+    """Raise ValueError unless the exact chain-law evaluators take paths of
+    length ``T`` at order ``r``."""
     if r not in (2, 3):
         raise ValueError("exact chain-law evaluation supports orders 2 and 3")
     if T < r:
         raise ValueError(f"need T >= {r}")
     if T > _THETA_STAR_T_CAP[r]:
-        raise ValueError(f"T={T} beyond the chain-law cap for r={r}")
+        raise ValueError(f"T={T} beyond the chain-law cap for r={r}: "
+                         f"t_grid values must be <= {_THETA_STAR_T_CAP[r]}")
+
+
+def _chain_law_tables(chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
+                      T: int, r: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The kernel table and its gap tables on ``chain.power``, after the
+    order, length and cap checks the exact chain-law evaluators share."""
+    check_chain_law_length(T, r)
     H = _kernel_table(kernel, chain.state_count, r)
     powers = np.stack([chain.power(g) for g in range(T)])
     return H, _gap_tables(powers, chain.stationary, H)

@@ -31,6 +31,9 @@ def test_simulate_writes_path(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     lines = (tmp_path / "out" / "path.csv").read_text().splitlines()
     assert lines[0] == "t,x1" and len(lines) == 26
+    data = json.loads((tmp_path / "out" / "result.json").read_text())["data"]
+    assert data == {"experiment": "simulate", "length": 25, "dimension": 1}
+    assert json.loads((tmp_path / "out" / "config.json").read_text())["length"] == 25
 
 
 def test_tail_cli_and_outputs(tmp_path):
@@ -320,6 +323,19 @@ STATES17 = {"kind": "markov_chain", "transition": [[1 / 17] * 17] * 17}
     ("tail", tail_payload(process=CHAIN, t_grid=[30], kernel={
         "kind": "table", "order": 2, "state_count": 2, "path": FLOAT_STATE_TABLE}),
      "table_with_a_float_state.txt:3: state '1.5' is not an integer"),
+    # finite inputs whose bounds, sums or envelopes would overflow
+    ("tail", tail_payload(x_grid=[0.1, 1e308]), "x_grid"),
+    ("tail", tail_payload(process=CHAIN, t_grid=[30], kernel=dict(
+        MATCH_KERNEL, entries=[[[0, 0], 1e308]])), "kernel.entries"),
+    ("tail", tail_payload(process=CHAIN, t_grid=[30], kernel=dict(
+        MATCH_KERNEL, entries=[[[0, 0], 1e308], [[0, 1], -1e308]])), "kernel.entries"),
+    ("bias", dict(BIAS, kernel=dict(MATCH_KERNEL, entries=[[[0, 0], 1e308]])),
+     "kernel.entries"),
+    ("decompose-check", dict(BIAS, experiment="decompose-check", replications=2,
+                             kernel=dict(MATCH_KERNEL, entries=[[[0, 0], 1e308]])),
+     "kernel.entries"),
+    ("mgf-check", dict(MGF, summand_sigma=1e308), "summand_sigma"),
+    ("mgf-check", dict(MGF, summand_kappa=1e308), "summand_kappa"),
 ], ids=["scaling-estimator", "scaling-t", "scaling-p", "scaling-replications",
         "scaling-cross-correlation", "table-path", "mgf-summands", "mgf-sigma",
         "conditional-state", "mixing-lag", "table-kernel-iid", "table-kernel-states",
@@ -333,12 +349,26 @@ STATES17 = {"kind": "markov_chain", "transition": [[1 / 17] * 17] * 17}
         "block-len-float", "table-entry-state-float", "constants-r-float",
         "constants-c5-bool", "seed-bool", "seed-negative", "table-order-4",
         "table-order-huge", "threads-zero", "budget-inf",
-        "mixing-17-states", "table-file-state-float"])
+        "mixing-17-states", "table-file-state-float", "x-grid-above-2m",
+        "table-entry-overflow", "table-entries-mixed-overflow", "bias-table-overflow",
+        "decompose-table-overflow", "mgf-sigma-overflow", "mgf-kappa-overflow"])
 def test_config_errors_in_experiment_bodies_exit_2(tmp_path, capsys, command, payload, field):
     assert main([command, "--config", write_config(tmp_path, payload),
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and field in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_non_finite_output_exits_4_and_writes_nothing(tmp_path, capsys):
+    """A kernel bound of 1e200 squares to infinity in the tail bound, which
+    reads NaN: result.json would not be JSON, so no file is written."""
+    payload = tail_payload(process={"kind": "iid"}, kernel={"kind": "mean", "bound": 1e200},
+                           x_grid=[1e200], theta={"mode": "exact-zero"})
+    assert main(["tail", "--config", write_config(tmp_path, payload),
+                 "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "property check failed: result.json" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

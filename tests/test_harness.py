@@ -12,7 +12,7 @@ from tsustat import processes
 from tsustat.harness import (DEFAULT_BUDGET, BudgetError, ConfigError, ExperimentConfig,
                              _decompose_block, _oracle_samples, _u_table_path,
                              calibrate_from_tail, emit_outputs, estimate_scaling_budget,
-                             estimate_tail_budget, run_experiment)
+                             estimate_tail_budget, file_text, run_experiment)
 from tsustat.hidim import ESTIMATOR_KINDS
 from tsustat.kernels import table_kernel
 from tsustat.processes import SeriesPath, block_replications
@@ -85,8 +85,11 @@ def test_tail_dry_run_scaffold():
     for curve in exp.curves:
         assert curve.empirical == [] and curve.counts == [0] * 5
         assert len(curve.bound) == 5
-    files = exp.csv_files()
-    assert set(files) == {"tail_T40.csv", "tail_T80.csv"}
+    tables = exp.csv_tables()
+    assert set(tables) == {"tail_T40.csv", "tail_T80.csv"}
+    lines = file_text("tail_T40.csv", tables["tail_T40.csv"]).splitlines()
+    assert lines[0] == "x,empirical,stderr,bound" and len(lines) == 6
+    assert all(line.split(",")[1:3] == ["", ""] for line in lines[1:])
 
 
 def test_tail_budget_guard():
@@ -396,7 +399,7 @@ def test_bias_curve_match_kernel():
     assert all(b > 0 for b in biases)
     assert biases == sorted(biases, reverse=True)
     assert rep.loglog_slope < 0.02
-    assert "bias.csv" in rep.csv_files()
+    assert "bias.csv" in rep.csv_tables()
 
 
 def test_bias_curve_iid_chain_zero():
@@ -437,8 +440,8 @@ def test_mixing_profile_outputs():
     beta = res.profiles["beta"]
     assert beta.values[0] == pytest.approx(0.25, abs=1e-13)
     assert beta.fitted_gamma == pytest.approx(math.log(2), abs=1e-8)
-    files = res.csv_files()
-    assert "mixing_beta.csv" in files and files["mixing_beta.csv"].startswith("lag,value")
+    tables = res.csv_tables()
+    assert file_text("mixing_beta.csv", tables["mixing_beta.csv"]).startswith("lag,value")
 
 
 def test_mgf_check_passes_and_fails():
@@ -464,8 +467,8 @@ def test_scaling_run_and_budget(tmp_path):
     })
     run = run_experiment(cfg)
     assert len(run.result.cells) == 2
-    files = run.result.csv_files()
-    assert files["scaling.csv"].splitlines()[0] == "T,p,median_dev,ratio_to_rate"
+    text = file_text("scaling.csv", run.result.csv_tables()["scaling.csv"])
+    assert text.splitlines()[0] == "T,p,median_dev,ratio_to_rate"
     emit_outputs(run, str(tmp_path / "scaling"))
     assert (tmp_path / "scaling" / "scaling.csv").exists()
     tiny = ExperimentConfig.from_dict({

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tsustat.harness import MixingProfileResult
+from tsustat.harness import MixingProfileResult, file_text
 from tsustat.mixing import (MixingProfile, alpha_coeff, beta_coeff, conditional_phi_coeff,
                             fit_decay_rate, mixing_profile, phi_coeff)
 from tsustat.processes import (FiniteMarkovChain, cycle_chain, iid_chain, random_chain,
@@ -224,6 +224,7 @@ def test_profile_validation_and_serialization():
     data = MixingProfileResult(profiles={"phi": prof}).data_dict()["profiles"]["phi"]
     assert data["kind"] == "phi" and len(data["values"]) == 3
     assert json.loads(json.dumps(data)) == data
-    lines = MixingProfileResult(profiles={"phi": prof}).csv_files()["mixing_phi.csv"].splitlines()
+    table = MixingProfileResult(profiles={"phi": prof}).csv_tables()["mixing_phi.csv"]
+    lines = file_text("mixing_phi.csv", table).splitlines()
     assert lines[0] == "lag,value"
     assert lines[1].startswith("1,0.25")

@@ -12,7 +12,7 @@ from scipy.signal import lfilter
 from scipy.special import ndtr
 
 from tsustat.cli import main
-from tsustat.harness import ExperimentConfig, _estimate_theta
+from tsustat.harness import ExperimentConfig, SimulatedPath, _estimate_theta, file_text
 from tsustat.hidim import kendall_matrix, spearman_matrix
 from tsustat.processes import (FiniteMarkovChain, ProcessSpec, SeriesPath, _ar1_in_place,
                                _rep_rng, correlation_factor, cycle_chain, generate,
@@ -305,21 +305,17 @@ def test_csv_round_trip():
     spec = ProcessSpec(kind="gaussian_copula_vector", seed=8, dimension=2,
                        temporal_coefficient=0.3)
     path = generate(spec, 10)
-    buf = io.StringIO()
-    path.to_csv(buf)
-    assert buf.getvalue().splitlines()[0] == "t,x1,x2"
-    buf.seek(0)
-    again = np.loadtxt(buf, delimiter=",", skiprows=1)
+    text = file_text("path.csv", SimulatedPath(path).csv_tables()["path.csv"])
+    assert text.splitlines()[0] == "t,x1,x2"
+    again = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
     np.testing.assert_array_equal(again[:, 0], np.arange(10))
     np.testing.assert_array_equal(again[:, 1:], path.values)
 
     chain_path = SeriesPath(states=np.array([0, 1, 1, 0]))
-    buf = io.StringIO()
-    chain_path.to_csv(buf)
-    assert buf.getvalue().splitlines()[0] == "t,state"
-    buf.seek(0)
-    np.testing.assert_array_equal(np.loadtxt(buf, delimiter=",", skiprows=1, dtype=int)[:, 1],
-                                  chain_path.states)
+    text = file_text("path.csv", SimulatedPath(chain_path).csv_tables()["path.csv"])
+    assert text.splitlines()[0] == "t,state"
+    np.testing.assert_array_equal(np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1,
+                                             dtype=int)[:, 1], chain_path.states)
 
 
 def test_random_chain_is_valid():
