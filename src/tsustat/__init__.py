@@ -6,10 +6,8 @@ ustat (evaluation, rank statistics, decomposition), bounds (tail and log-MGF
 families), hidim (rank-correlation matrices), harness/cli (experiments).
 """
 from .bounds import (BernsteinParams, BoundConstants, CalibrationResult, TailPoint,
-                     bernstein_envelope, bias_offset, calibrate_constants,
-                     combine_bernstein_params, empirical_log_mgf, hoeffding_bound,
-                     mixing_sum_logmgf_bound, mixing_sum_tail_bound, ustat_tail_bound,
-                     variance_logmgf_bound)
+                     bernstein_envelope, bias_offset, calibrate_constants, empirical_log_mgf,
+                     hoeffding_bound, mixing_sum_logmgf_bound, ustat_tail_bound)
 from .hidim import (CorrelationMatrixEstimate, kendall_matrix, max_norm_deviation,
                     population_matrix, scaling_experiment, spearman_matrix)
 from .kernels import (KernelSpec, load_table_kernel, mean_kernel, sign_product_kernel,

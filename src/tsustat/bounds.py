@@ -2,7 +2,10 @@
 
 Every bound is a parametric family: the multiplicative constants are runtime
 parameters defaulting to 1, and ``calibrate_constants`` fits the tightest
-dominating exponent constant to empirical tail curves.
+dominating exponent constant to empirical tail curves. The tail bounds and
+the calibrated exponent read x and the kernel bound M only through u = x / M,
+so a kernel and its thresholds scaled together by a power of two give the
+same values, and no square of x or M can overflow.
 """
 from __future__ import annotations
 
@@ -34,17 +37,6 @@ def bernstein_envelope(params: BernsteinParams, eta: float) -> float:
     if eta < 0 or eta >= params.eta_limit:
         raise ValueError(f"eta={eta} outside [0, {params.eta_limit})")
     return (params.sigma * eta) ** 2 / (1.0 - params.kappa * eta)
-
-
-def combine_bernstein_params(params: Sequence[BernsteinParams]) -> BernsteinParams:
-    """Envelope of a sum of independent variables: component-wise parameter sums."""
-    params = list(params)
-    if not params:
-        raise ValueError("cannot combine an empty parameter list")
-    return BernsteinParams(
-        sigma=math.fsum(p.sigma for p in params),
-        kappa=math.fsum(p.kappa for p in params),
-    )
 
 
 @dataclass(frozen=True)
@@ -89,7 +81,8 @@ def hoeffding_bound(x: float, T: int, M: float, c0: float = 1.0) -> float:
         raise ValueError("x must be >= 0")
     if T < 1 or M <= 0 or c0 <= 0:
         raise ValueError("need T >= 1, M > 0, c0 > 0")
-    return 2.0 * math.exp(-c0 * T * x * x / (M * M + M * x))
+    u = x / M
+    return 2.0 * math.exp(-c0 * T * u * u / (1.0 + u))
 
 
 def mixing_sum_logmgf_bound(eta: float, T: int, M: float,
@@ -104,20 +97,12 @@ def mixing_sum_logmgf_bound(eta: float, T: int, M: float,
     return c2 * eta * eta * T * M * M / (1.0 - c1 * eta * M * lf)
 
 
-def mixing_sum_tail_bound(x: float, T: int, M: float, c3: float = 1.0) -> float:
-    """Mixing-sum tail bound 2 exp(-c3 x^2 / (T M^2 + M x logfac))."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    lf = log_factor(T)
-    return 2.0 * math.exp(-c3 * x * x / (T * M * M + M * x * lf))
-
-
 def ustat_tail_bound(x: float, T: int, M: float, c5: float = 1.0) -> float:
     """U-statistic tail bound 2 exp(-c5 x^2 T / (M^2 + M x logfac))."""
     if x < 0:
         raise ValueError("x must be >= 0")
-    lf = log_factor(T)
-    return 2.0 * math.exp(-c5 * x * x * T / (M * M + M * x * lf))
+    u = x / M
+    return 2.0 * math.exp(-c5 * u * u * T / (1.0 + u * log_factor(T)))
 
 
 def bias_offset(T: int, M: float, c4: float = 1.0) -> float:
@@ -125,22 +110,6 @@ def bias_offset(T: int, M: float, c4: float = 1.0) -> float:
     if T < 1 or M <= 0 or c4 < 0:
         raise ValueError("need T >= 1, M > 0, c4 >= 0")
     return c4 * M / math.sqrt(T)
-
-
-def variance_logmgf_bound(eta: float, T: int, M: float,
-                          c6: float = 1.0, c7: float = 1.0) -> float:
-    """Centered-U log-MGF bound c7 eta^2 M^2 / T / (1 - c6 eta M logfac / T).
-
-    Exposed exactly as stated: the T^-1 inside the constraint makes the
-    admissible eta range grow with T.
-    """
-    if M <= 0 or c6 <= 0 or c7 <= 0:
-        raise ValueError("need M > 0 and positive constants")
-    lf = log_factor(T)
-    limit = T / (c6 * M * lf)
-    if not 0 < eta < limit:
-        raise ValueError(f"eta={eta} outside the admissible interval (0, {limit})")
-    return c7 * eta * eta * M * M / T / (1.0 - c6 * eta * M * lf / T)
 
 
 def empirical_log_mgf(samples: Sequence[float], eta: float) -> float:
@@ -209,7 +178,8 @@ def calibrate_constants(points: Sequence[TailPoint | tuple], c4: float = 1.0,
         x_eff = p.x - bias_offset(p.T, p.M, c4)
         if x_eff <= 0.0:
             continue
-        g = x_eff * x_eff * p.T / (p.M * p.M + p.M * x_eff * log_factor(p.T))
+        u = x_eff / p.M
+        g = u * u * p.T / (1.0 + u * log_factor(p.T))
         candidates.append((math.log(2.0 / p.probability) / g, p))
 
     if not candidates:

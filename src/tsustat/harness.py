@@ -199,7 +199,7 @@ def parse_kernel(d: dict) -> KernelSpec:
         _require_keys(d, {"kind", "entries", "path", "order", "state_count"},
                       {"kind", "order", "state_count"}, "kernel")
         order = read_field("kernel.order", d["order"])
-        if order > 3:  # where the tuple counts and the theta evaluators stop
+        if order > 3:  # where the table U evaluator and the theta evaluators stop
             raise ConfigError(f"kernel.order must be <= 3, got {order}")
         s = read_field("kernel.state_count", d["state_count"])
         if "path" in d:
@@ -415,7 +415,7 @@ def _path_cost(kernel: KernelSpec, T: int) -> float:
         return T * math.log2(max(T, 2))  # inversion counting over ranks
     if kernel.kind == "mean":
         return float(T)
-    return float(T * kernel.table.shape[0] ** kernel.order)  # table: tuple counts
+    return float(T + kernel.table.shape[0] ** kernel.order)  # table: occupation counts
 
 
 def _oracle_samples(cfg: ExperimentConfig) -> np.ndarray:
@@ -697,10 +697,11 @@ def _run_decompose_check(cfg: ExperimentConfig) -> DecomposeCheckReport:
     max_residual, max_ratio = per_path.max(axis=0, initial=0.0).tolist()
     p1_dev = max(check_zero_conditional_means(chain, cfg.kernel, T, cfg.order)
                  for T in cfg.t_grid)
+    tol = 1e-10 * cfg.kernel.bound  # residuals and deviations scale with the kernel
     return DecomposeCheckReport(
         replications=cfg.replications,
         max_residual=max_residual, max_b_ratio=max_ratio, conditional_mean_dev=p1_dev,
-        residual_ok=max_residual <= 1e-10, p1_ok=p1_dev <= 1e-10,
+        residual_ok=max_residual <= tol, p1_ok=p1_dev <= tol,
         p2_ok=max_ratio <= 1.0 + 1e-12,
     )
 
@@ -783,8 +784,7 @@ def estimate_mgf_budget(cfg: ExperimentConfig) -> float:
 def _run_mgf_check(cfg: ExperimentConfig) -> MgfCheckReport:
     dist, n, scale, points = cfg.distribution, cfg.summands, cfg.scale, cfg.eta_points
     per = BernsteinParams(cfg.summand_sigma, cfg.summand_kappa)
-    # the sum of n copies, as combine_bernstein_params([per] * n) gives it for n < 2^53
-    combined = BernsteinParams(n * per.sigma, n * per.kappa)
+    combined = BernsteinParams(n * per.sigma, n * per.kappa)  # the sum of n copies
     for name, value in (("summand_sigma", combined.sigma), ("summand_kappa", combined.kappa)):
         if math.isinf(value):
             raise ConfigError(f"{name} * summands = {value} overflows a float")

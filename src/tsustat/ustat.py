@@ -14,7 +14,9 @@ which gives Spearman's rho too. Non-finite values are rejected.
 Hoeffding's permutation decoupling, a proof device, is checked against
 ``u_statistic`` by a literal oracle in the tests.
 
-For paths generated by a finite Markov chain the module also evaluates the
+A table kernel is symmetric, so its U-statistic on a state path is a closed
+form in the path's occupation counts, in O(T + S^r) for S states. For
+paths generated by a finite Markov chain the module also evaluates the
 chain-law expectation of the U-statistic, the product-measure expectation,
 and the telescoping split of U minus its expectation into per-order terms
 with exactly zero conditional means. All three chain-law evaluators read
@@ -376,28 +378,32 @@ def spearman_rho(path) -> SpearmanResult:
 # exact chain-law expectations
 # ---------------------------------------------------------------------------
 
-def _tuple_counts(states: np.ndarray, s: int, r: int) -> np.ndarray:
-    """N[a(, b(, c))]: how many increasing index tuples of a state path carry
-    the states (a(, b(, c))), from one-hot prefix and suffix state counts in
-    O(T S^r); a table kernel's U-statistic is <N, H> / C(T, r)."""
-    if r > 3:
-        raise ValueError("tuple counts support orders 1..3")
-    onehot = np.eye(s, dtype=np.int64)[states]
-    seen = np.cumsum(onehot, axis=0)
-    if r == 1:
-        return seen[-1]
-    if r == 2:
-        return (seen - onehot).T @ onehot
-    return np.einsum("ta,tb,tc->abc", seen - onehot, onehot, seen[-1] - seen)
-
-
 def _u_table_path(states: np.ndarray, H: np.ndarray) -> float:
-    """U-statistic of a table kernel on a state path, <N, H> / C(T, r) from
-    the exact tuple counts N of ``_tuple_counts``."""
-    T, r = states.shape[0], H.ndim
+    """U-statistic of a table kernel on a state path from its occupation
+    counts n, in O(T + S^r).
+
+    ``table_kernel`` symmetrizes its table, so U = <W, H> / C(T, r), with
+    W[a(, b(, c))] the number of increasing index tuples that carry the
+    entry's states, spread evenly over its r! arrangements: each index
+    contributes the count of its state less the earlier indices in that
+    state, W = n_a (n_b - [a=b]) (n_c - [a=c] - [b=c]) / 3! at order 3. The
+    weights are float64, so no count wraps, and each is at most C(T, r), so
+    W * H is finite wherever M C(T, r) is.
+    """
+    T, r, s = states.shape[0], H.ndim, H.shape[0]
     if T < r:
         raise ValueError(f"path length {T} shorter than kernel order {r}")
-    return math.fsum((_tuple_counts(states, H.shape[0], r) * H).ravel()) / math.comb(T, r)
+    if r > 3:
+        raise ValueError("table U-statistics support orders 1..3")
+    n = np.bincount(states, minlength=s).astype(np.float64)
+    eye = np.eye(s)
+    if r == 1:
+        W = n
+    elif r == 2:
+        W = n[:, None] * (n - eye) / 2.0
+    else:
+        W = n[:, None, None] * (n - eye)[:, :, None] * (n - eye[:, None, :] - eye) / 6.0
+    return math.fsum((W * H).ravel()) / math.comb(T, r)
 
 
 def _kernel_table(kernel: KernelSpec | np.ndarray, state_count: int, r: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -360,11 +361,12 @@ def test_config_errors_in_experiment_bodies_exit_2(tmp_path, capsys, command, pa
     assert not (tmp_path / "o").exists()
 
 
-def test_a_non_finite_output_exits_4_and_writes_nothing(tmp_path, capsys):
-    """A kernel bound of 1e200 squares to infinity in the tail bound, which
-    reads NaN: result.json would not be JSON, so no file is written."""
-    payload = tail_payload(process={"kind": "iid"}, kernel={"kind": "mean", "bound": 1e200},
-                           x_grid=[1e200], theta={"mode": "exact-zero"})
+def test_a_non_finite_output_exits_4_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    """A NaN in the data, here a tail bound, would make result.json not
+    JSON, so no file is written."""
+    monkeypatch.setattr(harness, "ustat_tail_bound", lambda *args: math.nan)
+    payload = tail_payload(process={"kind": "iid"}, kernel={"kind": "mean", "bound": 10.0},
+                           theta={"mode": "exact-zero"})
     assert main(["tail", "--config", write_config(tmp_path, payload),
                  "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
@@ -535,6 +537,46 @@ def test_decompose_check_with_a_zero_kernel_passes(tmp_path):
     data = json.loads((out / "result.json").read_text())["data"]
     assert data["max_b_ratio"] == 0.0 and data["max_residual"] == 0.0
     assert data["p2_ok"] and data["residual_ok"] and data["p1_ok"]
+
+
+def _scaled_run(tmp_path, command, payload, scale):
+    """The data block of ``payload`` run with ORDER3_KERNEL, and any x_grid,
+    multiplied by ``scale``."""
+    kernel = dict(ORDER3_KERNEL, entries=[[s, v * scale] for s, v in ORDER3_KERNEL["entries"]])
+    payload = dict(payload, kernel=kernel)
+    if "x_grid" in payload:
+        payload["x_grid"] = [x * scale for x in payload["x_grid"]]
+    out = tmp_path / f"{command}-{scale!r}"
+    assert main([command, "--config", write_config(tmp_path, payload, f"{out.name}.json"),
+                 "--out", str(out)]) == 0
+    return json.loads((out / "result.json").read_text())["data"]
+
+
+@pytest.mark.parametrize("k", [-40, 40, 520])
+def test_a_table_kernel_scaled_by_a_power_of_two_gives_the_same_run(tmp_path, k):
+    """Scaling by 2^k is exact in binary floating point and commutes with
+    every sum and product of a table-kernel run, so only the scaled values
+    move. At k = 520, x^2 overflows: the tail bounds stay finite because
+    they are computed on x / M."""
+    scale = 2.0 ** k
+    tail = tail_payload(process=CHAIN, t_grid=[20, 60], x_grid=[0.05, 0.1, 0.2],
+                        replications=100)
+    base, scaled = (_scaled_run(tmp_path, "tail", tail, s) for s in (1.0, scale))
+    assert 0 < sum(base["curves"][0]["counts"]) < 300
+    for key in ("theta", "kernel_bound"):
+        assert scaled[key] == scale * base[key]
+    for got, want in zip(scaled["curves"], base["curves"]):
+        assert got["x"] == [scale * x for x in want["x"]]
+        for key in ("T", "counts", "empirical", "stderr", "bound"):
+            assert got[key] == want[key]
+
+    check = dict(DECOMPOSE, t_grid=[10, 20], replications=4)
+    base, scaled = (_scaled_run(tmp_path, "decompose-check", check, s) for s in (1.0, scale))
+    assert base["max_residual"] > 0
+    for key in ("max_residual", "conditional_mean_dev"):
+        assert scaled[key] == scale * base[key]
+    for key in ("max_b_ratio", "residual_ok", "p1_ok", "p2_ok"):
+        assert scaled[key] == base[key]
 
 
 def test_mixing_profile_on_an_iid_chain_leaves_the_rate_unset(tmp_path):

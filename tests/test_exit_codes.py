@@ -41,6 +41,11 @@ BASES = {
     "tail-mean": ("tail", _tail({"kind": "iid"}, {"kind": "mean", "bound": 10.0},
                                 theta={"mode": "exact-zero"})),
     "tail-table": ("tail", _tail(CHAIN, MATCH_KERNEL)),
+    "tail-table-order-1": ("tail", _tail(CHAIN, {"kind": "table", "order": 1, "state_count": 2,
+                                                 "entries": [[[0], 1.0], [[1], -0.5]]})),
+    "tail-table-order-3": ("tail", _tail(CHAIN, {"kind": "table", "order": 3, "state_count": 2,
+                                                 "entries": [[[0, 0, 0], 1.0], [[0, 1, 1], -0.5],
+                                                             [[1, 1, 1], 0.25]]})),
     "scaling": ("scaling", _config("scaling", process=COPULA, t_grid=[10], p_grid=[3],
                                    replications=2, estimator="spearman")),
     "bias": ("bias", _config("bias-curve", process=CHAIN, kernel=MATCH_KERNEL, order=2,

@@ -122,6 +122,16 @@ def test_u_table_path_matches_enumeration(seed, order, states, extra):
     assert _u_table_path(path, kernel.table) == pytest.approx(want, rel=0, abs=1e-14)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_u_table_path_counts_do_not_wrap_at_large_t(order):
+    """A constant path of 4 * 10^6 states has C(T, 3) > 2^63 tuples, past
+    any int64 tuple count; the U of an all-ones table is still 1."""
+    path = np.zeros(4_000_000, dtype=np.int64)
+    assert math.comb(path.size, 3) > 2 ** 63
+    got = _u_table_path(path, np.ones((2,) * order))
+    assert got == pytest.approx(1.0, rel=0, abs=1e-12)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        case=st.sampled_from([("sign_product", COPULA),
