@@ -25,6 +25,7 @@ the one place that starts a worker pool, through ``_open_pool``;
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -291,15 +292,25 @@ def _ar1_in_place(z: np.ndarray, phi: float) -> None:
     """Run z[:, t] = z[:, t] + phi * z[:, t-1] along axis 1 (time) in place.
 
     With z[:, 0] the start values and z[:, 1:] the innovations this is the
-    AR(1) recurrence. It runs on a time-major copy, so each step is one
-    vectorized update over the contiguous values of all replications and
-    coordinates at that time; every value sees the same operations as
-    stepping ``z`` itself, so the result is bit-identical.
+    AR(1) recurrence on a C-contiguous (R, T, ...) float64 array. The
+    trailing values of each (replication, time) pair are viewed as one
+    opaque ``np.void`` cell, so both transposing copies, into time-major
+    order and back, move whole (R, T) cells rather than single floats. Each
+    step is then one vectorized update over the contiguous values of all
+    replications and coordinates at that time. Every value sees the same
+    operations as stepping ``z`` itself, so the result is bit-identical.
+    A non-contiguous ``z`` is rejected: reshaping or viewing it would copy,
+    and the recurrence would be written into the copy.
     """
-    steps = np.moveaxis(z, 1, 0).copy()
-    for t in range(1, steps.shape[0]):
-        steps[t] += phi * steps[t - 1]
-    np.moveaxis(z, 1, 0)[...] = steps
+    if not z.flags.c_contiguous:
+        raise ValueError("the AR(1) recurrence runs in place on a C-contiguous array")
+    R, T, width = z.shape[0], z.shape[1], math.prod(z.shape[2:])
+    cells = z.reshape(R, T, width).view(np.dtype((np.void, z.itemsize * width)))[..., 0]
+    steps = cells.T.copy()
+    values = steps.view(z.dtype).reshape((T, R) + z.shape[2:])
+    for t in range(1, T):
+        values[t] += phi * values[t - 1]
+    cells[...] = steps.T
 
 
 def generate(spec: ProcessSpec, length: int) -> SeriesPath:

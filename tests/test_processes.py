@@ -142,6 +142,9 @@ def _lfilter_ar1(innov, x0, phi):
 @example(seed=4, phi=-0.3, T=1, R=3, offset=0, rho=0.6, p=1)
 @example(seed=5, phi=0.7, T=40, R=5, offset=0, rho=0.0, p=2)  # more replications
 @example(seed=6, phi=-0.7, T=40, R=1, offset=0, rho=0.0, p=8)  # more coordinates
+@example(seed=7, phi=0.6, T=50, R=2, offset=3, rho=0.3, p=40)  # scaling's widest cell
+@example(seed=8, phi=-0.5, T=50, R=1, offset=0, rho=-0.4, p=40)  # and one replication
+@example(seed=9, phi=0.8, T=60, R=1, offset=5, rho=0.5, p=1)  # one scalar replication
 def test_ar1_recurrence_matches_lfilter(seed, phi, T, R, offset, rho, p):
     """The AR(1) kind, and the recurrence on an (R, T, p) stack with either
     more replications or more coordinates, equal scipy's IIR filter."""
@@ -169,6 +172,17 @@ def test_ar1_recurrence_matches_lfilter(seed, phi, T, R, offset, rho, p):
                                 temporal_coefficient=phi)):
         np.testing.assert_array_equal(generate_batch(s, T, R, rep_offset=offset),
                                       ndtr(latent_batch(s, T, R, rep_offset=offset)))
+
+
+def test_ar1_rejects_a_strided_view():
+    """A view that is not C-contiguous would be copied by the reshape, and the
+    recurrence written into the copy; it is rejected and left untouched."""
+    z = np.random.default_rng(2).standard_normal((3, 10, 4))
+    for view in (z[:, ::2], z[:, :, 1:3], z.transpose(1, 0, 2)):
+        before = view.copy()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _ar1_in_place(view, 0.5)
+        assert np.array_equal(view, before)
 
 
 def test_identity_correlation_flag():

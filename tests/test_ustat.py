@@ -61,9 +61,15 @@ def test_u_statistic_invariant_under_time_permutation():
 
 
 def brute_inversions(row):
-    """O(T^2) count of pairs i < j with row[i] > row[j]."""
+    """O(T^2) count of pairs i < j with row[i] > row[j], 2048 leading
+    positions at a time so the comparison mask stays small."""
     row = np.asarray(row, dtype=np.int64)
-    return int(np.triu(row[:, None] > row[None, :], k=1).sum())
+    total = 0
+    for a in range(0, row.size, 2048):
+        head = row[a:a + 2048]
+        total += int(np.triu(head[:, None] > head[None, :], k=1).sum())
+        total += int((head[:, None] > row[None, a + 2048:]).sum())
+    return total
 
 
 S = ustat._INVERSION_BLOCK  # width of the blocks the counter compares directly
@@ -75,20 +81,23 @@ def reversed_blocks(T):
     return np.concatenate([np.arange(a, min(a + S, T))[::-1] for a in range(0, T, S)])
 
 
-@pytest.mark.parametrize("T", [1, 2, 3, S - 1, S, S + 1, 2 * S, 2 * S + 1,
-                               255, 256, 257, 1025])
+@pytest.mark.parametrize("T", [1, 2, 3, S - 1, S, S + 1, 2 * S, 2 * S + 1, 127, 128, 129,
+                               255, 256, 257, 1024, 1025, 32768, 32769])
 def test_inversion_counter_matches_pair_count(T):
-    """Random permutations plus the identity, the reversed row and the row of
-    reversed S-blocks, on both sides of the in-block width and of the uint8
-    and uint16 working-dtype boundaries."""
+    """Random permutations against the pair count, and the identity, the
+    reversed row and the row of reversed S-blocks in closed form: on both
+    sides of the in-block width, of the first merge level that sorts (T >
+    2S) and of the uint8 -> uint16 and uint16 -> uint32 working-dtype
+    boundaries (keys up to 2n - 1, so T = 128/129 and 32768/32769), and at
+    exact powers of two, which take no padding."""
     rng = np.random.default_rng(T)
-    rows = np.stack([np.arange(T), np.arange(T)[::-1], reversed_blocks(T)]
-                    + [rng.permutation(T) for _ in range(6)])
+    randoms = [rng.permutation(T) for _ in range(6 if T <= 2048 else 1)]
+    rows = np.stack([np.arange(T), np.arange(T)[::-1], reversed_blocks(T)] + randoms)
     inv = _count_inversions_batch(rows)
     assert inv.dtype == np.int64
-    assert inv.tolist() == [brute_inversions(r) for r in rows]
-    assert inv[1] == math.comb(T, 2)
-    assert inv[2] == (T // S) * math.comb(S, 2) + math.comb(T % S, 2)
+    assert inv[:3].tolist() == [0, math.comb(T, 2),
+                                (T // S) * math.comb(S, 2) + math.comb(T % S, 2)]
+    assert inv[3:].tolist() == [brute_inversions(r) for r in randoms]
 
 
 @settings(max_examples=60, deadline=None)
@@ -99,10 +108,10 @@ def test_inversion_counter_matches_pair_count_on_any_permutations(data, T, n_row
 
 
 def test_inversion_counter_wide_row_in_closed_form():
-    """A row longer than 65536 (uint32 working dtype): shuffled blocks placed in
-    reversed value ranges. Every earlier block's values exceed every later
-    block's, so the count is the within-block counts plus m_i m_j per block
-    pair."""
+    """A row longer than 65536 (uint32 keys, sorted merge segments up to 2^16
+    wide): shuffled blocks placed in reversed value ranges. Every earlier
+    block's values exceed every later block's, so the count is the
+    within-block counts plus m_i m_j per block pair."""
     rng = np.random.default_rng(17)
     sizes = rng.integers(600, 1200, size=90)
     T = int(sizes.sum())
@@ -204,6 +213,19 @@ def test_spearman_rho3_batch_matches_identity_at_larger_T():
         assert spearman_rho3_batch(xy[:, :, 0], xy[:, :, 1])[0] == spearman_rho(xy[0]).rho3
     with pytest.raises(ValueError):
         spearman_rho3_batch(np.zeros((1, 2)), np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_order3_rank_sums_stay_exact_past_int64(sign):
+    """At T = 3.9e6, C(T, 3), the squared rank differences of y = -x and the
+    sum of S^x S^y all pass int64; rho3 is still exactly +-1, from the batch
+    path and from the tie-exact count."""
+    T = 3_900_000
+    assert math.comb(T, 3) >= 2 ** 63
+    x = np.arange(T, dtype=float)[None]
+    assert spearman_rho3_batch(x, sign * x).tolist() == [float(sign)]
+    K, W = ustat._tie_exact_counts(x, sign * x)
+    assert (int(K[0]), W[0]) == (sign * math.comb(T, 2), sign * 2 * math.comb(T, 3))
 
 
 def test_spearman_monotone():
