@@ -9,7 +9,7 @@ from .bounds import (BernsteinParams, BoundConstants, CalibrationResult, TailPoi
                      bernstein_envelope, bias_offset, calibrate_constants, empirical_log_mgf,
                      hoeffding_bound, mixing_sum_logmgf_bound, ustat_tail_bound)
 from .hidim import (CorrelationMatrixEstimate, kendall_matrix, max_norm_deviation,
-                    population_matrix, scaling_experiment, spearman_matrix)
+                    population_matrix, spearman_matrix)
 from .kernels import (KernelSpec, load_table_kernel, mean_kernel, sign_product_kernel,
                       spearman_symmetric_kernel, table_kernel)
 from .mixing import (MixingProfile, alpha_coeff, beta_coeff, conditional_phi_coeff,

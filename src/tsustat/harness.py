@@ -18,10 +18,15 @@ with a ``data`` block (byte-stable across reruns) and a ``meta`` block (wall
 clock), plus plot-ready CSV files per experiment (``path.csv`` for
 ``simulate``).
 
-The rank kernels (``sign_product``, ``spearman_sym``) and their Monte Carlo
-theta oracle read the copula's latent Gaussian values, which have the same
-ranks as its uniform marginals; only the ``mean`` kernel and ``simulate``
-map them to uniforms, so rank runs never import scipy.
+``scaling`` measures how the worst entrywise deviation of a ``hidim``
+rank-correlation matrix from its population value scales against
+sqrt(log(Tp)/T) over a (T, p) grid.
+
+The rank kernels (``sign_product``, ``spearman_sym``), their Monte Carlo
+theta oracle and the ``scaling`` estimators read the copula's latent Gaussian
+values, which have the same ranks as its uniform marginals (the marginal CDF
+is strictly increasing); only the ``mean`` kernel and ``simulate`` map them
+to uniforms, so rank runs never import scipy.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ import numbers
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import zip_longest
 from typing import Callable, Sequence
 
@@ -40,7 +45,7 @@ import numpy as np
 from .bounds import (BernsteinParams, BoundConstants, CalibrationResult, TailPoint,
                      bernstein_envelope, calibrate_constants, empirical_log_mgf,
                      ustat_tail_bound, bias_offset)
-from .hidim import ScalingReport, check_scaling_inputs, scaling_experiment
+from . import hidim
 from .kernels import (KernelSpec, load_table_kernel, mean_kernel, sign_product_kernel,
                       spearman_symmetric_kernel, table_kernel)
 from .mixing import (ALPHA_MAX_STATES, MixingProfile, check_conditioning,
@@ -317,6 +322,11 @@ class ExperimentConfig:
         chain = process is not None and process.kind == "markov_chain"
         if self.theta_mode not in ("auto", "mc", "exact-zero"):
             raise ConfigError("theta.mode must be auto, mc, or exact-zero")
+        # each grid value names one output (a CSV, a cell, a curve); a repeat would clash
+        for name in ("t_grid", "p_grid", "x_grid", "lags"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} must not repeat a value, got {values!r}")
         if e == "tail" and max(self.x_grid) > 2.0 * kernel.bound:  # |U - theta| <= 2M
             raise ConfigError(f"x_grid values must be <= 2 * kernel bound = "
                               f"{2.0 * kernel.bound:.17g}, got {max(self.x_grid)!r}")
@@ -342,8 +352,18 @@ class ExperimentConfig:
             if self.summand_sigma is None:  # defaults to scale, within the same bounds
                 self.summand_sigma = read_field("summand_sigma", self.scale)
         if e == "scaling":
-            check_scaling_inputs(process, self.t_grid, self.p_grid, self.replications,
-                                 self.estimator)
+            if process.kind != "gaussian_copula_vector":
+                raise ConfigError("scaling experiments use the Gaussian-copula vector process")
+            if self.estimator not in hidim.ESTIMATOR_KINDS:
+                raise ConfigError(f"estimator must be one of {hidim.ESTIMATOR_KINDS}")
+            # the coordinates are drawn independent at every p
+            if not process.identity_correlation:
+                raise ConfigError("scaling needs an identity cross_correlation")
+            # rank-correlation matrices need three observations and two coordinates
+            if min(self.t_grid) < 3 or min(self.p_grid) < 2:
+                raise ConfigError("scaling needs t_grid values >= 3 and p_grid values >= 2")
+            if self.replications < 1:
+                raise ConfigError("scaling needs replications >= 1")
         if kernel is not None:
             # the tail bound's log factor needs T >= 2 as well
             low = max(kernel.order, 2)
@@ -623,6 +643,16 @@ def estimate_bias_budget(cfg: ExperimentConfig) -> float:
     return math.fsum(T ** (r - 1) * s * s for T in cfg.t_grid)
 
 
+def _loglog_slope(points) -> float | None:
+    """Least-squares slope of log v against log T over the (T, v) points with
+    v > 0; None with fewer than two of them."""
+    usable = [(T, v) for T, v in points if v > 0]
+    if len(usable) < 2:
+        return None
+    return float(np.polyfit(np.log([T for T, _ in usable]),
+                            np.log([v for _, v in usable]), 1)[0])
+
+
 def _run_bias_curve(cfg: ExperimentConfig) -> BiasReport:
     from .ustat import theta_star  # at call time: perfbench/spans.py wraps ustat's name
     chain = cfg.process.chain
@@ -632,12 +662,8 @@ def _run_bias_curve(cfg: ExperimentConfig) -> BiasReport:
         star = theta_star(chain, cfg.kernel, T, cfg.order)
         bias = abs(star - theta)
         rows.append({"T": T, "bias": bias, "sqrt_t_scaled": bias * math.sqrt(T)})
-    slope = None
-    usable = [(r["T"], r["sqrt_t_scaled"]) for r in rows if r["sqrt_t_scaled"] > 0]
-    if len(usable) >= 2:
-        slope = float(np.polyfit(np.log([t for t, _ in usable]),
-                                 np.log([v for _, v in usable]), 1)[0])
-    return BiasReport(rows=rows, loglog_slope=slope)
+    return BiasReport(rows=rows,
+                      loglog_slope=_loglog_slope((r["T"], r["sqrt_t_scaled"]) for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -788,12 +814,18 @@ def _run_mgf_check(cfg: ExperimentConfig) -> MgfCheckReport:
     for name, value in (("summand_sigma", combined.sigma), ("summand_kappa", combined.kappa)):
         if math.isinf(value):
             raise ConfigError(f"{name} * summands = {value} overflows a float")
-    eta_max = 0.99 / combined.kappa if combined.kappa > 0 else cfg.eta_max
+    # the envelope's domain is 0 <= eta < 1 / kappa; eta_max tops the grid
+    eta_max = cfg.eta_max
     if eta_max is None:
-        raise ConfigError("eta_max is required when the combined kappa is zero")
+        if combined.kappa == 0:
+            raise ConfigError("eta_max is required when the combined kappa is zero")
+        eta_max = 0.99 / combined.kappa
+    elif eta_max <= 0 or eta_max >= min(per.eta_limit, combined.eta_limit):
+        raise ConfigError(f"eta_max must be > 0 and below 1 / (summands * summand_kappa), "
+                          f"got {eta_max!r}")
     # |sum| <= summands * |scale|, so this meets the empirical log-MGF's overflow
     # guard before any draw; it also keeps each summand's cosh/sinh finite
-    reach = abs(eta_max) * n * abs(scale)
+    reach = eta_max * n * abs(scale)
     if reach > 700.0:
         raise ConfigError(f"eta_max * summands * |scale| = {reach:.4g} exceeds 700, "
                           "the log-MGF overflow guard")
@@ -802,7 +834,7 @@ def _run_mgf_check(cfg: ExperimentConfig) -> MgfCheckReport:
     if not math.isfinite(top * top / (1.0 - combined.kappa * eta_max)):
         raise ConfigError(f"the Bernstein envelope of summand_sigma and summand_kappa "
                           f"overflows at eta_max = {eta_max:.4g}")
-    etas = [eta_max * (i + 1) / points for i in range(points)]
+    etas = [min(eta_max * (i + 1) / points, eta_max) for i in range(points)]
 
     per_ok = all(_summand_log_mgf(dist, scale, e) <= bernstein_envelope(per, e) + 1e-12
                  for e in etas)
@@ -823,6 +855,35 @@ def _run_mgf_check(cfg: ExperimentConfig) -> MgfCheckReport:
 # scaling
 # ---------------------------------------------------------------------------
 
+@dataclass
+class ScalingCell:
+    T: int
+    p: int
+    replications: int
+    median_deviation: float
+    q25: float
+    q75: float
+    ratio_to_rate: float  # median / sqrt(log(Tp) / T)
+    slope_defined: bool = True
+
+
+@dataclass
+class ScalingReport:
+    kind: str
+    cells: list[ScalingCell]
+    slopes_by_p: dict[int, float | None]
+
+    def data_dict(self) -> dict:
+        return {"experiment": "scaling",
+                "report": {"kind": self.kind, "cells": [vars(c) for c in self.cells],
+                           "slopes_by_p": {str(k): v for k, v in self.slopes_by_p.items()}}}
+
+    def csv_tables(self) -> dict[str, tuple[list[str], list]]:
+        return {"scaling.csv": (["T", "p", "median_dev", "ratio_to_rate"],
+                                [(c.T, c.p, c.median_deviation, c.ratio_to_rate)
+                                 for c in self.cells])}
+
+
 def estimate_scaling_budget(cfg: ExperimentConfig) -> float:
     """Work units of the scaling run: per replication and (T, p) cell, T log2 T
     per Kendall pair (inversion counting over ranks) or T p^2 for the Spearman
@@ -832,9 +893,46 @@ def estimate_scaling_budget(cfg: ExperimentConfig) -> float:
                                         else T * p * p for T in cfg.t_grid for p in cfg.p_grid)
 
 
+def _deviations_block(args, start: int, count: int) -> np.ndarray:
+    """Max-norm deviation per T of the grid and replication in
+    [start, start + count) of one p, as a (len(t_grid), count) array; each
+    path is drawn once, at the largest T, and every T reads its prefix.
+
+    The estimators and ``max_norm_deviation`` are looked up in ``hidim`` at
+    call time, so the wrappers perfbench/spans.py installs there are seen.
+    """
+    spec_p, t_grid, rep_base, kind = args
+    pop = hidim.population_matrix(spec_p.cross_correlation, kind)
+    estimator = hidim.kendall_matrix if kind == "kendall" else hidim.spearman_matrix
+    batch = latent_batch(spec_p, max(t_grid), count, rep_offset=rep_base + start)
+    return np.array([[hidim.max_norm_deviation(estimator(path[:T]), pop) for path in batch]
+                     for T in t_grid])
+
+
 def _run_scaling(cfg: ExperimentConfig) -> ScalingReport:
-    return scaling_experiment(cfg.process, cfg.t_grid, cfg.p_grid, cfg.replications,
-                              kind=cfg.estimator, threads=cfg.threads)
+    """Max-norm deviations over the (T, p) grid, one job per p; replication
+    seeds are keyed by (seed, p-index * 10^6 + replication)."""
+    t_grid, reps = cfg.t_grid, cfg.replications
+    jobs = [(replace(cfg.process, dimension=p, cross_correlation=np.eye(p)),
+             t_grid, pi * 1_000_000, cfg.estimator) for pi, p in enumerate(cfg.p_grid)]
+    dev_blocks = map_replication_blocks(_deviations_block, jobs, reps,
+                                        [max(t_grid) * p for p in cfg.p_grid],
+                                        threads=cfg.threads)
+    cells = []
+    slopes: dict[int, float | None] = {}
+    for p, blocks in zip(cfg.p_grid, dev_blocks):
+        medians = []
+        for i, T in enumerate(t_grid):
+            devs = np.concatenate([block[i] for block in blocks])
+            med = float(np.median(devs))
+            cells.append(ScalingCell(
+                T=T, p=p, replications=reps, median_deviation=med,
+                q25=float(np.quantile(devs, 0.25)), q75=float(np.quantile(devs, 0.75)),
+                ratio_to_rate=med / math.sqrt(math.log(T * p) / T),
+                slope_defined=reps > 1 and len(t_grid) > 1))
+            medians.append((T, med))
+        slopes[p] = _loglog_slope(medians) if reps > 1 else None
+    return ScalingReport(kind=cfg.estimator, cells=cells, slopes_by_p=slopes)
 
 
 # ---------------------------------------------------------------------------

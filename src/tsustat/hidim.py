@@ -8,20 +8,15 @@ a near tie take the batched ``ustat._tie_exact_counts``, under sign(0) = 0.
 Under a Gaussian copula the population matrices are exact functions of the
 correlation matrix R: (2/pi) arcsin R for Kendall and (6/pi) arcsin(R/2) for
 Spearman.
-``scaling_experiment`` measures how the worst entrywise deviation from the
-population matrix scales against sqrt(log(Tp)/T) over a (T, p) grid. It
-estimates on the copula's latent Gaussian paths: the marginal CDF is
-strictly increasing, so the ranks, and every entry, are those of the
-uniform-marginal paths.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .processes import ProcessSpec, block_replications, latent_batch, map_replication_blocks
+from .processes import block_replications
 from .ustat import _count_inversions_batch, _ranks, _tie_exact_counts
 
 ESTIMATOR_KINDS = ("kendall", "spearman")
@@ -99,12 +94,19 @@ def spearman_matrix(data) -> CorrelationMatrixEstimate:
     """Pairwise Spearman's rho matrix, 1 - 6 d2 / (T(T^2-1)) per pair, d2 the
     squared rank differences from the exact integer rank Gram; on the pairs
     ``_tie_exact_pairs`` takes, d2 = (T(T^2-1) - 3(W + 2K)) / 6, Hoeffding's
-    identity under sign(0) = 0 (the exact d2 without a tie). The diagonal is 1."""
+    identity under sign(0) = 0 (the exact d2 without a tie). The diagonal is 1.
+
+    The Gram adds, as Python ints, int64 products over time chunks short
+    enough not to wrap (one chunk below T = 3,024,618, where the sum of the
+    squared 0-based ranks passes int64)."""
     data = _validate_matrix_input(data)
     T, p = data.shape
     _, ranks, near = _ranks(data.T)
     n = T * (T * T - 1)
-    d2 = 2.0 * ((T - 1) * T * (2 * T - 1) // 6 - ranks @ ranks.T)  # 0-based rank Gram
+    chunk = np.iinfo(np.int64).max // (T - 1) ** 2
+    gram = sum((ranks[:, s:s + chunk] @ ranks[:, s:s + chunk].T).astype(object)
+               for s in range(0, T, chunk))
+    d2 = 2.0 * ((T - 1) * T * (2 * T - 1) // 6 - gram).astype(float)
     _tie_exact_pairs(data, near, d2, lambda K, W: (n - 3 * (W + 2 * K)) / 6)
     M = 1.0 - 6.0 * d2 / n
     np.fill_diagonal(M, 1.0)
@@ -133,115 +135,3 @@ def max_norm_deviation(estimate: CorrelationMatrixEstimate, population: np.ndarr
     diff = np.abs(estimate.matrix - population)
     np.fill_diagonal(diff, 0.0)
     return float(diff.max())
-
-
-@dataclass
-class ScalingCell:
-    T: int
-    p: int
-    replications: int
-    median_deviation: float
-    q25: float
-    q75: float
-    ratio_to_rate: float  # median / sqrt(log(Tp) / T)
-    slope_defined: bool = True
-
-
-@dataclass
-class ScalingReport:
-    kind: str
-    cells: list[ScalingCell]
-    slopes_by_p: dict[int, float | None]
-
-    def data_dict(self) -> dict:
-        return {"experiment": "scaling",
-                "report": {"kind": self.kind, "cells": [vars(c) for c in self.cells],
-                           "slopes_by_p": {str(k): v for k, v in self.slopes_by_p.items()}}}
-
-    def csv_tables(self) -> dict[str, tuple[list[str], list]]:
-        return {"scaling.csv": (["T", "p", "median_dev", "ratio_to_rate"],
-                                [(c.T, c.p, c.median_deviation, c.ratio_to_rate)
-                                 for c in self.cells])}
-
-
-def _deviations_block(args, start: int, count: int) -> np.ndarray:
-    """Max-norm deviation per T of the grid and replication in
-    [start, start + count) of one p, as a (len(t_grid), count) array; each
-    path is drawn once, at the largest T, and every T reads its prefix.
-
-    The estimators and ``max_norm_deviation`` are looked up at call time,
-    so the wrappers perfbench/spans.py installs on this module are seen.
-    """
-    spec_p, t_grid, rep_base, kind = args
-    pop = population_matrix(spec_p.cross_correlation, kind)
-    estimator = kendall_matrix if kind == "kendall" else spearman_matrix
-    batch = latent_batch(spec_p, max(t_grid), count, rep_offset=rep_base + start)
-    return np.array([[max_norm_deviation(estimator(path[:T]), pop) for path in batch]
-                     for T in t_grid])
-
-
-def check_scaling_inputs(spec: ProcessSpec, t_grid, p_grid, replications: int,
-                         kind: str) -> None:
-    """Raise ValueError, naming the config field, unless ``scaling_experiment``
-    can run these inputs."""
-    if spec.kind != "gaussian_copula_vector":
-        raise ValueError("scaling experiments use the Gaussian-copula vector process")
-    if kind not in ESTIMATOR_KINDS:
-        raise ValueError(f"estimator must be one of {ESTIMATOR_KINDS}")
-    # the coordinates are drawn independent at every p
-    if not spec.identity_correlation:
-        raise ValueError("scaling needs an identity cross_correlation")
-    # rank-correlation matrices need three observations and two coordinates
-    if not t_grid or not p_grid or min(t_grid) < 3 or min(p_grid) < 2:
-        raise ValueError("scaling needs t_grid values >= 3 and p_grid values >= 2")
-    if replications < 1:
-        raise ValueError("scaling needs replications >= 1")
-
-
-def scaling_experiment(base_spec: ProcessSpec, t_grid, p_grid, replications: int,
-                       kind: str = "kendall", threads: int = 1) -> ScalingReport:
-    """Distribution of max-norm deviations over a (T, p) grid.
-
-    The base spec must have an identity cross-sectional correlation, so the
-    coordinates are independent and ``population_matrix`` is the identity.
-    The estimators read ``latent_batch`` paths, whose ranks are those of
-    ``generate_batch``'s uniform paths. Replication seeds are keyed by
-    (seed, p-index * 10^6 + replication), so the cells at one p share their
-    paths: each is drawn once, at the largest T, and every T of the grid
-    reads its prefix. Each p is one job of one ``map_replication_blocks``
-    call over ``threads`` workers.
-    """
-    check_scaling_inputs(base_spec, t_grid, p_grid, replications, kind)
-    t_grid = [int(T) for T in t_grid]
-    jobs = [(replace(base_spec, dimension=int(p), cross_correlation=np.eye(int(p))),
-             t_grid, pi * 1_000_000, kind) for pi, p in enumerate(p_grid)]
-    dev_blocks = map_replication_blocks(_deviations_block, jobs, replications,
-                                        [max(t_grid) * int(p) for p in p_grid], threads=threads)
-    cells = []
-    medians: dict[int, list[tuple[int, float]]] = {int(p): [] for p in p_grid}
-    for (spec_p, *_), blocks in zip(jobs, dev_blocks):
-        p = spec_p.dimension
-        for i, T in enumerate(t_grid):
-            devs = np.concatenate([block[i] for block in blocks])
-            med = float(np.median(devs))
-            rate = math.sqrt(math.log(T * p) / T)
-            cells.append(ScalingCell(
-                T=T, p=p, replications=replications,
-                median_deviation=med,
-                q25=float(np.quantile(devs, 0.25)),
-                q75=float(np.quantile(devs, 0.75)),
-                ratio_to_rate=med / rate,
-                slope_defined=replications > 1 and len(t_grid) > 1,
-            ))
-            medians[p].append((T, med))
-
-    slopes: dict[int, float | None] = {}
-    for p, pairs in medians.items():
-        usable = [(T, m) for T, m in pairs if m > 0]
-        if len(usable) >= 2 and replications > 1:
-            logT = np.log([T for T, _ in usable])
-            logm = np.log([m for _, m in usable])
-            slopes[p] = float(np.polyfit(logT, logm, 1)[0])
-        else:
-            slopes[p] = None
-    return ScalingReport(kind=kind, cells=cells, slopes_by_p=slopes)

@@ -289,12 +289,13 @@ def test_10_maxnorm_scaling_band():
     """Median max-norm deviation over a (T, p) grid, divided by
     sqrt(log(Tp)/T), varies by less than a factor 1.5 across all cells;
     runs in under 10 minutes."""
-    from tsustat.hidim import scaling_experiment
     start = time.time()
-    spec = ProcessSpec(kind="gaussian_copula_vector", seed=424242, dimension=2,
-                       temporal_coefficient=0.5, cross_correlation=np.eye(2))
-    rep = scaling_experiment(spec, [500, 1000, 2000], [10, 20, 40], 200,
-                             kind="kendall")
+    process = {"kind": "gaussian_copula_vector", "dimension": 2, "temporal_coefficient": 0.5,
+               "cross_correlation": {"kind": "identity"}}
+    rep = run_experiment(ExperimentConfig.from_dict({
+        "schema_version": 1, "experiment": "scaling", "seed": 424242, "process": process,
+        "t_grid": [500, 1000, 2000], "p_grid": [10, 20, 40], "replications": 200,
+        "estimator": "kendall"})).result
     ratios = [c.ratio_to_rate for c in rep.cells]
     band = max(ratios) / min(ratios)
     elapsed = time.time() - start

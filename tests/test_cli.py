@@ -337,6 +337,18 @@ STATES17 = {"kind": "markov_chain", "transition": [[1 / 17] * 17] * 17}
      "kernel.entries"),
     ("mgf-check", dict(MGF, summand_sigma=1e308), "summand_sigma"),
     ("mgf-check", dict(MGF, summand_kappa=1e308), "summand_kappa"),
+    # eta_max tops the grid: above 0, and below 1 / (summands * summand_kappa)
+    ("mgf-check", dict(MGF, summand_kappa=0.0, eta_max=-1.0), "eta_max must be > 0"),
+    ("mgf-check", dict(MGF, summand_kappa=0.0, eta_max=0.0), "eta_max must be > 0"),
+    ("mgf-check", dict(MGF, eta_max=5.0), "below 1 / (summands * summand_kappa)"),
+    # 49 * (1/49) rounds below 1, but 1/49 is the envelope's own limit
+    ("mgf-check", dict(MGF, summands=1, summand_kappa=49.0, eta_max=1 / 49),
+     "below 1 / (summands * summand_kappa)"),
+    # a repeated grid value would name one output twice
+    ("tail", tail_payload(t_grid=[40, 40]), "t_grid must not repeat a value"),
+    ("tail", tail_payload(x_grid=[0.1, 0.1]), "x_grid must not repeat a value"),
+    ("scaling", dict(SCALING, p_grid=[3, 3]), "p_grid must not repeat a value"),
+    ("mixing-profile", dict(MIXING, lags=[1, 2, 1]), "lags must not repeat a value"),
 ], ids=["scaling-estimator", "scaling-t", "scaling-p", "scaling-replications",
         "scaling-cross-correlation", "table-path", "mgf-summands", "mgf-sigma",
         "conditional-state", "mixing-lag", "table-kernel-iid", "table-kernel-states",
@@ -352,7 +364,10 @@ STATES17 = {"kind": "markov_chain", "transition": [[1 / 17] * 17] * 17}
         "table-order-huge", "threads-zero", "budget-inf",
         "mixing-17-states", "table-file-state-float", "x-grid-above-2m",
         "table-entry-overflow", "table-entries-mixed-overflow", "bias-table-overflow",
-        "decompose-table-overflow", "mgf-sigma-overflow", "mgf-kappa-overflow"])
+        "decompose-table-overflow", "mgf-sigma-overflow", "mgf-kappa-overflow",
+        "mgf-eta-max-negative", "mgf-eta-max-zero", "mgf-eta-max-past-kappa",
+        "mgf-eta-max-at-limit",
+        "t-grid-repeat", "x-grid-repeat", "p-grid-repeat", "lags-repeat"])
 def test_config_errors_in_experiment_bodies_exit_2(tmp_path, capsys, command, payload, field):
     assert main([command, "--config", write_config(tmp_path, payload),
                  "--out", str(tmp_path / "o")]) == 2

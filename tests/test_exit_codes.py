@@ -60,6 +60,10 @@ BASES = {
     "mgf-check": ("mgf-check", _config("mgf-check", summands=4, distribution="rademacher",
                                        eta_points=3, samples=50, scale=1.0,
                                        summand_sigma=1.0, summand_kappa=0.1)),
+    "mgf-check-eta-max": ("mgf-check", _config("mgf-check", summands=4, distribution="rademacher",
+                                               eta_points=3, samples=50, scale=1.0,
+                                               summand_sigma=1.0, summand_kappa=0.0,
+                                               eta_max=0.5)),
 }
 
 DELETE = object()

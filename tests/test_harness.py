@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsustat import processes
+from tsustat import hidim, processes
 from tsustat.harness import (DEFAULT_BUDGET, BudgetError, ConfigError, ExperimentConfig,
                              _decompose_block, _oracle_samples, _u_table_path,
                              calibrate_from_tail, emit_outputs, estimate_scaling_budget,
@@ -467,6 +467,14 @@ def test_mgf_check_passes_and_fails():
     bad = dict(base, summand_sigma=0.05, summand_kappa=0.0, eta_max=1.0)
     rep_bad = run_experiment(ExperimentConfig.from_dict(bad)).result
     assert not rep_bad.all_ok
+    # a given eta_max tops the grid, below 1 / (summands * summand_kappa) as well
+    capped = run_experiment(ExperimentConfig.from_dict(dict(base, eta_max=0.5))).result
+    assert capped.eta[-1] == 0.5 and capped.all_ok
+    # eta_max * 13 / 13 rounds up to 1/49, the envelope's limit; the top stays eta_max
+    under = math.nextafter(1 / 49, 0)
+    edge = run_experiment(ExperimentConfig.from_dict(dict(
+        base, summands=1, summand_kappa=49.0, eta_points=13, eta_max=under))).result
+    assert edge.eta[-1] == under and max(edge.eta) == under
 
 
 def test_scaling_run_and_budget(tmp_path):
@@ -508,3 +516,24 @@ def test_scaling_budget_counts_the_evaluator_used(estimator):
                                              replications=1000))
     with pytest.raises(BudgetError):
         run_experiment(absurd)
+
+
+@pytest.mark.parametrize("estimator", ESTIMATOR_KINDS)
+def test_scaling_reads_the_hidim_estimators_at_call_time(monkeypatch, estimator):
+    """perfbench/spans.py traces the scaling estimators by rebinding their
+    names in ``hidim``; a scaling run calls the rebound names, once per
+    replication and (T, p) cell."""
+    calls = dict.fromkeys(("kendall_matrix", "spearman_matrix", "max_norm_deviation"), 0)
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(hidim, name, counting(name, getattr(hidim, name)))
+    run_experiment(ExperimentConfig.from_dict(dict(SCALING, estimator=estimator)))
+    cells = SCALING["replications"] * len(SCALING["t_grid"]) * len(SCALING["p_grid"])
+    assert calls == {"kendall_matrix": cells * (estimator == "kendall"),
+                     "spearman_matrix": cells * (estimator == "spearman"),
+                     "max_norm_deviation": cells}

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from tsustat import processes
+from tsustat.harness import ExperimentConfig, run_experiment
 from tsustat.hidim import (CorrelationMatrixEstimate, kendall_matrix, max_norm_deviation,
-                           population_matrix, scaling_experiment, spearman_matrix)
-from tsustat.processes import ProcessSpec, correlation_factor
+                           population_matrix, spearman_matrix)
+from tsustat.processes import correlation_factor
 from tsustat.ustat import kendall_tau, kendall_tau_numerator, spearman_rho
 
 
@@ -54,6 +55,15 @@ def test_matrix_shape_invariants():
         assert np.array_equal(M, M.T)
         assert np.all(np.diag(M) == 1.0)
         assert np.max(np.abs(M)) <= 1.0
+
+
+def test_spearman_matrix_is_exact_past_int64():
+    """At T = 3,100,000 the rank square sum, the largest rank Gram entry,
+    passes int64; the Gram is still exact, so a column against itself reads
+    1 and against its reverse -1."""
+    t = np.arange(3_100_000.0)
+    M = spearman_matrix(np.column_stack([t, -t, t])).matrix
+    assert np.array_equal(M, [[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
 
 
 def test_rank_matrices_handle_ties():
@@ -144,19 +154,26 @@ def test_population_matrix_rejects_an_unknown_kind():
         population_matrix(np.eye(2), "pearson")
 
 
+def _scaling(seed, t_grid, p_grid, replications, estimator="kendall", phi=0.0,
+             cross_correlation=None):
+    """The report of a scaling run of the bivariate copula process."""
+    process = {"kind": "gaussian_copula_vector", "dimension": 2, "temporal_coefficient": phi,
+               "cross_correlation": cross_correlation or {"kind": "identity"}}
+    cfg = ExperimentConfig.from_dict({
+        "schema_version": 1, "experiment": "scaling", "seed": seed, "process": process,
+        "t_grid": t_grid, "p_grid": p_grid, "replications": replications,
+        "estimator": estimator})
+    return run_experiment(cfg).result
+
+
 def test_dependent_deviations_dominate_iid():
-    base = dict(kind="gaussian_copula_vector", dimension=2, cross_correlation=np.eye(2))
-    iid_spec = ProcessSpec(seed=99, temporal_coefficient=0.0, **base)
-    dep_spec = ProcessSpec(seed=99, temporal_coefficient=0.7, **base)
-    iid_rep = scaling_experiment(iid_spec, [256], [5], replications=60, kind="spearman")
-    dep_rep = scaling_experiment(dep_spec, [256], [5], replications=60, kind="spearman")
+    iid_rep = _scaling(99, [256], [5], 60, "spearman", phi=0.0)
+    dep_rep = _scaling(99, [256], [5], 60, "spearman", phi=0.7)
     assert dep_rep.cells[0].median_deviation >= iid_rep.cells[0].median_deviation
 
 
 def test_scaling_experiment_small_grid():
-    spec = ProcessSpec(kind="gaussian_copula_vector", seed=55, dimension=2,
-                       temporal_coefficient=0.0, cross_correlation=np.eye(2))
-    report = scaling_experiment(spec, [64, 128], [3], replications=40, kind="spearman")
+    report = _scaling(55, [64, 128], [3], 40, "spearman")
     assert len(report.cells) == 2
     meds = {c.T: c.median_deviation for c in report.cells}
     assert meds[128] < meds[64]  # deviations shrink with T
@@ -167,17 +184,12 @@ def test_scaling_experiment_small_grid():
 
 
 def test_scaling_experiment_rejects_correlated_coordinates():
-    R = np.array([[1.0, 0.9], [0.9, 1.0]])
-    spec = ProcessSpec(kind="gaussian_copula_vector", seed=57, dimension=2,
-                       temporal_coefficient=0.0, cross_correlation=R)
     with pytest.raises(ValueError):
-        scaling_experiment(spec, [32], [2], replications=2)
+        _scaling(57, [32], [2], 2, cross_correlation={"kind": "equicorrelation", "rho": 0.9})
 
 
 def test_scaling_experiment_degenerate_cell():
-    spec = ProcessSpec(kind="gaussian_copula_vector", seed=56, dimension=2,
-                       temporal_coefficient=0.0, cross_correlation=np.eye(2))
-    report = scaling_experiment(spec, [32], [2], replications=1)
+    report = _scaling(56, [32], [2], 1)
     assert report.slopes_by_p[2] is None
     assert not report.cells[0].slope_defined
     assert report.data_dict()["report"]["slopes_by_p"] == {"2": None}
