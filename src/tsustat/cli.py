@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .harness import (EXPERIMENTS, BudgetError, CheckFailure, ConfigError,
                       ExperimentConfig, _read_json, calibrate_from_tail, emit_outputs,
@@ -29,6 +30,7 @@ def _t_values(text: str) -> set[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
 
 
+@cache  # built once per process; parsing leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tsustat",
                                      description="seeded Monte Carlo experiments for "

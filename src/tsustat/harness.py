@@ -51,8 +51,8 @@ from .kernels import (KernelSpec, load_table_kernel, mean_kernel, sign_product_k
 from .mixing import (ALPHA_MAX_STATES, MixingProfile, check_conditioning,
                      conditional_phi_coeff, mixing_profile)
 from .processes import (FiniteMarkovChain, ProcessSpec, SeriesPath, _rep_rng,
-                        correlation_factor, generate, generate_batch, latent_batch,
-                        map_replication_blocks, uniform_marginals)
+                        block_replications, correlation_factor, generate, generate_batch,
+                        latent_batch, map_replication_blocks, uniform_marginals)
 from .ustat import (_u_table_path, check_chain_law_length, check_zero_conditional_means,
                     decompose, kendall_tau_batch, spearman_rho3_batch, theta_independent)
 
@@ -438,15 +438,14 @@ def _path_cost(kernel: KernelSpec, T: int) -> float:
     return float(T + kernel.table.shape[0] ** kernel.order)  # table: occupation counts
 
 
-def _oracle_samples(cfg: ExperimentConfig) -> np.ndarray:
-    """(draws, r, d) iid draws of r points from the stationary marginal.
+def _oracle_samples(cfg: ExperimentConfig, rng, draws: int) -> np.ndarray:
+    """The next ``draws`` iid draws of r points from the stationary marginal,
+    read from ``rng``, as a (draws, r, d) array.
 
     For the copula, rank kernels get the latent normals (same ranks, so the
     same kernel values) and only the ``mean`` kernel gets the uniforms.
     """
     spec, r = cfg.process, cfg.kernel.order
-    draws = cfg.theta_draws
-    rng = _rep_rng(cfg.seed, 2 ** 32)  # oracle stream, disjoint from replication streams
     if spec.kind == "gaussian_copula_vector":
         latent = rng.standard_normal((draws, r, spec.dimension))
         if not spec.identity_correlation:
@@ -481,8 +480,16 @@ def _estimate_theta(cfg: ExperimentConfig) -> tuple[float, float, str]:
     exact = _exact_theta(cfg)
     if exact is not None:
         return exact[0], 0.0, exact[1]
-    # iid oracle on the stationary cross-sectional marginal
-    vals = _kernel_values(cfg.kernel, _oracle_samples(cfg))
+    # iid oracle on the stationary cross-sectional marginal, drawn in chunks of
+    # at most BLOCK_VALUES values that continue one stream, so the values do
+    # not depend on the chunk size
+    rng = _rep_rng(cfg.seed, 2 ** 32)  # oracle stream, disjoint from replication streams
+    vals = np.empty(cfg.theta_draws)
+    chunk = block_replications(cfg.kernel.order * (cfg.process.dimension or 1))
+    for start in range(0, vals.size, chunk):
+        stop = min(start + chunk, vals.size)
+        # one expression, so no chunk's draws outlive its values
+        vals[start:stop] = _kernel_values(cfg.kernel, _oracle_samples(cfg, rng, stop - start))
     theta = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(vals.size))
     return theta, se, "mc"

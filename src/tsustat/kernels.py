@@ -9,15 +9,17 @@ Built-in kinds:
   - ``table``         (any r) dense lookup table over a finite state alphabet
 
 The mean, sign-product and order-3 rank kernels also carry ``sample_fn``, a
-vectorized evaluator over many draws of r points that returns exactly the
-values ``fn`` gives draw by draw.
+vectorized evaluator over many draws of r points that equals ``fn`` draw by
+draw on every float input, ties, infinities and NaN included. The rank
+kernels' ``sample_fn`` reads each draw's value from a table of ``fn`` over
+the sign patterns of its points (``_sign_pattern_values``).
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -40,7 +42,8 @@ class KernelSpec:
     for table kernels and holds the dense symmetric lookup array used by the
     exact-chain machinery. ``sample_fn``, when set, maps an (n, r, d) array
     of n draws of r points (d = 2 for the rank kernels, 1 for scalars) to
-    the n kernel values, equal to ``fn`` applied draw by draw.
+    the n kernel values, equal to ``fn`` applied draw by draw on every float
+    input.
     """
 
     order: int
@@ -82,30 +85,65 @@ def _sign_product_fn(x, y):
     return sign(float(x[0]) - float(y[0])) * sign(float(x[1]) - float(y[1]))
 
 
-def _sign_product_sample_fn(samples):
-    return (np.sign(samples[:, 0, 0] - samples[:, 1, 0])
-            * np.sign(samples[:, 0, 1] - samples[:, 1, 1]))
+@cache
+def _sign_pattern_table(fn: Callable, order: int) -> np.ndarray:
+    """``fn`` on one pair of representatives of every sign pattern that
+    ``order`` bivariate float points realize, flat over the index that
+    ``_sign_pattern_values`` reads; NaN where no input realizes the pattern.
+
+    A coordinate's pattern reads the codes of its C(r, 2) point pairs (a, b),
+    1 + (a > b) - (a < b), the sign of a - b plus 1 with NaN a tie, as a
+    base-3 number; coordinate 0 is the high digit. Floats realize exactly
+    the patterns of values in {0, 1, 2, NaN}: a weak order of the numbers,
+    NaN a tie against anything. Built once per kernel and process, on first
+    use.
+    """
+    pairs = list(itertools.combinations(range(order), 2))
+    patterns = {}  # pattern -> one coordinate's values realizing it
+    for coords in itertools.product((0.0, 1.0, 2.0, math.nan), repeat=order):
+        code = 0
+        for i, j in pairs:
+            code = 3 * code + 1 + (coords[i] > coords[j]) - (coords[i] < coords[j])
+        patterns.setdefault(code, coords)
+    width = 3 ** len(pairs)
+    table = np.full(width * width, math.nan)
+    for (code_x, xs), (code_y, ys) in itertools.product(patterns.items(), repeat=2):
+        table[code_x * width + code_y] = fn(*zip(xs, ys))
+    table.setflags(write=False)  # one array serves every caller in the process
+    return table
+
+
+def _sign_pattern_values(fn: Callable, samples: np.ndarray) -> np.ndarray:
+    """``fn`` over (n, r, 2) draws of a kernel that depends on its points
+    only through the signs of their coordinate differences, read from
+    ``_sign_pattern_table`` by each draw's pattern index."""
+    n, order, dimension = samples.shape
+    index = np.zeros(n, dtype=np.uint16)  # at most 3^6 - 1 at order 3
+    greater, less = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    for c in range(dimension):
+        for i, j in itertools.combinations(range(order), 2):
+            a, b = samples[:, i, c], samples[:, j, c]
+            np.greater(a, b, out=greater)
+            np.less(a, b, out=less)
+            # Horner step on code - 1 = greater - less; uint16 wraps, and the
+            # offset below brings every index back into range
+            index *= 3
+            index += greater
+            index -= less
+    index += (3 ** (dimension * math.comb(order, 2)) - 1) // 2
+    return _sign_pattern_table(fn, order)[index]
 
 
 def sign_product_kernel() -> KernelSpec:
     """Order-2 concordance kernel sign(x1-y1)*sign(x2-y2) on bivariate points."""
     return KernelSpec(order=2, bound=1.0, kind="sign_product", fn=_sign_product_fn,
-                      sample_fn=_sign_product_sample_fn)
+                      sample_fn=partial(_sign_pattern_values, _sign_product_fn))
 
 
 def _spearman_fn(x, y, z):
     total = 0.0
     for a, b, c in itertools.permutations((x, y, z)):
         total += sign(float(a[0]) - float(b[0])) * sign(float(a[1]) - float(c[1]))
-    return 0.5 * total
-
-
-def _spearman_sample_fn(samples):
-    # the terms are integers, so the sum is exact in any order
-    total = np.zeros(samples.shape[0])
-    for a, b, c in itertools.permutations(range(3)):
-        total += (np.sign(samples[:, a, 0] - samples[:, b, 0])
-                  * np.sign(samples[:, a, 1] - samples[:, c, 1]))
     return 0.5 * total
 
 
@@ -117,7 +155,7 @@ def spearman_symmetric_kernel() -> KernelSpec:
     concordant triples (verified exhaustively in the tests).
     """
     return KernelSpec(order=3, bound=1.0, kind="spearman_sym", fn=_spearman_fn,
-                      sample_fn=_spearman_sample_fn)
+                      sample_fn=partial(_sign_pattern_values, _spearman_fn))
 
 
 def _table_fn(table, *states):

@@ -8,7 +8,7 @@ import pytest
 
 import tsustat
 from tsustat import harness
-from tsustat.cli import main
+from tsustat.cli import _build_parser, main
 from tsustat.kernels import load_table_kernel
 from tsustat.harness import (ExperimentConfig, calibrate_from_tail, load_tail_result,
                              run_experiment)
@@ -244,6 +244,54 @@ SIMULATE = {"schema_version": 1, "experiment": "simulate", "seed": 3,
             "process": {"kind": "iid"}, "length": 5}
 BIAS = {"schema_version": 1, "experiment": "bias-curve", "seed": 3, "process": CHAIN,
         "kernel": MATCH_KERNEL, "order": 2, "t_grid": [20, 40]}
+
+
+def test_one_parser_serves_every_main_call(tmp_path, capsys):
+    """The parser is built once per process. One process runs ``tail``, an
+    argparse error (exit 2), ``bias`` and ``calibrate`` on that one parser;
+    each call gives the exit code, messages and files of the same call on a
+    freshly built parser."""
+    tail_cfg = write_config(tmp_path, tail_payload(), "tail.json")
+    bias_cfg = write_config(tmp_path, BIAS, "bias.json")
+
+    def calls(out):
+        return [["tail", "--config", tail_cfg, "--out", str(out / "tail")],
+                ["tail", "--config", tail_cfg, "--threads", "two"],
+                ["bias", "--config", bias_cfg, "--out", str(out / "bias")],
+                ["calibrate", "--result", str(out / "tail"), "--train", "30,60",
+                 "--out", str(out / "cal")]]
+
+    def run(argv, out):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        text = capsys.readouterr()
+        return code, text.out.replace(str(out), "OUT"), text.err
+
+    def files(out):
+        texts = {}
+        for path in sorted(out.rglob("*")):
+            if path.is_file():
+                text = path.read_text()
+                if path.name == "result.json":
+                    text = json.loads(text)["data"]  # meta holds wall times
+                texts[str(path.relative_to(out))] = text
+        return texts
+
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    parser = _build_parser()
+    got = [run(argv, shared) for argv in calls(shared)]
+    assert _build_parser() is parser
+    want = []
+    for argv in calls(fresh):
+        _build_parser.cache_clear()
+        want.append(run(argv, fresh))
+    assert [code for code, _, _ in got] == [0, 2, 0, 0]
+    assert "invalid int value: 'two'" in got[1][2]
+    assert got == want
+    assert files(shared) == files(fresh)
+    assert {"tail/tail_T30.csv", "bias/result.json", "cal/calibration.json"} <= set(files(fresh))
 
 
 FLOAT_STATE_TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -605,7 +653,7 @@ def test_mixing_profile_on_an_iid_chain_leaves_the_rate_unset(tmp_path):
 
 _IMPORT_PROBE = """
 import json, sys
-from tsustat.cli import main
+from tsustat.cli import _build_parser, main
 loaded = []
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv

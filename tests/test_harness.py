@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsustat import hidim, processes
+from tsustat import harness, hidim, processes
 from tsustat.harness import (DEFAULT_BUDGET, BudgetError, ConfigError, ExperimentConfig,
-                             _decompose_block, _oracle_samples, _u_table_path,
+                             _decompose_block, _estimate_theta, _oracle_samples, _u_table_path,
                              calibrate_from_tail, emit_outputs, estimate_scaling_budget,
                              estimate_tail_budget, file_text, run_experiment)
 from tsustat.hidim import ESTIMATOR_KINDS
 from tsustat.kernels import table_kernel
-from tsustat.processes import SeriesPath, block_replications
+from tsustat.processes import SeriesPath, _rep_rng, block_replications
 from tsustat.ustat import u_statistic
 
 from oracles import mahonian_law
@@ -142,10 +142,41 @@ def test_oracle_values_match_kernel_fn(seed, case):
     kernel = {"kind": kind, "bound": 10.0} if kind == "mean" else {"kind": kind}
     cfg = ExperimentConfig.from_dict(tail_config(
         seed=seed, process=process, kernel=kernel, theta={"mode": "mc", "draws": 2000}))
-    samples = _oracle_samples(cfg)
+    samples = _oracle_samples(cfg, _rep_rng(cfg.seed, 2 ** 32), 2000)
     points = samples if samples.shape[2] > 1 else samples[:, :, 0]
     want = np.array([cfg.kernel.fn(*points[i]) for i in range(samples.shape[0])])
     np.testing.assert_array_equal(cfg.kernel.sample_fn(samples), want)
+
+
+CORRELATED = dict(COPULA, cross_correlation={"kind": "equicorrelation", "rho": 0.6})
+
+
+@pytest.mark.parametrize("kind,process", [
+    ("spearman_sym", CORRELATED), ("sign_product", CORRELATED),
+    ("mean", {"kind": "ar1", "coefficient": 0.6}),
+    ("mean", {"kind": "gaussian_copula_vector", "dimension": 1, "temporal_coefficient": 0.3}),
+], ids=["spearman_sym", "sign_product", "mean-ar1", "mean-uniform"])
+def test_oracle_chunks_continue_one_stream(monkeypatch, kind, process):
+    """The oracle draws in chunks of at most BLOCK_VALUES values. Under a
+    budget of 300 draws a chunk, 1000 draws take three full chunks and a
+    partial one, and (theta, se) equal one unchunked draw bit for bit."""
+    kernel = {"kind": kind, "bound": 10.0} if kind == "mean" else {"kind": kind}
+    cfg = ExperimentConfig.from_dict(tail_config(
+        seed=17, process=process, kernel=kernel, theta={"mode": "mc", "draws": 1000}))
+    vals = cfg.kernel.sample_fn(_oracle_samples(cfg, _rep_rng(cfg.seed, 2 ** 32), 1000))
+    want = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size)), "mc")
+
+    chunks = []
+
+    def counted(cfg, rng, draws):
+        chunks.append(draws)
+        return _oracle_samples(cfg, rng, draws)
+
+    values_per_draw = cfg.kernel.order * (cfg.process.dimension or 1)
+    monkeypatch.setattr(processes, "BLOCK_VALUES", 300 * values_per_draw)
+    monkeypatch.setattr(harness, "_oracle_samples", counted)
+    assert _estimate_theta(cfg) == want
+    assert chunks == [300, 300, 300, 100]
 
 
 MATCH_TABLE_FILE = "0 0 0.5\n0 1 -0.5\n1 0 -0.5\n1 1 0.5\n"
@@ -294,7 +325,9 @@ def test_each_t_of_a_grid_reads_the_same_paths(monkeypatch, threads):
 
 @pytest.mark.parametrize("raw", [
     tail_config(t_grid=[30, 60], replications=24),
-    tail_config(t_grid=[30, 60], replications=24,
+    # the Monte Carlo theta is chunked by the same budget, one draw a chunk at
+    # budget 1; 50,000 draws keep its se within the x grid's precision guard
+    tail_config(t_grid=[30, 60], replications=24, theta={"mode": "mc", "draws": 50_000},
                 process=dict(COPULA, cross_correlation={"kind": "equicorrelation", "rho": 0.6})),
     tail_config(t_grid=[30, 60], replications=24, process=CHAIN, kernel=MATCH_KERNEL),
     tail_config(t_grid=[30, 60], replications=24, process={"kind": "ar1", "coefficient": 0.6},

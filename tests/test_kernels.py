@@ -1,12 +1,13 @@
 import itertools
+import math
 import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tsustat.kernels import (KernelSpec, load_table_kernel, mean_kernel, sign_product_kernel,
-                             spearman_symmetric_kernel, table_kernel)
+from tsustat.kernels import (KernelSpec, _sign_pattern_table, load_table_kernel, mean_kernel,
+                             sign_product_kernel, spearman_symmetric_kernel, table_kernel)
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
@@ -144,3 +145,38 @@ def test_kernel_specs_pickle(kernel):
     for draw in samples[:5]:
         points = draw[:, 0] if d == 1 else draw
         assert again.fn(*points) == kernel.fn(*points)
+
+
+RANK_KERNELS = [sign_product_kernel(), spearman_symmetric_kernel()]
+
+
+@pytest.mark.parametrize("kernel", RANK_KERNELS, ids=["sign_product", "spearman_sym"])
+@pytest.mark.parametrize("values", [(0.0, 1.0, 2.0), (-math.inf, 0.0, 1.0, math.inf, math.nan)],
+                         ids=["weak-orders", "non-finite"])
+def test_rank_sample_fn_equals_fn_on_every_pattern(kernel, values):
+    """``sample_fn`` equals ``fn`` bit for bit, signed zeros included, on
+    every draw whose coordinates take the given values: with {0, 1, 2} that
+    is every pair of weak orders of the r points, one per coordinate. With
+    infinities and NaN, a NaN difference is a tie (sign 0) in both; the old
+    ``np.sign`` formula gave NaN there."""
+    r = kernel.order
+    draws = np.array(list(itertools.product(values, repeat=2 * r))).reshape(-1, r, 2)
+    got = kernel.sample_fn(draws)
+    want = np.array([kernel.fn(*draw) for draw in draws])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert not np.isnan(got).any()
+    if any(map(math.isnan, values)):
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(np.sign(draws[:, 0, 0] - draws[:, 1, 0])).any()
+
+
+@pytest.mark.parametrize("kernel,patterns", zip(RANK_KERNELS, [3, 19]),
+                         ids=["sign_product", "spearman_sym"])
+def test_sign_pattern_table_holds_nan_where_no_draw_reaches(kernel, patterns):
+    """Per coordinate, floats realize 3 comparison patterns of 2 points and
+    19 of 3 points: the 13 weak orders, and 6 more where a NaN ties with two
+    points that differ. Every other cell is NaN, so an index that strays
+    there gives a NaN theta, which no output file accepts."""
+    table = _sign_pattern_table(kernel.fn, kernel.order)
+    assert table.size == 3 ** (2 * math.comb(kernel.order, 2))
+    assert np.count_nonzero(~np.isnan(table)) == patterns ** 2
