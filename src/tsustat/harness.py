@@ -51,7 +51,7 @@ from .kernels import (KernelSpec, load_table_kernel, mean_kernel, sign_product_k
 from .mixing import (ALPHA_MAX_STATES, MixingProfile, check_conditioning,
                      conditional_phi_coeff, mixing_profile)
 from .processes import (FiniteMarkovChain, ProcessSpec, SeriesPath, _rep_rng,
-                        block_replications, correlation_factor, generate, generate_batch,
+                        block_replications, generate, generate_batch,
                         latent_batch, map_replication_blocks, uniform_marginals)
 from .ustat import (_u_table_path, check_chain_law_length, check_zero_conditional_means,
                     decompose, kendall_tau_batch, spearman_rho3_batch, theta_independent)
@@ -448,8 +448,8 @@ def _oracle_samples(cfg: ExperimentConfig, rng, draws: int) -> np.ndarray:
     spec, r = cfg.process, cfg.kernel.order
     if spec.kind == "gaussian_copula_vector":
         latent = rng.standard_normal((draws, r, spec.dimension))
-        if not spec.identity_correlation:
-            latent = latent @ correlation_factor(spec.cross_correlation).T
+        if spec.cross_factor is not None:
+            latent = latent @ spec.cross_factor.T
         return latent if cfg.kernel.kind in RANK_KERNELS else uniform_marginals(latent)
     if spec.kind in ("iid", "ar1", "m_dependent"):
         samples = rng.standard_normal((draws, r, 1))

@@ -71,9 +71,12 @@ def _tie_exact_pairs(data: np.ndarray, near: np.ndarray, out: np.ndarray, entry)
 def kendall_matrix(data) -> CorrelationMatrixEstimate:
     """Pairwise Kendall's tau matrix of a (T x p) sample, in blocks of
     ``block_replications(T)`` pairs. A pair (j, k) is counted on the k-ranks
-    read in j order, a permutation of 0..T-1, gathered on the narrowest
-    unsigned dtype; ``_tie_exact_pairs`` then recounts the pairs touching a
-    column with a tie or a near tie."""
+    read in j order, a permutation of 0..T-1, on the narrowest unsigned
+    dtype. The pairs (j, j+1..p-1) of one column j are one run of the upper
+    triangle, so a block's rows are filled one run at a time, by one
+    ``np.take`` of those columns' ranks in j order, cut where the block
+    ends. ``_tie_exact_pairs`` then recounts the pairs touching a column
+    with a tie or a near tie."""
     data = _validate_matrix_input(data)
     T, p = data.shape
     order, ranks, near = _ranks(data.T)
@@ -82,9 +85,13 @@ def kendall_matrix(data) -> CorrelationMatrixEstimate:
     denom = math.comb(T, 2)
     M = np.eye(p)
     chunk = block_replications(T)
+    rows = np.empty((min(chunk, js.size), T), dtype=ranks.dtype)
     for start in range(0, js.size, chunk):
         j, k = js[start:start + chunk], ks[start:start + chunk]
-        K = denom - 2 * _count_inversions_batch(ranks[k[:, None], order[j]])
+        runs = np.flatnonzero(np.diff(j, prepend=-1)).tolist() + [j.size]
+        for a, b in zip(runs[:-1], runs[1:]):
+            np.take(ranks[k[a]:k[a] + b - a], order[j[a]], axis=1, out=rows[a:b])
+        K = denom - 2 * _count_inversions_batch(rows[:j.size])
         M[j, k] = M[k, j] = K / denom
     _tie_exact_pairs(data, near, M, lambda K, W: K / denom)
     return CorrelationMatrixEstimate(kind="kendall", matrix=M, sample_length=T)

@@ -14,7 +14,8 @@ ranks unchanged. Only the uniform outputs need scipy, which
 All generation is deterministic given (spec, seed): replication i draws
 from a counter-based Philox stream keyed by SeedSequence(seed,
 spawn_key=(i,)), so parallel replications reproduce independently of
-scheduling. Every generator fills one preallocated (R, ...) buffer, one
+scheduling. A block computes its streams' keys in one vectorized pass of
+SeedSequence's hash and reseeds one Philox per row. Every generator fills one preallocated (R, ...) buffer, one
 replication's stream per row, and reads the stream in time order, so a path
 of length T is the first T steps of the same replication's longer path. The
 experiments draw each replication once, at the largest T of their grid, and
@@ -133,9 +134,11 @@ def random_chain(s: int, rng: np.random.Generator, concentration: float = 1.0) -
 class ProcessSpec:
     """Declarative description of a stationary process plus its master seed.
 
-    ``identity_correlation`` is set, not passed: it is True for a copula spec
-    whose cross correlation is exactly the identity (independent coordinates,
-    no factor product needed).
+    ``identity_correlation`` and ``cross_factor`` are set, not passed: the
+    flag is True for a copula spec whose cross correlation is exactly the
+    identity (independent coordinates, no factor product needed); otherwise
+    the factor L with L L^T = R is computed once, here, and read by every
+    block and oracle chunk.
     """
 
     kind: str
@@ -147,6 +150,7 @@ class ProcessSpec:
     cross_correlation: np.ndarray | None = None
     temporal_coefficient: float | None = None
     identity_correlation: bool = field(default=False, init=False, repr=False, compare=False)
+    cross_factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in PROCESS_KINDS:
@@ -177,8 +181,10 @@ class ProcessSpec:
                 raise ValueError("cross correlation must be symmetric with unit diagonal")
             if np.min(np.linalg.eigvalsh(R)) < -1e-10:
                 raise ValueError("cross correlation must be positive semidefinite")
+            identity = bool(np.array_equal(R, np.eye(p)))
             object.__setattr__(self, "cross_correlation", R)
-            object.__setattr__(self, "identity_correlation", bool(np.array_equal(R, np.eye(p))))
+            object.__setattr__(self, "identity_correlation", identity)
+            object.__setattr__(self, "cross_factor", None if identity else correlation_factor(R))
 
 
 @dataclass
@@ -278,13 +284,95 @@ def correlation_factor(R: np.ndarray) -> np.ndarray:
         return V @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the pool
+# of 4 uint32 words, the entropy hash, the pool mix and the output hash
+_POOL_SIZE = 4
+_MASK32 = 0xFFFF_FFFF
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0_D7E5, 0x931E_8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The little-endian 32-bit words of an int >= 0, as SeedSequence reads it."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _stream_keys(seed: int, reps: np.ndarray) -> np.ndarray:
+    """(R, 2) uint64 Philox keys of the streams ``_rep_rng(seed, rep)`` for a
+    uint64 array of reps: each row is SeedSequence(seed, spawn_key=(rep,))
+    .generate_state(2, np.uint64), in vectorized uint32 arithmetic.
+
+    SeedSequence hashes its entropy, the seed's words padded with zeros to
+    the pool size and then the spawn key's words, into a pool of 4 words:
+    the first 4 words fill the pool, all pool words are mixed pairwise, and
+    each later word is mixed into every pool word. The hash multiplier steps
+    once per hashed word whatever its value, so every rep shares the seed's
+    pool and then mixes in its own words: one below 2^32, two from 2^32 on,
+    so the second word changes only the rows that have one. The key is 4
+    words hashed from the pool, read as two little-endian uint64.
+    """
+    const = _HASH_INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _HASH_MULT_A & _MASK32
+        value *= np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return out ^ (out >> np.uint32(16))
+
+    entropy = _uint32_words(seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    pool = [hashmix(np.array([w], dtype=np.uint32)) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    low = (reps & np.uint64(_MASK32)).astype(np.uint32)
+    high = (reps >> np.uint64(32)).astype(np.uint32)
+    for word in [np.array([w], dtype=np.uint32) for w in entropy[_POOL_SIZE:]] + [low]:
+        pool = [mix(p, hashmix(word)) for p in pool]
+    two_words = high > 0
+    pool = [np.where(two_words, mix(p, hashmix(high)), p) for p in pool]
+    const = _HASH_INIT_B
+    state = []
+    for p in pool:  # generate_state(2, np.uint64) reads 4 words, one per pool word
+        value = p ^ np.uint32(const)
+        const = const * _HASH_MULT_B & _MASK32
+        value *= np.uint32(const)
+        state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=1)
+
+
 def _stream_draws(seed: int, shape: tuple, rep_offset: int, uniform: bool = False) -> np.ndarray:
     """One (R, ...) buffer whose row i holds the next draws of replication
-    rep_offset + i's stream: standard normals, or uniforms on [0, 1)."""
+    rep_offset + i's stream: standard normals, or uniforms on [0, 1).
+
+    The streams are ``_rep_rng``'s: one Philox is reset per row to the
+    state a fresh ``Philox(SeedSequence(seed, spawn_key=(rep,)))`` holds,
+    its key from ``_stream_keys``, counter 0 and an empty output buffer.
+    """
+    if seed < 0 or rep_offset < 0:
+        raise ValueError("stream seeds and replication indices must be non-negative")
     out = np.empty(shape)
+    keys = _stream_keys(seed, np.arange(rep_offset, rep_offset + shape[0], dtype=np.uint64))
+    bits = Philox(key=0)
+    state = bits.state
+    rng = Generator(bits)
+    draw = rng.random if uniform else rng.standard_normal
     for i in range(shape[0]):
-        rng = _rep_rng(seed, rep_offset + i)
-        (rng.random if uniform else rng.standard_normal)(out=out[i])
+        state["state"]["key"] = keys[i]
+        bits.state = state
+        draw(out=out[i])
     return out
 
 
@@ -335,10 +423,10 @@ def latent_batch(spec: ProcessSpec, length: int, replications: int,
         raise ValueError("path length must be >= 1")
     phi = spec.temporal_coefficient
     z = _stream_draws(spec.seed, (int(replications), int(length), spec.dimension), rep_offset)
-    if not spec.identity_correlation:
+    if spec.cross_factor is not None:
         # the factor is applied per replication, as one (T, p) product each, so a
         # path never depends on which batch it is drawn in
-        z = z @ correlation_factor(spec.cross_correlation).T
+        z = z @ spec.cross_factor.T
     z[:, 1:] *= np.sqrt(1.0 - phi * phi)
     _ar1_in_place(z, phi)
     return z

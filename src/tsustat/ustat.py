@@ -6,12 +6,14 @@ slow oracles. Fast paths: Kendall's tau as the inversion count
 of a rank permutation, vectorized across whole batches of rows: direct
 comparisons within small aligned blocks of positions, then bottom-up merge
 levels that sort each aligned segment's keys in place and read the cross
-inversions of its two halves from the sorted places. The order-3
-symmetric rank kernel comes from the same counts and integer rank sums
-through Hoeffding's identity. Every rank comes from one sort of uint64 keys
-per coordinate, value bits above and an index below; rows with a tie or a
+inversions of its two halves from the sorted places, summed by float32
+BLAS dots over rows of at most 4096 places. The order-3 symmetric rank kernel comes
+from the same counts and integer rank sums through Hoeffding's identity.
+Every rank comes from one float sort per coordinate of keys that keep a
+value's high bits and put an index in its low bits; rows with a tie or a
 near tie take one batched tie-exact count (Knight 1966) on the same counter,
-which gives Spearman's rho too. Non-finite values are rejected.
+which gives Spearman's rho too. Non-finite values are rejected. Every
+along-axis gather and scatter runs on flat indices (``_flat_index``).
 Hoeffding's permutation decoupling, a proof device, is checked against
 ``u_statistic`` by a literal oracle in the tests.
 
@@ -90,6 +92,16 @@ def u_statistic(data, kernel: KernelSpec, max_terms: int = MAX_GENERIC_TERMS) ->
 # 0.79 and 1.11 ms (at T <= 64, 32 leaves no level to sort).
 _INVERSION_BLOCK = 32
 
+# Places per row of a merge level's float32 place sum. A row holds at most
+# all of 0..4095, which sum to 8,386,560 < 2^24, so every partial sum is an
+# integer that float32 holds exactly, in any order of summation. The rows
+# take one BLAS dot each (np.vecdot), which stays on the calling thread: a
+# matrix-vector product starts OpenBLAS's thread pool, and under two
+# replication workers with the BLAS threads unpinned that made a tail-kendall
+# run 1.09 s against 0.87 s (2-core VM, medians of 5).
+_PLACE_ROW = 4096
+_PLACES = np.arange(_PLACE_ROW, dtype=np.float32)
+
 
 def _count_inversions_batch(rows: np.ndarray) -> np.ndarray:
     """Per-row inversion counts of rows that are permutations of 0..T-1.
@@ -109,9 +121,13 @@ def _count_inversions_batch(rows: np.ndarray) -> np.ndarray:
     merges its halves. An upper-half key at sorted place k has k - i lower
     keys below it, i the upper keys before it, so the lower values above it
     number h - k + i; over the segment's h upper keys that is
-    h^2 + C(h, 2) - (sum of their sorted places), one ``einsum`` per level.
-    Each level refills one key buffer from the doubled values, so no level
-    reads another's output.
+    h^2 + C(h, 2) - (sum of their sorted places). The sum is one BLAS dot
+    per row: the position bits go into one float32 buffer, cut into rows of
+    w = min(2h, ``_PLACE_ROW``) places, each dotted with the places 0..w-1,
+    exact since every partial sum is an integer below 2^24. A
+    segment longer than w adds, in int64, each row's offset in the segment
+    times its count of upper keys. Each level refills one key buffer from
+    the doubled values, so no level reads another's output.
 
     The top level, h = n/2, needs no sort: the padded row holds exactly
     0..n-1, so an upper-half value v sits at sorted place v.
@@ -127,6 +143,7 @@ def _count_inversions_batch(rows: np.ndarray) -> np.ndarray:
     doubled <<= 1
     inv = _count_within_blocks(doubled, s)
     keys = np.empty_like(doubled)
+    bits = np.empty((R, n), dtype=np.float32)
     halves = np.array([[0], [1]], dtype=dtype)  # position bit h of a segment's two halves
     h = s
     while 4 * h <= n:
@@ -134,7 +151,13 @@ def _count_inversions_batch(rows: np.ndarray) -> np.ndarray:
         np.bitwise_or(doubled.reshape(R, m, 2, h), halves, out=keys.reshape(R, m, 2, h))
         segments = keys.reshape(R, m, 2 * h)
         segments.sort(axis=2)
-        upper = np.einsum("ijk,k->i", segments & dtype.type(1), np.arange(2 * h))
+        np.bitwise_and(segments, dtype.type(1), out=bits.reshape(R, m, 2 * h))
+        w = min(2 * h, _PLACE_ROW)
+        places = bits.reshape(-1, w)
+        upper = np.vecdot(places, _PLACES[:w]).reshape(R, -1).sum(axis=1, dtype=np.int64)
+        if w < 2 * h:  # each row's offset in its segment, times its upper keys
+            counts = places.sum(axis=1).astype(np.int64).reshape(R, -1)
+            upper += counts @ np.tile(np.arange(0, 2 * h, w), m)
         inv += m * (h * h + h * (h - 1) // 2) - upper
         h *= 2
     if h < n:
@@ -185,55 +208,52 @@ def kendall_tau(path) -> float:
     return float(kendall_tau_batch(xy[None, :, 0], xy[None, :, 1])[0])
 
 
-_SIGN_BIT = np.uint64(1 << 63)
-# Keys of finite values lie in [_FINITE_KEYS[0], _FINITE_KEYS[1]) whatever
-# their low 52 bits hold; infinities and NaNs sort outside, to either end.
-_FINITE_KEYS = (np.uint64(0x0010_0000_0000_0000), np.uint64(0xFFF0_0000_0000_0000))
+def _flat_index(index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Flat positions into C-contiguous (R, T) rows of an (R, T) index along
+    axis 1: row i's offset i T added, in place where ``out`` is ``index``.
+    ``np.take(a, flat)`` is ``np.take_along_axis(a, index, axis=1)`` and
+    ``np.put(a, flat, np.arange(T))`` the matching scatter, without the
+    broadcast row index of the along-axis forms."""
+    return np.add(index, np.arange(0, index.size, index.shape[1]).reshape(-1, 1), out=out)
 
 
 def _keys(rows: np.ndarray) -> np.ndarray:
-    """uint64 sort keys of a 2-D batch of T columns, low ceil(log2 T) bits
-    cleared for the index ``_key_order`` puts there.
-
-    A key is the order-preserving bit image of the float64 value: negative
-    values get every bit flipped, the others the sign bit set, and -0.0 is
-    read as +0.0. Distinct values whose keys differ above the low bits
-    compare as their keys do.
-    """
-    keys = np.add(rows, 0.0, dtype=np.float64, order="C").view(np.uint64)
-    flip = (keys.view(np.int64) >> 63).view(np.uint64)  # all ones where negative
-    flip |= _SIGN_BIT
-    keys ^= flip
-    keys &= ~np.uint64((1 << (keys.shape[1] - 1).bit_length()) - 1)
-    return keys
+    """float64 sort keys of a 2-D batch: a C-ordered copy of the values,
+    -0.0 read as +0.0 (``_key_order`` puts an index in the low bits)."""
+    return np.add(rows, 0.0, dtype=np.float64, order="C")
 
 
 def _key_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Put each key's column index in its low bits and sort each row in
-    place; return the sorted low bits, the row's ordering, as int64, and a
-    per-row flag for near ties.
+    """Put each key's column index in its low ceil(log2 T) bits, through a
+    uint64 view, and sort each row in place as floats; return the sorted low
+    bits, the row's ordering, as int64, and a per-row flag for near ties.
 
-    A flagged row holds two adjacent sorted keys that share their high bits:
-    a tie, or two values within 2^bits ulps. Only in flagged rows can the low
-    bits differ from the ordering by value, so those rows take
-    ``_tie_exact_counts``. Non-finite values are rejected.
+    Values that share their high bits fill one interval of floats, of one
+    sign, so they sort next to each other, and any other two values keep
+    their order. A flagged row holds two adjacent sorted keys that share
+    their high bits: a tie, or two values within 2^bits ulps. Only in flagged
+    rows can the low bits differ from the ordering by value, so those rows
+    take ``_tie_exact_counts``. Non-finite values are rejected: an infinity
+    with index bits set is a NaN, every NaN sorts last and an infinity at
+    index 0 sorts to an end, so only the two ends need a check.
     """
     T = keys.shape[1]
     low = np.uint64((1 << (T - 1).bit_length()) - 1)
-    keys |= np.arange(T, dtype=np.uint64)
+    bits = keys.view(np.uint64)
+    bits &= ~low
+    bits |= np.arange(T, dtype=np.uint64)
     keys.sort(axis=1)
-    lo, hi = _FINITE_KEYS
-    if (keys[:, 0] < lo).any() or (keys[:, -1] >= hi).any():
+    if not (np.isfinite(keys[:, 0]).all() and np.isfinite(keys[:, -1]).all()):
         raise ValueError("rank statistics need finite values")
-    near = ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
-    keys &= low
-    return keys.view(np.int64), near
+    near = ((bits[:, 1:] ^ bits[:, :-1]) <= low).any(axis=1)
+    bits &= low
+    return bits.view(np.int64), near
 
 
 def _ranks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(order, ranks, near) of each row of a 2-D array of finite values.
 
-    One sort of uint64 keys per row gives the order: each key holds the
+    One float sort of keys per row gives the order: each key holds the
     value's bits above the low ceil(log2 T) and the time index below them.
     ``ranks`` is its inverse, the 0-based ranks. ``near`` flags the rows with
     a tie or a near tie (see ``_key_order``); ``order`` and ``ranks`` are
@@ -242,7 +262,7 @@ def _ranks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     order, near = _key_order(_keys(np.asarray(rows)))
     ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(order.shape[1]), axis=1)
+    np.put(ranks, _flat_index(order), np.arange(order.shape[1]))
     return order, ranks, near
 
 
@@ -255,13 +275,14 @@ def _rank_pair_batch(x_rows: np.ndarray, y_rows: np.ndarray):
     sum_j (y_order[i, j] - j)^2. ``near`` flags the rows with a near tie in
     either coordinate, whose values callers take from ``_tie_exact_counts``.
 
-    Each coordinate is one sort of uint64 keys (see ``_ranks``): x keys carry
-    the time index in their low bits, so the sorted low bits are the x order;
-    the y keys, gathered in that order, carry the x-rank, so their sorted
-    low bits are ``y_order``, a permutation in every row, flagged or not.
+    Each coordinate is one sort of keys (see ``_ranks``): x keys carry the
+    time index in their low bits, so the sorted low bits are the x order;
+    the y keys, gathered in that order by one flat ``np.take``, carry the
+    x-rank, so their sorted low bits are ``y_order``, a permutation in every
+    row, flagged or not.
     """
     order, near = _key_order(_keys(x_rows))
-    y_order, y_near = _key_order(np.take_along_axis(_keys(y_rows), order, axis=1))
+    y_order, y_near = _key_order(np.take(_keys(y_rows), _flat_index(order, out=order)))
     del order  # each (R, T) temporary is dropped once read, to keep the peak down
     return _count_inversions_batch(y_order), y_order, near | y_near
 
@@ -299,11 +320,11 @@ def _tie_exact_counts(x_rows: np.ndarray, y_rows: np.ndarray) -> tuple[np.ndarra
     of S^x S^y reaches T(T^2 - 1)/3, past int64 from T of about 3.03e6.
     """
     T = x_rows.shape[1]
-    order = np.lexsort((y_rows, x_rows), axis=1)
-    xs = np.take_along_axis(x_rows, order, axis=1)
-    ys = np.take_along_axis(y_rows, order, axis=1)
+    order = _flat_index(np.lexsort((y_rows, x_rows), axis=1))
+    xs, ys = np.take(x_rows, order), np.take(y_rows, order)
     by_y = np.argsort(ys, axis=1, kind="stable")
-    sorted_y = np.take_along_axis(ys, by_y, axis=1)
+    y_flat = _flat_index(by_y)
+    sorted_y = np.take(ys, y_flat)
     step_x, step_y = xs[:, 1:] != xs[:, :-1], sorted_y[:, 1:] != sorted_y[:, :-1]
     x_less, y_less = _run_starts(step_x), _run_starts(step_y)
     n1, n2, n3 = ((np.arange(T) - start).sum(axis=1) for start in
@@ -312,7 +333,7 @@ def _tie_exact_counts(x_rows: np.ndarray, y_rows: np.ndarray) -> tuple[np.ndarra
     # a value's greater values are its smaller ones in the row reversed
     sx = x_less - _run_starts(step_x[:, ::-1])[:, ::-1]
     sy = y_less - _run_starts(step_y[:, ::-1])[:, ::-1]
-    products = np.take_along_axis(sx, by_y, axis=1) * sy
+    products = np.take(sx, y_flat) * sy
     return K, _exact_row_sums(products, (T - 1) ** 2) - 2 * K
 
 

@@ -179,6 +179,46 @@ def test_oracle_chunks_continue_one_stream(monkeypatch, kind, process):
     assert chunks == [300, 300, 300, 100]
 
 
+def test_the_copula_factor_is_read_from_the_parsed_spec(monkeypatch):
+    """A correlated tail takes its factor from ``ProcessSpec.cross_factor``,
+    set when the config is parsed. With ``correlation_factor`` made to raise
+    after that, and a value budget that cuts the oracle into 4 chunks and
+    the replications into 3 blocks, (theta, se) and every U value equal an
+    unpatched run's bit for bit."""
+    raw = tail_config(seed=5, process=CORRELATED, kernel={"kind": "spearman_sym"},
+                      t_grid=[20, 60], x_grid=[0.5, 1.0], replications=40,
+                      theta={"mode": "mc", "draws": 1000})
+    original = harness._u_values_block
+
+    def run(oracle_chunks, u_blocks):
+        def recorded_block(args, start, count):
+            u_blocks.append(original(args, start, count))
+            return u_blocks[-1]
+
+        def counted(cfg, rng, draws):
+            oracle_chunks.append(draws)
+            return _oracle_samples(cfg, rng, draws)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_u_values_block", recorded_block)
+            patch.setattr(harness, "_oracle_samples", counted)
+            report = run_experiment(cfg).result
+        return report.theta, report.theta_se, np.concatenate(u_blocks, axis=1)
+
+    cfg = ExperimentConfig.from_dict(raw)
+    want = run([], [])
+    cfg = ExperimentConfig.from_dict(raw)
+
+    def forbidden(R):
+        raise AssertionError("the copula factor was recomputed")
+    monkeypatch.setattr(processes, "correlation_factor", forbidden)
+    monkeypatch.setattr(processes, "BLOCK_VALUES", 300 * 3 * 2)  # 300 draws, 15 paths
+    chunks, blocks = [], []
+    got = run(chunks, blocks)
+    assert chunks == [300, 300, 300, 100] and [b.shape[1] for b in blocks] == [15, 15, 10]
+    assert got[:2] == want[:2]
+    np.testing.assert_array_equal(got[2], want[2])
+
+
 MATCH_TABLE_FILE = "0 0 0.5\n0 1 -0.5\n1 0 -0.5\n1 1 0.5\n"
 SCALING = {"schema_version": 1, "experiment": "scaling", "seed": 77, "process": COPULA,
            "t_grid": [16, 32], "p_grid": [3, 4], "replications": 12}

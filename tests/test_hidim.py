@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tsustat import processes
+from tsustat import hidim, processes
 from tsustat.harness import ExperimentConfig, run_experiment
 from tsustat.hidim import (CorrelationMatrixEstimate, kendall_matrix, max_norm_deviation,
                            population_matrix, spearman_matrix)
@@ -45,6 +45,34 @@ def test_kendall_matrix_matches_numerator_with_a_tied_column(monkeypatch):
             for k in range(j + 1, p):
                 expected = kendall_tau_numerator(data[:, j], data[:, k]) / math.comb(T, 2)
                 assert km[j, k] == km[k, j] == expected
+
+
+@pytest.mark.parametrize("pairs_per_block", [1, 4, 7, 13])
+def test_kendall_matrix_blocks_may_cut_a_column_run(monkeypatch, pairs_per_block):
+    """The pairs of column j, (j, j+1..p-1), fill consecutive block rows. Under
+    value budgets of 1, 4, 7 and 13 pairs a block, blocks end inside those
+    runs (column 0 alone holds 9 pairs), and every entry still equals the
+    pairwise count and the one-block matrix bit for bit."""
+    rng = np.random.default_rng(12)
+    T, p = 300, 10
+    data = rng.standard_normal((T, p))
+    whole = kendall_matrix(data).matrix
+    monkeypatch.setattr(processes, "BLOCK_VALUES", pairs_per_block * T)
+    blocks = []
+    original = hidim._count_inversions_batch
+
+    def recorded(rows):
+        blocks.append(rows.shape[0])
+        return original(rows)
+    monkeypatch.setattr(hidim, "_count_inversions_batch", recorded)
+    km = kendall_matrix(data).matrix
+    n_pairs = p * (p - 1) // 2
+    assert blocks == [pairs_per_block] * (n_pairs // pairs_per_block) + (
+        [n_pairs % pairs_per_block] if n_pairs % pairs_per_block else [])
+    np.testing.assert_array_equal(km, whole)
+    for j in range(p):
+        for k in range(j + 1, p):
+            assert km[j, k] == kendall_tau_numerator(data[:, j], data[:, k]) / math.comb(T, 2)
 
 
 def test_matrix_shape_invariants():

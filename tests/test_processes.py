@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.random import SeedSequence
 from scipy.signal import lfilter
 from scipy.special import ndtr
 
@@ -15,7 +16,8 @@ from tsustat.cli import main
 from tsustat.harness import ExperimentConfig, SimulatedPath, _estimate_theta, file_text
 from tsustat.hidim import kendall_matrix, spearman_matrix
 from tsustat.processes import (FiniteMarkovChain, ProcessSpec, SeriesPath, _ar1_in_place,
-                               _rep_rng, correlation_factor, cycle_chain, generate,
+                               _rep_rng, _stream_draws, _stream_keys, correlation_factor,
+                               cycle_chain, generate,
                                generate_batch, iid_chain, latent_batch, random_chain,
                                two_state_chain)
 from tsustat.ustat import kendall_tau_batch, spearman_rho3_batch
@@ -196,6 +198,44 @@ def test_identity_correlation_flag():
     assert not ProcessSpec(kind="iid", seed=0).identity_correlation
     with pytest.raises(ValueError):
         latent_batch(ProcessSpec(kind="ar1", seed=0, ar_coefficient=0.5), 10, 2)
+    assert copula(None).cross_factor is None and copula(np.eye(2)).cross_factor is None
+    R = np.array([[1.0, 0.3], [0.3, 1.0]])
+    np.testing.assert_array_equal(copula(R).cross_factor, correlation_factor(R))
+
+
+STREAM_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1, 2 ** 130 + 3]
+STREAM_REPS = list(range(300)) + [10 ** 6 + k for k in range(5)] + [2 ** 32 - 1, 2 ** 32,
+                                                                    2 ** 32 + 7]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_stream_keys_are_the_seed_sequence_keys(seed):
+    """The vectorized keys equal SeedSequence's own, for seeds of one to
+    five 32-bit words (so the entropy fills the pool of 4, or runs past it)
+    and reps of one and two words, mixed in one call."""
+    want = [SeedSequence(seed, spawn_key=(rep,)).generate_state(2, np.uint64)
+            for rep in STREAM_REPS]
+    got = _stream_keys(seed, np.array(STREAM_REPS, dtype=np.uint64))
+    assert got.dtype == np.uint64 and got.shape == (len(STREAM_REPS), 2)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("uniform", [False, True], ids=["normal", "uniform"])
+@pytest.mark.parametrize("seed,rep_offset,R", [(3, 0, 0), (3, 0, 5), (2 ** 64 + 1, 17, 4),
+                                               (9, 2 ** 32 - 3, 6)],
+                         ids=["empty", "first-reps", "long-seed", "straddles-2^32"])
+def test_stream_draws_are_the_rep_rng_draws(uniform, seed, rep_offset, R):
+    """Each row of a block is its replication's ``_rep_rng`` stream, for
+    normals and uniforms, in an empty block and in one whose reps run from
+    one 32-bit word to two."""
+    got = _stream_draws(seed, (R, 7, 2), rep_offset, uniform=uniform)
+    rngs = [_rep_rng(seed, rep_offset + i) for i in range(R)]
+    want = [rng.random((7, 2)) if uniform else rng.standard_normal((7, 2)) for rng in rngs]
+    assert got.shape == (R, 7, 2)
+    np.testing.assert_array_equal(got, np.reshape(want, (R, 7, 2)))
+    for bad_seed, bad_offset in ((-1, rep_offset), (seed, -1)):  # SeedSequence rejects them too
+        with pytest.raises(ValueError, match="non-negative"):
+            _stream_draws(bad_seed, (R, 7, 2), bad_offset, uniform=uniform)
 
 
 @pytest.mark.parametrize("seed", [1, 7])

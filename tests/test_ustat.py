@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,14 +83,16 @@ def reversed_blocks(T):
 
 
 @pytest.mark.parametrize("T", [1, 2, 3, S - 1, S, S + 1, 2 * S, 2 * S + 1, 127, 128, 129,
-                               255, 256, 257, 1024, 1025, 32768, 32769])
+                               255, 256, 257, 1024, 1025, 8192, 8193, 32768, 32769])
 def test_inversion_counter_matches_pair_count(T):
     """Random permutations against the pair count, and the identity, the
     reversed row and the row of reversed S-blocks in closed form: on both
     sides of the in-block width, of the first merge level that sorts (T >
-    2S) and of the uint8 -> uint16 and uint16 -> uint32 working-dtype
-    boundaries (keys up to 2n - 1, so T = 128/129 and 32768/32769), and at
-    exact powers of two, which take no padding."""
+    2S), of the first level whose segments outrun one float32 place row
+    (T = 8192/8193: 2h = 8192 > ``_PLACE_ROW`` places) and of the uint8 ->
+    uint16 and uint16 -> uint32 working-dtype boundaries (keys up to 2n - 1,
+    so T = 128/129 and 32768/32769), and at exact powers of two, which take
+    no padding."""
     rng = np.random.default_rng(T)
     randoms = [rng.permutation(T) for _ in range(6 if T <= 2048 else 1)]
     rows = np.stack([np.arange(T), np.arange(T)[::-1], reversed_blocks(T)] + randoms)
@@ -105,6 +108,31 @@ def test_inversion_counter_matches_pair_count(T):
 def test_inversion_counter_matches_pair_count_on_any_permutations(data, T, n_rows):
     rows = np.array([data.draw(st.permutations(range(T))) for _ in range(n_rows)])
     assert _count_inversions_batch(rows).tolist() == [brute_inversions(r) for r in rows]
+
+
+def test_inversion_counter_at_two_to_the_22_within_its_memory():
+    """At T = 2^22 (uint32 keys; merge segments up to 2^21 places, 512 float32
+    place rows each): the reversed row counts C(T, 2), and the lexicographic
+    product p[i K + j] = q[i] K + r[j] of two random permutations of K = 2^11
+    counts inv(q) K^2 + K inv(r), with inv(q) and inv(r) from the pair count.
+    The counter's traced peak is at most its three (1, 2^22) buffers of 4
+    bytes a place (the doubled values, the keys and the float32 place bits)
+    plus 1 MiB."""
+    T, K = 1 << 22, 1 << 11
+    rng = np.random.default_rng(22)
+    q, r = rng.permutation(K), rng.permutation(K)
+    product = (q[:, None] * K + r[None, :]).ravel()
+    reversed_row = np.arange(T)[None, ::-1]
+    tracemalloc.start()
+    try:
+        reversed_count = _count_inversions_batch(reversed_row)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reversed_count.tolist() == [math.comb(T, 2)]
+    assert peak <= 3 * 4 * T + (1 << 20)
+    assert _count_inversions_batch(product[None]).tolist() == [
+        brute_inversions(q) * K * K + K * brute_inversions(r)]
 
 
 def test_inversion_counter_wide_row_in_closed_form():
@@ -358,6 +386,62 @@ def test_rank_evaluators_reject_non_finite_values(name):
             broken[[2, 6], col] = bad
             with pytest.raises(ValueError, match="finite"):
                 evaluate(broken)
+
+
+KEY_EDGE_EVALUATORS = {
+    "kendall_tau_batch": lambda x, y: kendall_tau_batch(x[None], y[None])[0],
+    "spearman_rho3_batch": lambda x, y: spearman_rho3_batch(x[None], y[None])[0],
+    "kendall_matrix": lambda x, y: kendall_matrix(np.column_stack([x, y])).matrix[0, 1],
+}
+
+
+@pytest.mark.parametrize("name", list(KEY_EDGE_EVALUATORS))
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("index", [0, 5])
+@pytest.mark.parametrize("col", [0, 1])
+def test_float_keys_reject_non_finite_values_at_any_index(name, bad, index, col):
+    """An infinity keeps its bits at index 0 and becomes a NaN once index
+    bits are set, and every NaN sorts last; each lands at an end of its
+    sorted row, in x or in y, and is a ValueError."""
+    xy = np.random.default_rng(31).standard_normal((2, 9))
+    xy[col, index] = bad
+    with pytest.raises(ValueError, match="finite"):
+        KEY_EDGE_EVALUATORS[name](*xy)
+
+
+def _key_edge_rows(case: str) -> np.ndarray:
+    xy = np.random.default_rng(32).standard_normal((2, 9))
+    tiny = np.finfo(np.float64).smallest_subnormal
+    big = np.finfo(np.float64).max
+    if case == "signed-zeros":
+        xy[0, [1, 6]] = 0.0, -0.0
+        xy[1, [0, 6]] = -0.0, 0.0
+    elif case == "subnormals":
+        xy[0, [0, 3, 6, 8]] = tiny, -tiny, 3 * tiny, 2.5e-310
+        xy[1, [2, 4]] = -2 * tiny, 1e-320
+    elif case == "max-float":
+        xy[0, [0, 8]] = big, -big
+        xy[1, [2, 5]] = -big, big
+    return xy
+
+
+@pytest.mark.parametrize("case", ["signed-zeros", "subnormals", "max-float"])
+def test_float_keys_at_the_edges_of_the_doubles(case):
+    """+0.0 and -0.0 share a key's high bits, so their row is flagged and
+    the pair counts as a tie; subnormals (within and beyond 2^bits ulps of
+    each other) and +-max float rank like any values. Every evaluator
+    equals the pairwise count and the enumeration."""
+    x, y = _key_edge_rows(case)
+    if case == "signed-zeros":
+        assert _ranks(x[None])[2].tolist() == [True]
+    pairs = math.comb(9, 2)
+    with np.errstate(over="ignore"):  # max - (-max) is inf to the oracles, of the right sign
+        K = kendall_tau_numerator(x, y)
+        assert K == brute_tau_numerator(x, y)
+        rho3 = u_statistic(np.column_stack([x, y]), spearman_symmetric_kernel())
+    evaluate = KEY_EDGE_EVALUATORS
+    assert evaluate["kendall_tau_batch"](x, y) == evaluate["kendall_matrix"](x, y) == K / pairs
+    assert evaluate["spearman_rho3_batch"](x, y) == rho3
 
 
 ROW_KINDS = ("plain", "rounded", "signed-zeros", "nextafter", "ulp-run")
