@@ -53,8 +53,9 @@ from .mixing import (ALPHA_MAX_STATES, MixingProfile, check_conditioning,
 from .processes import (FiniteMarkovChain, ProcessSpec, SeriesPath, _rep_rng,
                         block_replications, generate, generate_batch,
                         latent_batch, map_replication_blocks, uniform_marginals)
-from .ustat import (_u_table_path, check_chain_law_length, check_zero_conditional_means,
-                    decompose, kendall_tau_batch, spearman_rho3_batch, theta_independent)
+from .ustat import (_u_table_path, chain_law_bias, check_chain_law_length,
+                    check_zero_conditional_means, decompose, kendall_tau_batch,
+                    spearman_rho3_batch, theta_independent)
 
 SCHEMA_VERSION = 1
 DEFAULT_BUDGET = 1e12
@@ -335,6 +336,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{e} needs a finite chain and a table kernel")
             if self.order not in (2, 3) or self.order != kernel.order:
                 raise ConfigError(f"{e} order must be 2 or 3, the table kernel's order")
+        if e == "decompose-check":
             check_chain_law_length(max(self.t_grid), self.order)
         if e == "mixing-profile":
             if not chain:
@@ -423,8 +425,7 @@ def _u_values_block(args, start: int, count: int) -> np.ndarray:
         return np.array([rank_u(latent[:, :T, 0], latent[:, :T, 1]) for T in t_grid])
     batch = generate_batch(spec, max(t_grid), count, rep_offset=start)
     if kernel.kind == "table":
-        return np.array([[_u_table_path(states[:T], kernel.table) for states in batch]
-                         for T in t_grid])
+        return np.array([_u_table_path(batch[:, :T], kernel.table) for T in t_grid])
     values = _kernel_values(kernel, batch.reshape(-1, 1, 1)).reshape(count, -1)
     return np.array([values[:, :T].mean(axis=1) for T in t_grid])
 
@@ -644,10 +645,12 @@ class BiasReport:
 
 
 def estimate_bias_budget(cfg: ExperimentConfig) -> float:
-    """Work units of the bias run: per T, the T^(r-1) S^2 entries of the gap
-    tables ``theta_star`` builds."""
-    s, r = cfg.kernel.table.shape[0], cfg.order
-    return math.fsum(T ** (r - 1) * s * s for T in cfg.t_grid)
+    """Work units of the bias run: per T, the multiply-adds of the block
+    powers ``chain_law_bias`` takes, 2 log2 T products of (3S)^3 at order 2
+    and of (4S)^3 + S (6S)^3 at order 3, for S states."""
+    s = cfg.kernel.table.shape[0]
+    product = (3 * s) ** 3 if cfg.order == 2 else (4 * s) ** 3 + s * (6 * s) ** 3
+    return math.fsum(2 * math.log2(T) * product for T in cfg.t_grid)
 
 
 def _loglog_slope(points) -> float | None:
@@ -656,18 +659,15 @@ def _loglog_slope(points) -> float | None:
     usable = [(T, v) for T, v in points if v > 0]
     if len(usable) < 2:
         return None
-    return float(np.polyfit(np.log([T for T, _ in usable]),
-                            np.log([v for _, v in usable]), 1)[0])
+    # float T: a T past int64 (bias takes any T) would make an object array
+    logs = np.log(np.array(usable, dtype=float))
+    return float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])
 
 
 def _run_bias_curve(cfg: ExperimentConfig) -> BiasReport:
-    from .ustat import theta_star  # at call time: perfbench/spans.py wraps ustat's name
-    chain = cfg.process.chain
-    theta = theta_independent(chain, cfg.kernel, cfg.order)
     rows = []
     for T in cfg.t_grid:
-        star = theta_star(chain, cfg.kernel, T, cfg.order)
-        bias = abs(star - theta)
+        bias = abs(chain_law_bias(cfg.process.chain, cfg.kernel, T, cfg.order))
         rows.append({"T": T, "bias": bias, "sqrt_t_scaled": bias * math.sqrt(T)})
     return BiasReport(rows=rows,
                       loglog_slope=_loglog_slope((r["T"], r["sqrt_t_scaled"]) for r in rows))
@@ -728,8 +728,8 @@ def _run_decompose_check(cfg: ExperimentConfig) -> DecomposeCheckReport:
                                       threads=cfg.threads)
     per_path = np.concatenate([np.empty((0, 2))] + [b.reshape(-1, 2) for b in blocks])
     max_residual, max_ratio = per_path.max(axis=0, initial=0.0).tolist()
-    p1_dev = max(check_zero_conditional_means(chain, cfg.kernel, T, cfg.order)
-                 for T in cfg.t_grid)
+    # every shorter T's gap tables are gap prefixes of the largest T's
+    p1_dev = check_zero_conditional_means(chain, cfg.kernel, max(cfg.t_grid), cfg.order)
     tol = 1e-10 * cfg.kernel.bound  # residuals and deviations scale with the kernel
     return DecomposeCheckReport(
         replications=cfg.replications,
@@ -916,6 +916,34 @@ def _deviations_block(args, start: int, count: int) -> np.ndarray:
                      for T in t_grid])
 
 
+def _quartiles(values: np.ndarray) -> tuple[float, float, float]:
+    """(q25, median, q75) of a non-empty sample of finite values other than
+    -0.0 (which ties with 0.0 in either order), bit for bit as
+    ``np.quantile``'s default linear method and ``np.median`` give them, from
+    one sort. Those numpy calls import ``numpy.ma`` on first use, 12-16 ms
+    of every ``scaling`` run on a 2-core x86-64 VM.
+
+    The quantile at q sits at h = (n - 1) q between the sorted values a and b
+    at floor(h) and the next index, with g = h - floor(h), as numpy's lerp:
+    a + (b - a) g below g = 1/2, b - (b - a)(1 - g) from there on. The median
+    of an even count is the mean of the middle two, (a + b) / 2.
+    """
+    ordered = np.sort(values).tolist()
+    n = len(ordered)
+
+    def linear(q: float) -> float:
+        h = (n - 1) * q
+        lo = math.floor(h)
+        if lo >= n - 1:
+            return ordered[-1]
+        a, b, g = ordered[lo], ordered[lo + 1], h - lo
+        return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+
+    mid = n // 2
+    median = ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+    return linear(0.25), median, linear(0.75)
+
+
 def _run_scaling(cfg: ExperimentConfig) -> ScalingReport:
     """Max-norm deviations over the (T, p) grid, one job per p; replication
     seeds are keyed by (seed, p-index * 10^6 + replication)."""
@@ -930,11 +958,9 @@ def _run_scaling(cfg: ExperimentConfig) -> ScalingReport:
     for p, blocks in zip(cfg.p_grid, dev_blocks):
         medians = []
         for i, T in enumerate(t_grid):
-            devs = np.concatenate([block[i] for block in blocks])
-            med = float(np.median(devs))
+            q25, med, q75 = _quartiles(np.concatenate([block[i] for block in blocks]))
             cells.append(ScalingCell(
-                T=T, p=p, replications=reps, median_deviation=med,
-                q25=float(np.quantile(devs, 0.25)), q75=float(np.quantile(devs, 0.75)),
+                T=T, p=p, replications=reps, median_deviation=med, q25=q25, q75=q75,
                 ratio_to_rate=med / math.sqrt(math.log(T * p) / T),
                 slope_defined=reps > 1 and len(t_grid) > 1))
             medians.append((T, med))

@@ -93,6 +93,8 @@ class FiniteMarkovChain:
 
 
 def _solve_stationary(P: np.ndarray) -> np.ndarray:
+    if (P == P[0]).all():  # independent steps: the common row, exactly
+        return P[0].copy()
     s = P.shape[0]
     A = np.vstack([P.T - np.eye(s), np.ones((1, s))])
     b = np.zeros(s + 1)
@@ -401,6 +403,38 @@ def _ar1_in_place(z: np.ndarray, phi: float) -> None:
     cells[...] = steps.T
 
 
+def _chain_states(chain: FiniteMarkovChain, u: np.ndarray) -> np.ndarray:
+    """States of chain paths driven by an (R, T) array of uniforms.
+
+    The first state counts the stationary cumulative thresholds at or below
+    u, each later one the thresholds of the previous state's cumulative row
+    below u. Only the first S - 1 thresholds count: the rows sum to 1 only
+    within 1e-12, so a last threshold below u must not give state S.
+
+    Every count depends on u only through its rank among the chain's
+    distinct row thresholds, k = #{thresholds < u}, found for the whole
+    block by one ``searchsorted``. A flat table of next states by
+    (k, previous state) then makes each step one gather, in time-major
+    order so each step reads and writes contiguous values. Memory is O(R T)
+    and the table holds (S (S - 1) + 1) S entries at most.
+    """
+    R, T = u.shape
+    s = chain.state_count
+    cum = np.cumsum(chain.transition, axis=1)[:, :-1]
+    ordered = np.sort(cum, axis=None)  # distinct by hand: np.unique loads numpy.ma
+    thresholds = ordered[np.insert(ordered[1:] != ordered[:-1], 0, True)]
+    # next_state[k, x]: the thresholds of row x below the k-th distinct one
+    place = np.searchsorted(thresholds, cum)
+    next_state = (place < np.arange(thresholds.size + 1)[:, None, None]).sum(axis=2).ravel()
+    keys = np.searchsorted(thresholds, u.T[1:])  # (T - 1, R), side="left": k
+    keys *= s
+    states = np.empty((T, R), dtype=np.int64)
+    prev = states[0] = np.searchsorted(np.cumsum(chain.stationary)[:-1], u[:, 0], side="right")
+    for t, row in enumerate(keys, 1):
+        prev = states[t] = next_state[row + prev]
+    return np.ascontiguousarray(states.T)
+
+
 def generate(spec: ProcessSpec, length: int) -> SeriesPath:
     """One path; equals replication 0 of ``generate_batch``."""
     batch = generate_batch(spec, length, 1)
@@ -470,16 +504,7 @@ def generate_batch(spec: ProcessSpec, length: int, replications: int,
         return out[:, :, None]
 
     if spec.kind == "markov_chain":
-        chain = spec.chain
-        cum = np.cumsum(chain.transition, axis=1)
-        cum_pi = np.cumsum(chain.stationary)
-        u = _stream_draws(spec.seed, (R, T), rep_offset, uniform=True)
-        states = np.empty((R, T), dtype=np.int64)
-        states[:, 0] = np.searchsorted(cum_pi, u[:, 0], side="right").clip(max=chain.state_count - 1)
-        for t in range(1, T):
-            rows = cum[states[:, t - 1]]
-            states[:, t] = (u[:, t, None] > rows).sum(axis=1)
-        return states
+        return _chain_states(spec.chain, _stream_draws(spec.seed, (R, T), rep_offset, uniform=True))
 
     if spec.kind == "gaussian_copula_vector":
         return uniform_marginals(latent_batch(spec, T, R, rep_offset))

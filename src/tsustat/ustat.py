@@ -18,16 +18,18 @@ Hoeffding's permutation decoupling, a proof device, is checked against
 ``u_statistic`` by a literal oracle in the tests.
 
 A table kernel is symmetric, so its U-statistic on a state path is a closed
-form in the path's occupation counts, in O(T + S^r) for S states. For
-paths generated by a finite Markov chain the module also evaluates the
-chain-law expectation of the U-statistic, the product-measure expectation,
-and the telescoping split of U minus its expectation into per-order terms
-with exactly zero conditional means. All three chain-law evaluators read
-one set of gap tables: the conditional means of a table kernel given its
-leading arguments, indexed by time gaps and conditioning states. The
-decomposition reads its sums over trailing indices as cumulative sums of
-those tables along their gap axes, so no chain-law evaluator enumerates
-index tuples.
+form in the path's occupation counts, in O(T + S^r) for S states, for a
+whole stack of paths at once. For paths generated by a finite Markov chain
+the module also evaluates the chain-law expectation of the U-statistic, the
+product-measure expectation, and the telescoping split of U minus its
+expectation into per-order terms with exactly zero conditional means. The
+expectation's gap from the product-measure one is a closed form at any T:
+weighted sums of powers of P - 1 pi, each one block matrix power. The
+decomposition and its conditional-mean check read one set of gap tables:
+the conditional means of a table kernel given its leading arguments,
+indexed by time gaps and conditioning states; the decomposition reads its
+sums over trailing indices as cumulative sums of those tables along their
+gap axes, so no chain-law evaluator enumerates index tuples.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernels import KernelSpec, spearman_symmetric_kernel
-from .processes import FiniteMarkovChain, SeriesPath
+from .processes import FiniteMarkovChain, SeriesPath, block_replications
 
 MAX_GENERIC_TERMS = 100_000_000
 
@@ -420,9 +422,10 @@ def spearman_rho(path) -> SpearmanResult:
 # exact chain-law expectations
 # ---------------------------------------------------------------------------
 
-def _u_table_path(states: np.ndarray, H: np.ndarray) -> float:
-    """U-statistic of a table kernel on a state path from its occupation
-    counts n, in O(T + S^r).
+def _u_table_path(states: np.ndarray, H: np.ndarray) -> float | np.ndarray:
+    """U-statistic of a table kernel on each state path of an (R, T) stack
+    from its occupation counts n, in O(T + S^r) per path; a 1-D path is the
+    R = 1 case and gives a float, a stack an (R,) array.
 
     ``table_kernel`` symmetrizes its table, so U = <W, H> / C(T, r), with
     W[a(, b(, c))] the number of increasing index tuples that carry the
@@ -430,22 +433,40 @@ def _u_table_path(states: np.ndarray, H: np.ndarray) -> float:
     contributes the count of its state less the earlier indices in that
     state, W = n_a (n_b - [a=b]) (n_c - [a=c] - [b=c]) / 3! at order 3. The
     weights are float64, so no count wraps, and each is at most C(T, r), so
-    W * H is finite wherever M C(T, r) is.
+    W * H is finite wherever M C(T, r) is. The counts of the whole stack are
+    one offset ``bincount``; W and W * H are elementwise, in chunks of at
+    most ``BLOCK_VALUES`` weights, and each row is reduced by its own
+    ``math.fsum``, correctly rounded, so no row depends on the stack it
+    came in.
     """
-    T, r, s = states.shape[0], H.ndim, H.shape[0]
+    states = np.asarray(states)
+    R, T = (1, states.shape[0]) if states.ndim == 1 else states.shape
+    r, s = H.ndim, H.shape[0]
     if T < r:
         raise ValueError(f"path length {T} shorter than kernel order {r}")
     if r > 3:
         raise ValueError("table U-statistics support orders 1..3")
-    n = np.bincount(states, minlength=s).astype(np.float64)
+    if states.size and (states.min() < 0 or states.max() >= s):
+        raise ValueError("path states out of range for this table")
+    offsets = np.arange(0, R * s, s).reshape(-1, 1)
+    counts = np.bincount((states.reshape(R, T) + offsets).ravel(), minlength=R * s)
+    counts = counts.reshape(R, s).astype(np.float64)
     eye = np.eye(s)
-    if r == 1:
-        W = n
-    elif r == 2:
-        W = n[:, None] * (n - eye) / 2.0
-    else:
-        W = n[:, None, None] * (n - eye)[:, :, None] * (n - eye[:, None, :] - eye) / 6.0
-    return math.fsum((W * H).ravel()) / math.comb(T, r)
+    out = np.empty(R)
+    chunk = block_replications(s ** r)
+    for start in range(0, R, chunk):
+        n = counts[start:start + chunk].reshape((-1, s) + (1,) * (r - 1))
+        if r == 1:
+            W = n
+        elif r == 2:
+            W = n * (np.swapaxes(n, 1, 2) - eye) / 2.0
+        else:
+            nb, nc = np.swapaxes(n, 1, 2), np.swapaxes(n, 1, 3)
+            W = n * (nb - eye[:, :, None]) * (nc - eye[:, None, :] - eye) / 6.0
+        rows = (W * H).reshape(W.shape[0], -1).tolist()
+        out[start:start + chunk] = [math.fsum(row) for row in rows]
+    out /= math.comb(T, r)
+    return float(out[0]) if states.ndim == 1 else out
 
 
 def _kernel_table(kernel: KernelSpec | np.ndarray, state_count: int, r: int) -> np.ndarray:
@@ -460,30 +481,35 @@ def _kernel_table(kernel: KernelSpec | np.ndarray, state_count: int, r: int) -> 
     return H
 
 
-# Largest T of the exact chain-law evaluators, by order. The gap tables hold
-# T^(r-1) S^2 entries and ``decompose`` reads T^2 S^(r-2) of them per path:
-# at S = 3 and either cap, on one core, a call builds its tables in about
-# 0.1 s and adds 10 ms (order 3) or 25 ms (order 2) per path, with a peak
-# of 41 or 96 MB.
-_THETA_STAR_T_CAP = {2: 2000, 3: 500}
+# Largest T of ``decompose`` and the conditional-mean check, by order. Their
+# gap tables hold T^(r-1) S^2 entries and ``decompose`` reads T^2 S^(r-2) of
+# them per path: at S = 3 and either cap, on one core, a call builds its
+# tables in about 0.1 s and adds 10 ms (order 3) or 25 ms (order 2) per path,
+# with a peak of 41 or 96 MB. ``theta_star`` and ``chain_law_bias`` are
+# closed forms and take any T.
+_DECOMPOSE_T_CAP = {2: 2000, 3: 500}
 
 
-def check_chain_law_length(T: int, r: int) -> None:
-    """Raise ValueError unless the exact chain-law evaluators take paths of
-    length ``T`` at order ``r``."""
+def _check_chain_law_order(T: int, r: int) -> None:
     if r not in (2, 3):
         raise ValueError("exact chain-law evaluation supports orders 2 and 3")
     if T < r:
         raise ValueError(f"need T >= {r}")
-    if T > _THETA_STAR_T_CAP[r]:
-        raise ValueError(f"T={T} beyond the chain-law cap for r={r}: "
-                         f"t_grid values must be <= {_THETA_STAR_T_CAP[r]}")
+
+
+def check_chain_law_length(T: int, r: int) -> None:
+    """Raise ValueError unless ``decompose`` and the conditional-mean check
+    take paths of length ``T`` at order ``r``."""
+    _check_chain_law_order(T, r)
+    if T > _DECOMPOSE_T_CAP[r]:
+        raise ValueError(f"T={T} beyond the decomposition cap for r={r}: "
+                         f"t_grid values must be <= {_DECOMPOSE_T_CAP[r]}")
 
 
 def _chain_law_tables(chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
                       T: int, r: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """The kernel table and its gap tables on ``chain.power``, after the
-    order, length and cap checks the exact chain-law evaluators share."""
+    order, length and cap checks of ``decompose``."""
     check_chain_law_length(T, r)
     H = _kernel_table(kernel, chain.state_count, r)
     powers = np.stack([chain.power(g) for g in range(T)])
@@ -514,10 +540,68 @@ def _gap_tables(powers: np.ndarray, pi: np.ndarray, H: np.ndarray) -> list[np.nd
     return [np.broadcast_to(E, (T,) * (r - 1) + E.shape[r - 1:]) for E in tables]
 
 
+def _ramp_sums(A: np.ndarray, n: int, depth: int) -> np.ndarray:
+    """sum_{k=1}^{n} C(n-k, depth-1) A^k for a stack of square matrices
+    (..., d, d), in O(d^3 depth^3 log n).
+
+    It is block (depth, 0) of the n-th power of the lower block-bidiagonal
+    matrix [[A], [A, I], [0, I, I], ...] of depth + 1 blocks: after k steps
+    block 0 holds A^k and block j the sum of block j - 1 over the steps
+    before, so depth 1 sums A^1..A^n and depth 2 weights A^k by n - k.
+    """
+    d = A.shape[-1]
+    M = np.zeros(A.shape[:-2] + ((depth + 1) * d,) * 2)
+    M[..., :2 * d, :d] = np.concatenate([A, A], axis=-2)
+    for j in range(1, depth + 1):
+        M[..., j * d:(j + 1) * d, j * d:(j + 1) * d] = np.eye(d)
+        if j > 1:
+            M[..., j * d:(j + 1) * d, (j - 1) * d:j * d] = np.eye(d)
+    return np.linalg.matrix_power(M, n)[..., depth * d:, :d]
+
+
+def chain_law_bias(chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
+                   T: int, r: int) -> float:
+    """theta* - theta: the chain-law expectation of the U-statistic over a
+    length-T chain path minus the product-measure one, in closed form at
+    any T, O(S^3 log T) at order 2 and O(S^4 log T) at order 3.
+
+    With Q = P - 1 pi, P^g = 1 pi + Q^g for g >= 1, and the 1 pi parts give
+    theta, so the bias sums Q-terms only and no two O(1) numbers cancel.
+    Order 2: C(T, 2) (theta* - theta) = sum_g (T - g) <D_pi Q^g, H>.
+    Order 3, over the gaps g1, g2 >= 1 with weight T - g1 - g2, P^g1 (x) P^g2
+    splits into Q^g1 (x) 1 pi, 1 pi (x) Q^g2 and Q^g1 (x) Q^g2. The first two
+    weight Q^g by C(T - g, 2), read against H pi and pi H. The third is
+    sum_y <D_pi H[:, y, :], G_y>, with G_y the weighted sum of
+    Q^g1 E_y Q^g2 and E_y the unit matrix at (y, y): G_y = Q B_y Q, B_y the
+    (T - 1 - k)-weighted sum of the upper-right blocks of N_y^k,
+    N_y = [[Q, E_y], [0, Q]], whose k-th power holds
+    sum_{j<k} Q^j E_y Q^(k-1-j) there. Every weighted sum is one block power
+    (``_ramp_sums``), all y in one stack.
+    """
+    _check_chain_law_order(T, r)
+    H = _kernel_table(kernel, chain.state_count, r)
+    pi = chain.stationary
+    s = pi.size
+    Q = chain.transition - pi
+    if r == 2:
+        terms = pi[:, None] * _ramp_sums(Q, T, 2) * H
+    else:
+        # H pi puts pi on z (gap g1 is Q), pi H on x (gap g2 is Q)
+        single = _ramp_sums(Q, T, 3) * (H @ pi + np.tensordot(pi, H, 1))
+        N = np.zeros((s, 2 * s, 2 * s))
+        N[:, :s, :s] = N[:, s:, s:] = Q
+        N[np.arange(s), np.arange(s), s + np.arange(s)] = 1.0
+        G = Q @ _ramp_sums(N, T - 1, 2)[:, :s, s:] @ Q  # [y, x, z]
+        terms = np.concatenate([(pi[:, None] * single).ravel(),
+                                (pi[:, None] * H.transpose(1, 0, 2) * G).ravel()])
+    return math.fsum(terms.ravel()) / math.comb(T, r)
+
+
 def theta_star(chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
                T: int, r: int) -> float:
-    """Exact expectation of the U-statistic over a length-T chain path."""
-    return _gap_weighted_mean(_chain_law_tables(chain, kernel, T, r)[1][-1], T)
+    """Exact expectation of the U-statistic over a length-T chain path:
+    theta plus ``chain_law_bias``, at any T."""
+    return theta_independent(chain, kernel, r) + chain_law_bias(chain, kernel, T, r)
 
 
 def _gap_weighted_mean(E0: np.ndarray, T: int) -> float:
@@ -588,7 +672,9 @@ def decompose(paths, chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
 
     ``paths`` is one state path (a ``SeriesPath`` or 1-D array), giving one
     report, or an (R, T) stack of them, giving a list of R reports; the
-    tables that do not depend on the path are built once per call.
+    tables that do not depend on the path are built once per call, and the
+    stack is read in chunks of paths, each path's report equal, bit for
+    bit, to the report of that path alone.
     """
     states = paths.states if isinstance(paths, SeriesPath) else np.asarray(paths)
     if states is None:
@@ -605,12 +691,12 @@ def decompose(paths, chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
     n_tuples = math.comb(T, r)
     expectation = _gap_weighted_mean(tables[-1], T)
     bound = float(np.max(np.abs(H)))
-    path_sums = _path_sums(H, tables, T)
+    stack = np.atleast_2d(states)
+    sums, b_maxes = _path_sums(H, tables, stack)
     reports = []
-    for row in np.atleast_2d(states):
-        u_value = _u_table_path(row, H)
-        sums, b_max = path_sums(row)
-        s_terms = [v / n_tuples for v in sums]
+    for u_value, row_sums, b_max in zip(_u_table_path(stack, H).tolist(), sums.tolist(),
+                                        b_maxes.tolist()):
+        s_terms = [v / n_tuples for v in row_sums]
         reports.append(DecompositionReport(
             order=r, length=T, s_terms=s_terms, u_value=u_value,
             theta_star=expectation,
@@ -619,10 +705,10 @@ def decompose(paths, chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
     return reports[0] if states.ndim == 1 else reports
 
 
-def _path_sums(H: np.ndarray, tables: list[np.ndarray], T: int):
-    """Build the path-independent tables of ``decompose`` once; return the
-    per-path evaluator states -> ([sum of term k for k = 1..r], largest
-    |b-term|).
+def _path_sums(H: np.ndarray, tables: list[np.ndarray],
+               states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (R, r) sums of term k, k = 1..r, and the (R,) largest |b-term|
+    of each path of an (R, T) stack, from tables built once per call.
 
     With pairs (a, b), a < b, gap g = b - a and rest n = T - 1 - b:
 
@@ -638,9 +724,10 @@ def _path_sums(H: np.ndarray, tables: list[np.ndarray], T: int):
     - Order 3, index t1. Term 3 summed over t1 < t2 < t3 is F[T-1-t1, x_{t1}],
       F the sum of E_1 - E_0 over g1 + g2 <= T-1-t1, by total gap.
 
-    Each path costs O(T^2 S^(r-2)) reads and sums.
+    Each path costs O(T^2 S^(r-2)) reads and sums, gathered for chunks of
+    paths whose pair reads fit in ``BLOCK_VALUES``.
     """
-    r, s = H.ndim, H.shape[0]
+    r, s, T = H.ndim, H.shape[0], states.shape[1]
     a, b = np.triu_indices(T, 1)
     gap = b - a
     E1, E0 = tables[-2], tables[-1]
@@ -664,25 +751,36 @@ def _path_sums(H: np.ndarray, tables: list[np.ndarray], T: int):
         C2_row = rest * s * s
         C1_row = (gap * T + rest) * s
 
-    def evaluate(x: np.ndarray):
-        pair = x[a] * s + x[b]
-        top = K[K_row + pair]
-        f = F[F_row + x]
-        b_max = float(np.max(np.abs(f))) / T ** (r - 1)
+    def row_sums(terms: np.ndarray) -> list:
+        # one 1-D pairwise sum per row, as the row alone would be summed: a
+        # sum along axis 1 of the chunk may add the terms in another order
+        return [row.sum() for row in terms.reshape(len(terms), -1)]
+
+    R = states.shape[0]
+    sums, b_max = np.empty((R, r)), np.empty(R)
+    rows = block_replications(a.size * s ** (r - 2))
+    for start in range(0, R, rows):
+        x = states[start:start + rows]
+        pair = np.take(x, a, axis=1)
+        pair *= s
+        pair += np.take(x, b, axis=1)
+        top = np.take(K, K_row + pair, axis=0)
+        f = np.take(F, F_row + x)
+        chunk_max = np.max(np.abs(f), axis=1) / T ** (r - 1)
         if r == 2:
-            sums = [top.sum(), f.sum()]
+            chunk_sums = [row_sums(top), row_sums(f)]
         else:
             # visits to each x1 before t2, the first index of the pair
             onehot = np.eye(s, dtype=np.int64)[x]
-            weight = (np.cumsum(onehot, axis=0) - onehot)[a]
-            mid = C2[C2_row + pair] - C1[C1_row + x[a]]
-            sums = [(weight * top).sum(), mid.sum(), f.sum()]
-            b_max = max(b_max, float(np.max(np.abs(mid), initial=0.0)) / T)
+            weight = np.take(np.cumsum(onehot, axis=1) - onehot, a, axis=1)
+            mid = np.take(C2, C2_row + pair) - np.take(C1, C1_row + np.take(x, a, axis=1))
+            chunk_sums = [row_sums(weight * top), row_sums(mid), row_sums(f)]
+            chunk_max = np.maximum(chunk_max, np.max(np.abs(mid), axis=1, initial=0.0) / T)
             top = np.where(weight > 0, top, 0.0)
-        b_max = max(b_max, float(np.max(np.abs(top), initial=0.0)))
-        return [float(v) for v in sums], b_max
-
-    return evaluate
+        top = top.reshape(len(x), -1)
+        b_max[start:start + rows] = np.maximum(chunk_max, np.max(np.abs(top), axis=1, initial=0.0))
+        sums[start:start + rows] = np.array(chunk_sums).T
+    return sums, b_max
 
 
 def check_zero_conditional_means(chain: FiniteMarkovChain,

@@ -507,14 +507,14 @@ DECOMPOSE = {"schema_version": 1, "experiment": "decompose-check", "seed": 3,
 
 
 @pytest.mark.parametrize("command,payload", [
-    ("bias", dict(BIAS, t_grid=[20, 2001])),
     ("decompose-check", dict(DECOMPOSE, t_grid=[10, 501])),
     ("bias", dict(BIAS, order=3)),
     ("decompose-check", dict(DECOMPOSE, order=2)),
-], ids=["bias-t-cap", "decompose-t-cap", "bias-order", "decompose-order"])
+], ids=["decompose-t-cap", "bias-order", "decompose-order"])
 def test_chain_law_config_errors_exit_2(tmp_path, command, payload):
-    """A t_grid value above the chain-law cap (2000 at order 2, 500 at
-    order 3), or an order other than the table kernel's, is a config error."""
+    """A decompose-check t_grid value above the decomposition cap (2000 at
+    order 2, 500 at order 3), or an order other than the table kernel's, is
+    a config error."""
     assert main([command, "--config", write_config(tmp_path, payload),
                  "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
@@ -525,6 +525,22 @@ def test_chain_law_configs_at_the_caps_run(tmp_path):
                  "--out", str(tmp_path / "b")]) == 0
     assert main(["decompose-check", "--config", write_config(tmp_path, DECOMPOSE, "d.json"),
                  "--out", str(tmp_path / "d")]) == 0
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_bias_runs_past_the_decomposition_cap(tmp_path, order):
+    """``bias`` is a closed form at any T: a t_grid up to 10^6, past the
+    decomposition cap, runs under the default budget, and T (theta* - theta)
+    settles to a constant, the paper's O(1/T) bias."""
+    kernel = MATCH_KERNEL if order == 2 else ORDER3_KERNEL
+    cfg = write_config(tmp_path, dict(BIAS, kernel=kernel, order=order,
+                                      t_grid=[100, 2001, 10 ** 4, 10 ** 6]))
+    out = tmp_path / "b"
+    assert main(["bias", "--config", cfg, "--out", str(out)]) == 0
+    rows = json.loads((out / "result.json").read_text())["data"]["rows"]
+    assert [row["T"] for row in rows] == [100, 2001, 10 ** 4, 10 ** 6]
+    scaled = [row["bias"] * row["T"] for row in rows]
+    assert scaled[-1] > 0 and abs(scaled[-2] - scaled[-1]) <= 1e-3 * scaled[-1]
 
 
 def test_order_3_decompose_check_runs_at_t_500(tmp_path):
@@ -657,9 +673,22 @@ from tsustat.cli import _build_parser, main
 loaded = []
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-    loaded.append("scipy" in sys.modules)
+    loaded.append(sys.argv[2] in sys.modules)
 print(json.dumps(loaded))
 """
+
+
+def _modules_loaded(tmp_path, runs, module: str) -> list[bool]:
+    """Whether ``module`` is loaded after each of ``runs``, (command, config)
+    pairs run in order by one fresh interpreter."""
+    argv = [[cmd, "--config", write_config(tmp_path, payload, f"c{i}.json"),
+             "--out", str(tmp_path / f"o{i}")] for i, (cmd, payload) in enumerate(runs)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tsustat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv), module],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_rank_runs_do_not_import_scipy(tmp_path):
@@ -674,14 +703,17 @@ def test_rank_runs_do_not_import_scipy(tmp_path):
         ("simulate", {"schema_version": 1, "experiment": "simulate", "seed": 3,
                       "process": COPULA, "length": 5}),
     ]
-    argv = [[cmd, "--config", write_config(tmp_path, payload, f"c{i}.json"),
-             "--out", str(tmp_path / f"o{i}")] for i, (cmd, payload) in enumerate(runs)]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tsustat.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, True]
+    assert _modules_loaded(tmp_path, runs, "scipy") == [False, False, False, True]
+
+
+def test_scaling_and_chain_runs_do_not_import_numpy_ma(tmp_path):
+    """The scaling quartiles come from one sort, not from np.median and
+    np.quantile, and the chain generator dedupes its thresholds by hand, not
+    by np.unique: those numpy calls load numpy.ma on first use."""
+    runs = [("scaling", SCALING), ("scaling", dict(SCALING, estimator="spearman")),
+            ("tail", tail_payload(process=CHAIN, kernel=MATCH_KERNEL, t_grid=[30])),
+            ("bias", BIAS), ("decompose-check", DECOMPOSE)]
+    assert _modules_loaded(tmp_path, runs, "numpy.ma") == [False] * 5
 
 
 _BENCHMARK_PROBE = """

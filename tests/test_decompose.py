@@ -9,11 +9,13 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from tsustat import processes
 from tsustat.kernels import table_kernel
-from tsustat.processes import (ProcessSpec, SeriesPath, generate, generate_batch,
-                               iid_chain, random_chain, two_state_chain)
-from tsustat.ustat import (DecompositionReport, _chain_law_tables,
-                           check_zero_conditional_means, decompose, theta_star, u_statistic)
+from tsustat.processes import (ProcessSpec, SeriesPath, cycle_chain, generate,
+                               generate_batch, iid_chain, random_chain, two_state_chain)
+from tsustat.ustat import (_DECOMPOSE_T_CAP, DecompositionReport, _chain_law_tables,
+                           chain_law_bias, check_zero_conditional_means, decompose,
+                           theta_star, u_statistic)
 
 MATCH = np.array([[0.5, -0.5], [-0.5, 0.5]])
 
@@ -222,3 +224,52 @@ def test_decomposition_against_the_enumerated_chain_law(r, s, T):
     mean_s = prob @ np.array([rep.s_terms for rep in reps])
     assert mean_u == pytest.approx(theta_star(chain, kernel, T, r), abs=1e-12)
     np.testing.assert_allclose(mean_s, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+@pytest.mark.parametrize("r", [2, 3])
+def test_closed_form_theta_star_matches_the_gap_sum(r, s):
+    """The closed form against the gap-weighted sum ``decompose`` reports,
+    within 1e-12, at T from r up to the decomposition cap."""
+    rng = np.random.default_rng(400 + 10 * r + s)
+    cap = _DECOMPOSE_T_CAP[r]
+    for concentration in (0.3, 3.0):
+        chain = random_chain(s, rng, concentration)
+        kernel = table_kernel(rng.uniform(-1.0, 1.0, size=(s,) * r))
+        for T in (r, r + 1, int(rng.integers(r + 2, 60)), int(rng.integers(60, cap)), cap):
+            gap_sum = decompose(np.zeros(T, dtype=int), chain, kernel, r).theta_star
+            assert theta_star(chain, kernel, T, r) == pytest.approx(gap_sum, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_closed_form_bias_on_periodic_and_iid_chains(r):
+    """A cycle does not mix, so its Q^g never decay; an iid chain has
+    Q = P - 1 pi = 0, so its bias is exactly 0 at any T."""
+    rng = np.random.default_rng(450 + r)
+    kernel = table_kernel(rng.uniform(-1.0, 1.0, size=(3,) * r))
+    cycle = cycle_chain(3)
+    for T in (r, 10, 101):
+        gap_sum = decompose(np.zeros(T, dtype=int), cycle, kernel, r).theta_star
+        assert theta_star(cycle, kernel, T, r) == pytest.approx(gap_sum, rel=0, abs=1e-12)
+    iid = iid_chain([0.25, 0.375, 0.375])
+    assert np.array_equal(iid.transition - iid.stationary, np.zeros((3, 3)))
+    for T in (r, 10, 10 ** 6):
+        assert chain_law_bias(iid, kernel, T, r) == 0.0
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_a_stack_decomposes_as_its_paths_alone(r, monkeypatch):
+    """A stack is read in chunks of paths; with chunks of one or a few paths
+    or one chunk for all, every report equals the report of its path alone,
+    bit for bit."""
+    rng = np.random.default_rng(500 + r)
+    chain = random_chain(3, rng)
+    kernel = table_kernel(rng.uniform(-1.0, 1.0, size=(3,) * r))
+    paths = rng.integers(0, 3, size=(7, 25))
+    alone = [asdict(decompose(path, chain, kernel, r)) for path in paths]
+    assert [asdict(rep) for rep in decompose(paths, chain, kernel, r)] == alone
+    pair_reads = math.comb(25, 2) * 3 ** (r - 2)
+    for budget in (1, 3 * pair_reads):  # chunks of one path, then of three
+        monkeypatch.setattr(processes, "BLOCK_VALUES", budget)
+        assert [asdict(rep) for rep in decompose(paths, chain, kernel, r)] == alone
+    assert decompose(paths[:0], chain, kernel, r) == []

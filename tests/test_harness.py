@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsustat import harness, hidim, processes
@@ -130,6 +130,35 @@ def test_u_table_path_counts_do_not_wrap_at_large_t(order):
     assert math.comb(path.size, 3) > 2 ** 63
     got = _u_table_path(path, np.ones((2,) * order))
     assert got == pytest.approx(1.0, rel=0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.sampled_from([1, 2, 3]),
+       states=st.sampled_from([2, 3, 4]), R=st.integers(0, 40), extra=st.integers(0, 300))
+def test_u_table_path_of_a_stack_is_each_row_bit_for_bit(seed, order, states, R, extra):
+    """A stack is one evaluation, and each row equals its own 1-D call, a
+    float, bit for bit; no row depends on the stack it came in."""
+    rng = np.random.default_rng(seed)
+    table = table_kernel(rng.uniform(-1.0, 1.0, size=(states,) * order)).table
+    paths = rng.integers(0, states, size=(R, order + extra))
+    got = _u_table_path(paths, table)
+    assert got.shape == (R,)
+    for row, value in zip(paths, got.tolist()):
+        alone = _u_table_path(row, table)
+        assert type(alone) is float and alone == value
+
+
+def test_u_table_path_chunks_the_weights(monkeypatch):
+    """Weights are built in chunks of at most BLOCK_VALUES entries; a budget
+    of one row's weights a chunk gives the same values."""
+    rng = np.random.default_rng(8)
+    table = table_kernel(rng.uniform(-1.0, 1.0, size=(3, 3, 3))).table
+    paths = rng.integers(0, 3, size=(7, 50))
+    want = _u_table_path(paths, table)
+    monkeypatch.setattr(processes, "BLOCK_VALUES", 27)
+    assert np.array_equal(_u_table_path(paths, table), want)
+    with pytest.raises(ValueError):
+        _u_table_path(np.array([[0, 1, 3]]), table)  # a state past the table
 
 
 @settings(max_examples=20, deadline=None)
@@ -496,6 +525,26 @@ def test_bias_curve_iid_chain_zero():
     assert rep.loglog_slope is None
 
 
+def test_decompose_check_reads_the_conditional_means_once_at_the_largest_t(monkeypatch):
+    """The gap tables of a shorter T are gap prefixes of the largest T's, so
+    the one check at max(t_grid) gives the maximum over the grid."""
+    cfg = ExperimentConfig.from_dict({
+        "schema_version": 1, "experiment": "decompose-check", "seed": 21,
+        "process": {"kind": "markov_chain",
+                    "transition": [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.1, 0.6]]},
+        "kernel": {"kind": "table", "order": 3, "state_count": 3,
+                   "entries": [[[0, 1, 2], 1.0], [[0, 0, 1], -0.5], [[2, 2, 2], 0.25]]},
+        "t_grid": [30, 9, 17], "order": 3, "replications": 2,
+    })
+    check = harness.check_zero_conditional_means
+    over_grid = max(check(cfg.process.chain, cfg.kernel, T, 3) for T in cfg.t_grid)
+    seen = []
+    monkeypatch.setattr(harness, "check_zero_conditional_means",
+                        lambda *args: seen.append(args[2]) or check(*args))
+    assert run_experiment(cfg).result.conditional_mean_dev == over_grid
+    assert seen == [30]
+
+
 def test_decompose_check_passes():
     cfg = ExperimentConfig.from_dict({
         "schema_version": 1, "experiment": "decompose-check", "seed": 21,
@@ -548,6 +597,22 @@ def test_mgf_check_passes_and_fails():
     edge = run_experiment(ExperimentConfig.from_dict(dict(
         base, summands=1, summand_kappa=49.0, eta_points=13, eta_max=under))).result
     assert edge.eta[-1] == under and max(edge.eta) == under
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(-1e6, 1e6).map(lambda v: v + 0.0),  # no -0.0
+                                 st.sampled_from([0.0, 0.125, 0.3, 2.0])),
+                       min_size=1, max_size=40))
+@example(values=[0.3])
+@example(values=[0.125, 0.125])
+@example(values=[2.0, 0.3])
+@example(values=[0.3, 0.1, 0.3, 0.3, 0.2])
+def test_quartiles_are_numpys_median_and_linear_quantiles(values):
+    """Ties (the sampled constants) and n = 1, 2 included, bit for bit.
+    Deviations are never -0.0, which ties with 0.0 in either order."""
+    devs = np.array(values)
+    want = (np.quantile(devs, 0.25), np.median(devs), np.quantile(devs, 0.75))
+    assert [float(v).hex() for v in harness._quartiles(devs)] == [float(v).hex() for v in want]
 
 
 def test_scaling_run_and_budget(tmp_path):

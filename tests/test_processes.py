@@ -12,6 +12,7 @@ from numpy.random import SeedSequence
 from scipy.signal import lfilter
 from scipy.special import ndtr
 
+from tsustat import processes
 from tsustat.cli import main
 from tsustat.harness import ExperimentConfig, SimulatedPath, _estimate_theta, file_text
 from tsustat.hidim import kendall_matrix, spearman_matrix
@@ -385,3 +386,47 @@ def test_iid_and_cycle_factories():
     np.testing.assert_allclose(c.transition[0], c.transition[1])
     cyc = cycle_chain(3)
     np.testing.assert_allclose(cyc.stationary, [1 / 3] * 3)
+
+
+def _stepped_chain_states(chain: FiniteMarkovChain, u: np.ndarray) -> np.ndarray:
+    """The step rule the threshold ranks replace, one time step at a time:
+    the first state counts the stationary cumulative thresholds at or below
+    u (at most S - 1), each later one the previous row's thresholds below u."""
+    cum, cum_pi = np.cumsum(chain.transition, axis=1), np.cumsum(chain.stationary)
+    states = np.empty(u.shape, dtype=np.int64)
+    states[:, 0] = np.searchsorted(cum_pi, u[:, 0], side="right").clip(max=chain.state_count - 1)
+    for t in range(1, u.shape[1]):
+        states[:, t] = (u[:, t, None] > cum[states[:, t - 1]]).sum(axis=1)
+    return states
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), s=st.integers(2, 5), zeros=st.floats(0.0, 0.7),
+       T=st.integers(1, 60), R=st.integers(0, 9), offset=st.integers(0, 50))
+def test_threshold_rank_chain_steps_are_the_stepped_rule(seed, s, zeros, T, R, offset):
+    """Random chains, zero transitions included (repeated thresholds), kept
+    irreducible by a positive step to the next state."""
+    rng = np.random.default_rng(seed)
+    P = rng.dirichlet(np.ones(s), size=s) * (rng.random((s, s)) >= zeros)
+    P[np.arange(s), (np.arange(s) + 1) % s] += 0.1
+    chain = FiniteMarkovChain(P / P.sum(axis=1, keepdims=True))
+    spec = ProcessSpec(kind="markov_chain", seed=seed, chain=chain)
+    u = _stream_draws(seed, (R, T), offset, uniform=True)
+    np.testing.assert_array_equal(generate_batch(spec, T, R, rep_offset=offset),
+                                  _stepped_chain_states(chain, u))
+
+
+def test_a_chain_step_never_passes_the_last_state(monkeypatch):
+    """A row may sum to 1 - 5e-13, within the 1e-12 check; a uniform above
+    its last cumulative threshold still gives the last state, S - 1, not S."""
+    chain = FiniteMarkovChain(np.array([[0.5, 0.5 - 5e-13], [0.5, 0.5]]))
+    draws = np.full((3, 6), 1 - 1e-13)
+    draws[:, 0] = draws[:, 2] = 0.25  # into state 0, whose row is short
+
+    def fake_draws(seed, shape, rep_offset, uniform=False):
+        assert uniform and shape == draws.shape
+        return draws.copy()
+
+    monkeypatch.setattr(processes, "_stream_draws", fake_draws)
+    states = generate_batch(ProcessSpec(kind="markov_chain", seed=1, chain=chain), 6, 3)
+    np.testing.assert_array_equal(states, np.tile([0, 1, 0, 1, 1, 1], (3, 1)))

@@ -13,9 +13,9 @@ from tsustat.kernels import (KernelSpec, mean_kernel, sign_product_kernel,
                              spearman_symmetric_kernel, table_kernel)
 from tsustat.processes import (ProcessSpec, SeriesPath, generate_batch, iid_chain,
                                two_state_chain)
-from tsustat.ustat import (_count_inversions_batch, _ranks, kendall_tau, kendall_tau_batch,
-                           kendall_tau_numerator, spearman_rho, spearman_rho3_batch,
-                           theta_independent, theta_star, u_statistic)
+from tsustat.ustat import (_count_inversions_batch, _ranks, chain_law_bias, kendall_tau,
+                           kendall_tau_batch, kendall_tau_numerator, spearman_rho,
+                           spearman_rho3_batch, theta_independent, theta_star, u_statistic)
 
 from oracles import hoeffding_decoupling_average
 
@@ -344,9 +344,23 @@ def test_theta_star_guards():
     chain = two_state_chain(0.25)
     k = table_kernel(MATCH)
     with pytest.raises(ValueError):
-        theta_star(chain, k, 2001, 2)  # above the order-2 cap
-    with pytest.raises(ValueError):
         theta_star(chain, k, 5, 4)
+    with pytest.raises(ValueError):
+        theta_star(chain, k, 1, 2)  # shorter than the order
+
+
+@pytest.mark.parametrize("T", [2, 3, 17, 2000, 2001, 10 ** 6, 10 ** 30])
+def test_theta_star_past_the_decomposition_cap(T):
+    """theta_star is a closed form with no T cap. On the two-state chain
+    that flips with probability p, Q^g = (1 - 2p)^g (I - 1 pi) for g >= 1,
+    and the matching kernel gives <D_pi Q^g, H> = (1 - 2p)^g / 2 and
+    theta = 0, so theta* = sum_g (T - g) (1 - 2p)^g / 2 / C(T, 2), summed
+    here until its terms underflow."""
+    chain = two_state_chain(0.25)
+    k = table_kernel(MATCH)
+    want = math.fsum((T - g) * 0.5 ** g / 2 for g in range(1, min(T, 1200))) / math.comb(T, 2)
+    assert chain_law_bias(chain, k, T, 2) == pytest.approx(want, rel=1e-13, abs=0)
+    assert theta_star(chain, k, T, 2) == pytest.approx(want, rel=1e-13, abs=1e-300)
 
 
 def test_sign_product_time_reversal_consistency():
