@@ -323,6 +323,8 @@ class ExperimentConfig:
         chain = process is not None and process.kind == "markov_chain"
         if self.theta_mode not in ("auto", "mc", "exact-zero"):
             raise ConfigError("theta.mode must be auto, mc, or exact-zero")
+        if self.theta_mode == "mc" and chain:  # before the budget counts oracle draws
+            raise ConfigError("theta.mode mc: no independent-sampling oracle for a markov_chain")
         # each grid value names one output (a CSV, a cell, a curve); a repeat would clash
         for name in ("t_grid", "p_grid", "x_grid", "lags"):
             values = getattr(self, name)
@@ -336,8 +338,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{e} needs a finite chain and a table kernel")
             if self.order not in (2, 3) or self.order != kernel.order:
                 raise ConfigError(f"{e} order must be 2 or 3, the table kernel's order")
-        if e == "decompose-check":
-            check_chain_law_length(max(self.t_grid), self.order)
         if e == "mixing-profile":
             if not chain:
                 raise ConfigError("mixing profiles need a finite chain")
@@ -390,6 +390,8 @@ class ExperimentConfig:
                                       f"gaussian_copula_vector process")
             elif chain or (process.kind == "gaussian_copula_vector" and process.dimension != 1):
                 raise ConfigError("mean kernel needs a scalar real process")
+        if e == "decompose-check":  # after the table's states are matched to the chain's
+            check_chain_law_length(process.chain, kernel, max(self.t_grid))
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -468,7 +470,7 @@ def _exact_theta(cfg: ExperimentConfig) -> tuple[float, str] | None:
         return 0.0, "exact-zero"
     if cfg.theta_mode == "auto":
         if spec.kind == "markov_chain" and kernel.kind == "table":
-            return theta_independent(spec.chain, kernel, kernel.order), "exact-chain"
+            return theta_independent(spec.chain, kernel), "exact-chain"
         if (spec.kind == "gaussian_copula_vector" and kernel.kind == "sign_product"
                 and spec.identity_correlation):
             # independent continuous coordinates: the sign product integrates to zero
@@ -649,7 +651,7 @@ def estimate_bias_budget(cfg: ExperimentConfig) -> float:
     powers ``chain_law_bias`` takes, 2 log2 T products of (3S)^3 at order 2
     and of (4S)^3 + S (6S)^3 at order 3, for S states."""
     s = cfg.kernel.table.shape[0]
-    product = (3 * s) ** 3 if cfg.order == 2 else (4 * s) ** 3 + s * (6 * s) ** 3
+    product = (3 * s) ** 3 if cfg.kernel.order == 2 else (4 * s) ** 3 + s * (6 * s) ** 3
     return math.fsum(2 * math.log2(T) * product for T in cfg.t_grid)
 
 
@@ -667,7 +669,7 @@ def _loglog_slope(points) -> float | None:
 def _run_bias_curve(cfg: ExperimentConfig) -> BiasReport:
     rows = []
     for T in cfg.t_grid:
-        bias = abs(chain_law_bias(cfg.process.chain, cfg.kernel, T, cfg.order))
+        bias = abs(chain_law_bias(cfg.process.chain, cfg.kernel, T))
         rows.append({"T": T, "bias": bias, "sqrt_t_scaled": bias * math.sqrt(T)})
     return BiasReport(rows=rows,
                       loglog_slope=_loglog_slope((r["T"], r["sqrt_t_scaled"]) for r in rows))
@@ -702,7 +704,7 @@ def estimate_decompose_budget(cfg: ExperimentConfig) -> float:
     """Work units of the decompose-check run: per path and T, the T^2 S^(r-2)
     pair reads of ``decompose``; per T, the T^(r-1) S^2 entries of the gap
     tables it and the conditional-mean check build once."""
-    s, r = cfg.kernel.table.shape[0], cfg.order
+    s, r = cfg.kernel.table.shape[0], cfg.kernel.order
     return math.fsum(cfg.replications * T * T * s ** (r - 2) + T ** (r - 1) * s * s
                      for T in cfg.t_grid)
 
@@ -711,25 +713,24 @@ def _decompose_block(args, start: int, count: int) -> np.ndarray:
     """(|residual|, b-ratio) per T of the grid and replication in
     [start, start + count), as a (len(t_grid), count, 2) array: the paths are
     drawn once, at the largest T, and each T is one ``decompose`` call on
-    their prefixes. The kernel arrives as its table, which pickles for pool
-    workers."""
-    spec, t_grid, table, order = args
+    their prefixes."""
+    spec, t_grid, kernel = args
     paths = generate_batch(spec, max(t_grid), count, rep_offset=start)
     return np.array([[(abs(rep.residual), rep.b_ratio)
-                      for rep in decompose(paths[:, :T], spec.chain, table, order)]
+                      for rep in decompose(paths[:, :T], spec.chain, kernel)]
                      for T in t_grid]).reshape(len(t_grid), count, 2)
 
 
 def _run_decompose_check(cfg: ExperimentConfig) -> DecomposeCheckReport:
     chain = cfg.process.chain
     [blocks] = map_replication_blocks(_decompose_block,
-                                      [(cfg.process, cfg.t_grid, cfg.kernel.table, cfg.order)],
+                                      [(cfg.process, cfg.t_grid, cfg.kernel)],
                                       cfg.replications, [_path_values(cfg)],
                                       threads=cfg.threads)
     per_path = np.concatenate([np.empty((0, 2))] + [b.reshape(-1, 2) for b in blocks])
     max_residual, max_ratio = per_path.max(axis=0, initial=0.0).tolist()
     # every shorter T's gap tables are gap prefixes of the largest T's
-    p1_dev = check_zero_conditional_means(chain, cfg.kernel, max(cfg.t_grid), cfg.order)
+    p1_dev = check_zero_conditional_means(chain, cfg.kernel, max(cfg.t_grid))
     tol = 1e-10 * cfg.kernel.bound  # residuals and deviations scale with the kernel
     return DecomposeCheckReport(
         replications=cfg.replications,

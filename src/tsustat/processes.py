@@ -54,6 +54,8 @@ class FiniteMarkovChain:
         P = np.asarray(self.transition, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 2:
             raise ValueError(f"transition matrix must be square with >= 2 states, got {P.shape}")
+        if not np.isfinite(P).all():  # NaN passes the sign and row-sum checks below
+            raise ValueError("transition matrix has non-finite entries")
         if np.any(P < 0):
             raise ValueError("transition matrix has negative entries")
         rows = P.sum(axis=1)

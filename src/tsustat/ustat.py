@@ -20,16 +20,18 @@ Hoeffding's permutation decoupling, a proof device, is checked against
 A table kernel is symmetric, so its U-statistic on a state path is a closed
 form in the path's occupation counts, in O(T + S^r) for S states, for a
 whole stack of paths at once. For paths generated by a finite Markov chain
-the module also evaluates the chain-law expectation of the U-statistic, the
-product-measure expectation, and the telescoping split of U minus its
-expectation into per-order terms with exactly zero conditional means. The
-expectation's gap from the product-measure one is a closed form at any T:
-weighted sums of powers of P - 1 pi, each one block matrix power. The
-decomposition and its conditional-mean check read one set of gap tables:
-the conditional means of a table kernel given its leading arguments,
-indexed by time gaps and conditioning states; the decomposition reads its
-sums over trailing indices as cumulative sums of those tables along their
-gap axes, so no chain-law evaluator enumerates index tuples.
+the module also evaluates, from the chain and a ``table_kernel`` (its table
+symmetric, its order fixed; anything else is a ValueError), the chain-law
+expectation of the U-statistic (``theta_star``), the product-measure one
+(``theta_independent``), their gap (``chain_law_bias``), a closed form at
+any T in weighted sums of powers of P - 1 pi, each one block matrix power,
+and the telescoping split of U minus its expectation into per-order terms
+with exactly zero conditional means (``decompose``). The decomposition and
+its conditional-mean check read one set of gap tables: the conditional
+means of the kernel given its leading arguments, indexed by time gaps and
+conditioning states, summed along their gap axes by cumulative sums, so no
+chain-law evaluator enumerates index tuples. ``decompose`` reports the
+closed-form expectation, so its residual cross-checks the gap tables.
 """
 from __future__ import annotations
 
@@ -469,16 +471,13 @@ def _u_table_path(states: np.ndarray, H: np.ndarray) -> float | np.ndarray:
     return float(out[0]) if states.ndim == 1 else out
 
 
-def _kernel_table(kernel: KernelSpec | np.ndarray, state_count: int, r: int) -> np.ndarray:
-    if isinstance(kernel, KernelSpec):
-        if kernel.table is None:
-            raise ValueError("chain-law expectations need a table kernel")
-        H = kernel.table
-    else:
-        H = np.asarray(kernel, dtype=float)
-    if H.ndim != r or H.shape != (state_count,) * r:
-        raise ValueError(f"kernel table must have shape {(state_count,) * r}")
-    return H
+def _kernel_table(chain: FiniteMarkovChain, kernel: KernelSpec) -> np.ndarray:
+    """The symmetric table of a table kernel over the chain's states."""
+    if not isinstance(kernel, KernelSpec) or kernel.table is None:
+        raise ValueError("exact chain-law evaluation needs a table kernel")
+    if kernel.table.shape[0] != chain.state_count:
+        raise ValueError(f"kernel table must have {chain.state_count} states")
+    return kernel.table
 
 
 # Largest T of ``decompose`` and the conditional-mean check, by order. Their
@@ -490,33 +489,35 @@ def _kernel_table(kernel: KernelSpec | np.ndarray, state_count: int, r: int) -> 
 _DECOMPOSE_T_CAP = {2: 2000, 3: 500}
 
 
-def _check_chain_law_order(T: int, r: int) -> None:
-    if r not in (2, 3):
+def _chain_law_table(chain: FiniteMarkovChain, kernel: KernelSpec, T: int) -> np.ndarray:
+    """The kernel's table, checked for the exact chain-law evaluators at
+    length ``T``: order 2 or 3, and T at least the order."""
+    H = _kernel_table(chain, kernel)
+    if kernel.order not in (2, 3):
         raise ValueError("exact chain-law evaluation supports orders 2 and 3")
-    if T < r:
-        raise ValueError(f"need T >= {r}")
+    if T < kernel.order:
+        raise ValueError(f"need T >= {kernel.order}")
+    return H
 
 
-def check_chain_law_length(T: int, r: int) -> None:
+def check_chain_law_length(chain: FiniteMarkovChain, kernel: KernelSpec, T: int) -> None:
     """Raise ValueError unless ``decompose`` and the conditional-mean check
-    take paths of length ``T`` at order ``r``."""
-    _check_chain_law_order(T, r)
-    if T > _DECOMPOSE_T_CAP[r]:
-        raise ValueError(f"T={T} beyond the decomposition cap for r={r}: "
-                         f"t_grid values must be <= {_DECOMPOSE_T_CAP[r]}")
+    take paths of length ``T`` with this kernel on this chain."""
+    _chain_law_table(chain, kernel, T)
+    if T > _DECOMPOSE_T_CAP[kernel.order]:
+        raise ValueError(f"T={T} beyond the decomposition cap for r={kernel.order}: "
+                         f"t_grid values must be <= {_DECOMPOSE_T_CAP[kernel.order]}")
 
 
-def _chain_law_tables(chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
-                      T: int, r: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The kernel table and its gap tables on ``chain.power``, after the
-    order, length and cap checks of ``decompose``."""
-    check_chain_law_length(T, r)
-    H = _kernel_table(kernel, chain.state_count, r)
-    powers = np.stack([chain.power(g) for g in range(T)])
-    return H, _gap_tables(powers, chain.stationary, H)
+def _chain_law_tables(chain: FiniteMarkovChain, kernel: KernelSpec, T: int) -> list[np.ndarray]:
+    """The kernel's gap tables on ``chain.power``, after the order, length
+    and cap checks of ``decompose``."""
+    check_chain_law_length(chain, kernel, T)
+    return _gap_tables(chain, kernel, np.stack([chain.power(g) for g in range(T)]))
 
 
-def _gap_tables(powers: np.ndarray, pi: np.ndarray, H: np.ndarray) -> list[np.ndarray]:
+def _gap_tables(chain: FiniteMarkovChain, kernel: KernelSpec,
+                powers: np.ndarray) -> list[np.ndarray]:
     """Conditional means of the kernel along a stationary chain, by time gaps.
 
     ``powers[g]`` is P^g for g < T. Returns [E_{r-1}, ..., E_1, E_0], where
@@ -526,6 +527,7 @@ def _gap_tables(powers: np.ndarray, pi: np.ndarray, H: np.ndarray) -> list[np.nd
     above over the law of the next argument, E_j = P^{g_j} E_{j+1}, and
     E_0 = pi E_1.
     """
+    H = kernel.table
     r, s, T = H.ndim, H.shape[0], powers.shape[0]
     level = H.reshape((1,) * (r - 1) + H.shape)
     tables = []
@@ -536,7 +538,7 @@ def _gap_tables(powers: np.ndarray, pi: np.ndarray, H: np.ndarray) -> list[np.nd
         shape[j - 1] = T
         level = (powers.reshape(shape) * level).sum(axis=-1)
         tables.append(level)
-    tables.append(level @ pi)
+    tables.append(level @ chain.stationary)
     return [np.broadcast_to(E, (T,) * (r - 1) + E.shape[r - 1:]) for E in tables]
 
 
@@ -559,8 +561,7 @@ def _ramp_sums(A: np.ndarray, n: int, depth: int) -> np.ndarray:
     return np.linalg.matrix_power(M, n)[..., depth * d:, :d]
 
 
-def chain_law_bias(chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
-                   T: int, r: int) -> float:
+def chain_law_bias(chain: FiniteMarkovChain, kernel: KernelSpec, T: int) -> float:
     """theta* - theta: the chain-law expectation of the U-statistic over a
     length-T chain path minus the product-measure one, in closed form at
     any T, O(S^3 log T) at order 2 and O(S^4 log T) at order 3.
@@ -578,9 +579,8 @@ def chain_law_bias(chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
     sum_{j<k} Q^j E_y Q^(k-1-j) there. Every weighted sum is one block power
     (``_ramp_sums``), all y in one stack.
     """
-    _check_chain_law_order(T, r)
-    H = _kernel_table(kernel, chain.state_count, r)
-    pi = chain.stationary
+    H = _chain_law_table(chain, kernel, T)
+    r, pi = kernel.order, chain.stationary
     s = pi.size
     Q = chain.transition - pi
     if r == 2:
@@ -597,36 +597,19 @@ def chain_law_bias(chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
     return math.fsum(terms.ravel()) / math.comb(T, r)
 
 
-def theta_star(chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
-               T: int, r: int) -> float:
+def theta_star(chain: FiniteMarkovChain, kernel: KernelSpec, T: int) -> float:
     """Exact expectation of the U-statistic over a length-T chain path:
     theta plus ``chain_law_bias``, at any T."""
-    return theta_independent(chain, kernel, r) + chain_law_bias(chain, kernel, T, r)
+    return theta_independent(chain, kernel) + chain_law_bias(chain, kernel, T)
 
 
-def _gap_weighted_mean(E0: np.ndarray, T: int) -> float:
-    """Mean of E_0 over the C(T, r) increasing index tuples of a length-T
-    path: the gaps (g_1, ..., g_{r-1}) occur in T - sum(g) of them."""
-    gaps = np.indices(E0.shape)
-    count = T - gaps.sum(axis=0)
-    used = (gaps > 0).all(axis=0) & (count > 0)
-    return math.fsum((count * E0)[used]) / math.comb(T, E0.ndim + 1)
-
-
-def theta_independent(chain_or_pi, kernel: KernelSpec | np.ndarray, r: int) -> float:
-    """Product-measure expectation of the kernel under the stationary marginal."""
-    if isinstance(chain_or_pi, FiniteMarkovChain):
-        pi = chain_or_pi.stationary
-    else:
-        pi = np.asarray(chain_or_pi, dtype=float)
-    H = _kernel_table(kernel, pi.size, r)
-    if r == 1:
-        return float(pi @ H)
-    if r == 2:
-        return float(np.einsum("x,y,xy->", pi, pi, H))
-    if r == 3:
-        return float(np.einsum("x,y,z,xyz->", pi, pi, pi, H))
-    raise ValueError("product-measure expectation supports orders 1..3")
+def theta_independent(chain: FiniteMarkovChain, kernel: KernelSpec) -> float:
+    """Product-measure expectation of the kernel under the stationary
+    marginal: one ``einsum`` over the r copies of pi and the table."""
+    H = _kernel_table(chain, kernel)
+    axes = "abcdefghijklmnopqrstuvwxyz"[:kernel.order]
+    return float(np.einsum(",".join(axes) + "," + axes + "->",
+                           *[chain.stationary] * kernel.order, H))
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +621,10 @@ class DecompositionReport:
     """Per-path split of U minus its chain-law expectation into order terms.
 
     ``s_terms[k-1]`` carries the summed difference between conditioning on
-    the first r-k+1 and the first r-k arguments; the terms telescope so that
-    u_value - expectation - sum(s_terms) vanishes identically.
+    the first r-k+1 and the first r-k arguments; the terms telescope to
+    u_value minus the gap tables' mean of h. ``theta_star`` is the closed
+    form, so ``residual`` = u_value - theta_star - sum(s_terms) cross-checks
+    two independent evaluators of E[U]: it is rounding only if they agree.
     """
 
     order: int
@@ -658,8 +643,8 @@ class DecompositionReport:
         return self.b_term_max_abs / (2.0 * self.kernel_bound) if self.kernel_bound else 0.0
 
 
-def decompose(paths, chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
-              r: int | None = None) -> DecompositionReport | list[DecompositionReport]:
+def decompose(paths, chain: FiniteMarkovChain,
+              kernel: KernelSpec) -> DecompositionReport | list[DecompositionReport]:
     """Split U - E[U] for chain paths into terms with zero conditional means.
 
     Level k of an index tuple is the mean of h given its first r-k arguments
@@ -681,18 +666,17 @@ def decompose(paths, chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
         raise ValueError("decomposition needs a state path")
     if states.ndim not in (1, 2) or not np.issubdtype(states.dtype, np.integer):
         raise ValueError("decomposition needs integer states, one path or an (R, T) stack")
-    if r is None:
-        r = kernel.order if isinstance(kernel, KernelSpec) else np.asarray(kernel).ndim
     T = int(states.shape[-1])
-    H, tables = _chain_law_tables(chain, kernel, T, r)
+    tables = _chain_law_tables(chain, kernel, T)
     if states.size and (states.min() < 0 or states.max() >= chain.state_count):
         raise ValueError("path states out of range for this chain")
 
+    H, r = kernel.table, kernel.order
     n_tuples = math.comb(T, r)
-    expectation = _gap_weighted_mean(tables[-1], T)
+    expectation = theta_star(chain, kernel, T)
     bound = float(np.max(np.abs(H)))
     stack = np.atleast_2d(states)
-    sums, b_maxes = _path_sums(H, tables, stack)
+    sums, b_maxes = _path_sums(kernel, tables, stack)
     reports = []
     for u_value, row_sums, b_max in zip(_u_table_path(stack, H).tolist(), sums.tolist(),
                                         b_maxes.tolist()):
@@ -705,7 +689,7 @@ def decompose(paths, chain: FiniteMarkovChain, kernel: KernelSpec | np.ndarray,
     return reports[0] if states.ndim == 1 else reports
 
 
-def _path_sums(H: np.ndarray, tables: list[np.ndarray],
+def _path_sums(kernel: KernelSpec, tables: list[np.ndarray],
                states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (R, r) sums of term k, k = 1..r, and the (R,) largest |b-term|
     of each path of an (R, T) stack, from tables built once per call.
@@ -727,6 +711,7 @@ def _path_sums(H: np.ndarray, tables: list[np.ndarray],
     Each path costs O(T^2 S^(r-2)) reads and sums, gathered for chunks of
     paths whose pair reads fit in ``BLOCK_VALUES``.
     """
+    H = kernel.table
     r, s, T = H.ndim, H.shape[0], states.shape[1]
     a, b = np.triu_indices(T, 1)
     gap = b - a
@@ -783,9 +768,8 @@ def _path_sums(H: np.ndarray, tables: list[np.ndarray],
     return sums, b_max
 
 
-def check_zero_conditional_means(chain: FiniteMarkovChain,
-                                 kernel: KernelSpec | np.ndarray,
-                                 T: int, r: int) -> float:
+def check_zero_conditional_means(chain: FiniteMarkovChain, kernel: KernelSpec,
+                                 T: int) -> float:
     """Largest deviation of the gap tables from the one-step tower property.
 
     Each aggregated term of ``decompose`` has zero conditional mean given its
@@ -795,9 +779,9 @@ def check_zero_conditional_means(chain: FiniteMarkovChain,
     P, P P, P P P, ... and returns the largest absolute difference, so a
     wrong matrix power shows as a nonzero value (rounding level otherwise).
     """
-    H, tables = _chain_law_tables(chain, kernel, T, r)
+    tables = _chain_law_tables(chain, kernel, T)
     steps = [np.eye(chain.state_count)]
     for _ in range(1, T):
         steps.append(steps[-1] @ chain.transition)
-    rebuilt = _gap_tables(np.stack(steps), chain.stationary, H)
+    rebuilt = _gap_tables(chain, kernel, np.stack(steps))
     return max(float(np.max(np.abs(a - b))) for a, b in zip(tables, rebuilt))

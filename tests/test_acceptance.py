@@ -140,12 +140,12 @@ def test_04_telescoping_decomposition():
         kernel = table_kernel(rng.uniform(-M, M, size=(s,) * r))
         spec = ProcessSpec(kind="markov_chain", seed=int(rng.integers(1 << 30)),
                            chain=chain)
-        rep = decompose(generate(spec, T), chain, kernel, r)
+        rep = decompose(generate(spec, T), chain, kernel)
         worst_resid = max(worst_resid, abs(rep.residual) / max(1.0, abs(rep.u_value)))
         worst_ratio = max(worst_ratio, rep.b_term_max_abs / (2.0 * rep.kernel_bound))
         assert abs(rep.residual) <= 1e-10 * max(1.0, abs(rep.u_value))
         assert rep.b_term_max_abs <= 2.0 * rep.kernel_bound
-        p1 = check_zero_conditional_means(chain, kernel, T, r)
+        p1 = check_zero_conditional_means(chain, kernel, T)
         worst_p1 = max(worst_p1, p1)
         assert p1 <= 1e-10
     report("04 telescoping-decomposition",
@@ -269,11 +269,11 @@ def test_09_bias_bounded():
     T in {10, ..., 80} with no growth trend (log-log slope <= 0.02)."""
     chain = two_state_chain(0.25)
     kernel = table_kernel(np.array([[0.5, -0.5], [-0.5, 0.5]]))
-    theta = theta_independent(chain, kernel, 2)
+    theta = theta_independent(chain, kernel)
     t_grid = [10, 20, 30, 40, 50, 60, 70, 80]
     scaled = []
     for T in t_grid:
-        bias = abs(theta_star(chain, kernel, T, 2) - theta)
+        bias = abs(theta_star(chain, kernel, T) - theta)
         scaled.append(bias * math.sqrt(T))
     cap = max(scaled)
     slope = float(np.polyfit(np.log(t_grid), np.log(scaled), 1)[0])

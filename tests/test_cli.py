@@ -222,6 +222,19 @@ def test_theta_single_draw_exits_2(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("draws", [1000, 10 ** 12])
+def test_mc_theta_on_a_chain_exits_2_at_any_draw_count(tmp_path, capsys, draws):
+    """A markov_chain has no independent-sampling oracle, so a Monte Carlo
+    theta is a config error, found before the budget counts its draws."""
+    payload = tail_payload(process=CHAIN, kernel=MATCH_KERNEL,
+                           theta={"mode": "mc", "draws": draws})
+    assert main(["tail", "--config", write_config(tmp_path, payload),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "oracle" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("order", [-1, 4])
 def test_decompose_order_outside_2_3_exits_2(tmp_path, order):
     cfg = write_config(tmp_path, {

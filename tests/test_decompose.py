@@ -10,23 +10,23 @@ import numpy as np
 import pytest
 
 from tsustat import processes
-from tsustat.kernels import table_kernel
+from tsustat.kernels import mean_kernel, table_kernel
 from tsustat.processes import (ProcessSpec, SeriesPath, cycle_chain, generate,
                                generate_batch, iid_chain, random_chain, two_state_chain)
 from tsustat.ustat import (_DECOMPOSE_T_CAP, DecompositionReport, _chain_law_tables,
                            chain_law_bias, check_zero_conditional_means, decompose,
-                           theta_star, u_statistic)
+                           theta_independent, theta_star, u_statistic)
 
 MATCH = np.array([[0.5, -0.5], [-0.5, 0.5]])
 
 
-def enumerated_decompose(states, chain, kernel, r):
+def enumerated_decompose(states, chain, kernel):
     """The decomposition by one pass over all C(T, r) increasing index tuples,
     reading every level of every tuple from the gap tables: the oracle for
     ``decompose``, which reads the same sums from cumulative sums."""
     states = np.asarray(states)
-    T = states.shape[0]
-    H, tables = _chain_law_tables(chain, kernel, T, r)
+    T, r, H = states.shape[0], kernel.order, kernel.table
+    tables = _chain_law_tables(chain, kernel, T)
     n_tuples = math.comb(T, r)
     idx = np.array(list(itertools.combinations(range(T), r)))
     gaps = tuple(np.diff(idx, axis=1).T)
@@ -73,8 +73,8 @@ def test_decompose_matches_the_tuple_enumerator(r):
             for H in (rng.uniform(-2.0, 2.0, size=(s,) * r), np.zeros((s,) * r),
                       np.full((s,) * r, -0.7)):
                 kernel = table_kernel(H)
-                for states, rep in zip(paths, decompose(paths, chain, kernel, r)):
-                    assert_reports_agree(rep, enumerated_decompose(states, chain, kernel, r))
+                for states, rep in zip(paths, decompose(paths, chain, kernel)):
+                    assert_reports_agree(rep, enumerated_decompose(states, chain, kernel))
 
 
 def test_a_stack_of_paths_gives_the_single_path_reports():
@@ -83,11 +83,11 @@ def test_a_stack_of_paths_gives_the_single_path_reports():
         chain = random_chain(s, rng)
         kernel = table_kernel(rng.uniform(-1.0, 1.0, size=(s,) * r))
         paths = generate_batch(ProcessSpec(kind="markov_chain", seed=5, chain=chain), T, 4)
-        stacked = decompose(paths, chain, kernel, r)
+        stacked = decompose(paths, chain, kernel)
         assert isinstance(stacked, list) and len(stacked) == 4
-        assert stacked == [decompose(states, chain, kernel, r) for states in paths]
-        assert stacked[0] == decompose(SeriesPath(states=paths[0]), chain, kernel, r)
-    assert decompose(np.zeros((0, 6), int), chain, kernel, 3) == []  # an empty stack
+        assert stacked == [decompose(states, chain, kernel) for states in paths]
+        assert stacked[0] == decompose(SeriesPath(states=paths[0]), chain, kernel)
+    assert decompose(np.zeros((0, 6), int), chain, kernel) == []  # an empty stack
 
 
 def random_instance(rng, r):
@@ -104,7 +104,7 @@ def test_telescoping_residual_fuzz(r):
     rng = np.random.default_rng(100 + r)
     for _ in range(25):
         chain, kernel, path, T = random_instance(rng, r)
-        rep = decompose(path, chain, kernel, r)
+        rep = decompose(path, chain, kernel)
         assert abs(rep.residual) <= 1e-10 * max(1.0, abs(rep.u_value))
         assert rep.b_term_max_abs <= 2.0 * rep.kernel_bound + 1e-12
         assert len(rep.s_terms) == r
@@ -114,9 +114,9 @@ def test_telescoping_residual_fuzz(r):
 def test_u_and_theta_star_match_independent_paths(r):
     rng = np.random.default_rng(200 + r)
     chain, kernel, path, T = random_instance(rng, r)
-    rep = decompose(path, chain, kernel, r)
+    rep = decompose(path, chain, kernel)
     assert rep.u_value == pytest.approx(u_statistic(path, kernel), abs=1e-11)
-    assert rep.theta_star == pytest.approx(theta_star(chain, kernel, T, r), abs=1e-11)
+    assert rep.theta_star == pytest.approx(theta_star(chain, kernel, T), abs=1e-11)
 
 
 def test_iid_chain_degenerate_kernel_kills_last_term():
@@ -127,7 +127,7 @@ def test_iid_chain_degenerate_kernel_kills_last_term():
     kernel = table_kernel(MATCH)
     spec = ProcessSpec(kind="markov_chain", seed=17, chain=chain)
     for T in (6, 15):
-        rep = decompose(generate(spec, T), chain, kernel, 2)
+        rep = decompose(generate(spec, T), chain, kernel)
         assert abs(rep.s_terms[1]) <= 1e-12
 
 
@@ -139,30 +139,33 @@ def test_conditional_means_zero_by_enumeration(r):
         chain = random_chain(s, rng)
         kernel = table_kernel(rng.uniform(-1.0, 1.0, size=(s,) * r))
         T = int(rng.integers(r + 1, 14))
-        assert check_zero_conditional_means(chain, kernel, T, r) <= 1e-10
+        assert check_zero_conditional_means(chain, kernel, T) <= 1e-10
 
 
 def test_decompose_validation():
     chain = two_state_chain(0.25)
     kernel = table_kernel(MATCH)
     with pytest.raises(ValueError):
-        decompose(np.array([0, 1, 2]), chain, kernel, 2)  # state out of range
+        decompose(np.array([0, 1, 2]), chain, kernel)  # state out of range
+    order3 = table_kernel(np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
-        decompose(np.array([0, 1]), chain, kernel, 3)  # too short
+        decompose(np.array([0, 1]), chain, order3)  # too short
     with pytest.raises(ValueError):  # above the order-3 cap
-        decompose(np.zeros(501, dtype=int), chain, table_kernel(np.zeros((2, 2, 2))), 3)
+        decompose(np.zeros(501, dtype=int), chain, order3)
     with pytest.raises(ValueError):  # above the order-2 cap
-        decompose(np.zeros((2, 2001), dtype=int), chain, kernel, 2)
+        decompose(np.zeros((2, 2001), dtype=int), chain, kernel)
     with pytest.raises(ValueError):
-        decompose(np.zeros((2, 3, 4), dtype=int), chain, kernel, 2)  # not a path or a stack
+        decompose(np.zeros((2, 3, 4), dtype=int), chain, kernel)  # not a path or a stack
+    with pytest.raises(ValueError):  # a table over three states on a two-state chain
+        decompose(np.zeros(4, dtype=int), chain, table_kernel(np.zeros((3, 3))))
     with pytest.raises(ValueError):
-        decompose(np.array([0.0, 1.0, 1.0]), chain, kernel, 2)  # not states
+        decompose(np.array([0.0, 1.0, 1.0]), chain, kernel)  # not states
 
 
 def test_report_serializes():
     chain = two_state_chain(0.25)
     spec = ProcessSpec(kind="markov_chain", seed=4, chain=chain)
-    rep = decompose(generate(spec, 12), chain, table_kernel(MATCH), 2)
+    rep = decompose(generate(spec, 12), chain, table_kernel(MATCH))
     d = asdict(rep)
     assert set(d) == {"order", "length", "s_terms", "u_value", "theta_star",
                       "residual", "b_term_max_abs", "kernel_bound"}
@@ -176,11 +179,11 @@ def test_conditional_mean_check_catches_a_wrong_power(r, monkeypatch):
     rng = np.random.default_rng(57)
     chain = random_chain(3, rng)
     kernel = table_kernel(rng.uniform(-1.0, 1.0, size=(3,) * r))
-    assert check_zero_conditional_means(chain, kernel, 8, r) <= 1e-10
+    assert check_zero_conditional_means(chain, kernel, 8) <= 1e-10
     true_power = chain.power
     monkeypatch.setattr(chain, "power",
                         lambda n: np.eye(3) if n == 3 else true_power(n))
-    assert check_zero_conditional_means(chain, kernel, 8, r) > 1e-3
+    assert check_zero_conditional_means(chain, kernel, 8) > 1e-3
 
 
 def test_gap_tables_bounded():
@@ -188,7 +191,7 @@ def test_gap_tables_bounded():
     chain = random_chain(3, rng)
     kernel = table_kernel(rng.uniform(-1.5, 1.5, size=(3, 3, 3)))
     bound = float(np.max(np.abs(kernel.table)))
-    E2, E1, E0 = _chain_law_tables(chain, kernel, 8, 3)[1]
+    E2, E1, E0 = _chain_law_tables(chain, kernel, 8)
     assert E2.shape == (8, 8, 3, 3) and E1.shape == (8, 8, 3) and E0.shape == (8, 8)
     for g1, g2 in [(1, 1), (2, 3), (1, 4)]:
         assert np.max(np.abs(E2[g1, g2])) <= bound + 1e-12
@@ -201,7 +204,7 @@ def test_gap_tables_tower_property():
     rng = np.random.default_rng(56)
     chain = random_chain(4, rng)
     kernel = table_kernel(rng.uniform(-1.0, 1.0, size=(4, 4, 4)))
-    E2, E1, E0 = _chain_law_tables(chain, kernel, 6, 3)[1]
+    E2, E1, E0 = _chain_law_tables(chain, kernel, 6)
     for g1, g2 in [(1, 2), (3, 1)]:
         np.testing.assert_allclose(
             np.einsum("xy,xy->x", chain.power(g1), E2[g1, g2]), E1[g1, g2], atol=1e-14)
@@ -219,26 +222,37 @@ def test_decomposition_against_the_enumerated_chain_law(r, s, T):
     P, pi = chain.transition, chain.stationary
     paths = np.array(list(itertools.product(range(s), repeat=T)))
     prob = pi[paths[:, 0]] * np.prod(P[paths[:, :-1], paths[:, 1:]], axis=1)
-    reps = decompose(paths, chain, kernel, r)
+    reps = decompose(paths, chain, kernel)
     mean_u = prob @ np.array([rep.u_value for rep in reps])
     mean_s = prob @ np.array([rep.s_terms for rep in reps])
-    assert mean_u == pytest.approx(theta_star(chain, kernel, T, r), abs=1e-12)
+    assert mean_u == pytest.approx(theta_star(chain, kernel, T), abs=1e-12)
     np.testing.assert_allclose(mean_s, 0.0, atol=1e-12)
+
+
+def gap_weighted_mean(chain, kernel, T):
+    """Mean of the gap table E_0 over the C(T, r) increasing index tuples of
+    a length-T path, whose gaps (g_1, ..., g_{r-1}) occur in T - sum(g) of
+    them: theta* by the gap tables, independent of the closed form."""
+    E0 = _chain_law_tables(chain, kernel, T)[-1]
+    gaps = np.indices(E0.shape)
+    count = T - gaps.sum(axis=0)
+    used = (gaps > 0).all(axis=0) & (count > 0)
+    return math.fsum((count * E0)[used]) / math.comb(T, kernel.order)
 
 
 @pytest.mark.parametrize("s", [2, 3, 4])
 @pytest.mark.parametrize("r", [2, 3])
 def test_closed_form_theta_star_matches_the_gap_sum(r, s):
-    """The closed form against the gap-weighted sum ``decompose`` reports,
-    within 1e-12, at T from r up to the decomposition cap."""
+    """The closed form against the gap-weighted mean of E_0, within 1e-12,
+    at T from r up to the decomposition cap."""
     rng = np.random.default_rng(400 + 10 * r + s)
     cap = _DECOMPOSE_T_CAP[r]
     for concentration in (0.3, 3.0):
         chain = random_chain(s, rng, concentration)
         kernel = table_kernel(rng.uniform(-1.0, 1.0, size=(s,) * r))
         for T in (r, r + 1, int(rng.integers(r + 2, 60)), int(rng.integers(60, cap)), cap):
-            gap_sum = decompose(np.zeros(T, dtype=int), chain, kernel, r).theta_star
-            assert theta_star(chain, kernel, T, r) == pytest.approx(gap_sum, rel=0, abs=1e-12)
+            gap_sum = gap_weighted_mean(chain, kernel, T)
+            assert theta_star(chain, kernel, T) == pytest.approx(gap_sum, rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -249,12 +263,12 @@ def test_closed_form_bias_on_periodic_and_iid_chains(r):
     kernel = table_kernel(rng.uniform(-1.0, 1.0, size=(3,) * r))
     cycle = cycle_chain(3)
     for T in (r, 10, 101):
-        gap_sum = decompose(np.zeros(T, dtype=int), cycle, kernel, r).theta_star
-        assert theta_star(cycle, kernel, T, r) == pytest.approx(gap_sum, rel=0, abs=1e-12)
+        gap_sum = gap_weighted_mean(cycle, kernel, T)
+        assert theta_star(cycle, kernel, T) == pytest.approx(gap_sum, rel=0, abs=1e-12)
     iid = iid_chain([0.25, 0.375, 0.375])
     assert np.array_equal(iid.transition - iid.stationary, np.zeros((3, 3)))
     for T in (r, 10, 10 ** 6):
-        assert chain_law_bias(iid, kernel, T, r) == 0.0
+        assert chain_law_bias(iid, kernel, T) == 0.0
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -266,10 +280,28 @@ def test_a_stack_decomposes_as_its_paths_alone(r, monkeypatch):
     chain = random_chain(3, rng)
     kernel = table_kernel(rng.uniform(-1.0, 1.0, size=(3,) * r))
     paths = rng.integers(0, 3, size=(7, 25))
-    alone = [asdict(decompose(path, chain, kernel, r)) for path in paths]
-    assert [asdict(rep) for rep in decompose(paths, chain, kernel, r)] == alone
+    alone = [asdict(decompose(path, chain, kernel)) for path in paths]
+    assert [asdict(rep) for rep in decompose(paths, chain, kernel)] == alone
     pair_reads = math.comb(25, 2) * 3 ** (r - 2)
     for budget in (1, 3 * pair_reads):  # chunks of one path, then of three
         monkeypatch.setattr(processes, "BLOCK_VALUES", budget)
-        assert [asdict(rep) for rep in decompose(paths, chain, kernel, r)] == alone
-    assert decompose(paths[:0], chain, kernel, r) == []
+        assert [asdict(rep) for rep in decompose(paths, chain, kernel)] == alone
+    assert decompose(paths[:0], chain, kernel) == []
+
+
+def test_every_chain_law_function_rejects_a_raw_array():
+    """Only a table kernel fixes a symmetric table and its order. A raw
+    non-symmetric array was read symmetrized by the U evaluator but in time
+    order by the gap tables, so its decomposition left residuals near 1e-2."""
+    rng = np.random.default_rng(27)
+    chain = random_chain(3, rng)
+    H = rng.uniform(-1.0, 1.0, size=(3, 3, 3))
+    path = generate(ProcessSpec(kind="markov_chain", seed=3, chain=chain), 12)
+    calls = [lambda k: decompose(path, chain, k), lambda k: theta_star(chain, k, 12),
+             lambda k: chain_law_bias(chain, k, 12), lambda k: theta_independent(chain, k),
+             lambda k: check_zero_conditional_means(chain, k, 12)]
+    for call in calls:
+        for kernel in (H, table_kernel(H).table, mean_kernel()):
+            with pytest.raises(ValueError, match="needs a table kernel"):
+                call(kernel)
+    assert abs(decompose(path, chain, table_kernel(H)).residual) <= 1e-13

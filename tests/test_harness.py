@@ -383,7 +383,7 @@ def test_each_t_of_a_grid_reads_the_same_paths(monkeypatch, threads):
     cfg = ExperimentConfig.from_dict(DECOMPOSE)
 
     def decompose_rows(t_grid, at):
-        job = (cfg.process, t_grid, cfg.kernel.table, cfg.order)
+        job = (cfg.process, t_grid, cfg.kernel)
         [blocks] = processes.map_replication_blocks(_decompose_block, [job],
                                                     block_replications(2000) + 1,
                                                     [max(t_grid)], threads=threads)
@@ -537,7 +537,7 @@ def test_decompose_check_reads_the_conditional_means_once_at_the_largest_t(monke
         "t_grid": [30, 9, 17], "order": 3, "replications": 2,
     })
     check = harness.check_zero_conditional_means
-    over_grid = max(check(cfg.process.chain, cfg.kernel, T, 3) for T in cfg.t_grid)
+    over_grid = max(check(cfg.process.chain, cfg.kernel, T) for T in cfg.t_grid)
     seen = []
     monkeypatch.setattr(harness, "check_zero_conditional_means",
                         lambda *args: seen.append(args[2]) or check(*args))

@@ -37,6 +37,15 @@ def test_chain_validation():
                                atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_chain_rejects_a_non_finite_entry(bad, capfd):
+    """A NaN passes the sign and row-sum checks, and LAPACK then failed on
+    the stationary solve; every non-finite entry is a ValueError first."""
+    with pytest.raises(ValueError, match="non-finite"):
+        FiniteMarkovChain(np.array([[bad, 0.5], [0.5, 0.5]]))
+    assert capfd.readouterr().err == ""
+
+
 def test_power_cache():
     chain = two_state_chain(0.25)
     P3 = chain.power(3)

@@ -306,25 +306,24 @@ def test_theta_star_iid_equals_theta():
     chain = iid_chain([0.3, 0.7])
     k = table_kernel(MATCH)
     for T in (5, 12):
-        assert theta_star(chain, k, T, 2) == pytest.approx(
-            theta_independent(chain, k, 2), abs=1e-13)
+        assert theta_star(chain, k, T) == pytest.approx(
+            theta_independent(chain, k), abs=1e-13)
 
 
 def test_theta_star_constant_kernel():
     chain = two_state_chain(0.25)
     k = table_kernel(np.full((2, 2), 0.4))
-    assert theta_star(chain, k, 10, 2) == pytest.approx(0.4, abs=1e-13)
+    assert theta_star(chain, k, 10) == pytest.approx(0.4, abs=1e-13)
     k3 = table_kernel(np.full((2, 2, 2), -0.2))
-    assert theta_star(chain, k3, 8, 3) == pytest.approx(-0.2, abs=1e-13)
+    assert theta_star(chain, k3, 8) == pytest.approx(-0.2, abs=1e-13)
 
 
 def test_theta_independent_examples():
     chain = two_state_chain(0.25)  # uniform stationary distribution
     k = table_kernel(MATCH)
-    assert theta_independent(chain, k, 2) == pytest.approx(0.0, abs=1e-15)
+    assert theta_independent(chain, k) == pytest.approx(0.0, abs=1e-15)
     const = table_kernel(np.full((2, 2), 0.3))
-    assert theta_independent(chain, const, 2) == pytest.approx(0.3, abs=1e-15)
-    assert theta_independent(np.array([0.2, 0.8]), const, 2) == pytest.approx(0.3)
+    assert theta_independent(chain, const) == pytest.approx(0.3, abs=1e-15)
 
 
 def test_theta_star_matches_the_enumerated_chain_law():
@@ -337,16 +336,16 @@ def test_theta_star_matches_the_enumerated_chain_law():
     prob = pi[paths[:, 0]] * np.prod(P[paths[:, :-1], paths[:, 1:]], axis=1)
     assert prob.sum() == pytest.approx(1.0, abs=1e-14)
     u_vals = [u_statistic(SeriesPath(states=states), k) for states in paths]
-    assert prob @ u_vals == pytest.approx(theta_star(chain, k, T, 2), abs=1e-14)
+    assert prob @ u_vals == pytest.approx(theta_star(chain, k, T), abs=1e-14)
 
 
 def test_theta_star_guards():
     chain = two_state_chain(0.25)
     k = table_kernel(MATCH)
     with pytest.raises(ValueError):
-        theta_star(chain, k, 5, 4)
+        theta_star(chain, table_kernel(np.zeros((2,) * 4)), 5)  # order 4
     with pytest.raises(ValueError):
-        theta_star(chain, k, 1, 2)  # shorter than the order
+        theta_star(chain, k, 1)  # shorter than the order
 
 
 @pytest.mark.parametrize("T", [2, 3, 17, 2000, 2001, 10 ** 6, 10 ** 30])
@@ -359,8 +358,8 @@ def test_theta_star_past_the_decomposition_cap(T):
     chain = two_state_chain(0.25)
     k = table_kernel(MATCH)
     want = math.fsum((T - g) * 0.5 ** g / 2 for g in range(1, min(T, 1200))) / math.comb(T, 2)
-    assert chain_law_bias(chain, k, T, 2) == pytest.approx(want, rel=1e-13, abs=0)
-    assert theta_star(chain, k, T, 2) == pytest.approx(want, rel=1e-13, abs=1e-300)
+    assert chain_law_bias(chain, k, T) == pytest.approx(want, rel=1e-13, abs=0)
+    assert theta_star(chain, k, T) == pytest.approx(want, rel=1e-13, abs=1e-300)
 
 
 def test_sign_product_time_reversal_consistency():
