@@ -21,6 +21,7 @@ EXIT_CHECK = 4
 
 # subcommand -> experiment; each subcommand but ``bias`` is named after its experiment
 _SUBCOMMANDS = {("bias" if e == "bias-curve" else e): e for e in EXPERIMENTS}
+_COMMANDS = [*_SUBCOMMANDS, "calibrate"]
 
 
 def _t_values(text: str) -> set[int]:
@@ -30,28 +31,36 @@ def _t_values(text: str) -> set[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
 
 
-@cache  # built once per process; parsing leaves the parser unchanged
-def _build_parser() -> argparse.ArgumentParser:
+@cache  # built once per process and command; parsing leaves the parser unchanged
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with only ``command``'s for a
+    call that names ``command`` first: that call parses, and its usage and
+    error lines read, as on the full parser."""
     parser = argparse.ArgumentParser(prog="tsustat",
                                      description="seeded Monte Carlo experiments for "
                                                  "U-statistics on dependent series")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a one-command parser names every command in its usage, as the full one does
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None else
+                                "{" + ",".join(_COMMANDS) + "}")
     for name in _SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", help="output directory (overrides config out_dir)")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int, help="worker process count")
-        p.add_argument("--budget", type=float, help="cap on the estimated work")
-    p = sub.add_parser("calibrate", help="calibrate bound constants on a tail run, "
-                                         "starting from the constants in its config.json")
-    p.add_argument("--result", required=True,
-                   help="directory holding result.json and config.json from a tail run")
-    p.add_argument("--train", required=True, type=_t_values,
-                   help="comma-separated training T values")
-    p.add_argument("--c4", type=float, default=None,
-                   help="bias-offset constant used during calibration (default: the run's)")
-    p.add_argument("--out", help="output directory (default: the --result directory)")
+        if command in (None, name):
+            p = sub.add_parser(name)
+            p.add_argument("--config", required=True, help="JSON config file")
+            p.add_argument("--out", help="output directory (overrides config out_dir)")
+            p.add_argument("--seed", type=int, help="override the config seed")
+            p.add_argument("--threads", type=int, help="worker process count")
+            p.add_argument("--budget", type=float, help="cap on the estimated work")
+    if command in (None, "calibrate"):
+        p = sub.add_parser("calibrate", help="calibrate bound constants on a tail run, "
+                                             "starting from the constants in its config.json")
+        p.add_argument("--result", required=True,
+                       help="directory holding result.json and config.json from a tail run")
+        p.add_argument("--train", required=True, type=_t_values,
+                       help="comma-separated training T values")
+        p.add_argument("--c4", type=float, default=None,
+                       help="bias-offset constant used during calibration (default: the run's)")
+        p.add_argument("--out", help="output directory (default: the --result directory)")
     return parser
 
 
@@ -80,7 +89,11 @@ def _run_calibrate(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a call that names its subcommand first parses on that subcommand's
+    # parser; help, no arguments and unknown names take the full one
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         if args.command == "calibrate":
             return _run_calibrate(args)

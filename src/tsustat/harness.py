@@ -122,8 +122,10 @@ def _typed(value, kind: str, low, name: str):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
         return [_typed(v, kind[:-5], low, f"{name}[{i}]") for i, v in enumerate(value)]
-    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if kind == "int" and number and isinstance(value, numbers.Integral):
+    exact = type(value)  # JSON's own types first; numpy scalars take the ABC checks
+    number = exact in (int, float) or (isinstance(value, numbers.Real)
+                                       and not isinstance(value, bool))
+    if kind == "int" and number and (exact is int or isinstance(value, numbers.Integral)):
         value = int(value)
     elif kind == "float" and number and abs(value) <= sys.float_info.max:  # NaN fails too
         value = float(value)
@@ -484,17 +486,21 @@ def _estimate_theta(cfg: ExperimentConfig) -> tuple[float, float, str]:
     if exact is not None:
         return exact[0], 0.0, exact[1]
     # iid oracle on the stationary cross-sectional marginal, drawn in chunks of
-    # at most BLOCK_VALUES values that continue one stream, so the values do
-    # not depend on the chunk size
+    # at most BLOCK_VALUES / 8 values (1 MiB of float64, so a chunk's draws,
+    # comparisons and gathers stay in a 2 MiB L2) that continue one stream,
+    # so the values do not depend on the chunk size
     rng = _rep_rng(cfg.seed, 2 ** 32)  # oracle stream, disjoint from replication streams
     vals = np.empty(cfg.theta_draws)
-    chunk = block_replications(cfg.kernel.order * (cfg.process.dimension or 1))
+    chunk = block_replications(8 * cfg.kernel.order * (cfg.process.dimension or 1))
     for start in range(0, vals.size, chunk):
         stop = min(start + chunk, vals.size)
         # one expression, so no chunk's draws outlive its values
         vals[start:stop] = _kernel_values(cfg.kernel, _oracle_samples(cfg, rng, stop - start))
     theta = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(vals.size))
+    # vals.std(ddof=1) step by step, in place of its draws-sized temporary
+    vals -= theta
+    vals *= vals
+    se = math.sqrt(float(vals.sum()) / (vals.size - 1)) / math.sqrt(vals.size)
     return theta, se, "mc"
 
 

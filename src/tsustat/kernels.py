@@ -87,51 +87,55 @@ def _sign_product_fn(x, y):
 
 @cache
 def _sign_pattern_table(fn: Callable, order: int) -> np.ndarray:
-    """``fn`` on one pair of representatives of every sign pattern that
-    ``order`` bivariate float points realize, flat over the index that
-    ``_sign_pattern_values`` reads; NaN where no input realizes the pattern.
-
-    A coordinate's pattern reads the codes of its C(r, 2) point pairs (a, b),
-    1 + (a > b) - (a < b), the sign of a - b plus 1 with NaN a tie, as a
-    base-3 number; coordinate 0 is the high digit. Floats realize exactly
-    the patterns of values in {0, 1, 2, NaN}: a weak order of the numbers,
-    NaN a tie against anything. Built once per kernel and process, on first
-    use.
+    """``fn``'s value for each sign pattern of ``order`` bivariate points,
+    flat over the index that ``_sign_pattern_values`` reads; NaN until a
+    draw of the pattern arrives. One writable table per kernel and process,
+    filled on demand: continuous draws realize only the r! strict orders of
+    the points per coordinate, 36 of the 729 cells at order 3 and 4 of 9 at
+    order 2. A fill only turns a NaN into ``fn``'s value for that pattern,
+    so the order of the draws that fill it changes no value read.
     """
-    pairs = list(itertools.combinations(range(order), 2))
-    patterns = {}  # pattern -> one coordinate's values realizing it
-    for coords in itertools.product((0.0, 1.0, 2.0, math.nan), repeat=order):
-        code = 0
-        for i, j in pairs:
-            code = 3 * code + 1 + (coords[i] > coords[j]) - (coords[i] < coords[j])
-        patterns.setdefault(code, coords)
-    width = 3 ** len(pairs)
-    table = np.full(width * width, math.nan)
-    for (code_x, xs), (code_y, ys) in itertools.product(patterns.items(), repeat=2):
-        table[code_x * width + code_y] = fn(*zip(xs, ys))
-    table.setflags(write=False)  # one array serves every caller in the process
-    return table
+    return np.full(9 ** math.comb(order, 2), math.nan)
 
 
 def _sign_pattern_values(fn: Callable, samples: np.ndarray) -> np.ndarray:
     """``fn`` over (n, r, 2) draws of a kernel that depends on its points
     only through the signs of their coordinate differences, read from
-    ``_sign_pattern_table`` by each draw's pattern index."""
+    ``_sign_pattern_table`` by each draw's pattern index.
+
+    A coordinate's pattern reads the codes of its C(r, 2) point pairs (a, b),
+    1 + ``sign(a - b)`` with the difference ``fn`` takes (so a NaN, from NaN
+    or inf - inf, is a tie), as a base-3 number; coordinate 0 is the high
+    digit. A pattern the table does not hold yet takes ``fn`` of one of its
+    draws, so ``sample_fn`` equals ``fn`` on every float input.
+    """
     n, order, dimension = samples.shape
     index = np.zeros(n, dtype=np.uint16)  # at most 3^6 - 1 at order 3
+    diff = np.empty(n)
     greater, less = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-    for c in range(dimension):
-        for i, j in itertools.combinations(range(order), 2):
-            a, b = samples[:, i, c], samples[:, j, c]
-            np.greater(a, b, out=greater)
-            np.less(a, b, out=less)
-            # Horner step on code - 1 = greater - less; uint16 wraps, and the
-            # offset below brings every index back into range
-            index *= 3
-            index += greater
-            index -= less
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, a tie
+        for c in range(dimension):
+            for i, j in itertools.combinations(range(order), 2):
+                # one strided read per pair; the comparisons then run contiguous
+                np.subtract(samples[:, i, c], samples[:, j, c], out=diff)
+                np.greater(diff, 0.0, out=greater)
+                np.less(diff, 0.0, out=less)
+                # Horner step on code - 1 = greater - less; uint16 wraps, and
+                # the offset below brings every index back into range
+                index *= 3
+                index += greater
+                index -= less
     index += (3 ** (dimension * math.comb(order, 2)) - 1) // 2
-    return _sign_pattern_table(fn, order)[index]
+    table = _sign_pattern_table(fn, order)
+    values = table[index]
+    new = np.flatnonzero(np.isnan(values))
+    if new.size:  # patterns this process has not met yet
+        draw_of = np.empty(table.size, dtype=np.intp)
+        draw_of[index[new]] = new  # one draw of each new pattern
+        for code in np.flatnonzero(np.bincount(index[new])):
+            table[code] = fn(*samples[draw_of[code]])
+        values[new] = table[index[new]]
+    return values
 
 
 def sign_product_kernel() -> KernelSpec:

@@ -736,10 +736,10 @@ def _path_sums(kernel: KernelSpec, tables: list[np.ndarray],
         C2_row = rest * s * s
         C1_row = (gap * T + rest) * s
 
-    def row_sums(terms: np.ndarray) -> list:
-        # one 1-D pairwise sum per row, as the row alone would be summed: a
-        # sum along axis 1 of the chunk may add the terms in another order
-        return [row.sum() for row in terms.reshape(len(terms), -1)]
+    def row_sums(terms: np.ndarray) -> np.ndarray:
+        # on a C-contiguous chunk, a sum along axis 1 adds each row in the
+        # pairwise order of the row alone, so no row depends on its chunk
+        return terms.reshape(len(terms), -1).sum(axis=1)
 
     R = states.shape[0]
     sums, b_max = np.empty((R, r)), np.empty(R)

@@ -8,7 +8,7 @@ import pytest
 
 import tsustat
 from tsustat import harness
-from tsustat.cli import _build_parser, main
+from tsustat.cli import _COMMANDS, _build_parser, main
 from tsustat.kernels import load_table_kernel
 from tsustat.harness import (ExperimentConfig, calibrate_from_tail, load_tail_result,
                              run_experiment)
@@ -260,10 +260,10 @@ BIAS = {"schema_version": 1, "experiment": "bias-curve", "seed": 3, "process": C
 
 
 def test_one_parser_serves_every_main_call(tmp_path, capsys):
-    """The parser is built once per process. One process runs ``tail``, an
-    argparse error (exit 2), ``bias`` and ``calibrate`` on that one parser;
-    each call gives the exit code, messages and files of the same call on a
-    freshly built parser."""
+    """Parsers are built once per process and subcommand. One process runs
+    ``tail``, an argparse error (exit 2), ``bias`` and ``calibrate`` on the
+    cached parsers; each call gives the exit code, messages and files of the
+    same call on a freshly built parser."""
     tail_cfg = write_config(tmp_path, tail_payload(), "tail.json")
     bias_cfg = write_config(tmp_path, BIAS, "bias.json")
 
@@ -305,6 +305,34 @@ def test_one_parser_serves_every_main_call(tmp_path, capsys):
     assert got == want
     assert files(shared) == files(fresh)
     assert {"tail/tail_T30.csv", "bias/result.json", "cal/calibration.json"} <= set(files(fresh))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["nosuch"], *[[name, "--help"] for name in _COMMANDS],
+    ["tail"], ["calibrate", "--train", "30"], ["tail", "--config", "c.json", "--bogus"],
+    ["bias", "--config", "c.json", "extra"], ["tail", "--config", "c.json", "--threads", "two"],
+    ["calibrate", "--result", "r", "--train", "3,x"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_parses_as_the_full_parser(argv, capsys):
+    """``main`` builds only the parser of the subcommand its call names
+    first. Help, usage and error output, and the exit code, are those of
+    the full parser."""
+    def parse(parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        return exc.value.code, *capsys.readouterr()
+
+    want = parse(_build_parser().parse_args)
+    assert want[0] in (0, 2)
+    assert parse(main) == want
+    if argv and argv[0] in _COMMANDS:
+        assert parse(_build_parser(argv[0]).parse_args) == want
+
+
+def test_a_one_command_parser_gives_the_full_parsers_namespace():
+    argv = ["tail", "--config", "c.json", "--seed", "4", "--out", "o"]
+    assert vars(_build_parser("tail").parse_args(argv)) == \
+        vars(_build_parser().parse_args(argv))
 
 
 FLOAT_STATE_TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)),

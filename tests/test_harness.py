@@ -1,6 +1,11 @@
+import dataclasses
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +19,7 @@ from tsustat.harness import (DEFAULT_BUDGET, BudgetError, ConfigError, Experimen
                              calibrate_from_tail, emit_outputs, estimate_scaling_budget,
                              estimate_tail_budget, file_text, run_experiment)
 from tsustat.hidim import ESTIMATOR_KINDS
-from tsustat.kernels import table_kernel
+from tsustat.kernels import _sign_pattern_values, table_kernel
 from tsustat.processes import SeriesPath, _rep_rng, block_replications
 from tsustat.ustat import u_statistic
 
@@ -186,8 +191,8 @@ CORRELATED = dict(COPULA, cross_correlation={"kind": "equicorrelation", "rho": 0
     ("mean", {"kind": "gaussian_copula_vector", "dimension": 1, "temporal_coefficient": 0.3}),
 ], ids=["spearman_sym", "sign_product", "mean-ar1", "mean-uniform"])
 def test_oracle_chunks_continue_one_stream(monkeypatch, kind, process):
-    """The oracle draws in chunks of at most BLOCK_VALUES values. Under a
-    budget of 300 draws a chunk, 1000 draws take three full chunks and a
+    """The oracle draws in chunks of at most BLOCK_VALUES / 8 values. Under
+    a budget of 300 draws a chunk, 1000 draws take three full chunks and a
     partial one, and (theta, se) equal one unchunked draw bit for bit."""
     kernel = {"kind": kind, "bound": 10.0} if kind == "mean" else {"kind": kind}
     cfg = ExperimentConfig.from_dict(tail_config(
@@ -202,7 +207,7 @@ def test_oracle_chunks_continue_one_stream(monkeypatch, kind, process):
         return _oracle_samples(cfg, rng, draws)
 
     values_per_draw = cfg.kernel.order * (cfg.process.dimension or 1)
-    monkeypatch.setattr(processes, "BLOCK_VALUES", 300 * values_per_draw)
+    monkeypatch.setattr(processes, "BLOCK_VALUES", 8 * 300 * values_per_draw)
     monkeypatch.setattr(harness, "_oracle_samples", counted)
     assert _estimate_theta(cfg) == want
     assert chunks == [300, 300, 300, 100]
@@ -211,7 +216,7 @@ def test_oracle_chunks_continue_one_stream(monkeypatch, kind, process):
 def test_the_copula_factor_is_read_from_the_parsed_spec(monkeypatch):
     """A correlated tail takes its factor from ``ProcessSpec.cross_factor``,
     set when the config is parsed. With ``correlation_factor`` made to raise
-    after that, and a value budget that cuts the oracle into 4 chunks and
+    after that, and a value budget that cuts the oracle into 28 chunks and
     the replications into 3 blocks, (theta, se) and every U value equal an
     unpatched run's bit for bit."""
     raw = tail_config(seed=5, process=CORRELATED, kernel={"kind": "spearman_sym"},
@@ -240,12 +245,63 @@ def test_the_copula_factor_is_read_from_the_parsed_spec(monkeypatch):
     def forbidden(R):
         raise AssertionError("the copula factor was recomputed")
     monkeypatch.setattr(processes, "correlation_factor", forbidden)
-    monkeypatch.setattr(processes, "BLOCK_VALUES", 300 * 3 * 2)  # 300 draws, 15 paths
+    # 1800 values: oracle chunks of 1800 // (8 * 3 * 2) = 37 draws, blocks of 15 paths
+    monkeypatch.setattr(processes, "BLOCK_VALUES", 1800)
     chunks, blocks = [], []
     got = run(chunks, blocks)
-    assert chunks == [300, 300, 300, 100] and [b.shape[1] for b in blocks] == [15, 15, 10]
+    assert chunks == [37] * 27 + [1] and [b.shape[1] for b in blocks] == [15, 15, 10]
     assert got[:2] == want[:2]
     np.testing.assert_array_equal(got[2], want[2])
+
+
+@pytest.mark.parametrize("kind,patterns", [("spearman_sym", 36), ("sign_product", 4)])
+def test_oracle_calls_fn_once_per_realized_pattern(kind, patterns):
+    """The sign-pattern table is filled on demand: a 100k-draw oracle on
+    continuous draws calls the kernel's scalar ``fn`` once for each strict
+    order pair it meets, at most 6 x 6 at order 3 and 2 x 2 at order 2, and
+    gives the same (theta, se) as the kernel's own table."""
+    cfg = ExperimentConfig.from_dict(tail_config(
+        seed=3, process=CORRELATED, kernel={"kind": kind},
+        theta={"mode": "mc", "draws": 100_000}))
+    want, fn, calls = _estimate_theta(cfg), cfg.kernel.fn, []
+
+    def spy(*points):
+        calls.append(points)
+        return fn(*points)
+    cfg.kernel = dataclasses.replace(cfg.kernel, fn=spy,
+                                     sample_fn=partial(_sign_pattern_values, spy))
+    assert _estimate_theta(cfg) == want
+    assert 0 < len(calls) <= patterns
+
+
+_ORACLE_RSS_PROBE = """
+import json, sys
+from tsustat.harness import ExperimentConfig, _estimate_theta
+
+def status_kib(field):  # this process's memory; ru_maxrss can carry the parent's peak
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(field + ":"))
+
+cfg = ExperimentConfig.from_dict(json.loads(sys.argv[1]))
+start = status_kib("VmRSS")
+_estimate_theta(cfg)
+print(status_kib("VmHWM") - start)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_default_oracle_peaks_at_its_values_plus_one_chunk():
+    """A default 10^6-draw ``spearman_sym`` oracle holds its 8 MiB of kernel
+    values, one 1 MiB chunk of draws at a time and no draws-sized
+    temporary: its peak RSS grows by less than 12 MiB in a fresh process
+    (about 9 MiB; 17 MiB with 8 MiB chunks and ``vals.std``)."""
+    raw = tail_config(kernel={"kind": "spearman_sym"}, theta={"mode": "mc"})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _ORACLE_RSS_PROBE, json.dumps(raw)],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert 0 < int(proc.stdout) < 12 * 1024
 
 
 MATCH_TABLE_FILE = "0 0 0.5\n0 1 -0.5\n1 0 -0.5\n1 1 0.5\n"

@@ -158,7 +158,9 @@ def test_rank_sample_fn_equals_fn_on_every_pattern(kernel, values):
     every draw whose coordinates take the given values: with {0, 1, 2} that
     is every pair of weak orders of the r points, one per coordinate. With
     infinities and NaN, a NaN difference is a tie (sign 0) in both; the old
-    ``np.sign`` formula gave NaN there."""
+    ``np.sign`` formula gave NaN there. The table starts empty, so each
+    pattern's cell is filled from the first batch that holds it."""
+    _sign_pattern_table.cache_clear()
     r = kernel.order
     draws = np.array(list(itertools.product(values, repeat=2 * r))).reshape(-1, r, 2)
     got = kernel.sample_fn(draws)
@@ -175,8 +177,14 @@ def test_rank_sample_fn_equals_fn_on_every_pattern(kernel, values):
 def test_sign_pattern_table_holds_nan_where_no_draw_reaches(kernel, patterns):
     """Per coordinate, floats realize 3 comparison patterns of 2 points and
     19 of 3 points: the 13 weak orders, and 6 more where a NaN ties with two
-    points that differ. Every other cell is NaN, so an index that strays
+    points that differ. Draws of every value in {0, 1, 2, NaN} fill each
+    realizable cell; every other cell stays NaN, so an index that strays
     there gives a NaN theta, which no output file accepts."""
+    _sign_pattern_table.cache_clear()
     table = _sign_pattern_table(kernel.fn, kernel.order)
     assert table.size == 3 ** (2 * math.comb(kernel.order, 2))
+    assert np.isnan(table).all()
+    values = (0.0, 1.0, 2.0, math.nan)
+    kernel.sample_fn(np.array(list(itertools.product(values, repeat=2 * kernel.order)))
+                     .reshape(-1, kernel.order, 2))
     assert np.count_nonzero(~np.isnan(table)) == patterns ** 2
