@@ -19,8 +19,7 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_CHECK = 4
 
-# subcommand -> experiment; each subcommand but ``bias`` is named after its experiment
-_SUBCOMMANDS = {("bias" if e == "bias-curve" else e): e for e in EXPERIMENTS}
+_SUBCOMMANDS = {entry[0]: e for e, entry in EXPERIMENTS.items()}  # subcommand -> experiment
 _COMMANDS = [*_SUBCOMMANDS, "calibrate"]
 
 

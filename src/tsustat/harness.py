@@ -10,13 +10,14 @@ by (seed, replication index), once, at the largest T of the grid, and every
 T is evaluated on a prefix of that path. Blocks are reduced in index order,
 so results are identical for any worker count.
 
-Every experiment runs through ``run_experiment``, which checks the work
-estimate ``RUNNERS`` holds against the budget before any work, then times
-the body beside it. Outputs, each formatted by ``file_text`` and written by
-``write_files``: ``config.json`` (exact input snapshot), ``result.json``
-with a ``data`` block (byte-stable across reruns) and a ``meta`` block (wall
-clock), plus plot-ready CSV files per experiment (``path.csv`` for
-``simulate``).
+Each experiment is one ``EXPERIMENTS`` entry: its CLI subcommand, config
+keys, body and work estimate. Every experiment runs through
+``run_experiment``, which checks the entry's work estimate against the
+budget before any work, then times the body. Outputs, each formatted by
+``file_text`` and written by ``write_files``: ``config.json`` (exact input
+snapshot), ``result.json`` with a ``data`` block (byte-stable across
+reruns) and a ``meta`` block (wall clock), plus plot-ready CSV files per
+experiment (``path.csv`` for ``simulate``).
 
 ``scaling`` measures how the worst entrywise deviation of a ``hidim``
 rank-correlation matrix from its population value scales against
@@ -58,6 +59,7 @@ from .ustat import (_u_table_path, chain_law_bias, check_chain_law_length,
                     spearman_rho3_batch, theta_independent)
 
 SCHEMA_VERSION = 1
+SCALING_REPLICATIONS = 10 ** 6  # scaling's cap on replications and key stride between p cells
 DEFAULT_BUDGET = 1e12
 RANK_KERNELS = ("sign_product", "spearman_sym")  # functions of the ranks of their points
 
@@ -82,10 +84,11 @@ def _read_json(path: str):
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
-def _require_keys(d: dict, allowed: set[str], required: set[str], where: str) -> None:
+def _require_keys(d: dict, where: str, required: set[str],
+                  optional: frozenset[str] | set[str] = frozenset()) -> None:
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be an object")
-    unknown = set(d) - allowed
+    unknown = set(d) - required - optional
     if unknown:
         raise ConfigError(f"unknown fields in {where}: {sorted(unknown)}")
     missing = required - set(d)
@@ -148,23 +151,23 @@ def parse_process(d: dict, seed: int) -> ProcessSpec:
         raise ConfigError("process must be an object with a 'kind'")
     kind = d["kind"]
     if kind == "iid":
-        _require_keys(d, {"kind"}, {"kind"}, "process")
+        _require_keys(d, "process", {"kind"})
         return ProcessSpec(kind="iid", seed=seed)
     if kind == "ar1":
-        _require_keys(d, {"kind", "coefficient"}, {"kind", "coefficient"}, "process")
+        _require_keys(d, "process", {"kind", "coefficient"})
         return ProcessSpec(kind="ar1", seed=seed,
                            ar_coefficient=read_field("process.coefficient", d["coefficient"]))
     if kind == "m_dependent":
-        _require_keys(d, {"kind", "window"}, {"kind", "window"}, "process")
+        _require_keys(d, "process", {"kind", "window"})
         return ProcessSpec(kind="m_dependent", seed=seed,
                            window=read_field("process.window", d["window"]))
     if kind == "markov_chain":
-        _require_keys(d, {"kind", "transition"}, {"kind", "transition"}, "process")
+        _require_keys(d, "process", {"kind", "transition"})
         chain = FiniteMarkovChain(np.array(read_field("process.transition", d["transition"])))
         return ProcessSpec(kind="markov_chain", seed=seed, chain=chain)
     if kind == "gaussian_copula_vector":
-        _require_keys(d, {"kind", "dimension", "temporal_coefficient", "cross_correlation"},
-                      {"kind", "dimension", "temporal_coefficient"}, "process")
+        _require_keys(d, "process", {"kind", "dimension", "temporal_coefficient"},
+                      {"cross_correlation"})
         p = read_field("process.dimension", d["dimension"])
         R = _parse_correlation(d.get("cross_correlation", {"kind": "identity"}), p)
         phi = read_field("process.temporal_coefficient", d["temporal_coefficient"])
@@ -178,14 +181,14 @@ def _parse_correlation(d: dict, p: int) -> np.ndarray:
         raise ConfigError("cross_correlation must be an object with a 'kind'")
     kind = d["kind"]
     if kind == "identity":
-        _require_keys(d, {"kind"}, {"kind"}, "cross_correlation")
+        _require_keys(d, "cross_correlation", {"kind"})
         return np.eye(p)
     if kind == "equicorrelation":
-        _require_keys(d, {"kind", "rho"}, {"kind", "rho"}, "cross_correlation")
+        _require_keys(d, "cross_correlation", {"kind", "rho"})
         rho = read_field("cross_correlation.rho", d["rho"])
         return np.full((p, p), rho) + (1.0 - rho) * np.eye(p)
     if kind == "explicit":
-        _require_keys(d, {"kind", "matrix"}, {"kind", "matrix"}, "cross_correlation")
+        _require_keys(d, "cross_correlation", {"kind", "matrix"})
         return np.array(read_field("cross_correlation.matrix", d["matrix"]))
     raise ConfigError(f"unknown cross_correlation kind '{kind}'")
 
@@ -195,17 +198,16 @@ def parse_kernel(d: dict) -> KernelSpec:
         raise ConfigError("kernel must be an object with a 'kind'")
     kind = d["kind"]
     if kind == "sign_product":
-        _require_keys(d, {"kind"}, {"kind"}, "kernel")
+        _require_keys(d, "kernel", {"kind"})
         return sign_product_kernel()
     if kind == "spearman_sym":
-        _require_keys(d, {"kind"}, {"kind"}, "kernel")
+        _require_keys(d, "kernel", {"kind"})
         return spearman_symmetric_kernel()
     if kind == "mean":
-        _require_keys(d, {"kind", "bound"}, {"kind"}, "kernel")
+        _require_keys(d, "kernel", {"kind"}, {"bound"})
         return mean_kernel(bound=read_field("kernel.bound", d["bound"]) if "bound" in d else 1.0)
     if kind == "table":
-        _require_keys(d, {"kind", "entries", "path", "order", "state_count"},
-                      {"kind", "order", "state_count"}, "kernel")
+        _require_keys(d, "kernel", {"kind", "order", "state_count"}, {"entries", "path"})
         order = read_field("kernel.order", d["order"])
         if order > 3:  # where the table U evaluator and the theta evaluators stop
             raise ConfigError(f"kernel.order must be <= 3, got {order}")
@@ -222,29 +224,9 @@ def parse_kernel(d: dict) -> KernelSpec:
     raise ConfigError(f"unknown kernel kind '{kind}'")
 
 
-_COMMON_KEYS = {"schema_version", "experiment", "seed", "out_dir", "budget", "threads"}
-_EXPERIMENT_KEYS: dict[str, tuple[set[str], set[str]]] = {
-    # experiment -> (extra allowed keys, extra required keys)
-    "simulate": ({"process", "length"}, {"process", "length"}),
-    "tail": ({"process", "kernel", "t_grid", "x_grid", "replications", "constants",
-              "theta"}, {"process", "kernel", "t_grid", "x_grid", "replications"}),
-    "scaling": ({"process", "t_grid", "p_grid", "replications", "estimator"},
-                {"process", "t_grid", "p_grid", "replications"}),
-    "bias-curve": ({"process", "kernel", "t_grid", "order"},
-                   {"process", "kernel", "t_grid", "order"}),
-    "decompose-check": ({"process", "kernel", "t_grid", "order", "replications"},
-                        {"process", "kernel", "t_grid", "order", "replications"}),
-    "mixing-profile": ({"process", "lags", "conditional"}, {"process", "lags"}),
-    "mgf-check": ({"summands", "distribution", "scale", "summand_sigma", "summand_kappa",
-                   "eta_points", "eta_max", "samples"},
-                  {"summands", "distribution", "eta_points", "samples"}),
-}
-EXPERIMENTS = tuple(_EXPERIMENT_KEYS)
-
-
 def _parse_constants(d: dict) -> BoundConstants:
     """Bound constants from a config's ``constants`` object; absent ones default to 1."""
-    _require_keys(d, set(BoundConstants().to_dict()), set(), "constants")
+    _require_keys(d, "constants", set(), set(BoundConstants().to_dict()))
     return BoundConstants(**{k: read_field(f"constants.{k}", v) for k, v in d.items()})
 
 
@@ -262,7 +244,7 @@ class ExperimentConfig:
     lags: list[int] = field(default_factory=list)
     replications: int = 0
     length: int = 0
-    order: int = 2
+    order: int | None = None  # bias-curve, decompose-check: if given, kernel.order
     estimator: str = "kendall"
     theta_mode: str = "auto"
     theta_draws: int = 1_000_000
@@ -286,11 +268,12 @@ class ExperimentConfig:
             raise ConfigError("config must be a JSON object")
         if raw.get("schema_version") != SCHEMA_VERSION:
             raise ConfigError(f"config schema_version must be {SCHEMA_VERSION}")
-        experiment = raw.get("experiment")
-        if experiment not in EXPERIMENTS:
-            raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
-        allowed, required = _EXPERIMENT_KEYS[experiment]
-        _require_keys(raw, _COMMON_KEYS | allowed, {"experiment", "seed"} | required, "config")
+        experiment, names = raw.get("experiment"), tuple(EXPERIMENTS)
+        if experiment not in names:  # not the dict: a list-valued experiment would not hash
+            raise ConfigError(f"experiment must be one of {names}")
+        _, required, optional, *_ = EXPERIMENTS[experiment]
+        _require_keys(raw, "config", {"schema_version", "experiment", "seed"} | required,
+                      {"out_dir", "budget", "threads"} | optional)
         cfg = cls(experiment=experiment, seed=0, raw=raw)  # the seed is read below
         # the one parse boundary: a field of the wrong type or value fails here
         try:
@@ -303,15 +286,14 @@ class ExperimentConfig:
                 cfg.kernel = parse_kernel(raw["kernel"])
             if "constants" in raw:
                 cfg.constants = _parse_constants(raw["constants"])
-            if "theta" in raw:
-                _require_keys(raw["theta"], {"mode", "draws"}, {"mode"}, "theta")
-                for key, value in raw["theta"].items():
-                    setattr(cfg, f"theta_{key}", read_field(f"theta.{key}", value))
-            if "conditional" in raw:
-                _require_keys(raw["conditional"], {"conditioning", "block_len"},
-                              {"conditioning", "block_len"}, "conditional")
-                for key, value in raw["conditional"].items():
-                    setattr(cfg, key, read_field(f"conditional.{key}", value))
+            # objects of plain fields: name, required and optional keys, attribute prefix
+            for name, required, optional, prefix in (
+                    ("theta", {"mode"}, {"draws"}, "theta_"),
+                    ("conditional", {"conditioning", "block_len"}, set(), "")):
+                if name in raw:
+                    _require_keys(raw[name], name, required, optional)
+                    for key, value in raw[name].items():
+                        setattr(cfg, prefix + key, read_field(f"{name}.{key}", value))
             cfg._check_inputs()
         except ConfigError:
             raise
@@ -338,7 +320,7 @@ class ExperimentConfig:
         if e in ("bias-curve", "decompose-check"):
             if not (chain and kernel.kind == "table"):
                 raise ConfigError(f"{e} needs a finite chain and a table kernel")
-            if self.order not in (2, 3) or self.order != kernel.order:
+            if kernel.order not in (2, 3) or self.order not in (None, kernel.order):
                 raise ConfigError(f"{e} order must be 2 or 3, the table kernel's order")
         if e == "mixing-profile":
             if not chain:
@@ -361,13 +343,15 @@ class ExperimentConfig:
             if self.estimator not in hidim.ESTIMATOR_KINDS:
                 raise ConfigError(f"estimator must be one of {hidim.ESTIMATOR_KINDS}")
             # the coordinates are drawn independent at every p
-            if not process.identity_correlation:
+            if process.cross_factor is not None:
                 raise ConfigError("scaling needs an identity cross_correlation")
             # rank-correlation matrices need three observations and two coordinates
             if min(self.t_grid) < 3 or min(self.p_grid) < 2:
                 raise ConfigError("scaling needs t_grid values >= 3 and p_grid values >= 2")
             if self.replications < 1:
                 raise ConfigError("scaling needs replications >= 1")
+            if self.replications > SCALING_REPLICATIONS:  # past it, p cells share streams
+                raise ConfigError(f"scaling needs replications <= {SCALING_REPLICATIONS}")
         if kernel is not None:
             # the tail bound's log factor needs T >= 2 as well
             low = max(kernel.order, 2)
@@ -474,7 +458,7 @@ def _exact_theta(cfg: ExperimentConfig) -> tuple[float, str] | None:
         if spec.kind == "markov_chain" and kernel.kind == "table":
             return theta_independent(spec.chain, kernel), "exact-chain"
         if (spec.kind == "gaussian_copula_vector" and kernel.kind == "sign_product"
-                and spec.identity_correlation):
+                and spec.cross_factor is None):
             # independent continuous coordinates: the sign product integrates to zero
             return 0.0, "exact-independent"
     return None
@@ -953,10 +937,10 @@ def _quartiles(values: np.ndarray) -> tuple[float, float, float]:
 
 def _run_scaling(cfg: ExperimentConfig) -> ScalingReport:
     """Max-norm deviations over the (T, p) grid, one job per p; replication
-    seeds are keyed by (seed, p-index * 10^6 + replication)."""
+    seeds are keyed by (seed, p-index * SCALING_REPLICATIONS + replication)."""
     t_grid, reps = cfg.t_grid, cfg.replications
     jobs = [(replace(cfg.process, dimension=p, cross_correlation=np.eye(p)),
-             t_grid, pi * 1_000_000, cfg.estimator) for pi, p in enumerate(cfg.p_grid)]
+             t_grid, pi * SCALING_REPLICATIONS, cfg.estimator) for pi, p in enumerate(cfg.p_grid)]
     dev_blocks = map_replication_blocks(_deviations_block, jobs, reps,
                                         [max(t_grid) * p for p in cfg.p_grid],
                                         threads=cfg.threads)
@@ -1006,23 +990,26 @@ def _run_simulate(cfg: ExperimentConfig) -> SimulatedPath:
     return SimulatedPath(generate(cfg.process, cfg.length))
 
 
-# experiment -> (body, work estimate checked against the budget before any work)
-RUNNERS: dict[str, tuple[Callable, Callable]] = {
-    "simulate": (_run_simulate, estimate_simulate_budget),
-    "tail": (_run_tail, estimate_tail_budget),
-    "scaling": (_run_scaling, estimate_scaling_budget),
-    "bias-curve": (_run_bias_curve, estimate_bias_budget),
-    "decompose-check": (_run_decompose_check, estimate_decompose_budget),
-    "mixing-profile": (_run_mixing_profile, estimate_mixing_budget),
-    "mgf-check": (_run_mgf_check, estimate_mgf_budget),
+# experiment -> (CLI subcommand, required config keys, optional config keys, body,
+# work estimate checked against the budget before any work); every config also
+# takes schema_version, experiment and seed, and may take out_dir, budget and threads
+EXPERIMENTS: dict[str, tuple[str, set[str], set[str], Callable, Callable]] = {
+    "simulate": ("simulate", {"process", "length"}, set(),
+                 _run_simulate, estimate_simulate_budget),
+    "tail": ("tail", {"process", "kernel", "t_grid", "x_grid", "replications"},
+             {"constants", "theta"}, _run_tail, estimate_tail_budget),
+    "scaling": ("scaling", {"process", "t_grid", "p_grid", "replications"}, {"estimator"},
+                _run_scaling, estimate_scaling_budget),
+    "bias-curve": ("bias", {"process", "kernel", "t_grid"}, {"order"},
+                   _run_bias_curve, estimate_bias_budget),
+    "decompose-check": ("decompose-check", {"process", "kernel", "t_grid", "replications"},
+                        {"order"}, _run_decompose_check, estimate_decompose_budget),
+    "mixing-profile": ("mixing-profile", {"process", "lags"}, {"conditional"},
+                       _run_mixing_profile, estimate_mixing_budget),
+    "mgf-check": ("mgf-check", {"summands", "distribution", "eta_points", "samples"},
+                  {"scale", "summand_sigma", "summand_kappa", "eta_max"},
+                  _run_mgf_check, estimate_mgf_budget),
 }
-
-
-def check_budget(cfg: ExperimentConfig) -> None:
-    """A BudgetError if the work estimate of ``cfg`` exceeds its budget."""
-    cost = RUNNERS[cfg.experiment][1](cfg)
-    if cost > cfg.budget:
-        raise BudgetError(f"estimated {cost:.3g} work units exceed budget {cfg.budget:.3g}")
 
 
 @dataclass
@@ -1036,10 +1023,14 @@ class ExperimentRun:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentRun:
-    """Run ``cfg`` through its ``RUNNERS`` body after the budget check."""
+    """Run ``cfg`` through its ``EXPERIMENTS`` body, or raise a BudgetError
+    before any work if the entry's work estimate exceeds the budget."""
     t0 = time.time()
-    check_budget(cfg)
-    result = RUNNERS[cfg.experiment][0](cfg)
+    *_, body, estimate = EXPERIMENTS[cfg.experiment]
+    cost = estimate(cfg)
+    if cost > cfg.budget:
+        raise BudgetError(f"estimated {cost:.3g} work units exceed budget {cfg.budget:.3g}")
+    result = body(cfg)
     return ExperimentRun(result=result, config=cfg.raw,
                          meta={"wall_seconds": time.time() - t0})
 

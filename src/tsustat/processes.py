@@ -138,11 +138,10 @@ def random_chain(s: int, rng: np.random.Generator, concentration: float = 1.0) -
 class ProcessSpec:
     """Declarative description of a stationary process plus its master seed.
 
-    ``identity_correlation`` and ``cross_factor`` are set, not passed: the
-    flag is True for a copula spec whose cross correlation is exactly the
-    identity (independent coordinates, no factor product needed); otherwise
-    the factor L with L L^T = R is computed once, here, and read by every
-    block and oracle chunk.
+    ``cross_factor`` is set, not passed: None for a copula spec whose cross
+    correlation is exactly the identity (independent coordinates, no factor
+    product needed); otherwise the factor L with L L^T = R, computed once,
+    here, and read by every block and oracle chunk.
     """
 
     kind: str
@@ -153,7 +152,6 @@ class ProcessSpec:
     dimension: int | None = None
     cross_correlation: np.ndarray | None = None
     temporal_coefficient: float | None = None
-    identity_correlation: bool = field(default=False, init=False, repr=False, compare=False)
     cross_factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -185,10 +183,9 @@ class ProcessSpec:
                 raise ValueError("cross correlation must be symmetric with unit diagonal")
             if np.min(np.linalg.eigvalsh(R)) < -1e-10:
                 raise ValueError("cross correlation must be positive semidefinite")
-            identity = bool(np.array_equal(R, np.eye(p)))
             object.__setattr__(self, "cross_correlation", R)
-            object.__setattr__(self, "identity_correlation", identity)
-            object.__setattr__(self, "cross_factor", None if identity else correlation_factor(R))
+            object.__setattr__(self, "cross_factor", None if np.array_equal(R, np.eye(p))
+                               else correlation_factor(R))
 
 
 @dataclass

@@ -8,7 +8,7 @@ import pytest
 
 import tsustat
 from tsustat import harness
-from tsustat.cli import _COMMANDS, _build_parser, main
+from tsustat.cli import _COMMANDS, _SUBCOMMANDS, _build_parser, main
 from tsustat.kernels import load_table_kernel
 from tsustat.harness import (ExperimentConfig, calibrate_from_tail, load_tail_result,
                              run_experiment)
@@ -346,6 +346,8 @@ STATES17 = {"kind": "markov_chain", "transition": [[1 / 17] * 17] * 17}
     ("scaling", dict(SCALING, t_grid=[2, 20]), "t_grid"),
     ("scaling", dict(SCALING, p_grid=[1, 3]), "p_grid"),
     ("scaling", dict(SCALING, replications=0), "replications"),
+    # past 10^6 replications, two p cells would read the same streams
+    ("scaling", dict(SCALING, replications=10 ** 6 + 1), "replications <= 1000000"),
     ("scaling", dict(SCALING, process=dict(COPULA, cross_correlation={
         "kind": "equicorrelation", "rho": 0.9})), "cross_correlation"),
     ("tail", tail_payload(process=CHAIN, t_grid=[30],
@@ -439,6 +441,7 @@ STATES17 = {"kind": "markov_chain", "transition": [[1 / 17] * 17] * 17}
     ("scaling", dict(SCALING, p_grid=[3, 3]), "p_grid must not repeat a value"),
     ("mixing-profile", dict(MIXING, lags=[1, 2, 1]), "lags must not repeat a value"),
 ], ids=["scaling-estimator", "scaling-t", "scaling-p", "scaling-replications",
+        "scaling-replications-past-stride",
         "scaling-cross-correlation", "table-path", "mgf-summands", "mgf-sigma",
         "conditional-state", "mixing-lag", "table-kernel-iid", "table-kernel-states",
         "rank-kernel-scalar", "rank-kernel-trivariate", "mean-kernel-chain",
@@ -582,6 +585,40 @@ def test_bias_runs_past_the_decomposition_cap(tmp_path, order):
     assert [row["T"] for row in rows] == [100, 2001, 10 ** 4, 10 ** 6]
     scaled = [row["bias"] * row["T"] for row in rows]
     assert scaled[-1] > 0 and abs(scaled[-2] - scaled[-1]) <= 1e-3 * scaled[-1]
+
+
+def test_order_defaults_to_the_table_kernels(tmp_path):
+    """The table kernel names its order, so ``bias`` and ``decompose-check``
+    run without a top-level ``order`` and write the data block of the same
+    config with the kernel's order."""
+    def data(command, payload, name):
+        out = tmp_path / name
+        assert main([command, "--config", write_config(tmp_path, payload, f"{name}.json"),
+                     "--out", str(out)]) == 0
+        return json.loads((out / "result.json").read_text())["data"]
+
+    for command, payload in (("bias", BIAS), ("decompose-check", DECOMPOSE)):
+        without = {key: value for key, value in payload.items() if key != "order"}
+        assert data(command, without, f"{command}-without") == data(command, payload, command)
+
+
+def test_experiment_table_is_consistent(tmp_path):
+    """Each ``EXPERIMENTS`` entry names keys ``from_dict`` reads, either a
+    ``_FIELDS`` name or a nested object it parses, each key once, and every
+    top-level field belongs to some experiment; each subcommand is a CLI
+    command, and ``tsustat bias`` runs ``bias-curve``."""
+    nested = {"process", "kernel", "constants", "theta", "conditional"}
+    common = {"seed", "out_dir", "budget", "threads"}
+    named = set()
+    for experiment, (command, required, optional, _, _) in harness.EXPERIMENTS.items():
+        assert not required & optional, experiment
+        assert required | optional <= set(harness._FIELDS) | nested, experiment
+        assert command in _COMMANDS and _SUBCOMMANDS[command] == experiment
+        named |= required | optional
+    assert {name for name in harness._FIELDS if "." not in name} <= named | common
+    out = tmp_path / "b"
+    assert main(["bias", "--config", write_config(tmp_path, BIAS), "--out", str(out)]) == 0
+    assert json.loads((out / "result.json").read_text())["data"]["experiment"] == "bias-curve"
 
 
 def test_order_3_decompose_check_runs_at_t_500(tmp_path):

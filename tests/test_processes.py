@@ -202,13 +202,12 @@ def test_identity_correlation_flag():
         return ProcessSpec(kind="gaussian_copula_vector", seed=0, dimension=2,
                            temporal_coefficient=0.5, cross_correlation=R)
 
-    assert copula(None).identity_correlation
-    assert copula(np.eye(2)).identity_correlation
-    assert not copula(np.array([[1.0, 1e-12], [1e-12, 1.0]])).identity_correlation
-    assert not ProcessSpec(kind="iid", seed=0).identity_correlation
+    # an exactly identity R needs no factor; any other R, however near, has one
+    assert copula(None).cross_factor is None and copula(np.eye(2)).cross_factor is None
+    assert copula(np.array([[1.0, 1e-12], [1e-12, 1.0]])).cross_factor is not None
+    assert ProcessSpec(kind="iid", seed=0).cross_factor is None
     with pytest.raises(ValueError):
         latent_batch(ProcessSpec(kind="ar1", seed=0, ar_coefficient=0.5), 10, 2)
-    assert copula(None).cross_factor is None and copula(np.eye(2)).cross_factor is None
     R = np.array([[1.0, 0.3], [0.3, 1.0]])
     np.testing.assert_array_equal(copula(R).cross_factor, correlation_factor(R))
 
