@@ -100,7 +100,7 @@ def main(argv=None) -> int:
         run = run_experiment(cfg)
         for written in emit_outputs(run, cfg.out_dir or "."):
             print(written)
-        if not getattr(run.result, "all_ok", True):
+        if not run.all_ok:
             raise CheckFailure(f"{cfg.experiment}: a property check failed")
         return EXIT_OK
     except ConfigError as exc:

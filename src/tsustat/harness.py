@@ -11,13 +11,18 @@ T is evaluated on a prefix of that path. Blocks are reduced in index order,
 so results are identical for any worker count.
 
 Each experiment is one ``EXPERIMENTS`` entry: its CLI subcommand, config
-keys, body and work estimate. Every experiment runs through
+keys, body and work estimate. A body returns plain data: the ``result.json``
+``data`` block and its plot-ready CSV tables, ``{name: (header, rows)}``
+(``path.csv`` for ``simulate``). Every experiment runs through
 ``run_experiment``, which checks the entry's work estimate against the
-budget before any work, then times the body. Outputs, each formatted by
-``file_text`` and written by ``write_files``: ``config.json`` (exact input
-snapshot), ``result.json`` with a ``data`` block (byte-stable across
-reruns) and a ``meta`` block (wall clock), plus plot-ready CSV files per
-experiment (``path.csv`` for ``simulate``).
+budget before any work, then times the body, and returns an
+``ExperimentRun``: data, tables, the config snapshot and a ``meta`` block
+(wall clock). ``all_ok`` holds when every ``*_ok`` flag of the data does.
+``emit_outputs`` writes a run, each file formatted by ``file_text`` and
+written by ``write_files``: ``config.json`` (exact input snapshot),
+``result.json`` (``data``, byte-stable across reruns, and ``meta``) and the
+CSVs. ``load_tail_result`` reads a written tail run back into the same
+shape, which ``calibrate_from_tail`` takes in memory or from disk.
 
 ``scaling`` measures how the worst entrywise deviation of a ``hidim``
 rank-correlation matrix from its population value scales against
@@ -51,7 +56,7 @@ from .kernels import (KernelSpec, load_table_kernel, mean_kernel, sign_product_k
                       spearman_symmetric_kernel, table_kernel)
 from .mixing import (ALPHA_MAX_STATES, MixingProfile, check_conditioning,
                      conditional_phi_coeff, mixing_profile)
-from .processes import (FiniteMarkovChain, ProcessSpec, SeriesPath, _rep_rng,
+from .processes import (FiniteMarkovChain, ProcessSpec, _rep_rng,
                         block_replications, generate, generate_batch,
                         latent_batch, map_replication_blocks, uniform_marginals)
 from .ustat import (_u_table_path, chain_law_bias, check_chain_law_length,
@@ -61,6 +66,7 @@ from .ustat import (_u_table_path, chain_law_bias, check_chain_law_length,
 SCHEMA_VERSION = 1
 SCALING_REPLICATIONS = 10 ** 6  # scaling's cap on replications and key stride between p cells
 DEFAULT_BUDGET = 1e12
+Tables = dict[str, tuple[list[str], list]]  # an experiment's CSVs: name -> (header, rows)
 RANK_KERNELS = ("sign_product", "spearman_sym")  # functions of the ranks of their points
 
 
@@ -213,6 +219,8 @@ def parse_kernel(d: dict) -> KernelSpec:
             raise ConfigError(f"kernel.order must be <= 3, got {order}")
         s = read_field("kernel.state_count", d["state_count"])
         if "path" in d:
+            if "entries" in d:
+                raise ConfigError("table kernel takes 'path' or 'entries', not both")
             return load_table_kernel(read_field("kernel.path", d["path"]), order, s)
         pairs = d.get("entries")
         if not isinstance(pairs, list) or any(not isinstance(p, list) or len(p) != 2
@@ -256,7 +264,7 @@ class ExperimentConfig:
     summand_sigma: float | None = None  # defaults to scale
     summand_kappa: float = 0.0
     eta_points: int = 0
-    eta_max: float | None = None
+    eta_max: float | None = None  # 0.99 / (summands * summand_kappa) if not given
     samples: int = 0
     budget: float = DEFAULT_BUDGET
     threads: int = 1
@@ -337,6 +345,30 @@ class ExperimentConfig:
                 raise ConfigError("distribution must be rademacher or uniform")
             if self.summand_sigma is None:  # defaults to scale, within the same bounds
                 self.summand_sigma = read_field("summand_sigma", self.scale)
+            per, combined = _mgf_params(self)
+            for name, value in (("summand_sigma", combined.sigma),
+                                ("summand_kappa", combined.kappa)):
+                if math.isinf(value):
+                    raise ConfigError(f"{name} * summands = {value} overflows a float")
+            # eta_max tops the eta grid, inside the envelope's domain 0 <= eta < 1 / kappa
+            if self.eta_max is None:
+                if combined.kappa == 0:
+                    raise ConfigError("eta_max is required when the combined kappa is zero")
+                self.eta_max = 0.99 / combined.kappa
+            elif self.eta_max <= 0 or self.eta_max >= min(per.eta_limit, combined.eta_limit):
+                raise ConfigError(f"eta_max must be > 0 and below 1 / (summands * "
+                                  f"summand_kappa), got {self.eta_max!r}")
+            # |sum| <= summands * |scale|, so this meets the empirical log-MGF's
+            # overflow guard before any draw; it also keeps each summand's cosh/sinh finite
+            reach = self.eta_max * self.summands * abs(self.scale)
+            if reach > 700.0:
+                raise ConfigError(f"eta_max * summands * |scale| = {reach:.4g} exceeds 700, "
+                                  "the log-MGF overflow guard")
+            # the combined envelope grows with eta and bounds the per-summand one
+            top = combined.sigma * self.eta_max
+            if not math.isfinite(top * top / (1.0 - combined.kappa * self.eta_max)):
+                raise ConfigError(f"the Bernstein envelope of summand_sigma and summand_kappa "
+                                  f"overflows at eta_max = {self.eta_max:.4g}")
         if e == "scaling":
             if process.kind != "gaussian_copula_vector":
                 raise ConfigError("scaling experiments use the Gaussian-copula vector process")
@@ -488,52 +520,16 @@ def _estimate_theta(cfg: ExperimentConfig) -> tuple[float, float, str]:
     return theta, se, "mc"
 
 
-@dataclass
-class TailCurve:
-    T: int
-    x: list[float]
-    counts: list[int]
-    empirical: list[float]
-    stderr: list[float]
-    bound: list[float]
+_CURVE_KEYS = {"T", "x", "counts", "empirical", "stderr", "bound"}  # of a tail curve
 
 
-@dataclass
-class TailExperiment:
-    theta: float
-    theta_se: float
-    theta_mode: str
-    replications: int
-    kernel_bound: float
-    curves: list[TailCurve]
-    constants: BoundConstants  # the ones the bound curves were computed with
-
-    def data_dict(self) -> dict:
-        return {
-            "experiment": "tail",
-            "theta": self.theta,
-            "theta_se": self.theta_se,
-            "theta_mode": self.theta_mode,
-            "replications": self.replications,
-            "kernel_bound": self.kernel_bound,
-            "curves": [vars(c) for c in self.curves],
-        }
-
-    def csv_tables(self) -> dict[str, tuple[list[str], list]]:
-        # a dry run has no empirical or stderr values: those cells stay empty
-        return {f"tail_T{c.T}.csv": (["x", "empirical", "stderr", "bound"],
-                                     list(zip_longest(c.x, c.empirical, c.stderr, c.bound)))
-                for c in self.curves}
-
-    def tail_points(self, t_values: Sequence[int] | None = None) -> list[TailPoint]:
-        chosen = set(t_values) if t_values is not None else None
-        pts = []
-        for c in self.curves:
-            if chosen is not None and c.T not in chosen:
-                continue
-            for x, p in zip(c.x, c.empirical):
-                pts.append(TailPoint(x=x, T=c.T, M=self.kernel_bound, probability=p))
-        return pts
+def _tail_tables(curves: list[dict]) -> Tables:
+    """The ``tail_T<T>.csv`` table of each curve; a dry run has no empirical
+    or stderr values, so those cells stay empty."""
+    return {f"tail_T{c['T']}.csv": (["x", "empirical", "stderr", "bound"],
+                                   list(zip_longest(c["x"], c["empirical"], c["stderr"],
+                                                    c["bound"])))
+            for c in curves}
 
 
 def _path_values(cfg: ExperimentConfig) -> int:
@@ -549,7 +545,7 @@ def estimate_tail_budget(cfg: ExperimentConfig) -> float:
     return draws + cfg.replications * math.fsum(_path_cost(cfg.kernel, T) for T in cfg.t_grid)
 
 
-def _run_tail(cfg: ExperimentConfig) -> TailExperiment:
+def _run_tail(cfg: ExperimentConfig) -> tuple[dict, Tables]:
     theta, theta_se, mode = _estimate_theta(cfg)
     if mode == "mc" and len(cfg.x_grid) > 1:
         min_step = min(b - a for a, b in zip(sorted(cfg.x_grid), sorted(cfg.x_grid)[1:]))
@@ -567,52 +563,58 @@ def _run_tail(cfg: ExperimentConfig) -> TailExperiment:
     for i, T in enumerate(cfg.t_grid):
         xs = list(cfg.x_grid)
         offset = bias_offset(T, M, cc.c4)
-        bound_vals = [ustat_tail_bound(max(x - offset, 0.0), T, M, cc.c5) for x in xs]
-        if cfg.replications == 0:
-            curves.append(TailCurve(T=T, x=xs, counts=[0] * len(xs), empirical=[],
-                                    stderr=[], bound=bound_vals))
+        curve = {"T": T, "x": xs, "counts": [0] * len(xs), "empirical": [], "stderr": [],
+                 "bound": [ustat_tail_bound(max(x - offset, 0.0), T, M, cc.c5) for x in xs]}
+        curves.append(curve)
+        if cfg.replications == 0:  # a dry run: the bound curves alone
             continue
-        u_vals = np.concatenate([block[i] for block in u_blocks])
-        dev = np.abs(u_vals - theta)
-        counts = [int((dev >= x).sum()) for x in xs]
+        dev = np.abs(np.concatenate([block[i] for block in u_blocks]) - theta)
         n = cfg.replications
-        emp = [c / n for c in counts]
-        se = [math.sqrt(p * (1.0 - p) / n) for p in emp]
-        curves.append(TailCurve(T=T, x=xs, counts=counts, empirical=emp,
-                                stderr=se, bound=bound_vals))
-    return TailExperiment(theta=theta, theta_se=theta_se, theta_mode=mode,
-                          replications=cfg.replications, kernel_bound=M, curves=curves,
-                          constants=cc)
+        curve["counts"] = [int((dev >= x).sum()) for x in xs]
+        curve["empirical"] = [c / n for c in curve["counts"]]
+        curve["stderr"] = [math.sqrt(p * (1.0 - p) / n) for p in curve["empirical"]]
+    return ({"experiment": "tail", "theta": theta, "theta_se": theta_se, "theta_mode": mode,
+             "replications": cfg.replications, "kernel_bound": M, "curves": curves},
+            _tail_tables(curves))
 
 
-def calibrate_from_tail(exp: TailExperiment, train_t: Sequence[int],
+def calibrate_from_tail(run: ExperimentRun, train_t: Sequence[int],
                         c4: float | None = None) -> CalibrationResult:
-    """Calibrate bound constants on the curves of the training T values,
-    starting from the run's constants; ``c4`` defaults to the run's c4."""
-    pts = exp.tail_points(train_t)
+    """Calibrate bound constants on the tail curves of ``run`` at the training
+    T values, starting from the constants of its config; ``c4`` defaults to
+    the config's c4."""
+    base = _parse_constants(run.config.get("constants", {}))
+    M, chosen = run.data["kernel_bound"], set(train_t)
+    pts = [TailPoint(x=x, T=c["T"], M=M, probability=p)
+           for c in run.data["curves"] if c["T"] in chosen
+           for x, p in zip(c["x"], c["empirical"])]
     if not pts:
         raise ConfigError(f"no tail curves at T in {sorted(train_t)}")
     try:
-        return calibrate_constants(pts, c4=exp.constants.c4 if c4 is None else c4,
-                                   base=exp.constants)
+        return calibrate_constants(pts, c4=base.c4 if c4 is None else c4, base=base)
     except ValueError as exc:
         raise ConfigError(f"cannot calibrate: {exc}") from exc
 
 
-def load_tail_result(result_dir: str) -> TailExperiment:
-    """The tail experiment ``emit_outputs`` wrote to ``result_dir``, with the
-    bound constants from its ``config.json``."""
+def load_tail_result(result_dir: str) -> ExperimentRun:
+    """The tail run ``emit_outputs`` wrote to ``result_dir``: the data block
+    and meta of its ``result.json``, its ``config.json`` and its curves' CSV
+    tables. A run ``calibrate_from_tail`` cannot read is a ConfigError that
+    names the directory."""
     payload = _read_json(os.path.join(result_dir, "result.json"))
     config = _read_json(os.path.join(result_dir, "config.json"))
     try:
         data = payload["data"]
         if data["experiment"] != "tail":
             raise ConfigError("calibrate needs the result of a tail experiment")
-        return TailExperiment(
-            theta=data["theta"], theta_se=data["theta_se"], theta_mode=data["theta_mode"],
-            replications=data["replications"], kernel_bound=data["kernel_bound"],
-            curves=[TailCurve(**c) for c in data["curves"]],
-            constants=_parse_constants(config.get("constants", {})))
+        for key in ("theta", "theta_se", "theta_mode", "replications", "kernel_bound"):
+            data[key]  # a tail data block has each; a KeyError names the one missing
+        for i, curve in enumerate(data["curves"]):
+            if not isinstance(curve, dict) or set(curve) != _CURVE_KEYS:
+                raise ValueError(f"curve {i} needs exactly the keys {sorted(_CURVE_KEYS)}")
+        _parse_constants(config.get("constants", {}))  # here, not first at calibration
+        return ExperimentRun(data=data, tables=_tail_tables(data["curves"]), config=config,
+                             meta=payload.get("meta", {}))
     except ConfigError:
         raise
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
@@ -622,19 +624,6 @@ def load_tail_result(result_dir: str) -> TailExperiment:
 # ---------------------------------------------------------------------------
 # bias curve
 # ---------------------------------------------------------------------------
-
-@dataclass
-class BiasReport:
-    rows: list[dict]  # T, bias, sqrt_t_scaled
-    loglog_slope: float | None
-
-    def data_dict(self) -> dict:
-        return {"experiment": "bias-curve", **asdict(self)}
-
-    def csv_tables(self) -> dict[str, tuple[list[str], list]]:
-        header = ["T", "bias", "sqrt_t_scaled"]
-        return {"bias.csv": (header, [[row[k] for k in header] for row in self.rows])}
-
 
 def estimate_bias_budget(cfg: ExperimentConfig) -> float:
     """Work units of the bias run: per T, the multiply-adds of the block
@@ -656,39 +645,20 @@ def _loglog_slope(points) -> float | None:
     return float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])
 
 
-def _run_bias_curve(cfg: ExperimentConfig) -> BiasReport:
+def _run_bias_curve(cfg: ExperimentConfig) -> tuple[dict, Tables]:
     rows = []
     for T in cfg.t_grid:
         bias = abs(chain_law_bias(cfg.process.chain, cfg.kernel, T))
-        rows.append({"T": T, "bias": bias, "sqrt_t_scaled": bias * math.sqrt(T)})
-    return BiasReport(rows=rows,
-                      loglog_slope=_loglog_slope((r["T"], r["sqrt_t_scaled"]) for r in rows))
+        rows.append([T, bias, bias * math.sqrt(T)])
+    header = ["T", "bias", "sqrt_t_scaled"]
+    return ({"experiment": "bias-curve", "rows": [dict(zip(header, row)) for row in rows],
+             "loglog_slope": _loglog_slope((T, scaled) for T, _, scaled in rows)},
+            {"bias.csv": (header, rows)})
 
 
 # ---------------------------------------------------------------------------
 # decomposition check
 # ---------------------------------------------------------------------------
-
-@dataclass
-class DecomposeCheckReport:
-    replications: int
-    max_residual: float
-    max_b_ratio: float
-    conditional_mean_dev: float
-    residual_ok: bool
-    p1_ok: bool
-    p2_ok: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.residual_ok and self.p1_ok and self.p2_ok
-
-    def data_dict(self) -> dict:
-        return {"experiment": "decompose-check", **asdict(self)}
-
-    def csv_tables(self) -> dict[str, tuple[list[str], list]]:
-        return {}
-
 
 def estimate_decompose_budget(cfg: ExperimentConfig) -> float:
     """Work units of the decompose-check run: per path and T, the T^2 S^(r-2)
@@ -711,7 +681,7 @@ def _decompose_block(args, start: int, count: int) -> np.ndarray:
                      for T in t_grid]).reshape(len(t_grid), count, 2)
 
 
-def _run_decompose_check(cfg: ExperimentConfig) -> DecomposeCheckReport:
+def _run_decompose_check(cfg: ExperimentConfig) -> tuple[dict, Tables]:
     chain = cfg.process.chain
     [blocks] = map_replication_blocks(_decompose_block,
                                       [(cfg.process, cfg.t_grid, cfg.kernel)],
@@ -722,30 +692,15 @@ def _run_decompose_check(cfg: ExperimentConfig) -> DecomposeCheckReport:
     # every shorter T's gap tables are gap prefixes of the largest T's
     p1_dev = check_zero_conditional_means(chain, cfg.kernel, max(cfg.t_grid))
     tol = 1e-10 * cfg.kernel.bound  # residuals and deviations scale with the kernel
-    return DecomposeCheckReport(
-        replications=cfg.replications,
-        max_residual=max_residual, max_b_ratio=max_ratio, conditional_mean_dev=p1_dev,
-        residual_ok=max_residual <= tol, p1_ok=p1_dev <= tol,
-        p2_ok=max_ratio <= 1.0 + 1e-12,
-    )
+    return {"experiment": "decompose-check", "replications": cfg.replications,
+            "max_residual": max_residual, "max_b_ratio": max_ratio,
+            "conditional_mean_dev": p1_dev, "residual_ok": max_residual <= tol,
+            "p1_ok": p1_dev <= tol, "p2_ok": max_ratio <= 1.0 + 1e-12}, {}
 
 
 # ---------------------------------------------------------------------------
 # mixing profile
 # ---------------------------------------------------------------------------
-
-@dataclass
-class MixingProfileResult:
-    profiles: dict[str, MixingProfile]
-
-    def data_dict(self) -> dict:
-        return {"experiment": "mixing-profile",
-                "profiles": {k: asdict(v) for k, v in self.profiles.items()}}
-
-    def csv_tables(self) -> dict[str, tuple[list[str], list]]:
-        return {f"mixing_{kind}.csv": (["lag", "value"], list(zip(prof.lags, prof.values)))
-                for kind, prof in self.profiles.items()}
-
 
 def estimate_mixing_budget(cfg: ExperimentConfig) -> float:
     """Work units of the mixing-profile run: per lag, the 2^S state subsets
@@ -753,43 +708,24 @@ def estimate_mixing_budget(cfg: ExperimentConfig) -> float:
     return len(cfg.lags) * 2.0 ** cfg.process.chain.state_count
 
 
-def _run_mixing_profile(cfg: ExperimentConfig) -> MixingProfileResult:
+def _run_mixing_profile(cfg: ExperimentConfig) -> tuple[dict, Tables]:
     chain = cfg.process.chain
-    profiles = {}
-    for kind in ("alpha", "beta", "phi"):
-        profiles[kind] = mixing_profile(chain, kind, cfg.lags)
+    profiles = {kind: mixing_profile(chain, kind, cfg.lags) for kind in ("alpha", "beta", "phi")}
     if cfg.conditioning is not None:
         values = [conditional_phi_coeff(chain, cfg.conditioning, cfg.block_len, n)
                   for n in cfg.lags]
         profiles["conditional_phi"] = MixingProfile(
             kind="conditional_phi", lags=list(cfg.lags), values=values,
             conditioning=cfg.conditioning)
-    return MixingProfileResult(profiles=profiles)
+    return ({"experiment": "mixing-profile",
+             "profiles": {kind: asdict(prof) for kind, prof in profiles.items()}},
+            {f"mixing_{kind}.csv": (["lag", "value"], list(zip(prof.lags, prof.values)))
+             for kind, prof in profiles.items()})
 
 
 # ---------------------------------------------------------------------------
 # log-MGF dominance check
 # ---------------------------------------------------------------------------
-
-@dataclass
-class MgfCheckReport:
-    eta: list[float]
-    empirical: list[float]
-    envelope: list[float]
-    per_summand_ok: bool
-    dominance_ok: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.per_summand_ok and self.dominance_ok
-
-    def data_dict(self) -> dict:
-        return {"experiment": "mgf-check", **asdict(self)}
-
-    def csv_tables(self) -> dict[str, tuple[list[str], list]]:
-        return {"mgf.csv": (["eta", "empirical", "envelope"],
-                            list(zip(self.eta, self.empirical, self.envelope)))}
-
 
 def _summand_log_mgf(distribution: str, scale: float, eta: float) -> float:
     """Closed-form log-MGF of one centered bounded summand."""
@@ -805,34 +741,16 @@ def estimate_mgf_budget(cfg: ExperimentConfig) -> float:
     return float(cfg.samples) * (cfg.summands + cfg.eta_points)
 
 
-def _run_mgf_check(cfg: ExperimentConfig) -> MgfCheckReport:
-    dist, n, scale, points = cfg.distribution, cfg.summands, cfg.scale, cfg.eta_points
+def _mgf_params(cfg: ExperimentConfig) -> tuple[BernsteinParams, BernsteinParams]:
+    """The Bernstein parameters of one summand and of the sum of ``summands``."""
     per = BernsteinParams(cfg.summand_sigma, cfg.summand_kappa)
-    combined = BernsteinParams(n * per.sigma, n * per.kappa)  # the sum of n copies
-    for name, value in (("summand_sigma", combined.sigma), ("summand_kappa", combined.kappa)):
-        if math.isinf(value):
-            raise ConfigError(f"{name} * summands = {value} overflows a float")
-    # the envelope's domain is 0 <= eta < 1 / kappa; eta_max tops the grid
-    eta_max = cfg.eta_max
-    if eta_max is None:
-        if combined.kappa == 0:
-            raise ConfigError("eta_max is required when the combined kappa is zero")
-        eta_max = 0.99 / combined.kappa
-    elif eta_max <= 0 or eta_max >= min(per.eta_limit, combined.eta_limit):
-        raise ConfigError(f"eta_max must be > 0 and below 1 / (summands * summand_kappa), "
-                          f"got {eta_max!r}")
-    # |sum| <= summands * |scale|, so this meets the empirical log-MGF's overflow
-    # guard before any draw; it also keeps each summand's cosh/sinh finite
-    reach = eta_max * n * abs(scale)
-    if reach > 700.0:
-        raise ConfigError(f"eta_max * summands * |scale| = {reach:.4g} exceeds 700, "
-                          "the log-MGF overflow guard")
-    # the combined envelope grows with eta and bounds the per-summand one
-    top = combined.sigma * eta_max
-    if not math.isfinite(top * top / (1.0 - combined.kappa * eta_max)):
-        raise ConfigError(f"the Bernstein envelope of summand_sigma and summand_kappa "
-                          f"overflows at eta_max = {eta_max:.4g}")
-    etas = [min(eta_max * (i + 1) / points, eta_max) for i in range(points)]
+    return per, BernsteinParams(cfg.summands * per.sigma, cfg.summands * per.kappa)
+
+
+def _run_mgf_check(cfg: ExperimentConfig) -> tuple[dict, Tables]:
+    dist, n, scale, eta_max = cfg.distribution, cfg.summands, cfg.scale, cfg.eta_max
+    per, combined = _mgf_params(cfg)
+    etas = [min(eta_max * (i + 1) / cfg.eta_points, eta_max) for i in range(cfg.eta_points)]
 
     per_ok = all(_summand_log_mgf(dist, scale, e) <= bernstein_envelope(per, e) + 1e-12
                  for e in etas)
@@ -845,42 +763,14 @@ def _run_mgf_check(cfg: ExperimentConfig) -> MgfCheckReport:
     empirical = [empirical_log_mgf(sums, e) for e in etas]
     envelope = [bernstein_envelope(combined, e) for e in etas]
     dominance = all(emp <= env + 1e-12 for emp, env in zip(empirical, envelope))
-    return MgfCheckReport(eta=etas, empirical=empirical, envelope=envelope,
-                          per_summand_ok=per_ok, dominance_ok=dominance)
+    return ({"experiment": "mgf-check", "eta": etas, "empirical": empirical,
+             "envelope": envelope, "per_summand_ok": per_ok, "dominance_ok": dominance},
+            {"mgf.csv": (["eta", "empirical", "envelope"], list(zip(etas, empirical, envelope)))})
 
 
 # ---------------------------------------------------------------------------
 # scaling
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ScalingCell:
-    T: int
-    p: int
-    replications: int
-    median_deviation: float
-    q25: float
-    q75: float
-    ratio_to_rate: float  # median / sqrt(log(Tp) / T)
-    slope_defined: bool = True
-
-
-@dataclass
-class ScalingReport:
-    kind: str
-    cells: list[ScalingCell]
-    slopes_by_p: dict[int, float | None]
-
-    def data_dict(self) -> dict:
-        return {"experiment": "scaling",
-                "report": {"kind": self.kind, "cells": [vars(c) for c in self.cells],
-                           "slopes_by_p": {str(k): v for k, v in self.slopes_by_p.items()}}}
-
-    def csv_tables(self) -> dict[str, tuple[list[str], list]]:
-        return {"scaling.csv": (["T", "p", "median_dev", "ratio_to_rate"],
-                                [(c.T, c.p, c.median_deviation, c.ratio_to_rate)
-                                 for c in self.cells])}
-
 
 def estimate_scaling_budget(cfg: ExperimentConfig) -> float:
     """Work units of the scaling run: per replication and (T, p) cell, T log2 T
@@ -935,7 +825,7 @@ def _quartiles(values: np.ndarray) -> tuple[float, float, float]:
     return linear(0.25), median, linear(0.75)
 
 
-def _run_scaling(cfg: ExperimentConfig) -> ScalingReport:
+def _run_scaling(cfg: ExperimentConfig) -> tuple[dict, Tables]:
     """Max-norm deviations over the (T, p) grid, one job per p; replication
     seeds are keyed by (seed, p-index * SCALING_REPLICATIONS + replication)."""
     t_grid, reps = cfg.t_grid, cfg.replications
@@ -945,54 +835,48 @@ def _run_scaling(cfg: ExperimentConfig) -> ScalingReport:
                                         [max(t_grid) * p for p in cfg.p_grid],
                                         threads=cfg.threads)
     cells = []
-    slopes: dict[int, float | None] = {}
+    slopes: dict[str, float | None] = {}  # keyed by str(p), as JSON writes it
     for p, blocks in zip(cfg.p_grid, dev_blocks):
         medians = []
         for i, T in enumerate(t_grid):
             q25, med, q75 = _quartiles(np.concatenate([block[i] for block in blocks]))
-            cells.append(ScalingCell(
-                T=T, p=p, replications=reps, median_deviation=med, q25=q25, q75=q75,
-                ratio_to_rate=med / math.sqrt(math.log(T * p) / T),
-                slope_defined=reps > 1 and len(t_grid) > 1))
+            cells.append({"T": T, "p": p, "replications": reps, "median_deviation": med,
+                          "q25": q25, "q75": q75,
+                          "ratio_to_rate": med / math.sqrt(math.log(T * p) / T),
+                          "slope_defined": reps > 1 and len(t_grid) > 1})
             medians.append((T, med))
-        slopes[p] = _loglog_slope(medians) if reps > 1 else None
-    return ScalingReport(kind=cfg.estimator, cells=cells, slopes_by_p=slopes)
+        slopes[str(p)] = _loglog_slope(medians) if reps > 1 else None
+    return ({"experiment": "scaling",
+             "report": {"kind": cfg.estimator, "cells": cells, "slopes_by_p": slopes}},
+            {"scaling.csv": (["T", "p", "median_dev", "ratio_to_rate"],
+                             [(c["T"], c["p"], c["median_deviation"], c["ratio_to_rate"])
+                              for c in cells])})
 
 
 # ---------------------------------------------------------------------------
 # simulate, the one runner and output emission
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SimulatedPath:
-    path: SeriesPath
-
-    def data_dict(self) -> dict:
-        return {"experiment": "simulate", "length": self.path.length,
-                "dimension": self.path.dimension}
-
-    def csv_tables(self) -> dict[str, tuple[list[str], list]]:
-        path = self.path
-        if path.states is not None:
-            header, rows = ["t", "state"], path.states[:, None].tolist()
-        else:
-            header = ["t"] + [f"x{j + 1}" for j in range(path.dimension)]
-            rows = path.values.tolist()
-        return {"path.csv": (header, [(t, *row) for t, row in enumerate(rows)])}
-
-
 def estimate_simulate_budget(cfg: ExperimentConfig) -> float:
     """Work units of the simulate run: the values of its one path."""
     return float(cfg.length) * (cfg.process.dimension or 1)
 
 
-def _run_simulate(cfg: ExperimentConfig) -> SimulatedPath:
-    return SimulatedPath(generate(cfg.process, cfg.length))
+def _run_simulate(cfg: ExperimentConfig) -> tuple[dict, Tables]:
+    path = generate(cfg.process, cfg.length)
+    if path.states is not None:
+        header, rows = ["t", "state"], path.states[:, None].tolist()
+    else:
+        header = ["t"] + [f"x{j + 1}" for j in range(path.dimension)]
+        rows = path.values.tolist()
+    return ({"experiment": "simulate", "length": path.length, "dimension": path.dimension},
+            {"path.csv": (header, [(t, *row) for t, row in enumerate(rows)])})
 
 
-# experiment -> (CLI subcommand, required config keys, optional config keys, body,
-# work estimate checked against the budget before any work); every config also
-# takes schema_version, experiment and seed, and may take out_dir, budget and threads
+# experiment -> (CLI subcommand, required config keys, optional config keys, body
+# returning the result.json data block and the CSV tables, work estimate checked
+# against the budget before any work); every config also takes schema_version,
+# experiment and seed, and may take out_dir, budget and threads
 EXPERIMENTS: dict[str, tuple[str, set[str], set[str], Callable, Callable]] = {
     "simulate": ("simulate", {"process", "length"}, set(),
                  _run_simulate, estimate_simulate_budget),
@@ -1014,12 +898,18 @@ EXPERIMENTS: dict[str, tuple[str, set[str], set[str], Callable, Callable]] = {
 
 @dataclass
 class ExperimentRun:
-    """An experiment's result, with the config snapshot and the run metadata
-    ``emit_outputs`` writes beside it."""
+    """A run as ``emit_outputs`` writes it: the ``result.json`` data block and
+    meta, the CSV tables and the config snapshot."""
 
-    result: object  # has data_dict() and csv_tables(); check results also all_ok
+    data: dict
+    tables: Tables  # CSV file name -> (header, rows)
     config: dict
     meta: dict
+
+    @property
+    def all_ok(self) -> bool:
+        """Whether every ``*_ok`` property check of the data block held."""
+        return all(value for key, value in self.data.items() if key.endswith("_ok"))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentRun:
@@ -1030,9 +920,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRun:
     cost = estimate(cfg)
     if cost > cfg.budget:
         raise BudgetError(f"estimated {cost:.3g} work units exceed budget {cfg.budget:.3g}")
-    result = body(cfg)
-    return ExperimentRun(result=result, config=cfg.raw,
-                         meta={"wall_seconds": time.time() - t0})
+    data, tables = body(cfg)
+    return ExperimentRun(data, tables, config=cfg.raw, meta={"wall_seconds": time.time() - t0})
 
 
 def _csv_cell(value) -> str:
@@ -1077,6 +966,5 @@ def write_files(out_dir: str, files: dict[str, object]) -> list[str]:
 def emit_outputs(run: ExperimentRun, out_dir: str) -> list[str]:
     """Write config.json, result.json, and per-figure CSVs; the paths written."""
     return write_files(out_dir, {"config.json": run.config,
-                                 "result.json": {"meta": run.meta,
-                                                 "data": run.result.data_dict()},
-                                 **run.result.csv_tables()})
+                                 "result.json": {"meta": run.meta, "data": run.data},
+                                 **run.tables})

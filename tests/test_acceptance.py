@@ -248,13 +248,13 @@ def test_08_tail_dominance_held_out():
         "x_grid": [round(0.035 * j, 6) for j in range(1, 11)],
         "replications": 10_000,
     })
-    exp = run_experiment(cfg).result
-    cal = calibrate_from_tail(exp, train_t=[250, 500], c4=1.0)
+    run = run_experiment(cfg)
+    cal = calibrate_from_tail(run, train_t=[250, 500], c4=1.0)
     assert not cal.capped
-    held_out = [c for c in exp.curves if c.T == 2000][0]
-    M = exp.kernel_bound
+    held_out = [c for c in run.data["curves"] if c["T"] == 2000][0]
+    M = run.data["kernel_bound"]
     offset = bias_offset(2000, M, cal.constants.c4)
-    for x, p, se in zip(held_out.x, held_out.empirical, held_out.stderr):
+    for x, p, se in zip(held_out["x"], held_out["empirical"], held_out["stderr"]):
         bound = ustat_tail_bound(max(x - offset, 0.0), 2000, M, cal.constants.c5)
         assert bound >= p - 3.0 * se, (x, p, se, bound)
     report("08 tail-dominance-held-out",
@@ -295,8 +295,8 @@ def test_10_maxnorm_scaling_band():
     rep = run_experiment(ExperimentConfig.from_dict({
         "schema_version": 1, "experiment": "scaling", "seed": 424242, "process": process,
         "t_grid": [500, 1000, 2000], "p_grid": [10, 20, 40], "replications": 200,
-        "estimator": "kendall"})).result
-    ratios = [c.ratio_to_rate for c in rep.cells]
+        "estimator": "kendall"})).data["report"]
+    ratios = [c["ratio_to_rate"] for c in rep["cells"]]
     band = max(ratios) / min(ratios)
     elapsed = time.time() - start
     assert band < 1.5, ratios

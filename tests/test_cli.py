@@ -159,9 +159,9 @@ def test_calibrate_uses_the_run_constants(tmp_path):
                  "--out", str(out)]) == 0
     assert main(["calibrate", "--result", str(out), "--train", "30,60"]) == 0
     cli = json.loads((out / "calibration.json").read_text())
-    exp = run_experiment(ExperimentConfig.from_dict(payload)).result
-    assert load_tail_result(str(out)).data_dict() == exp.data_dict()
-    api = calibrate_from_tail(exp, train_t=[30, 60])
+    run = run_experiment(ExperimentConfig.from_dict(payload))
+    assert load_tail_result(str(out)).data == run.data
+    api = calibrate_from_tail(run, train_t=[30, 60])
     assert cli["constants"] == api.constants.to_dict()
     assert cli["constants"]["c4"] == 0.5 and cli["constants"]["c0"] == 3
     assert cli == api.to_dict()
@@ -185,12 +185,24 @@ def test_calibrate_rejects_non_integer_train(tmp_path):
     (tail_payload(x_grid=[0.05, 0.1]), "30,60"),  # 4 points, calibration needs 5
     (tail_payload(), "30"),                        # a single T
 ])
-def test_calibrate_errors_exit_2(tmp_path, payload, train):
+def test_calibrate_errors_exit_2(tmp_path, capsys, payload, train):
     out = tmp_path / "tail"
     assert main(["tail", "--config", write_config(tmp_path, payload),
                  "--out", str(out)]) == 0
     assert main(["calibrate", "--result", str(out), "--train", train]) == 2
     assert main(["calibrate", "--result", str(tmp_path / "missing"), "--train", train]) == 2
+    # a run of another experiment, and a tail run whose curve lost its empirical values
+    bias = tmp_path / "bias"
+    assert main(["bias", "--config", write_config(tmp_path, BIAS, "bias.json"),
+                 "--out", str(bias)]) == 0
+    assert main(["calibrate", "--result", str(bias), "--train", train]) == 2
+    assert "needs the result of a tail experiment" in capsys.readouterr().err
+    result = json.loads((out / "result.json").read_text())
+    del result["data"]["curves"][0]["empirical"]
+    (out / "result.json").write_text(json.dumps(result))
+    assert main(["calibrate", "--result", str(out), "--train", train]) == 2
+    err = capsys.readouterr().err
+    assert f"malformed tail run in {out}" in err and "curve 0" in err
 
 
 @pytest.mark.parametrize("c4", ["nan", "inf"])
@@ -440,6 +452,12 @@ STATES17 = {"kind": "markov_chain", "transition": [[1 / 17] * 17] * 17}
     ("tail", tail_payload(x_grid=[0.1, 0.1]), "x_grid must not repeat a value"),
     ("scaling", dict(SCALING, p_grid=[3, 3]), "p_grid must not repeat a value"),
     ("mixing-profile", dict(MIXING, lags=[1, 2, 1]), "lags must not repeat a value"),
+    # a table kernel reads its entries from one place
+    ("bias", dict(BIAS, kernel=dict(MATCH_KERNEL, path=FLOAT_STATE_TABLE)),
+     "'path' or 'entries', not both"),
+    # an invalid config is a config error before its work estimate is checked
+    ("mgf-check", dict(MGF, samples=10 ** 30, eta_max=-1.0), "eta_max"),
+    ("mgf-check", dict(MGF, summand_sigma=1e200, eta_max=1e-10), "Bernstein envelope"),
 ], ids=["scaling-estimator", "scaling-t", "scaling-p", "scaling-replications",
         "scaling-replications-past-stride",
         "scaling-cross-correlation", "table-path", "mgf-summands", "mgf-sigma",
@@ -459,7 +477,8 @@ STATES17 = {"kind": "markov_chain", "transition": [[1 / 17] * 17] * 17}
         "decompose-table-overflow", "mgf-sigma-overflow", "mgf-kappa-overflow",
         "mgf-eta-max-negative", "mgf-eta-max-zero", "mgf-eta-max-past-kappa",
         "mgf-eta-max-at-limit",
-        "t-grid-repeat", "x-grid-repeat", "p-grid-repeat", "lags-repeat"])
+        "t-grid-repeat", "x-grid-repeat", "p-grid-repeat", "lags-repeat",
+        "table-path-and-entries", "mgf-invalid-over-budget", "mgf-envelope-overflow"])
 def test_config_errors_in_experiment_bodies_exit_2(tmp_path, capsys, command, payload, field):
     assert main([command, "--config", write_config(tmp_path, payload),
                  "--out", str(tmp_path / "o")]) == 2

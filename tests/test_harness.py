@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsustat import harness, hidim, processes
+from tsustat.bounds import TailPoint
 from tsustat.harness import (DEFAULT_BUDGET, BudgetError, ConfigError, ExperimentConfig,
                              _decompose_block, _estimate_theta, _oracle_samples, _u_table_path,
                              calibrate_from_tail, emit_outputs, estimate_scaling_budget,
@@ -85,12 +86,12 @@ def test_config_requires_schema_seed_and_fields():
 
 def test_tail_dry_run_scaffold():
     cfg = ExperimentConfig.from_dict(tail_config(replications=0))
-    exp = run_experiment(cfg).result
-    assert exp.replications == 0
-    for curve in exp.curves:
-        assert curve.empirical == [] and curve.counts == [0] * 5
-        assert len(curve.bound) == 5
-    tables = exp.csv_tables()
+    run = run_experiment(cfg)
+    assert run.data["replications"] == 0
+    for curve in run.data["curves"]:
+        assert curve["empirical"] == [] and curve["counts"] == [0] * 5
+        assert len(curve["bound"]) == 5
+    tables = run.tables
     assert set(tables) == {"tail_T40.csv", "tail_T80.csv"}
     lines = file_text("tail_T40.csv", tables["tail_T40.csv"]).splitlines()
     assert lines[0] == "x,empirical,stderr,bound" and len(lines) == 6
@@ -112,8 +113,8 @@ def test_tail_budget_counts_the_evaluator_used():
         replications=1000, theta={"mode": "exact-zero"}))
     assert 1000 * math.comb(2000, 3) > DEFAULT_BUDGET
     assert estimate_tail_budget(cfg) < 1e-4 * DEFAULT_BUDGET
-    exp = run_experiment(cfg).result
-    assert exp.curves[0].counts[0] <= cfg.replications
+    exp = run_experiment(cfg).data
+    assert exp["curves"][0]["counts"][0] <= cfg.replications
 
 
 @settings(max_examples=60, deadline=None)
@@ -235,8 +236,8 @@ def test_the_copula_factor_is_read_from_the_parsed_spec(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(harness, "_u_values_block", recorded_block)
             patch.setattr(harness, "_oracle_samples", counted)
-            report = run_experiment(cfg).result
-        return report.theta, report.theta_se, np.concatenate(u_blocks, axis=1)
+            report = run_experiment(cfg).data
+        return report["theta"], report["theta_se"], np.concatenate(u_blocks, axis=1)
 
     cfg = ExperimentConfig.from_dict(raw)
     want = run([], [])
@@ -399,9 +400,9 @@ def test_each_run_opens_one_pool(monkeypatch, small_blocks, raw, path_values):
     monkeypatch.setattr(processes, "_open_pool", RecordingPool)
     cfg = ExperimentConfig.from_dict(raw)
     cfg.threads = 2
-    pooled = run_experiment(cfg).result.data_dict()
+    pooled = run_experiment(cfg).data
     assert opened == [2]
-    assert pooled == run_experiment(ExperimentConfig.from_dict(raw)).result.data_dict()
+    assert pooled == run_experiment(ExperimentConfig.from_dict(raw)).data
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -418,18 +419,18 @@ def test_each_t_of_a_grid_reads_the_same_paths(monkeypatch, threads):
     def run(raw, t_grid):
         cfg = ExperimentConfig.from_dict(dict(raw, t_grid=t_grid))
         cfg.threads = threads
-        return run_experiment(cfg).result
+        return run_experiment(cfg).data
 
     for tail in (tail_config(replications=block_replications(2000 * 2) + 3),
                  tail_config(process={"kind": "ar1", "coefficient": 0.6}, replications=64,
                              kernel={"kind": "mean", "bound": 10.0},
                              theta={"mode": "exact-zero"}),
                  tail_config(process=CHAIN, kernel=MATCH_KERNEL, replications=24)):
-        assert run(tail, grid).curves[1] == run(tail, [500]).curves[0]
+        assert run(tail, grid)["curves"][1] == run(tail, [500])["curves"][0]
 
-    def cells(report):
-        return [(c.T, c.p, c.median_deviation, c.q25, c.q75, c.ratio_to_rate)
-                for c in report.cells if c.T == 500]
+    def cells(data):
+        return [(c["T"], c["p"], c["median_deviation"], c["q25"], c["q75"], c["ratio_to_rate"])
+                for c in data["report"]["cells"] if c["T"] == 500]
 
     for estimator in ESTIMATOR_KINDS:
         raw = dict(SCALING, estimator=estimator,
@@ -475,6 +476,48 @@ def test_block_size_does_not_change_the_data(monkeypatch, tmp_path, raw):
     assert texts[0] == texts[1] == texts[2]
 
 
+def test_explicit_cross_correlation_is_the_matrix_it_spells_out():
+    """An explicit [[1, 0.5], [0.5, 1]] and equicorrelation at rho = 0.5 are the
+    same matrix, so a tail run writes the same data block with either."""
+    def data(cross_correlation):
+        return run_experiment(ExperimentConfig.from_dict(tail_config(
+            process=dict(COPULA, cross_correlation=cross_correlation), replications=50,
+            theta={"mode": "mc", "draws": 50_000}))).data
+    assert (data({"kind": "explicit", "matrix": [[1, 0.5], [0.5, 1]]})
+            == data({"kind": "equicorrelation", "rho": 0.5}))
+
+
+# one small config per experiment
+SMALL_RUNS = {
+    "simulate": {"schema_version": 1, "experiment": "simulate", "seed": 1, "process": CHAIN,
+                 "length": 6},
+    "tail": tail_config(t_grid=[8, 16], replications=20),
+    "scaling": dict(SCALING, replications=3),
+    "bias-curve": {"schema_version": 1, "experiment": "bias-curve", "seed": 1,
+                   "process": CHAIN, "kernel": MATCH_KERNEL, "t_grid": [10, 20]},
+    "decompose-check": dict(DECOMPOSE, replications=3),
+    "mixing-profile": {"schema_version": 1, "experiment": "mixing-profile", "seed": 1,
+                       "process": CHAIN, "lags": [1, 2],
+                       "conditional": {"conditioning": [[0, 0]], "block_len": 1}},
+    "mgf-check": {"schema_version": 1, "experiment": "mgf-check", "seed": 1, "summands": 4,
+                  "distribution": "uniform", "eta_points": 3, "samples": 100,
+                  "summand_kappa": 0.1},
+}
+
+
+@pytest.mark.parametrize("experiment", list(SMALL_RUNS))
+def test_a_run_is_what_emit_outputs_writes(tmp_path, experiment):
+    """For every experiment, result.json holds the run's data block and the
+    CSV files written are its tables, by name."""
+    assert set(SMALL_RUNS) == set(harness.EXPERIMENTS)
+    run = run_experiment(ExperimentConfig.from_dict(SMALL_RUNS[experiment]))
+    written = emit_outputs(run, str(tmp_path))
+    assert json.loads((tmp_path / "result.json").read_text())["data"] == run.data
+    assert run.data["experiment"] == experiment
+    assert {Path(p).name for p in written if p.endswith(".csv")} == set(run.tables)
+    assert json.loads((tmp_path / "config.json").read_text()) == run.config
+
+
 def test_block_replications_follow_the_value_budget():
     """A tail-kendall path (T = 2000, two coordinates) and a scaling path at
     p = 40 hold 4000 and 80000 values: 262 and 13 of them fill 2^20."""
@@ -486,12 +529,12 @@ def test_block_replications_follow_the_value_budget():
 
 def test_tail_counts_consistent_and_theta_exact_zero():
     cfg = ExperimentConfig.from_dict(tail_config())
-    exp = run_experiment(cfg).result
-    assert exp.theta == 0.0 and exp.theta_mode == "exact-independent"
-    for curve in exp.curves:
-        assert all(0 <= c <= cfg.replications for c in curve.counts)
-        assert curve.counts == sorted(curve.counts, reverse=True)
-        for c, p, se in zip(curve.counts, curve.empirical, curve.stderr):
+    exp = run_experiment(cfg).data
+    assert exp["theta"] == 0.0 and exp["theta_mode"] == "exact-independent"
+    for curve in exp["curves"]:
+        assert all(0 <= c <= cfg.replications for c in curve["counts"])
+        assert curve["counts"] == sorted(curve["counts"], reverse=True)
+        for c, p, se in zip(curve["counts"], curve["empirical"], curve["stderr"]):
             assert p == c / cfg.replications
             assert se == pytest.approx(math.sqrt(p * (1 - p) / cfg.replications))
 
@@ -511,32 +554,32 @@ def test_tail_matches_the_exact_null_law_of_kendall_tau():
     cfg = ExperimentConfig.from_dict(tail_config(
         seed=11, process=dict(COPULA, temporal_coefficient=0.0), t_grid=[250, 500],
         x_grid=[0.03, 0.06, 0.09], replications=8000))
-    exp = run_experiment(cfg).result
-    assert exp.theta == 0.0 and exp.theta_mode == "exact-independent"
-    for curve in exp.curves:
-        N = math.comb(curve.T, 2)
+    exp = run_experiment(cfg).data
+    assert exp["theta"] == 0.0 and exp["theta_mode"] == "exact-independent"
+    for curve in exp["curves"]:
+        N = math.comb(curve["T"], 2)
         tau = (N - 2 * np.arange(N + 1)) / N  # tau of each inversion count, as the harness has it
-        law = mahonian_law(curve.T)
-        for x, p_hat in zip(curve.x, curve.empirical):
-            p = law[np.abs(tau - exp.theta) >= x].sum()
+        law = mahonian_law(curve["T"])
+        for x, p_hat in zip(curve["x"], curve["empirical"]):
+            p = law[np.abs(tau - exp["theta"]) >= x].sum()
             z = (p_hat - p) / math.sqrt(p * (1 - p) / cfg.replications)
-            assert abs(z) <= 4.0, (curve.T, x, p_hat, p, z)
+            assert abs(z) <= 4.0, (curve["T"], x, p_hat, p, z)
 
 
 def test_tail_chain_theta_exact():
     cfg = ExperimentConfig.from_dict(tail_config(
         process=CHAIN, kernel=MATCH_KERNEL, t_grid=[30], replications=50))
-    exp = run_experiment(cfg).result
-    assert exp.theta == pytest.approx(0.0, abs=1e-14)
-    assert exp.theta_mode == "exact-chain"
+    exp = run_experiment(cfg).data
+    assert exp["theta"] == pytest.approx(0.0, abs=1e-14)
+    assert exp["theta_mode"] == "exact-chain"
 
 
 def test_tail_mc_oracle_and_precision_guard():
     cfg = ExperimentConfig.from_dict(tail_config(
         theta={"mode": "mc", "draws": 200_000}, replications=20))
-    exp = run_experiment(cfg).result
-    assert exp.theta_mode == "mc"
-    assert abs(exp.theta) < 5 * exp.theta_se + 1e-12
+    exp = run_experiment(cfg).data
+    assert exp["theta_mode"] == "mc"
+    assert abs(exp["theta"]) < 5 * exp["theta_se"] + 1e-12
     tight = ExperimentConfig.from_dict(tail_config(
         theta={"mode": "mc", "draws": 10_000},
         x_grid=[0.0001, 0.0002], replications=20))
@@ -547,12 +590,14 @@ def test_tail_mc_oracle_and_precision_guard():
 def test_calibrate_from_tail_round_trip():
     cfg = ExperimentConfig.from_dict(tail_config(
         t_grid=[60, 120], replications=400))
-    exp = run_experiment(cfg).result
-    cal = calibrate_from_tail(exp, train_t=[60, 120], c4=1.0)
-    for p in exp.tail_points([60, 120]):
-        assert cal.dominates(p, tol=1e-12)
+    run = run_experiment(cfg)
+    cal = calibrate_from_tail(run, train_t=[60, 120], c4=1.0)
+    for c in run.data["curves"]:
+        for x, p in zip(c["x"], c["empirical"]):
+            point = TailPoint(x=x, T=c["T"], M=run.data["kernel_bound"], probability=p)
+            assert cal.dominates(point, tol=1e-12)
     with pytest.raises(ConfigError):
-        calibrate_from_tail(exp, train_t=[999])
+        calibrate_from_tail(run, train_t=[999])
 
 
 def test_bias_curve_match_kernel():
@@ -561,13 +606,13 @@ def test_bias_curve_match_kernel():
         "process": CHAIN, "kernel": MATCH_KERNEL,
         "t_grid": [10, 20, 40, 80], "order": 2,
     })
-    rep = run_experiment(cfg).result
-    assert len(rep.rows) == 4
-    biases = [r["bias"] for r in rep.rows]
+    run = run_experiment(cfg)
+    assert len(run.data["rows"]) == 4
+    biases = [r["bias"] for r in run.data["rows"]]
     assert all(b > 0 for b in biases)
     assert biases == sorted(biases, reverse=True)
-    assert rep.loglog_slope < 0.02
-    assert "bias.csv" in rep.csv_tables()
+    assert run.data["loglog_slope"] < 0.02
+    assert "bias.csv" in run.tables
 
 
 def test_bias_curve_iid_chain_zero():
@@ -576,9 +621,9 @@ def test_bias_curve_iid_chain_zero():
         "schema_version": 1, "experiment": "bias-curve", "seed": 9,
         "process": iid, "kernel": MATCH_KERNEL, "t_grid": [10, 25], "order": 2,
     })
-    rep = run_experiment(cfg).result
-    assert all(r["bias"] <= 1e-13 for r in rep.rows)
-    assert rep.loglog_slope is None
+    rep = run_experiment(cfg).data
+    assert all(r["bias"] <= 1e-13 for r in rep["rows"])
+    assert rep["loglog_slope"] is None
 
 
 def test_decompose_check_reads_the_conditional_means_once_at_the_largest_t(monkeypatch):
@@ -597,7 +642,7 @@ def test_decompose_check_reads_the_conditional_means_once_at_the_largest_t(monke
     seen = []
     monkeypatch.setattr(harness, "check_zero_conditional_means",
                         lambda *args: seen.append(args[2]) or check(*args))
-    assert run_experiment(cfg).result.conditional_mean_dev == over_grid
+    assert run_experiment(cfg).data["conditional_mean_dev"] == over_grid
     assert seen == [30]
 
 
@@ -607,11 +652,11 @@ def test_decompose_check_passes():
         "process": CHAIN, "kernel": MATCH_KERNEL,
         "t_grid": [12, 20], "order": 2, "replications": 25,
     })
-    rep = run_experiment(cfg).result
-    assert rep.all_ok
-    assert rep.max_residual <= 1e-10
-    assert rep.max_b_ratio <= 1.0
-    assert rep.conditional_mean_dev <= 1e-10
+    run = run_experiment(cfg)
+    assert run.all_ok
+    assert run.data["max_residual"] <= 1e-10
+    assert run.data["max_b_ratio"] <= 1.0
+    assert run.data["conditional_mean_dev"] <= 1e-10
     cfg.budget = 10.0
     with pytest.raises(BudgetError):
         run_experiment(cfg)
@@ -623,12 +668,12 @@ def test_mixing_profile_outputs():
         "process": CHAIN, "lags": [1, 2, 3, 4, 5, 6],
         "conditional": {"conditioning": [[0, 0]], "block_len": 1},
     })
-    res = run_experiment(cfg).result
-    assert set(res.profiles) == {"alpha", "beta", "phi", "conditional_phi"}
-    beta = res.profiles["beta"]
-    assert beta.values[0] == pytest.approx(0.25, abs=1e-13)
-    assert beta.fitted_gamma == pytest.approx(math.log(2), abs=1e-8)
-    tables = res.csv_tables()
+    res = run_experiment(cfg)
+    assert set(res.data["profiles"]) == {"alpha", "beta", "phi", "conditional_phi"}
+    beta = res.data["profiles"]["beta"]
+    assert beta["values"][0] == pytest.approx(0.25, abs=1e-13)
+    assert beta["fitted_gamma"] == pytest.approx(math.log(2), abs=1e-8)
+    tables = res.tables
     assert file_text("mixing_beta.csv", tables["mixing_beta.csv"]).startswith("lag,value")
 
 
@@ -638,21 +683,22 @@ def test_mgf_check_passes_and_fails():
         "summands": 12, "distribution": "rademacher", "eta_points": 25,
         "samples": 50_000, "summand_sigma": 1.0, "summand_kappa": 0.1,
     }
-    rep = run_experiment(ExperimentConfig.from_dict(base)).result
-    assert rep.all_ok
-    assert len(rep.eta) == 25
+    for distribution in ("rademacher", "uniform"):
+        rep = run_experiment(ExperimentConfig.from_dict(dict(base, distribution=distribution)))
+        assert rep.all_ok
+        assert len(rep.data["eta"]) == 25
     # an undersized envelope must be caught
     bad = dict(base, summand_sigma=0.05, summand_kappa=0.0, eta_max=1.0)
-    rep_bad = run_experiment(ExperimentConfig.from_dict(bad)).result
+    rep_bad = run_experiment(ExperimentConfig.from_dict(bad))
     assert not rep_bad.all_ok
     # a given eta_max tops the grid, below 1 / (summands * summand_kappa) as well
-    capped = run_experiment(ExperimentConfig.from_dict(dict(base, eta_max=0.5))).result
-    assert capped.eta[-1] == 0.5 and capped.all_ok
+    capped = run_experiment(ExperimentConfig.from_dict(dict(base, eta_max=0.5)))
+    assert capped.data["eta"][-1] == 0.5 and capped.all_ok
     # eta_max * 13 / 13 rounds up to 1/49, the envelope's limit; the top stays eta_max
     under = math.nextafter(1 / 49, 0)
     edge = run_experiment(ExperimentConfig.from_dict(dict(
-        base, summands=1, summand_kappa=49.0, eta_points=13, eta_max=under))).result
-    assert edge.eta[-1] == under and max(edge.eta) == under
+        base, summands=1, summand_kappa=49.0, eta_points=13, eta_max=under))).data
+    assert edge["eta"][-1] == under and max(edge["eta"]) == under
 
 
 @settings(max_examples=200, deadline=None)
@@ -678,8 +724,8 @@ def test_scaling_run_and_budget(tmp_path):
         "replications": 12, "estimator": "spearman",
     })
     run = run_experiment(cfg)
-    assert len(run.result.cells) == 2
-    text = file_text("scaling.csv", run.result.csv_tables()["scaling.csv"])
+    assert len(run.data["report"]["cells"]) == 2
+    text = file_text("scaling.csv", run.tables["scaling.csv"])
     assert text.splitlines()[0] == "T,p,median_dev,ratio_to_rate"
     emit_outputs(run, str(tmp_path / "scaling"))
     assert (tmp_path / "scaling" / "scaling.csv").exists()

@@ -191,24 +191,24 @@ def _scaling(seed, t_grid, p_grid, replications, estimator="kendall", phi=0.0,
         "schema_version": 1, "experiment": "scaling", "seed": seed, "process": process,
         "t_grid": t_grid, "p_grid": p_grid, "replications": replications,
         "estimator": estimator})
-    return run_experiment(cfg).result
+    return run_experiment(cfg).data["report"]
 
 
 def test_dependent_deviations_dominate_iid():
     iid_rep = _scaling(99, [256], [5], 60, "spearman", phi=0.0)
     dep_rep = _scaling(99, [256], [5], 60, "spearman", phi=0.7)
-    assert dep_rep.cells[0].median_deviation >= iid_rep.cells[0].median_deviation
+    assert dep_rep["cells"][0]["median_deviation"] >= iid_rep["cells"][0]["median_deviation"]
 
 
 def test_scaling_experiment_small_grid():
     report = _scaling(55, [64, 128], [3], 40, "spearman")
-    assert len(report.cells) == 2
-    meds = {c.T: c.median_deviation for c in report.cells}
+    assert len(report["cells"]) == 2
+    meds = {c["T"]: c["median_deviation"] for c in report["cells"]}
     assert meds[128] < meds[64]  # deviations shrink with T
-    slope = report.slopes_by_p[3]
+    slope = report["slopes_by_p"]["3"]
     assert slope is not None and slope < 0
-    for c in report.cells:
-        assert c.ratio_to_rate > 0
+    for c in report["cells"]:
+        assert c["ratio_to_rate"] > 0
 
 
 def test_scaling_experiment_rejects_correlated_coordinates():
@@ -218,6 +218,6 @@ def test_scaling_experiment_rejects_correlated_coordinates():
 
 def test_scaling_experiment_degenerate_cell():
     report = _scaling(56, [32], [2], 1)
-    assert report.slopes_by_p[2] is None
-    assert not report.cells[0].slope_defined
-    assert report.data_dict()["report"]["slopes_by_p"] == {"2": None}
+    assert report["slopes_by_p"]["2"] is None
+    assert not report["cells"][0]["slope_defined"]
+    assert report["slopes_by_p"] == {"2": None}

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tsustat.harness import MixingProfileResult, file_text
+from tsustat.harness import ExperimentConfig, file_text, run_experiment
 from tsustat.mixing import (MixingProfile, alpha_coeff, beta_coeff, conditional_phi_coeff,
                             fit_decay_rate, mixing_profile, phi_coeff)
 from tsustat.processes import (FiniteMarkovChain, cycle_chain, iid_chain, random_chain,
@@ -220,11 +220,13 @@ def test_profile_validation_and_serialization():
         MixingProfile(kind="beta", lags=[1], values=[1.5])
     with pytest.raises(ValueError):  # no code computes a conditional alpha profile
         MixingProfile(kind="conditional_alpha", lags=[1], values=[0.5])
-    prof = mixing_profile(two_state_chain(0.25), "phi", [1, 2, 3])
-    data = MixingProfileResult(profiles={"phi": prof}).data_dict()["profiles"]["phi"]
+    run = run_experiment(ExperimentConfig.from_dict({
+        "schema_version": 1, "experiment": "mixing-profile", "seed": 0, "lags": [1, 2, 3],
+        "process": {"kind": "markov_chain", "transition": [[0.75, 0.25], [0.25, 0.75]]}}))
+    data = run.data["profiles"]["phi"]
     assert data["kind"] == "phi" and len(data["values"]) == 3
     assert json.loads(json.dumps(data)) == data
-    table = MixingProfileResult(profiles={"phi": prof}).csv_tables()["mixing_phi.csv"]
+    table = run.tables["mixing_phi.csv"]
     lines = file_text("mixing_phi.csv", table).splitlines()
     assert lines[0] == "lag,value"
     assert lines[1].startswith("1,0.25")

@@ -14,9 +14,9 @@ from scipy.special import ndtr
 
 from tsustat import processes
 from tsustat.cli import main
-from tsustat.harness import ExperimentConfig, SimulatedPath, _estimate_theta, file_text
+from tsustat.harness import ExperimentConfig, _estimate_theta, file_text, run_experiment
 from tsustat.hidim import kendall_matrix, spearman_matrix
-from tsustat.processes import (FiniteMarkovChain, ProcessSpec, SeriesPath, _ar1_in_place,
+from tsustat.processes import (FiniteMarkovChain, ProcessSpec, _ar1_in_place,
                                _rep_rng, _stream_draws, _stream_keys, correlation_factor,
                                cycle_chain, generate,
                                generate_batch, iid_chain, latent_batch, random_chain,
@@ -365,17 +365,22 @@ def test_m_dependent_conditional_independence_enumeration():
 
 
 def test_csv_round_trip():
-    spec = ProcessSpec(kind="gaussian_copula_vector", seed=8, dimension=2,
-                       temporal_coefficient=0.3)
-    path = generate(spec, 10)
-    text = file_text("path.csv", SimulatedPath(path).csv_tables()["path.csv"])
+    def simulated(process, length):
+        """The path a simulate run draws, and the text of its path.csv."""
+        cfg = ExperimentConfig.from_dict({"schema_version": 1, "experiment": "simulate",
+                                          "seed": 8, "process": process, "length": length})
+        text = file_text("path.csv", run_experiment(cfg).tables["path.csv"])
+        return generate(cfg.process, length), text
+
+    path, text = simulated({"kind": "gaussian_copula_vector", "dimension": 2,
+                            "temporal_coefficient": 0.3}, 10)
     assert text.splitlines()[0] == "t,x1,x2"
     again = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
     np.testing.assert_array_equal(again[:, 0], np.arange(10))
     np.testing.assert_array_equal(again[:, 1:], path.values)
 
-    chain_path = SeriesPath(states=np.array([0, 1, 1, 0]))
-    text = file_text("path.csv", SimulatedPath(chain_path).csv_tables()["path.csv"])
+    chain_path, text = simulated({"kind": "markov_chain",
+                                  "transition": [[0.5, 0.5], [0.5, 0.5]]}, 4)
     assert text.splitlines()[0] == "t,state"
     np.testing.assert_array_equal(np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1,
                                              dtype=int)[:, 1], chain_path.states)
