@@ -2,10 +2,12 @@
 
 Every bound is a parametric family: the multiplicative constants are runtime
 parameters defaulting to 1, and ``calibrate_constants`` fits the tightest
-dominating exponent constant to empirical tail curves. The tail bounds and
-the calibrated exponent read x and the kernel bound M only through u = x / M,
-so a kernel and its thresholds scaled together by a power of two give the
-same values, and no square of x or M can overflow.
+dominating exponent constant to empirical tail curves. It returns the plain
+dict that ``calibration.json`` holds, and ``dominates`` checks a tail point
+against that dict. The tail bounds and the calibrated exponent read x and
+the kernel bound M only through u = x / M, so a kernel and its thresholds
+scaled together by a power of two give the same values, and no square of x
+or M can overflow.
 """
 from __future__ import annotations
 
@@ -133,36 +135,27 @@ class TailPoint(NamedTuple):
     probability: float
 
 
-@dataclass
-class CalibrationResult:
-    constants: BoundConstants
-    binding_point: TailPoint | None
-    capped: bool
-    used_points: int
-    slack: float  # relative gap from the binding candidate to the runner-up
-
-    def dominates(self, point: TailPoint, tol: float = 0.0) -> bool:
-        x_eff = max(point.x - bias_offset(point.T, point.M, self.constants.c4), 0.0)
-        return ustat_tail_bound(x_eff, point.T, point.M, self.constants.c5) >= point.probability - tol
-
-    def to_dict(self) -> dict:
-        """JSON form; an infinite slack (one constraining point) becomes None."""
-        return {"constants": self.constants.to_dict(), "capped": self.capped,
-                "used_points": self.used_points,
-                "slack": None if math.isinf(self.slack) else self.slack,
-                "binding_point": None if self.binding_point is None
-                                 else self.binding_point._asdict()}
+def dominates(calibration: dict, point: TailPoint, tol: float = 0.0) -> bool:
+    """Whether the bound of a ``calibrate_constants`` result, at its c4 and
+    c5, is at least the point's empirical probability less ``tol``."""
+    constants = calibration["constants"]
+    x_eff = max(point.x - bias_offset(point.T, point.M, constants["c4"]), 0.0)
+    return ustat_tail_bound(x_eff, point.T, point.M, constants["c5"]) >= point.probability - tol
 
 
 def calibrate_constants(points: Sequence[TailPoint | tuple], c4: float = 1.0,
-                        cap: float = 1e6, base: BoundConstants | None = None) -> CalibrationResult:
+                        cap: float = 1e6, base: BoundConstants | None = None) -> dict:
     """Tightest exponent constant whose bound dominates every supplied point.
 
     For each point with positive empirical probability and positive effective
     deviation x - c4 M / sqrt(T), the largest admissible exponent constant is
     log(2/p) / g(x', T); the calibrated value is the minimum over points. If
     no point constrains the constant (all-zero tails), returns the cap with a
-    flag.
+    flag. Returns the ``calibration.json`` dict: ``constants`` (``base``
+    with c4 and c5 set), ``capped``, ``used_points`` (the constraining
+    points), ``binding_point`` (``TailPoint._asdict``, or None) and
+    ``slack``, the relative gap from the binding candidate to the runner-up
+    (None where fewer than two points constrain the constant).
     """
     pts = [p if isinstance(p, TailPoint) else TailPoint(*p) for p in points]
     if len(pts) < 5:
@@ -183,13 +176,12 @@ def calibrate_constants(points: Sequence[TailPoint | tuple], c4: float = 1.0,
         candidates.append((math.log(2.0 / p.probability) / g, p))
 
     if not candidates:
-        constants = replace(base, c4=c4, c5=cap)
-        return CalibrationResult(constants=constants, binding_point=None, capped=True,
-                                 used_points=0, slack=math.inf)
+        return {"constants": replace(base, c4=c4, c5=cap).to_dict(), "capped": True,
+                "used_points": 0, "slack": None, "binding_point": None}
     candidates.sort(key=lambda cp: cp[0])
     c5, binding = candidates[0]
     c5 = min(c5, cap)
     slack = math.inf if len(candidates) == 1 else candidates[1][0] / candidates[0][0] - 1.0
-    constants = replace(base, c4=c4, c5=c5)
-    return CalibrationResult(constants=constants, binding_point=binding,
-                             capped=c5 >= cap, used_points=len(candidates), slack=slack)
+    return {"constants": replace(base, c4=c4, c5=c5).to_dict(), "capped": c5 >= cap,
+            "used_points": len(candidates), "slack": None if math.isinf(slack) else slack,
+            "binding_point": binding._asdict()}

@@ -81,9 +81,8 @@ def _load_config(args) -> ExperimentConfig:
 
 def _run_calibrate(args) -> int:
     c4 = None if args.c4 is None else read_field("constants.c4", args.c4)  # NaN, inf exit 2
-    result = calibrate_from_tail(load_tail_result(args.result), args.train, c4=c4)
-    print(*write_files(args.out or args.result, {"calibration.json": result.to_dict()}),
-          sep="\n")
+    calibration = calibrate_from_tail(load_tail_result(args.result), args.train, c4=c4)
+    print(*write_files(args.out or args.result, {"calibration.json": calibration}), sep="\n")
     return EXIT_OK
 
 

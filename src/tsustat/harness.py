@@ -42,20 +42,19 @@ import numbers
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import (BernsteinParams, BoundConstants, CalibrationResult, TailPoint,
-                     bernstein_envelope, calibrate_constants, empirical_log_mgf,
-                     ustat_tail_bound, bias_offset)
+from .bounds import (BernsteinParams, BoundConstants, TailPoint, bernstein_envelope,
+                     calibrate_constants, empirical_log_mgf, ustat_tail_bound, bias_offset)
 from . import hidim
 from .kernels import (KernelSpec, load_table_kernel, mean_kernel, sign_product_kernel,
                       spearman_symmetric_kernel, table_kernel)
-from .mixing import (ALPHA_MAX_STATES, MixingProfile, check_conditioning,
-                     conditional_phi_coeff, mixing_profile)
+from .mixing import (ALPHA_MAX_STATES, check_conditioning, conditional_phi_coeff,
+                     mixing_profile)
 from .processes import (FiniteMarkovChain, ProcessSpec, _rep_rng,
                         block_replications, generate, generate_batch,
                         latent_batch, map_replication_blocks, uniform_marginals)
@@ -579,10 +578,10 @@ def _run_tail(cfg: ExperimentConfig) -> tuple[dict, Tables]:
 
 
 def calibrate_from_tail(run: ExperimentRun, train_t: Sequence[int],
-                        c4: float | None = None) -> CalibrationResult:
+                        c4: float | None = None) -> dict:
     """Calibrate bound constants on the tail curves of ``run`` at the training
     T values, starting from the constants of its config; ``c4`` defaults to
-    the config's c4."""
+    the config's c4. Returns the ``calibration.json`` dict."""
     base = _parse_constants(run.config.get("constants", {}))
     M, chosen = run.data["kernel_bound"], set(train_t)
     pts = [TailPoint(x=x, T=c["T"], M=M, probability=p)
@@ -599,8 +598,8 @@ def calibrate_from_tail(run: ExperimentRun, train_t: Sequence[int],
 def load_tail_result(result_dir: str) -> ExperimentRun:
     """The tail run ``emit_outputs`` wrote to ``result_dir``: the data block
     and meta of its ``result.json``, its ``config.json`` and its curves' CSV
-    tables. A run ``calibrate_from_tail`` cannot read is a ConfigError that
-    names the directory."""
+    tables. A run ``calibrate_from_tail`` cannot read, by its keys or by the
+    values calibration reads, is a ConfigError that names the directory."""
     payload = _read_json(os.path.join(result_dir, "result.json"))
     config = _read_json(os.path.join(result_dir, "config.json"))
     try:
@@ -613,12 +612,28 @@ def load_tail_result(result_dir: str) -> ExperimentRun:
             if not isinstance(curve, dict) or set(curve) != _CURVE_KEYS:
                 raise ValueError(f"curve {i} needs exactly the keys {sorted(_CURVE_KEYS)}")
         _parse_constants(config.get("constants", {}))  # here, not first at calibration
-        return ExperimentRun(data=data, tables=_tail_tables(data["curves"]), config=config,
-                             meta=payload.get("meta", {}))
+        run = ExperimentRun(data=data, tables=_tail_tables(data["curves"]), config=config,
+                            meta=payload.get("meta", {}))
     except ConfigError:
         raise
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ConfigError(f"malformed tail run in {result_dir}: {exc!r}") from exc
+    try:  # the values calibration reads, typed as a config's fields are
+        M = _typed(data["kernel_bound"], "float", None, "kernel_bound")
+        if M <= 0:
+            raise ConfigError(f"kernel_bound must be > 0, got {M!r}")
+        for i, curve in enumerate(data["curves"]):
+            _typed(curve["T"], "int", 2, f"curves[{i}].T")
+            x = _typed(curve["x"], "float list", 0.0, f"curves[{i}].x")
+            p = [] if curve["empirical"] == [] else _typed(  # [] in a dry run
+                curve["empirical"], "float list", 0.0, f"curves[{i}].empirical")
+            # x has x_grid's bound in _check_inputs
+            if max(x) > 2.0 * M or p and (len(p) != len(x) or max(p) > 1.0):
+                raise ConfigError(f"curves[{i}] needs x in [0, 2 * kernel_bound] and "
+                                  "empirical empty or one probability per x")
+    except ConfigError as exc:
+        raise ConfigError(f"malformed tail run in {result_dir}: {exc!r}") from exc
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -676,9 +691,10 @@ def _decompose_block(args, start: int, count: int) -> np.ndarray:
     their prefixes."""
     spec, t_grid, kernel = args
     paths = generate_batch(spec, max(t_grid), count, rep_offset=start)
-    return np.array([[(abs(rep.residual), rep.b_ratio)
-                      for rep in decompose(paths[:, :T], spec.chain, kernel)]
-                     for T in t_grid]).reshape(len(t_grid), count, 2)
+    # b-ratio: max |b-term| over twice the kernel bound, 0 for a zero kernel
+    return np.array([np.column_stack((np.abs(rep["residual"]),
+                                      rep["b_term_max_abs"] / (2.0 * rep["kernel_bound"] or 1.0)))
+                     for rep in (decompose(paths[:, :T], spec.chain, kernel) for T in t_grid)])
 
 
 def _run_decompose_check(cfg: ExperimentConfig) -> tuple[dict, Tables]:
@@ -712,14 +728,13 @@ def _run_mixing_profile(cfg: ExperimentConfig) -> tuple[dict, Tables]:
     chain = cfg.process.chain
     profiles = {kind: mixing_profile(chain, kind, cfg.lags) for kind in ("alpha", "beta", "phi")}
     if cfg.conditioning is not None:
-        values = [conditional_phi_coeff(chain, cfg.conditioning, cfg.block_len, n)
-                  for n in cfg.lags]
-        profiles["conditional_phi"] = MixingProfile(
-            kind="conditional_phi", lags=list(cfg.lags), values=values,
-            conditioning=cfg.conditioning)
-    return ({"experiment": "mixing-profile",
-             "profiles": {kind: asdict(prof) for kind, prof in profiles.items()}},
-            {f"mixing_{kind}.csv": (["lag", "value"], list(zip(prof.lags, prof.values)))
+        profiles["conditional_phi"] = {
+            "kind": "conditional_phi", "lags": list(cfg.lags),
+            "values": [conditional_phi_coeff(chain, cfg.conditioning, cfg.block_len, n)
+                       for n in cfg.lags],
+            "fitted_gamma": None, "conditioning": cfg.conditioning}
+    return ({"experiment": "mixing-profile", "profiles": profiles},
+            {f"mixing_{kind}.csv": (["lag", "value"], list(zip(prof["lags"], prof["values"])))
              for kind, prof in profiles.items()})
 
 

@@ -9,38 +9,19 @@ the reduction against a literal supremum over partitions.
 after conditioning on finitely many past observations, with the future block
 collapsed exactly: two block laws sharing the transition kernel differ in
 total variation exactly by the total variation of their first coordinates.
+
+``mixing_profile`` returns a lag-grid profile with its fitted decay rate as
+the plain dict that the ``mixing-profile`` data block holds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .processes import FiniteMarkovChain
 
-PROFILE_KINDS = ("alpha", "beta", "phi", "conditional_phi")
 ALPHA_MAX_STATES = 16  # alpha enumerates all 2^s state subsets
-
-
-@dataclass
-class MixingProfile:
-    """Coefficient values of one kind over a lag grid."""
-
-    kind: str
-    lags: list[int]
-    values: list[float]
-    fitted_gamma: float | None = None
-    conditioning: list[tuple[int, int]] | None = None
-
-    def __post_init__(self):
-        if self.kind not in PROFILE_KINDS:
-            raise ValueError(f"unknown profile kind '{self.kind}'")
-        if len(self.lags) != len(self.values):
-            raise ValueError("lags and values must align")
-        for v in self.values:
-            if v < -1e-15 or v > 1.0 + 1e-12:
-                raise ValueError(f"coefficient {v} outside [0, 1]")
 
 
 def _tv(p: np.ndarray, q: np.ndarray) -> float:
@@ -164,19 +145,18 @@ def fit_decay_rate(profile: tuple[Sequence[int], Sequence[float]]) -> float:
 _COEFF_FUNS = {"alpha": alpha_coeff, "beta": beta_coeff, "phi": phi_coeff}
 
 
-def mixing_profile(chain: FiniteMarkovChain, kind: str, lags: Sequence[int]) -> MixingProfile:
-    """Coefficient profile over a lag grid with its fitted decay rate (unset
-    unless three values are positive and they decay)."""
+def mixing_profile(chain: FiniteMarkovChain, kind: str, lags: Sequence[int]) -> dict:
+    """Coefficient profile over a lag grid as ``{kind, lags, values,
+    fitted_gamma, conditioning}``: the decay rate None unless three values
+    are positive and decay, ``conditioning`` None (conditional phi sets it)."""
     if kind not in _COEFF_FUNS:
         raise ValueError(f"profile builder supports {sorted(_COEFF_FUNS)}, got '{kind}'")
-    fun = _COEFF_FUNS[kind]
-    values = [fun(chain, int(n)) for n in lags]
-    prof = MixingProfile(kind=kind, lags=[int(n) for n in lags], values=values)
-    positive = [(n, v) for n, v in zip(prof.lags, prof.values) if v > 0.0]
-    if len(positive) >= 3:
-        try:  # an iid chain's values sit at rounding level and do not decay
-            prof.fitted_gamma = fit_decay_rate(([n for n, _ in positive],
-                                                [v for _, v in positive]))
-        except ValueError:
-            pass
-    return prof
+    lags = [int(n) for n in lags]
+    values = [_COEFF_FUNS[kind](chain, n) for n in lags]
+    positive = [(n, v) for n, v in zip(lags, values) if v > 0.0]
+    try:  # three positive values that decay; an iid chain's sit at rounding level
+        fitted = fit_decay_rate(([n for n, _ in positive], [v for _, v in positive]))
+    except ValueError:
+        fitted = None
+    return {"kind": kind, "lags": lags, "values": values, "fitted_gamma": fitted,
+            "conditioning": None}

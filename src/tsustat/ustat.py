@@ -30,14 +30,14 @@ with exactly zero conditional means (``decompose``). The decomposition and
 its conditional-mean check read one set of gap tables: the conditional
 means of the kernel given its leading arguments, indexed by time gaps and
 conditioning states, summed along their gap axes by cumulative sums, so no
-chain-law evaluator enumerates index tuples. ``decompose`` reports the
+chain-law evaluator enumerates index tuples. ``decompose`` returns one dict
+for a path or a stack, per-path values as arrays for a stack, with the
 closed-form expectation, so its residual cross-checks the gap tables.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -616,35 +616,7 @@ def theta_independent(chain: FiniteMarkovChain, kernel: KernelSpec) -> float:
 # telescoping decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DecompositionReport:
-    """Per-path split of U minus its chain-law expectation into order terms.
-
-    ``s_terms[k-1]`` carries the summed difference between conditioning on
-    the first r-k+1 and the first r-k arguments; the terms telescope to
-    u_value minus the gap tables' mean of h. ``theta_star`` is the closed
-    form, so ``residual`` = u_value - theta_star - sum(s_terms) cross-checks
-    two independent evaluators of E[U]: it is rounding only if they agree.
-    """
-
-    order: int
-    length: int
-    s_terms: list[float]
-    u_value: float
-    theta_star: float
-    residual: float
-    b_term_max_abs: float
-    kernel_bound: float
-
-    @property
-    def b_ratio(self) -> float:
-        """b_term_max_abs over twice the kernel bound; 0 for a zero kernel,
-        whose b-terms all vanish."""
-        return self.b_term_max_abs / (2.0 * self.kernel_bound) if self.kernel_bound else 0.0
-
-
-def decompose(paths, chain: FiniteMarkovChain,
-              kernel: KernelSpec) -> DecompositionReport | list[DecompositionReport]:
+def decompose(paths, chain: FiniteMarkovChain, kernel: KernelSpec) -> dict:
     """Split U - E[U] for chain paths into terms with zero conditional means.
 
     Level k of an index tuple is the mean of h given its first r-k arguments
@@ -655,11 +627,15 @@ def decompose(paths, chain: FiniteMarkovChain,
     is a gap table, so each sum over trailing indices is a cumulative sum
     of a table along its gap axis, read once per path (see ``_path_sums``).
 
-    ``paths`` is one state path (a ``SeriesPath`` or 1-D array), giving one
-    report, or an (R, T) stack of them, giving a list of R reports; the
-    tables that do not depend on the path are built once per call, and the
-    stack is read in chunks of paths, each path's report equal, bit for
-    bit, to the report of that path alone.
+    Returns one dict: ``order``, ``length``, ``theta_star`` (the closed
+    form), ``kernel_bound`` (max |h|) and, per path, ``s_terms`` (s_1..s_r),
+    ``u_value``, ``b_term_max_abs`` and ``residual`` = u_value - theta_star
+    - fsum(s_terms). The s-terms telescope to u_value minus the gap tables'
+    mean of h, so the residual is rounding only if the two evaluators of
+    E[U] agree. For one state path (a ``SeriesPath`` or 1-D array) the
+    per-path values are floats and ``s_terms`` a list; for an (R, T) stack
+    they are (R, r) and (R,) arrays, each path's bit for bit as alone: the
+    path-free tables are built once per call and the stack read in chunks.
     """
     states = paths.states if isinstance(paths, SeriesPath) else np.asarray(paths)
     if states is None:
@@ -672,21 +648,18 @@ def decompose(paths, chain: FiniteMarkovChain,
         raise ValueError("path states out of range for this chain")
 
     H, r = kernel.table, kernel.order
-    n_tuples = math.comb(T, r)
     expectation = theta_star(chain, kernel, T)
-    bound = float(np.max(np.abs(H)))
     stack = np.atleast_2d(states)
-    sums, b_maxes = _path_sums(kernel, tables, stack)
-    reports = []
-    for u_value, row_sums, b_max in zip(_u_table_path(stack, H).tolist(), sums.tolist(),
-                                        b_maxes.tolist()):
-        s_terms = [v / n_tuples for v in row_sums]
-        reports.append(DecompositionReport(
-            order=r, length=T, s_terms=s_terms, u_value=u_value,
-            theta_star=expectation,
-            residual=u_value - expectation - math.fsum(s_terms),
-            b_term_max_abs=b_max, kernel_bound=bound))
-    return reports[0] if states.ndim == 1 else reports
+    sums, b_max = _path_sums(kernel, tables, stack)
+    s_terms = sums / math.comb(T, r)
+    u_value = _u_table_path(stack, H)
+    residual = u_value - expectation - np.array([math.fsum(row) for row in s_terms.tolist()])
+    per_path = {"s_terms": s_terms, "u_value": u_value, "residual": residual,
+                "b_term_max_abs": b_max}
+    if states.ndim == 1:
+        per_path = {key: value[0].tolist() for key, value in per_path.items()}
+    return {"order": r, "length": T, "theta_star": expectation,
+            "kernel_bound": float(np.max(np.abs(H))), **per_path}
 
 
 def _path_sums(kernel: KernelSpec, tables: list[np.ndarray],

@@ -141,10 +141,10 @@ def test_04_telescoping_decomposition():
         spec = ProcessSpec(kind="markov_chain", seed=int(rng.integers(1 << 30)),
                            chain=chain)
         rep = decompose(generate(spec, T), chain, kernel)
-        worst_resid = max(worst_resid, abs(rep.residual) / max(1.0, abs(rep.u_value)))
-        worst_ratio = max(worst_ratio, rep.b_term_max_abs / (2.0 * rep.kernel_bound))
-        assert abs(rep.residual) <= 1e-10 * max(1.0, abs(rep.u_value))
-        assert rep.b_term_max_abs <= 2.0 * rep.kernel_bound
+        worst_resid = max(worst_resid, abs(rep["residual"]) / max(1.0, abs(rep["u_value"])))
+        worst_ratio = max(worst_ratio, rep["b_term_max_abs"] / (2.0 * rep["kernel_bound"]))
+        assert abs(rep["residual"]) <= 1e-10 * max(1.0, abs(rep["u_value"]))
+        assert rep["b_term_max_abs"] <= 2.0 * rep["kernel_bound"]
         p1 = check_zero_conditional_means(chain, kernel, T)
         worst_p1 = max(worst_p1, p1)
         assert p1 <= 1e-10
@@ -250,16 +250,16 @@ def test_08_tail_dominance_held_out():
     })
     run = run_experiment(cfg)
     cal = calibrate_from_tail(run, train_t=[250, 500], c4=1.0)
-    assert not cal.capped
+    assert not cal["capped"]
     held_out = [c for c in run.data["curves"] if c["T"] == 2000][0]
-    M = run.data["kernel_bound"]
-    offset = bias_offset(2000, M, cal.constants.c4)
+    M, constants = run.data["kernel_bound"], cal["constants"]
+    offset = bias_offset(2000, M, constants["c4"])
     for x, p, se in zip(held_out["x"], held_out["empirical"], held_out["stderr"]):
-        bound = ustat_tail_bound(max(x - offset, 0.0), 2000, M, cal.constants.c5)
+        bound = ustat_tail_bound(max(x - offset, 0.0), 2000, M, constants["c5"])
         assert bound >= p - 3.0 * se, (x, p, se, bound)
     report("08 tail-dominance-held-out",
-           f"c5 {cal.constants.c5:.3f} binding T={cal.binding_point.T} "
-           f"x={cal.binding_point.x}")
+           f"c5 {constants['c5']:.3f} binding T={cal['binding_point']['T']} "
+           f"x={cal['binding_point']['x']}")
 
 
 # -- 9 -----------------------------------------------------------------------

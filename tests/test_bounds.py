@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from tsustat.bounds import (BernsteinParams, BoundConstants, TailPoint,
-                            bernstein_envelope, calibrate_constants, empirical_log_mgf,
-                            hoeffding_bound, log_factor, mixing_sum_logmgf_bound,
-                            ustat_tail_bound, bias_offset)
+                            bernstein_envelope, calibrate_constants, dominates,
+                            empirical_log_mgf, hoeffding_bound, log_factor,
+                            mixing_sum_logmgf_bound, ustat_tail_bound, bias_offset)
 from tsustat.harness import _parse_constants
 
 
@@ -122,28 +122,28 @@ def test_bounds_and_calibration_read_x_over_m(k):
         assert hoeffding_bound(s * x, T, s) == hoeffding_bound(x, T, 1.0)
     pts = synthetic_points(0.37, c4=1.0)
     scaled = [p._replace(x=s * p.x, M=s * p.M) for p in pts]
-    assert (calibrate_constants(scaled, c4=1.0).constants
-            == calibrate_constants(pts, c4=1.0).constants)
+    assert (calibrate_constants(scaled, c4=1.0)["constants"]
+            == calibrate_constants(pts, c4=1.0)["constants"])
 
 
 def test_calibration_round_trip():
     result = calibrate_constants(synthetic_points(0.1), c4=0.0)
-    assert result.constants.c5 == pytest.approx(0.1, abs=1e-6)
-    assert not result.capped
-    assert result.binding_point is not None
+    assert result["constants"]["c5"] == pytest.approx(0.1, abs=1e-6)
+    assert not result["capped"]
+    assert result["binding_point"] is not None
 
 
 def test_calibration_with_offset_round_trip():
     result = calibrate_constants(synthetic_points(0.3, c4=1.0), c4=1.0)
-    assert result.constants.c5 == pytest.approx(0.3, abs=1e-6)
+    assert result["constants"]["c5"] == pytest.approx(0.3, abs=1e-6)
 
 
 def test_calibration_degenerate_all_zero():
     pts = [TailPoint(x=x, T=T, M=1.0, probability=0.0)
            for T in (100, 200) for x in (0.1, 0.2, 0.3)]
     result = calibrate_constants(pts, c4=0.0, cap=123.0)
-    assert result.capped and result.constants.c5 == 123.0
-    assert result.binding_point is None
+    assert result["capped"] and result["constants"]["c5"] == 123.0
+    assert result["binding_point"] is None
 
 
 def test_calibration_preconditions():
@@ -160,4 +160,4 @@ def test_calibration_result_dominates_training_points():
     pts = synthetic_points(0.37)
     result = calibrate_constants(pts, c4=0.0)
     for p in pts:
-        assert result.dominates(p, tol=1e-12)
+        assert dominates(result, p, tol=1e-12)

@@ -162,9 +162,9 @@ def test_calibrate_uses_the_run_constants(tmp_path):
     run = run_experiment(ExperimentConfig.from_dict(payload))
     assert load_tail_result(str(out)).data == run.data
     api = calibrate_from_tail(run, train_t=[30, 60])
-    assert cli["constants"] == api.constants.to_dict()
+    assert cli["constants"] == api["constants"]
     assert cli["constants"]["c4"] == 0.5 and cli["constants"]["c0"] == 3
-    assert cli == api.to_dict()
+    assert cli == api
 
 
 @pytest.mark.parametrize("flag,value", [("--config", "nonexist.json"), ("--seed", "1"),
@@ -197,12 +197,34 @@ def test_calibrate_errors_exit_2(tmp_path, capsys, payload, train):
                  "--out", str(bias)]) == 0
     assert main(["calibrate", "--result", str(bias), "--train", train]) == 2
     assert "needs the result of a tail experiment" in capsys.readouterr().err
-    result = json.loads((out / "result.json").read_text())
+    written = (out / "result.json").read_text()
+    result = json.loads(written)
     del result["data"]["curves"][0]["empirical"]
     (out / "result.json").write_text(json.dumps(result))
     assert main(["calibrate", "--result", str(out), "--train", train]) == 2
     err = capsys.readouterr().err
     assert f"malformed tail run in {out}" in err and "curve 0" in err
+    # values of the wrong type, or an empirical curve shorter than its x grid
+    n = len(payload["x_grid"])
+    for key, value, name in [("x", ["a"] * n, "curves[0].x[0]"),
+                             ("empirical", [None] * n, "curves[0].empirical[0]"),
+                             ("empirical", [0.5] * (n - 1), "one probability per x"),
+                             ("T", str(payload["t_grid"][0]), "curves[0].T"),
+                             ("kernel_bound", "1", "kernel_bound")]:
+        result = json.loads(written)
+        data = result["data"] if key == "kernel_bound" else result["data"]["curves"][0]
+        data[key] = value
+        (out / "result.json").write_text(json.dumps(result))
+        assert main(["calibrate", "--result", str(out), "--train", train]) == 2, key
+        err = capsys.readouterr().err
+        assert f"malformed tail run in {out}" in err and name in err, err
+        assert "Traceback" not in err
+    # a dry run has no empirical values to calibrate on
+    dry = tmp_path / "dry"
+    assert main(["tail", "--config", write_config(tmp_path, dict(payload, replications=0),
+                                                  "dry.json"), "--out", str(dry)]) == 0
+    assert main(["calibrate", "--result", str(dry), "--train", train]) == 2
+    assert "no tail curves at T in" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("c4", ["nan", "inf"])
@@ -458,6 +480,17 @@ STATES17 = {"kind": "markov_chain", "transition": [[1 / 17] * 17] * 17}
     # an invalid config is a config error before its work estimate is checked
     ("mgf-check", dict(MGF, samples=10 ** 30, eta_max=-1.0), "eta_max"),
     ("mgf-check", dict(MGF, summand_sigma=1e200, eta_max=1e-10), "Bernstein envelope"),
+    # a config that is not an object, and processes an experiment cannot read
+    ("tail", [], "config must be a JSON object"),
+    ("bias", dict(BIAS, process={"kind": "ar1", "coefficient": 0.5}),
+     "bias-curve needs a finite chain and a table kernel"),
+    ("decompose-check", dict(BIAS, experiment="decompose-check", replications=2,
+                             process={"kind": "iid"}),
+     "decompose-check needs a finite chain and a table kernel"),
+    ("mixing-profile", dict(MIXING, process={"kind": "iid"}),
+     "mixing profiles need a finite chain"),
+    ("scaling", dict(SCALING, process={"kind": "ar1", "coefficient": 0.5}),
+     "scaling experiments use the Gaussian-copula vector process"),
 ], ids=["scaling-estimator", "scaling-t", "scaling-p", "scaling-replications",
         "scaling-replications-past-stride",
         "scaling-cross-correlation", "table-path", "mgf-summands", "mgf-sigma",
@@ -478,7 +511,8 @@ STATES17 = {"kind": "markov_chain", "transition": [[1 / 17] * 17] * 17}
         "mgf-eta-max-negative", "mgf-eta-max-zero", "mgf-eta-max-past-kappa",
         "mgf-eta-max-at-limit",
         "t-grid-repeat", "x-grid-repeat", "p-grid-repeat", "lags-repeat",
-        "table-path-and-entries", "mgf-invalid-over-budget", "mgf-envelope-overflow"])
+        "table-path-and-entries", "mgf-invalid-over-budget", "mgf-envelope-overflow",
+        "config-not-an-object", "bias-ar1", "decompose-iid", "mixing-iid", "scaling-ar1"])
 def test_config_errors_in_experiment_bodies_exit_2(tmp_path, capsys, command, payload, field):
     assert main([command, "--config", write_config(tmp_path, payload),
                  "--out", str(tmp_path / "o")]) == 2

@@ -3,8 +3,8 @@ enumerator, residual identity, zero conditional means, boundedness of the
 aggregated terms, the exact conditional-mean tables, and the chain law
 enumerated over every path."""
 import itertools
+import json
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,8 +13,8 @@ from tsustat import processes
 from tsustat.kernels import mean_kernel, table_kernel
 from tsustat.processes import (ProcessSpec, SeriesPath, cycle_chain, generate,
                                generate_batch, iid_chain, random_chain, two_state_chain)
-from tsustat.ustat import (_DECOMPOSE_T_CAP, DecompositionReport, _chain_law_tables,
-                           chain_law_bias, check_zero_conditional_means, decompose,
+from tsustat.ustat import (_DECOMPOSE_T_CAP, _chain_law_tables, chain_law_bias,
+                           check_zero_conditional_means, decompose,
                            theta_independent, theta_star, u_statistic)
 
 MATCH = np.array([[0.5, -0.5], [-0.5, 0.5]])
@@ -43,14 +43,18 @@ def enumerated_decompose(states, chain, kernel):
         b_max = max(b_max, float(np.max(np.abs(np.bincount(key, weights=terms)))))
     u_value = math.fsum(levels[0]) / n_tuples
     expectation = math.fsum(levels[r]) / n_tuples
-    return DecompositionReport(
-        order=r, length=T, s_terms=s_terms, u_value=u_value, theta_star=expectation,
-        residual=u_value - expectation - math.fsum(s_terms), b_term_max_abs=b_max,
-        kernel_bound=float(np.max(np.abs(H))))
+    return {"order": r, "length": T, "s_terms": s_terms, "u_value": u_value,
+            "theta_star": expectation, "residual": u_value - expectation - math.fsum(s_terms),
+            "b_term_max_abs": b_max, "kernel_bound": float(np.max(np.abs(H)))}
+
+
+def per_path(rep, i):
+    """Path i of a stack's ``decompose`` dict, in the one-path form."""
+    return {key: value[i].tolist() if key in ("s_terms", "u_value", "residual", "b_term_max_abs")
+            else value for key, value in rep.items()}
 
 
 def assert_reports_agree(got, want, tol=1e-12):
-    got, want = asdict(got), asdict(want)
     assert (got["order"], got["length"]) == (want["order"], want["length"])
     for field in ("u_value", "theta_star", "residual", "b_term_max_abs", "kernel_bound"):
         assert abs(got[field] - want[field]) <= tol, (field, got[field], want[field])
@@ -73,8 +77,10 @@ def test_decompose_matches_the_tuple_enumerator(r):
             for H in (rng.uniform(-2.0, 2.0, size=(s,) * r), np.zeros((s,) * r),
                       np.full((s,) * r, -0.7)):
                 kernel = table_kernel(H)
-                for states, rep in zip(paths, decompose(paths, chain, kernel)):
-                    assert_reports_agree(rep, enumerated_decompose(states, chain, kernel))
+                rep = decompose(paths, chain, kernel)
+                for i, states in enumerate(paths):
+                    assert_reports_agree(per_path(rep, i),
+                                         enumerated_decompose(states, chain, kernel))
 
 
 def test_a_stack_of_paths_gives_the_single_path_reports():
@@ -84,10 +90,11 @@ def test_a_stack_of_paths_gives_the_single_path_reports():
         kernel = table_kernel(rng.uniform(-1.0, 1.0, size=(s,) * r))
         paths = generate_batch(ProcessSpec(kind="markov_chain", seed=5, chain=chain), T, 4)
         stacked = decompose(paths, chain, kernel)
-        assert isinstance(stacked, list) and len(stacked) == 4
-        assert stacked == [decompose(states, chain, kernel) for states in paths]
-        assert stacked[0] == decompose(SeriesPath(states=paths[0]), chain, kernel)
-    assert decompose(np.zeros((0, 6), int), chain, kernel) == []  # an empty stack
+        assert stacked["s_terms"].shape == (4, r) and stacked["u_value"].shape == (4,)
+        assert [per_path(stacked, i) for i in range(4)] == \
+            [decompose(states, chain, kernel) for states in paths]
+        assert per_path(stacked, 0) == decompose(SeriesPath(states=paths[0]), chain, kernel)
+    assert decompose(np.zeros((0, 6), int), chain, kernel)["u_value"].shape == (0,)  # empty
 
 
 def random_instance(rng, r):
@@ -105,9 +112,9 @@ def test_telescoping_residual_fuzz(r):
     for _ in range(25):
         chain, kernel, path, T = random_instance(rng, r)
         rep = decompose(path, chain, kernel)
-        assert abs(rep.residual) <= 1e-10 * max(1.0, abs(rep.u_value))
-        assert rep.b_term_max_abs <= 2.0 * rep.kernel_bound + 1e-12
-        assert len(rep.s_terms) == r
+        assert abs(rep["residual"]) <= 1e-10 * max(1.0, abs(rep["u_value"]))
+        assert rep["b_term_max_abs"] <= 2.0 * rep["kernel_bound"] + 1e-12
+        assert len(rep["s_terms"]) == r
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -115,8 +122,8 @@ def test_u_and_theta_star_match_independent_paths(r):
     rng = np.random.default_rng(200 + r)
     chain, kernel, path, T = random_instance(rng, r)
     rep = decompose(path, chain, kernel)
-    assert rep.u_value == pytest.approx(u_statistic(path, kernel), abs=1e-11)
-    assert rep.theta_star == pytest.approx(theta_star(chain, kernel, T), abs=1e-11)
+    assert rep["u_value"] == pytest.approx(u_statistic(path, kernel), abs=1e-11)
+    assert rep["theta_star"] == pytest.approx(theta_star(chain, kernel, T), abs=1e-11)
 
 
 def test_iid_chain_degenerate_kernel_kills_last_term():
@@ -128,7 +135,7 @@ def test_iid_chain_degenerate_kernel_kills_last_term():
     spec = ProcessSpec(kind="markov_chain", seed=17, chain=chain)
     for T in (6, 15):
         rep = decompose(generate(spec, T), chain, kernel)
-        assert abs(rep.s_terms[1]) <= 1e-12
+        assert abs(rep["s_terms"][1]) <= 1e-12
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -166,12 +173,12 @@ def test_report_serializes():
     chain = two_state_chain(0.25)
     spec = ProcessSpec(kind="markov_chain", seed=4, chain=chain)
     rep = decompose(generate(spec, 12), chain, table_kernel(MATCH))
-    d = asdict(rep)
-    assert set(d) == {"order", "length", "s_terms", "u_value", "theta_star",
-                      "residual", "b_term_max_abs", "kernel_bound"}
+    assert json.loads(json.dumps(rep)) == rep
+    assert set(rep) == {"order", "length", "s_terms", "u_value", "theta_star",
+                        "residual", "b_term_max_abs", "kernel_bound"}
     # the bounds decompose-check applies (residual_ok, p2_ok)
-    assert abs(rep.residual) <= 1e-10
-    assert rep.b_term_max_abs / (2 * rep.kernel_bound) <= 1 + 1e-12
+    assert abs(rep["residual"]) <= 1e-10
+    assert rep["b_term_max_abs"] / (2 * rep["kernel_bound"]) <= 1 + 1e-12
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -222,9 +229,9 @@ def test_decomposition_against_the_enumerated_chain_law(r, s, T):
     P, pi = chain.transition, chain.stationary
     paths = np.array(list(itertools.product(range(s), repeat=T)))
     prob = pi[paths[:, 0]] * np.prod(P[paths[:, :-1], paths[:, 1:]], axis=1)
-    reps = decompose(paths, chain, kernel)
-    mean_u = prob @ np.array([rep.u_value for rep in reps])
-    mean_s = prob @ np.array([rep.s_terms for rep in reps])
+    rep = decompose(paths, chain, kernel)
+    mean_u = prob @ rep["u_value"]
+    mean_s = prob @ rep["s_terms"]
     assert mean_u == pytest.approx(theta_star(chain, kernel, T), abs=1e-12)
     np.testing.assert_allclose(mean_s, 0.0, atol=1e-12)
 
@@ -280,13 +287,13 @@ def test_a_stack_decomposes_as_its_paths_alone(r, monkeypatch):
     chain = random_chain(3, rng)
     kernel = table_kernel(rng.uniform(-1.0, 1.0, size=(3,) * r))
     paths = rng.integers(0, 3, size=(7, 25))
-    alone = [asdict(decompose(path, chain, kernel)) for path in paths]
-    assert [asdict(rep) for rep in decompose(paths, chain, kernel)] == alone
+    alone = [decompose(path, chain, kernel) for path in paths]
+    assert [per_path(decompose(paths, chain, kernel), i) for i in range(7)] == alone
     pair_reads = math.comb(25, 2) * 3 ** (r - 2)
     for budget in (1, 3 * pair_reads):  # chunks of one path, then of three
         monkeypatch.setattr(processes, "BLOCK_VALUES", budget)
-        assert [asdict(rep) for rep in decompose(paths, chain, kernel)] == alone
-    assert decompose(paths[:0], chain, kernel) == []
+        assert [per_path(decompose(paths, chain, kernel), i) for i in range(7)] == alone
+    assert decompose(paths[:0], chain, kernel)["s_terms"].shape == (0, r)
 
 
 def test_every_chain_law_function_rejects_a_raw_array():
@@ -304,4 +311,4 @@ def test_every_chain_law_function_rejects_a_raw_array():
         for kernel in (H, table_kernel(H).table, mean_kernel()):
             with pytest.raises(ValueError, match="needs a table kernel"):
                 call(kernel)
-    assert abs(decompose(path, chain, table_kernel(H)).residual) <= 1e-13
+    assert abs(decompose(path, chain, table_kernel(H))["residual"]) <= 1e-13

@@ -4,7 +4,8 @@ Every leaf of one small valid config per experiment (and per kernel kind of
 ``tail``) is deleted, or replaced by each value of a fixed list, and each
 case runs through ``cli.main`` in-process under a small budget. Every case
 must return 0, 2, 3 or 4 with nothing raised, and any ``result.json`` it
-writes must be strict JSON.
+writes must be strict JSON. ``calibrate`` is fuzzed the same way on the
+``result.json`` data block of one written tail run.
 """
 import json
 import shutil
@@ -114,6 +115,35 @@ def test_every_config_leaf_maps_to_a_documented_exit_code(tmp_path, capsys, base
                     failures.append(f"{case}: exit {code}")
                 if (out / "result.json").exists():
                     _strict((out / "result.json").read_text())
+            except Exception as exc:  # noqa: BLE001 -- any escape breaks the contract
+                failures.append(f"{case}: {type(exc).__name__}: {exc}")
+            shutil.rmtree(out, ignore_errors=True)
+            capsys.readouterr()
+    assert not failures, "\n".join(failures)
+
+
+CALIBRATE_TAIL = _config("tail", process=CHAIN, kernel=MATCH_KERNEL, t_grid=[10, 20],
+                         x_grid=[0.05, 0.1, 0.2], replications=64)
+
+
+def test_every_tail_result_leaf_maps_calibrate_to_a_documented_exit_code(tmp_path, capsys):
+    cfg_path, run, out = tmp_path / "config.json", tmp_path / "run", tmp_path / "cal"
+    cfg_path.write_text(json.dumps(CALIBRATE_TAIL))
+    assert main(["tail", "--config", str(cfg_path), "--out", str(run)]) == 0
+    argv = ["calibrate", "--result", str(run), "--train", "10,20", "--out", str(out)]
+    assert main(argv) == 0
+    result = json.loads((run / "result.json").read_text())
+    failures = []
+    for path in _paths(result["data"]):
+        for value in VALUES:
+            case = f"{'.'.join(map(str, path))} = {'<deleted>' if value is DELETE else value!r}"
+            (run / "result.json").write_text(json.dumps(_with(result, ("data", *path), value)))
+            try:
+                code = main(argv)
+                if code not in (0, 2, 3, 4):
+                    failures.append(f"{case}: exit {code}")
+                if (out / "calibration.json").exists():
+                    _strict((out / "calibration.json").read_text())
             except Exception as exc:  # noqa: BLE001 -- any escape breaks the contract
                 failures.append(f"{case}: {type(exc).__name__}: {exc}")
             shutil.rmtree(out, ignore_errors=True)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsustat import harness, hidim, processes
-from tsustat.bounds import TailPoint
+from tsustat.bounds import TailPoint, dominates
 from tsustat.harness import (DEFAULT_BUDGET, BudgetError, ConfigError, ExperimentConfig,
                              _decompose_block, _estimate_theta, _oracle_samples, _u_table_path,
                              calibrate_from_tail, emit_outputs, estimate_scaling_budget,
@@ -595,7 +595,7 @@ def test_calibrate_from_tail_round_trip():
     for c in run.data["curves"]:
         for x, p in zip(c["x"], c["empirical"]):
             point = TailPoint(x=x, T=c["T"], M=run.data["kernel_bound"], probability=p)
-            assert cal.dominates(point, tol=1e-12)
+            assert dominates(cal, point, tol=1e-12)
     with pytest.raises(ConfigError):
         calibrate_from_tail(run, train_t=[999])
 

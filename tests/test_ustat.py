@@ -61,6 +61,22 @@ def test_u_statistic_invariant_under_time_permutation():
         assert u_statistic(path[perm], k) == pytest.approx(base, abs=1e-13)
 
 
+def test_value_paths_read_as_their_arrays():
+    """A real-valued SeriesPath, 1-D (kept as one column) or bivariate, gives
+    the statistics of its plain array; the decomposition takes states only."""
+    rng = np.random.default_rng(61)
+    x = rng.uniform(-1.0, 1.0, size=12)
+    scalar = SeriesPath(values=x)
+    assert scalar.values.shape == (12, 1) and scalar.dimension == 1
+    assert u_statistic(scalar, mean_kernel()) == u_statistic(x, mean_kernel())
+    xy = rng.standard_normal((12, 2))
+    pair = SeriesPath(values=xy)
+    assert u_statistic(pair, sign_product_kernel()) == u_statistic(xy, sign_product_kernel())
+    assert kendall_tau(pair) == kendall_tau(xy)
+    with pytest.raises(ValueError, match="decomposition needs a state path"):
+        ustat.decompose(scalar, two_state_chain(0.25), table_kernel(np.eye(2)))
+
+
 def brute_inversions(row):
     """O(T^2) count of pairs i < j with row[i] > row[j], 2048 leading
     positions at a time so the comparison mask stays small."""
