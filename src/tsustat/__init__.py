@@ -5,9 +5,9 @@ generators and finite Markov chains), mixing (exact dependence coefficients),
 ustat (evaluation, rank statistics, decomposition), bounds (tail and log-MGF
 families), hidim (rank-correlation matrices), harness/cli (experiments).
 """
-from .bounds import (BernsteinParams, BoundConstants, TailPoint, bernstein_envelope,
-                     bias_offset, calibrate_constants, dominates, empirical_log_mgf,
-                     hoeffding_bound, mixing_sum_logmgf_bound, ustat_tail_bound)
+from .bounds import (BoundConstants, TailPoint, bernstein_envelope, bias_offset,
+                     calibrate_constants, dominates, empirical_log_mgf, hoeffding_bound,
+                     mixing_sum_logmgf_bound, ustat_tail_bound)
 from .hidim import (CorrelationMatrixEstimate, kendall_matrix, max_norm_deviation,
                     population_matrix, spearman_matrix)
 from .kernels import (KernelSpec, load_table_kernel, mean_kernel, sign_product_kernel,

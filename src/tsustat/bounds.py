@@ -2,12 +2,13 @@
 
 Every bound is a parametric family: the multiplicative constants are runtime
 parameters defaulting to 1, and ``calibrate_constants`` fits the tightest
-dominating exponent constant to empirical tail curves. It returns the plain
-dict that ``calibration.json`` holds, and ``dominates`` checks a tail point
-against that dict. The tail bounds and the calibrated exponent read x and
-the kernel bound M only through u = x / M, so a kernel and its thresholds
-scaled together by a power of two give the same values, and no square of x
-or M can overflow.
+dominating exponent constant, at most ``C5_CAP``, to empirical tail curves.
+It returns the plain dict that ``calibration.json`` holds, and ``dominates``
+checks a tail point against that dict. ``bernstein_envelope`` takes the
+log-MGF step's (sigma, kappa) as two numbers. The tail bounds and the
+calibrated exponent read x and the kernel bound M only through u = x / M, so
+a kernel and its thresholds scaled together by a power of two give the same
+values, and no square of x or M can overflow.
 """
 from __future__ import annotations
 
@@ -17,28 +18,18 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class BernsteinParams:
-    """Envelope parameters: log E exp(eta Z) <= (sigma eta)^2 / (1 - kappa eta)."""
-
-    sigma: float
-    kappa: float
-
-    def __post_init__(self):
-        if self.sigma < 0 or self.kappa < 0:
-            raise ValueError("sigma and kappa must be non-negative")
-
-    @property
-    def eta_limit(self) -> float:
-        return math.inf if self.kappa == 0 else 1.0 / self.kappa
+C5_CAP = 1e6  # the calibrated exponent constant's ceiling
 
 
-def bernstein_envelope(params: BernsteinParams, eta: float) -> float:
-    """The envelope value (sigma eta)^2 / (1 - kappa eta) for admissible eta."""
-    if eta < 0 or eta >= params.eta_limit:
-        raise ValueError(f"eta={eta} outside [0, {params.eta_limit})")
-    return (params.sigma * eta) ** 2 / (1.0 - params.kappa * eta)
+def bernstein_envelope(sigma: float, kappa: float, eta: float) -> float:
+    """The envelope (sigma eta)^2 / (1 - kappa eta) that bounds log E exp(eta Z),
+    for sigma, kappa >= 0 and 0 <= eta < 1 / kappa (any eta >= 0 at kappa = 0)."""
+    if sigma < 0 or kappa < 0:
+        raise ValueError("sigma and kappa must be non-negative")
+    limit = math.inf if kappa == 0 else 1.0 / kappa
+    if eta < 0 or eta >= limit:
+        raise ValueError(f"eta={eta} outside [0, {limit})")
+    return (sigma * eta) ** 2 / (1.0 - kappa * eta)
 
 
 @dataclass(frozen=True)
@@ -144,18 +135,20 @@ def dominates(calibration: dict, point: TailPoint, tol: float = 0.0) -> bool:
 
 
 def calibrate_constants(points: Sequence[TailPoint | tuple], c4: float = 1.0,
-                        cap: float = 1e6, base: BoundConstants | None = None) -> dict:
+                        base: BoundConstants | None = None) -> dict:
     """Tightest exponent constant whose bound dominates every supplied point.
 
     For each point with positive empirical probability and positive effective
     deviation x - c4 M / sqrt(T), the largest admissible exponent constant is
-    log(2/p) / g(x', T); the calibrated value is the minimum over points. If
-    no point constrains the constant (all-zero tails), returns the cap with a
-    flag. Returns the ``calibration.json`` dict: ``constants`` (``base``
-    with c4 and c5 set), ``capped``, ``used_points`` (the constraining
-    points), ``binding_point`` (``TailPoint._asdict``, or None) and
-    ``slack``, the relative gap from the binding candidate to the runner-up
-    (None where fewer than two points constrain the constant).
+    log(2/p) / g(x', T); the calibrated value is the minimum over points, at
+    most ``C5_CAP``. A point whose admissible constant is not finite (g
+    underflows at a tiny x') constrains nothing, like a zero-probability
+    point. If no point constrains the constant (all-zero tails), returns the
+    cap with a flag. Returns the ``calibration.json`` dict: ``constants``
+    (``base`` with c4 and c5 set), ``capped``, ``used_points`` (the
+    constraining points), ``binding_point`` (``TailPoint._asdict``, or None)
+    and ``slack``, the relative gap from the binding candidate to the
+    runner-up (None where fewer than two points constrain the constant).
     """
     pts = [p if isinstance(p, TailPoint) else TailPoint(*p) for p in points]
     if len(pts) < 5:
@@ -173,15 +166,16 @@ def calibrate_constants(points: Sequence[TailPoint | tuple], c4: float = 1.0,
             continue
         u = x_eff / p.M
         g = u * u * p.T / (1.0 + u * log_factor(p.T))
-        candidates.append((math.log(2.0 / p.probability) / g, p))
+        if g > 0.0 and math.isfinite(candidate := math.log(2.0 / p.probability) / g):
+            candidates.append((candidate, p))
 
     if not candidates:
-        return {"constants": replace(base, c4=c4, c5=cap).to_dict(), "capped": True,
+        return {"constants": replace(base, c4=c4, c5=C5_CAP).to_dict(), "capped": True,
                 "used_points": 0, "slack": None, "binding_point": None}
     candidates.sort(key=lambda cp: cp[0])
     c5, binding = candidates[0]
-    c5 = min(c5, cap)
+    c5 = min(c5, C5_CAP)
     slack = math.inf if len(candidates) == 1 else candidates[1][0] / candidates[0][0] - 1.0
-    return {"constants": replace(base, c4=c4, c5=c5).to_dict(), "capped": c5 >= cap,
+    return {"constants": replace(base, c4=c4, c5=c5).to_dict(), "capped": c5 >= C5_CAP,
             "used_points": len(candidates), "slack": None if math.isinf(slack) else slack,
             "binding_point": binding._asdict()}

@@ -48,7 +48,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import (BernsteinParams, BoundConstants, TailPoint, bernstein_envelope,
+from .bounds import (BoundConstants, TailPoint, bernstein_envelope,
                      calibrate_constants, empirical_log_mgf, ustat_tail_bound, bias_offset)
 from . import hidim
 from .kernels import (KernelSpec, load_table_kernel, mean_kernel, sign_product_kernel,
@@ -344,17 +344,17 @@ class ExperimentConfig:
                 raise ConfigError("distribution must be rademacher or uniform")
             if self.summand_sigma is None:  # defaults to scale, within the same bounds
                 self.summand_sigma = read_field("summand_sigma", self.scale)
-            per, combined = _mgf_params(self)
-            for name, value in (("summand_sigma", combined.sigma),
-                                ("summand_kappa", combined.kappa)):
+            sigma, kappa = self.summands * self.summand_sigma, self.summands * self.summand_kappa
+            for name, value in (("summand_sigma", sigma), ("summand_kappa", kappa)):
                 if math.isinf(value):
                     raise ConfigError(f"{name} * summands = {value} overflows a float")
-            # eta_max tops the eta grid, inside the envelope's domain 0 <= eta < 1 / kappa
+            # eta_max tops the eta grid, inside the combined envelope's domain
+            # 0 <= eta < 1 / kappa, which holds the per-summand one (summands >= 1)
             if self.eta_max is None:
-                if combined.kappa == 0:
+                if kappa == 0:
                     raise ConfigError("eta_max is required when the combined kappa is zero")
-                self.eta_max = 0.99 / combined.kappa
-            elif self.eta_max <= 0 or self.eta_max >= min(per.eta_limit, combined.eta_limit):
+                self.eta_max = 0.99 / kappa
+            elif self.eta_max <= 0 or (kappa > 0 and self.eta_max >= 1.0 / kappa):
                 raise ConfigError(f"eta_max must be > 0 and below 1 / (summands * "
                                   f"summand_kappa), got {self.eta_max!r}")
             # |sum| <= summands * |scale|, so this meets the empirical log-MGF's
@@ -364,8 +364,8 @@ class ExperimentConfig:
                 raise ConfigError(f"eta_max * summands * |scale| = {reach:.4g} exceeds 700, "
                                   "the log-MGF overflow guard")
             # the combined envelope grows with eta and bounds the per-summand one
-            top = combined.sigma * self.eta_max
-            if not math.isfinite(top * top / (1.0 - combined.kappa * self.eta_max)):
+            top = sigma * self.eta_max
+            if not math.isfinite(top * top / (1.0 - kappa * self.eta_max)):
                 raise ConfigError(f"the Bernstein envelope of summand_sigma and summand_kappa "
                                   f"overflows at eta_max = {self.eta_max:.4g}")
         if e == "scaling":
@@ -756,18 +756,12 @@ def estimate_mgf_budget(cfg: ExperimentConfig) -> float:
     return float(cfg.samples) * (cfg.summands + cfg.eta_points)
 
 
-def _mgf_params(cfg: ExperimentConfig) -> tuple[BernsteinParams, BernsteinParams]:
-    """The Bernstein parameters of one summand and of the sum of ``summands``."""
-    per = BernsteinParams(cfg.summand_sigma, cfg.summand_kappa)
-    return per, BernsteinParams(cfg.summands * per.sigma, cfg.summands * per.kappa)
-
-
 def _run_mgf_check(cfg: ExperimentConfig) -> tuple[dict, Tables]:
     dist, n, scale, eta_max = cfg.distribution, cfg.summands, cfg.scale, cfg.eta_max
-    per, combined = _mgf_params(cfg)
+    sigma, kappa = cfg.summand_sigma, cfg.summand_kappa
     etas = [min(eta_max * (i + 1) / cfg.eta_points, eta_max) for i in range(cfg.eta_points)]
 
-    per_ok = all(_summand_log_mgf(dist, scale, e) <= bernstein_envelope(per, e) + 1e-12
+    per_ok = all(_summand_log_mgf(dist, scale, e) <= bernstein_envelope(sigma, kappa, e) + 1e-12
                  for e in etas)
     rng = _rep_rng(cfg.seed, 0)
     if dist == "rademacher":
@@ -776,7 +770,7 @@ def _run_mgf_check(cfg: ExperimentConfig) -> tuple[dict, Tables]:
         draws = scale * rng.uniform(-1.0, 1.0, size=(cfg.samples, n))
     sums = draws.sum(axis=1)
     empirical = [empirical_log_mgf(sums, e) for e in etas]
-    envelope = [bernstein_envelope(combined, e) for e in etas]
+    envelope = [bernstein_envelope(n * sigma, n * kappa, e) for e in etas]
     dominance = all(emp <= env + 1e-12 for emp, env in zip(empirical, envelope))
     return ({"experiment": "mgf-check", "eta": etas, "empirical": empirical,
              "envelope": envelope, "per_summand_ok": per_ok, "dominance_ok": dominance},

@@ -24,14 +24,13 @@ ESTIMATOR_KINDS = ("kendall", "spearman")
 
 @dataclass
 class CorrelationMatrixEstimate:
-    kind: str
+    """A checked rank-correlation matrix: square, symmetric within 1e-12, a
+    unit diagonal and entries in [-1, 1]."""
+
     matrix: np.ndarray
-    sample_length: int
 
     def __post_init__(self):
         M = np.asarray(self.matrix, dtype=float)
-        if self.kind not in ESTIMATOR_KINDS:
-            raise ValueError(f"unknown estimator kind '{self.kind}'")
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("correlation matrix must be square")
         if np.max(np.abs(M - M.T)) > 1e-12:
@@ -94,7 +93,7 @@ def kendall_matrix(data) -> CorrelationMatrixEstimate:
         K = denom - 2 * _count_inversions_batch(rows[:j.size])
         M[j, k] = M[k, j] = K / denom
     _tie_exact_pairs(data, near, M, lambda K, W: K / denom)
-    return CorrelationMatrixEstimate(kind="kendall", matrix=M, sample_length=T)
+    return CorrelationMatrixEstimate(M)
 
 
 def spearman_matrix(data) -> CorrelationMatrixEstimate:
@@ -117,7 +116,7 @@ def spearman_matrix(data) -> CorrelationMatrixEstimate:
     _tie_exact_pairs(data, near, d2, lambda K, W: (n - 3 * (W + 2 * K)) / 6)
     M = 1.0 - 6.0 * d2 / n
     np.fill_diagonal(M, 1.0)
-    return CorrelationMatrixEstimate(kind="spearman", matrix=M, sample_length=T)
+    return CorrelationMatrixEstimate(M)
 
 
 def population_matrix(R, kind: str) -> np.ndarray:

@@ -68,16 +68,17 @@ def _points_of(data) -> list:
     raise ValueError("data must be a SeriesPath, 1-D, or 2-D array")
 
 
-def u_statistic(data, kernel: KernelSpec, max_terms: int = MAX_GENERIC_TERMS) -> float:
+def u_statistic(data, kernel: KernelSpec) -> float:
     """Average of the kernel over all increasing index tuples of size r; the
-    kernel sum is correctly rounded (``math.fsum``)."""
+    kernel sum is correctly rounded (``math.fsum``). More than
+    ``MAX_GENERIC_TERMS`` tuples is a ValueError."""
     points = _points_of(data)
     T, r = len(points), kernel.order
     if T < r:
         raise ValueError(f"path length {T} shorter than kernel order {r}")
     n_terms = math.comb(T, r)
-    if n_terms > max_terms:
-        raise ValueError(f"{n_terms} kernel terms exceed the cap of {max_terms}")
+    if n_terms > MAX_GENERIC_TERMS:
+        raise ValueError(f"{n_terms} kernel terms exceed the cap of {MAX_GENERIC_TERMS}")
     fn = kernel.fn
     return math.fsum(float(fn(*idx)) for idx in itertools.combinations(points, r)) / n_terms
 

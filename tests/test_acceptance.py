@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from tsustat.bounds import (BernsteinParams, bernstein_envelope, empirical_log_mgf,
+from tsustat.bounds import (bernstein_envelope, empirical_log_mgf,
                             ustat_tail_bound, bias_offset)
 from tsustat.harness import ExperimentConfig, calibrate_from_tail, run_experiment
 from tsustat.kernels import sign_product_kernel, spearman_symmetric_kernel, table_kernel
@@ -312,16 +312,14 @@ def test_11_combined_envelope_dominance():
     grid inside the admissible interval."""
     rng = np.random.default_rng(1111)
     for n, kappa_i in ((10, 0.0), (30, 0.1), (50, 0.2)):
-        per = BernsteinParams(sigma=1.0, kappa=kappa_i)
-        combined = BernsteinParams(n * per.sigma, n * per.kappa)  # as mgf-check builds it
-        eta_max = 0.99 / combined.kappa if combined.kappa > 0 else 0.5
+        eta_max = 0.99 / (n * kappa_i) if kappa_i > 0 else 0.5
         etas = np.linspace(eta_max / 50, eta_max, 50)
         # per-summand envelope verified numerically: log cosh eta <= (eta)^2/(1-k eta)
         for e in etas:
-            assert math.log(math.cosh(e)) <= bernstein_envelope(per, e) + 1e-12
+            assert math.log(math.cosh(e)) <= bernstein_envelope(1.0, kappa_i, e) + 1e-12
         sums = rng.choice([-1.0, 1.0], size=(120_000, n)).sum(axis=1)
         for e in etas:
             emp = empirical_log_mgf(sums, e)
-            env = bernstein_envelope(combined, e)
+            env = bernstein_envelope(n * 1.0, n * kappa_i, e)  # as mgf-check adds summands
             assert emp <= env, (n, e, emp, env)
     report("11 combined-envelope-dominance", "n in {10, 30, 50}, 50-point grids")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tsustat.bounds import (BernsteinParams, BoundConstants, TailPoint,
+from tsustat.bounds import (C5_CAP, BoundConstants, TailPoint,
                             bernstein_envelope, calibrate_constants, dominates,
                             empirical_log_mgf, hoeffding_bound, log_factor,
                             mixing_sum_logmgf_bound, ustat_tail_bound, bias_offset)
@@ -63,15 +63,19 @@ def test_bias_bound():
 
 def test_bernstein_params_validation():
     with pytest.raises(ValueError):
-        BernsteinParams(-1.0, 0.0)
+        bernstein_envelope(-1.0, 0.0, 0.1)
+    with pytest.raises(ValueError):
+        bernstein_envelope(1.0, -1.0, 0.1)
 
 
 def test_envelope_domain():
-    p = BernsteinParams(1.0, 2.0)
-    assert bernstein_envelope(p, 0.0) == 0.0
-    assert bernstein_envelope(p, 0.25) == pytest.approx(0.0625 / 0.5)
+    assert bernstein_envelope(1.0, 2.0, 0.0) == 0.0
+    assert bernstein_envelope(1.0, 2.0, 0.25) == pytest.approx(0.0625 / 0.5)
     with pytest.raises(ValueError):
-        bernstein_envelope(p, 0.5)
+        bernstein_envelope(1.0, 2.0, 0.5)
+    with pytest.raises(ValueError):
+        bernstein_envelope(1.0, 2.0, -0.1)
+    assert bernstein_envelope(1.0, 0.0, 1e6) == 1e12  # no limit at kappa = 0
 
 
 def test_empirical_log_mgf():
@@ -88,9 +92,8 @@ def test_rademacher_sum_dominated_by_hoeffding_envelope():
     rng = np.random.default_rng(0)
     n = 10
     sums = rng.choice([-1.0, 1.0], size=(200_000, n)).sum(axis=1)
-    combined = BernsteinParams(n * 1.0, n * 0.0)  # n summands, as mgf-check adds them
-    for eta in np.linspace(0.01, 0.5, 20):
-        assert empirical_log_mgf(sums, eta) <= bernstein_envelope(combined, eta)
+    for eta in np.linspace(0.01, 0.5, 20):  # n summands, as mgf-check adds them
+        assert empirical_log_mgf(sums, eta) <= bernstein_envelope(n * 1.0, n * 0.0, eta)
 
 
 def test_bound_constants_dict_round_trip():
@@ -141,9 +144,27 @@ def test_calibration_with_offset_round_trip():
 def test_calibration_degenerate_all_zero():
     pts = [TailPoint(x=x, T=T, M=1.0, probability=0.0)
            for T in (100, 200) for x in (0.1, 0.2, 0.3)]
-    result = calibrate_constants(pts, c4=0.0, cap=123.0)
-    assert result["capped"] and result["constants"]["c5"] == 123.0
+    result = calibrate_constants(pts, c4=0.0)
+    assert result["capped"] and result["constants"]["c5"] == C5_CAP
     assert result["binding_point"] is None
+    # tiny x give a subnormal g and an infinite candidate at every point,
+    # which constrain nothing either: no inf / inf slack
+    pts = [p._replace(x=p.x * 1e-159, probability=0.9) for p in pts]
+    result = calibrate_constants(pts, c4=0.0)
+    assert result["capped"] and result["constants"]["c5"] == C5_CAP
+    assert result["used_points"] == 0
+    assert result["binding_point"] is None and result["slack"] is None
+
+
+def test_calibration_skips_a_point_whose_constant_is_unbounded():
+    """At x = 1e-200, u^2 T underflows to 0, so log(2/p) / g has no finite
+    value: the point constrains nothing, as a zero-probability point."""
+    pts = [TailPoint(x=x, T=T, M=1.0, probability=p)
+           for T, probs in ((50, (1.0, 0.4, 0.1, 0.02)), (100, (1.0, 0.3, 0.05, 0.004)))
+           for x, p in zip((1e-200, 0.1, 0.2, 0.3), probs)]
+    without = calibrate_constants([p for p in pts if p.x > 1e-200], c4=0.0)
+    assert calibrate_constants(pts, c4=0.0) == without
+    assert without["used_points"] == 6
 
 
 def test_calibration_preconditions():

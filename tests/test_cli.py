@@ -466,6 +466,9 @@ STATES17 = {"kind": "markov_chain", "transition": [[1 / 17] * 17] * 17}
     ("mgf-check", dict(MGF, summand_kappa=0.0, eta_max=-1.0), "eta_max must be > 0"),
     ("mgf-check", dict(MGF, summand_kappa=0.0, eta_max=0.0), "eta_max must be > 0"),
     ("mgf-check", dict(MGF, eta_max=5.0), "below 1 / (summands * summand_kappa)"),
+    # 1 / (summands * summand_kappa) = 1.0 is the limit, though 1 / summand_kappa is 10
+    ("mgf-check", dict(MGF, eta_max=1.0),
+     "eta_max must be > 0 and below 1 / (summands * summand_kappa), got 1.0"),
     # 49 * (1/49) rounds below 1, but 1/49 is the envelope's own limit
     ("mgf-check", dict(MGF, summands=1, summand_kappa=49.0, eta_max=1 / 49),
      "below 1 / (summands * summand_kappa)"),
@@ -509,7 +512,7 @@ STATES17 = {"kind": "markov_chain", "transition": [[1 / 17] * 17] * 17}
         "table-entry-overflow", "table-entries-mixed-overflow", "bias-table-overflow",
         "decompose-table-overflow", "mgf-sigma-overflow", "mgf-kappa-overflow",
         "mgf-eta-max-negative", "mgf-eta-max-zero", "mgf-eta-max-past-kappa",
-        "mgf-eta-max-at-limit",
+        "mgf-eta-max-at-limit", "mgf-eta-max-at-combined-limit",
         "t-grid-repeat", "x-grid-repeat", "p-grid-repeat", "lags-repeat",
         "table-path-and-entries", "mgf-invalid-over-budget", "mgf-envelope-overflow",
         "config-not-an-object", "bias-ar1", "decompose-iid", "mixing-iid", "scaling-ar1"])

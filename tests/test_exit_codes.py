@@ -124,6 +124,8 @@ def test_every_config_leaf_maps_to_a_documented_exit_code(tmp_path, capsys, base
 
 CALIBRATE_TAIL = _config("tail", process=CHAIN, kernel=MATCH_KERNEL, t_grid=[10, 20],
                          x_grid=[0.05, 0.1, 0.2], replications=64)
+CALIBRATE_SIGN_PRODUCT = _config("tail", process=COPULA, kernel={"kind": "sign_product"},
+                                 t_grid=[50, 100], replications=64)
 
 
 def test_every_tail_result_leaf_maps_calibrate_to_a_documented_exit_code(tmp_path, capsys):
@@ -149,3 +151,28 @@ def test_every_tail_result_leaf_maps_calibrate_to_a_documented_exit_code(tmp_pat
             shutil.rmtree(out, ignore_errors=True)
             capsys.readouterr()
     assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("x_grid", [[1e-200, 0.1, 0.2, 0.3], [1e-160, 2e-160, 3e-160]],
+                         ids=["one-underflowing-x", "only-subnormal-g"])
+def test_calibrate_skips_points_with_an_unbounded_constant(tmp_path, capsys, x_grid):
+    """A tail point whose admissible constant log(2/p) / g is not finite (g
+    underflows at a tiny x) constrains nothing: calibrate exits 0, with the
+    calibration of the same run without those points, or the capped one."""
+    def calibrate(name, grid):
+        cfg_path, run, out = (tmp_path / f"{name}.json", tmp_path / name,
+                              tmp_path / f"{name}-cal")
+        cfg_path.write_text(json.dumps(dict(CALIBRATE_SIGN_PRODUCT, x_grid=grid)))
+        assert main(["tail", "--config", str(cfg_path), "--out", str(run)]) == 0
+        assert main(["calibrate", "--result", str(run), "--train", "50,100", "--c4", "0",
+                     "--out", str(out)]) == 0
+        return _strict((out / "calibration.json").read_text())
+
+    calibration = calibrate("tiny", x_grid)
+    assert "Traceback" not in capsys.readouterr().err
+    finite = [x for x in x_grid if x > 1e-100]
+    if finite:
+        assert calibration == calibrate("finite", finite)
+    else:
+        assert calibration["capped"] and calibration["used_points"] == 0
+        assert calibration["binding_point"] is None and calibration["slack"] is None

@@ -686,6 +686,8 @@ def test_mgf_check_passes_and_fails():
     for distribution in ("rademacher", "uniform"):
         rep = run_experiment(ExperimentConfig.from_dict(dict(base, distribution=distribution)))
         assert rep.all_ok
+        # the default eta_max, 0.99 / (summands * summand_kappa), is inside both domains
+        assert rep.data["per_summand_ok"] and rep.data["dominance_ok"]
         assert len(rep.data["eta"]) == 25
     # an undersized envelope must be caught
     bad = dict(base, summand_sigma=0.05, summand_kappa=0.0, eta_max=1.0)

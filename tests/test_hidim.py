@@ -121,9 +121,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         kendall_matrix(bad)  # constant coordinate
     with pytest.raises(ValueError):
-        CorrelationMatrixEstimate(kind="kendall",
-                                  matrix=np.array([[1.0, 0.2], [0.3, 1.0]]),
-                                  sample_length=10)
+        CorrelationMatrixEstimate(np.array([[1.0, 0.2], [0.3, 1.0]]))
 
 
 def test_independent_coordinates_max_entry_scaling():
@@ -138,11 +136,11 @@ def test_independent_coordinates_max_entry_scaling():
 
 def test_max_norm_deviation_examples():
     pop = population_matrix(np.eye(3), "kendall")
-    est = CorrelationMatrixEstimate(kind="kendall", matrix=np.eye(3), sample_length=10)
+    est = CorrelationMatrixEstimate(np.eye(3))
     assert max_norm_deviation(est, pop) == 0.0
     M = np.eye(3)
     M[0, 1] = M[1, 0] = 0.3
-    est2 = CorrelationMatrixEstimate(kind="kendall", matrix=M, sample_length=10)
+    est2 = CorrelationMatrixEstimate(M)
     assert max_norm_deviation(est2, pop) == pytest.approx(0.3)
     with pytest.raises(ValueError):
         max_norm_deviation(est, np.eye(4))

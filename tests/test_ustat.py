@@ -46,9 +46,9 @@ def test_u_statistic_sign_product_example():
 def test_u_statistic_guards():
     with pytest.raises(ValueError):
         u_statistic(np.zeros((1, 2)), sign_product_kernel())
-    with pytest.raises(ValueError):
-        u_statistic(np.zeros(100), KernelSpec(order=4, bound=1.0, kind="zero",
-                                              fn=lambda *a: 0.0), max_terms=1000)
+    with pytest.raises(ValueError):  # C(1000, 4) > MAX_GENERIC_TERMS, caught before a term
+        u_statistic(np.zeros(1000), KernelSpec(order=4, bound=1.0, kind="zero",
+                                               fn=lambda *a: 0.0))
 
 
 def test_u_statistic_invariant_under_time_permutation():
