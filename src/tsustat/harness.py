@@ -104,7 +104,8 @@ def _require_keys(d: dict, where: str, required: set[str],
 # config field -> (type, least value or None). A dotted name is a field of a
 # nested object; a top-level name sets the ExperimentConfig attribute. An "int"
 # takes JSON integers only, never a float or a boolean; a "float" takes finite
-# numbers; a "<type> list" is non-empty, and each item is checked in turn.
+# numbers; both must lie within the float range; a "<type> list" is non-empty,
+# and each item is checked in turn.
 _FIELDS = {
     "seed": ("int", 0), "budget": ("float", None), "threads": ("int", 1),
     "out_dir": ("str", None), "t_grid": ("int list", None), "p_grid": ("int list", None),
@@ -134,6 +135,8 @@ def _typed(value, kind: str, low, name: str):
     number = exact in (int, float) or (isinstance(value, numbers.Real)
                                        and not isinstance(value, bool))
     if kind == "int" and number and (exact is int or isinstance(value, numbers.Integral)):
+        if abs(value) > sys.float_info.max:  # as a float's, so estimates compute in floats
+            raise ConfigError(f"{name} must lie within the float range, ±1.8e308")
         value = int(value)
     elif kind == "float" and number and abs(value) <= sys.float_info.max:  # NaN fails too
         value = float(value)
@@ -395,9 +398,10 @@ class ExperimentConfig:
                 if not chain or process.chain.state_count != states:
                     raise ConfigError(f"a table kernel over {states} states needs a "
                                       f"markov_chain process with {states} states")
-                # U and the chain-law sums add up to C(T, r) entries of size <= M
+                # U and the chain-law sums add up to C(T, r) entries of size <= M,
+                # and divide by C(T, r): both the count and the sum fit a float
                 tuples = math.comb(max(self.t_grid), kernel.order)
-                if tuples > sys.float_info.max / kernel.bound:
+                if tuples > sys.float_info.max / max(kernel.bound, 1.0):
                     raise ConfigError(f"kernel.entries: |entry| {kernel.bound:.3g} times "
                                       f"C({max(self.t_grid)}, {kernel.order}) tuples "
                                       "overflows a float")
@@ -455,7 +459,7 @@ def _path_cost(kernel: KernelSpec, T: int) -> float:
         return T * math.log2(max(T, 2))  # inversion counting over ranks
     if kernel.kind == "mean":
         return float(T)
-    return float(T + kernel.table.shape[0] ** kernel.order)  # table: occupation counts
+    return float(T) + kernel.table.size  # table: occupation counts
 
 
 def _oracle_samples(cfg: ExperimentConfig, rng, draws: int) -> np.ndarray:
@@ -532,16 +536,28 @@ def _tail_tables(curves: list[dict]) -> Tables:
 
 
 def _path_values(cfg: ExperimentConfig) -> int:
-    """Values in one path of a run: max T times the process dimension."""
-    return max(cfg.t_grid) * (cfg.process.dimension or 1)
+    """Values drawn for one path of a run: max T, plus the m more draws of an
+    m-dependent window, times the process dimension."""
+    return (max(cfg.t_grid) + (cfg.process.window or 0)) * (cfg.process.dimension or 1)
+
+
+def _draw_cost(spec: ProcessSpec, T: int) -> float:
+    """Work units of drawing one length-T path: its T values times the
+    dimension, or the T + m draws and T (m + 1) adds of an m-dependent
+    window's moving sums."""
+    if spec.kind == "m_dependent":
+        return float(T) + spec.window + float(T) * (spec.window + 1)
+    return float(T) * (spec.dimension or 1)
 
 
 def estimate_tail_budget(cfg: ExperimentConfig) -> float:
     """Work units of the tail run: replications times the per-path cost of
-    the evaluator the kernel kind selects, plus r per Monte Carlo theta draw
-    of r points."""
-    draws = cfg.theta_draws * cfg.kernel.order if _exact_theta(cfg) is None else 0
-    return draws + cfg.replications * math.fsum(_path_cost(cfg.kernel, T) for T in cfg.t_grid)
+    drawing the path at the largest T and of the evaluator the kernel kind
+    selects at each T, plus r per Monte Carlo theta draw of r points."""
+    draws = float(cfg.theta_draws) * cfg.kernel.order if _exact_theta(cfg) is None else 0.0
+    per_path = (_draw_cost(cfg.process, max(cfg.t_grid))
+                + sum(_path_cost(cfg.kernel, T) for T in cfg.t_grid))
+    return draws + cfg.replications * per_path
 
 
 def _run_tail(cfg: ExperimentConfig) -> tuple[dict, Tables]:
@@ -646,7 +662,7 @@ def estimate_bias_budget(cfg: ExperimentConfig) -> float:
     and of (4S)^3 + S (6S)^3 at order 3, for S states."""
     s = cfg.kernel.table.shape[0]
     product = (3 * s) ** 3 if cfg.kernel.order == 2 else (4 * s) ** 3 + s * (6 * s) ** 3
-    return math.fsum(2 * math.log2(T) * product for T in cfg.t_grid)
+    return sum(2 * math.log2(T) * product for T in cfg.t_grid)
 
 
 def _loglog_slope(points) -> float | None:
@@ -680,8 +696,8 @@ def estimate_decompose_budget(cfg: ExperimentConfig) -> float:
     pair reads of ``decompose``; per T, the T^(r-1) S^2 entries of the gap
     tables it and the conditional-mean check build once."""
     s, r = cfg.kernel.table.shape[0], cfg.kernel.order
-    return math.fsum(cfg.replications * T * T * s ** (r - 2) + T ** (r - 1) * s * s
-                     for T in cfg.t_grid)
+    return sum(float(cfg.replications) * T * T * s ** (r - 2) + float(T) * T ** (r - 2) * s * s
+               for T in cfg.t_grid)
 
 
 def _decompose_block(args, start: int, count: int) -> np.ndarray:
@@ -719,9 +735,10 @@ def _run_decompose_check(cfg: ExperimentConfig) -> tuple[dict, Tables]:
 # ---------------------------------------------------------------------------
 
 def estimate_mixing_budget(cfg: ExperimentConfig) -> float:
-    """Work units of the mixing-profile run: per lag, the 2^S state subsets
-    ``alpha_coeff`` enumerates."""
-    return len(cfg.lags) * 2.0 ** cfg.process.chain.state_count
+    """Work units of the mixing-profile run: per lag, the 2^S S^2
+    multiply-adds of ``alpha_coeff``'s product over the 2^S state subsets."""
+    s = cfg.process.chain.state_count
+    return len(cfg.lags) * 2.0 ** s * s * s
 
 
 def _run_mixing_profile(cfg: ExperimentConfig) -> tuple[dict, Tables]:
@@ -753,7 +770,7 @@ def _summand_log_mgf(distribution: str, scale: float, eta: float) -> float:
 def estimate_mgf_budget(cfg: ExperimentConfig) -> float:
     """Work units of the mgf-check run: the samples x summands draws and one
     pass over the samples per eta point."""
-    return float(cfg.samples) * (cfg.summands + cfg.eta_points)
+    return float(cfg.samples) * (float(cfg.summands) + cfg.eta_points)
 
 
 def _run_mgf_check(cfg: ExperimentConfig) -> tuple[dict, Tables]:
@@ -786,8 +803,8 @@ def estimate_scaling_budget(cfg: ExperimentConfig) -> float:
     per Kendall pair (inversion counting over ranks) or T p^2 for the Spearman
     rank Gram."""
     kendall = cfg.estimator == "kendall"
-    return cfg.replications * math.fsum(p * (p - 1) / 2 * T * math.log2(T) if kendall
-                                        else T * p * p for T in cfg.t_grid for p in cfg.p_grid)
+    return cfg.replications * sum(float(p) * (p - 1) / 2 * T * math.log2(T) if kendall
+                                  else float(T) * p * p for T in cfg.t_grid for p in cfg.p_grid)
 
 
 def _deviations_block(args, start: int, count: int) -> np.ndarray:
@@ -867,8 +884,8 @@ def _run_scaling(cfg: ExperimentConfig) -> tuple[dict, Tables]:
 # ---------------------------------------------------------------------------
 
 def estimate_simulate_budget(cfg: ExperimentConfig) -> float:
-    """Work units of the simulate run: the values of its one path."""
-    return float(cfg.length) * (cfg.process.dimension or 1)
+    """Work units of the simulate run: drawing its one path."""
+    return _draw_cost(cfg.process, cfg.length)
 
 
 def _run_simulate(cfg: ExperimentConfig) -> tuple[dict, Tables]:
@@ -923,7 +940,9 @@ class ExperimentRun:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentRun:
     """Run ``cfg`` through its ``EXPERIMENTS`` body, or raise a BudgetError
-    before any work if the entry's work estimate exceeds the budget."""
+    before any work if the entry's work estimate exceeds the budget. The
+    estimates compute in floats from config numbers within the float range,
+    so one past that range reads inf, over any budget."""
     t0 = time.time()
     *_, body, estimate = EXPERIMENTS[cfg.experiment]
     cost = estimate(cfg)

@@ -21,12 +21,7 @@ import numpy as np
 
 from .processes import FiniteMarkovChain
 
-ALPHA_MAX_STATES = 16  # alpha enumerates all 2^s state subsets
-
-
-def _tv(p: np.ndarray, q: np.ndarray) -> float:
-    """Total variation distance: half the L1 distance."""
-    return 0.5 * float(np.abs(p - q).sum())
+ALPHA_MAX_STATES = 16  # alpha takes one product over all 2^s state subsets
 
 
 def beta_coeff(chain: FiniteMarkovChain, n: int) -> float:
@@ -39,21 +34,22 @@ def beta_coeff(chain: FiniteMarkovChain, n: int) -> float:
 
 
 def phi_coeff(chain: FiniteMarkovChain, n: int) -> float:
-    """phi(n) = max over starting states of TV(P^n(i,.), pi)."""
+    """phi(n) = max over starting states of TV(P^n(i,.), pi), the total
+    variation being half the L1 distance."""
     if n < 1:
         raise ValueError("lag must be >= 1")
     Pn = chain.power(n)
     pi = chain.stationary
-    rows = np.where(pi > 0)[0]
-    return float(max(_tv(Pn[i], pi) for i in rows))
+    return 0.5 * float(np.abs(Pn[pi > 0] - pi).sum(axis=1).max())
 
 
 def alpha_coeff(chain: FiniteMarkovChain, n: int) -> float:
     """alpha(n) = sup over state subsets A, B of |P(X0 in A, Xn in B) - P(A)P(B)|.
 
-    Enumerates A over all 2^s subsets; for fixed A the supremum over B is
-    attained in closed form at {j : d_j > 0}, which equals half the L1 norm of
-    the signed measure d (its total mass is zero).
+    For fixed A the supremum over B is attained in closed form at
+    {j : d_j > 0}, which equals half the L1 norm of the signed measure
+    d = P(X0 in A, Xn = .) - P(A) pi (its total mass is zero). Each proper
+    subset A is a 0/1 row, so every d is a row of one product.
     """
     if n < 1:
         raise ValueError("lag must be >= 1")
@@ -62,13 +58,9 @@ def alpha_coeff(chain: FiniteMarkovChain, n: int) -> float:
         raise ValueError(f"subset enumeration limited to {ALPHA_MAX_STATES} states")
     pi = chain.stationary
     joint = pi[:, None] * chain.power(n)  # P(X0 = i, Xn = j)
-    best = 0.0
-    for mask in range(1, 2 ** s - 1):
-        sel = [(mask >> i) & 1 for i in range(s)]
-        idx = np.array(sel, dtype=bool)
-        d = joint[idx].sum(axis=0) - pi[idx].sum() * pi
-        best = max(best, 0.5 * float(np.abs(d).sum()))
-    return best
+    subsets = ((np.arange(1, 2 ** s - 1)[:, None] >> np.arange(s)) & 1).astype(float)
+    d = subsets @ joint - (subsets @ pi)[:, None] * pi
+    return 0.5 * float(np.abs(d).sum(axis=1).max())
 
 
 def check_conditioning(chain: FiniteMarkovChain, conditioning: Sequence[tuple[int, int]],
@@ -119,7 +111,7 @@ def conditional_phi_coeff(
     # law of the last present coordinate given the conditioning
     end_marginal = start @ chain.power(block_len - 1)
     mu_bar = end_marginal @ Pn  # future start marginal given conditioning only
-    return max(_tv(Pn[x], mu_bar) for x in np.flatnonzero(end_marginal > 0))
+    return 0.5 * float(np.abs(Pn[end_marginal > 0] - mu_bar).sum(axis=1).max())
 
 
 def fit_decay_rate(profile: tuple[Sequence[int], Sequence[float]]) -> float:
@@ -127,7 +119,7 @@ def fit_decay_rate(profile: tuple[Sequence[int], Sequence[float]]) -> float:
 
     Requires at least three lags with strictly positive values; exact zeros
     must be dropped by the caller. Raises if the fitted slope is not positive
-    (the coefficients do not decay).
+    (the coefficients do not decay) or the fit overflows.
     """
     lags, values = profile
     lags = np.asarray(lags, dtype=float)
@@ -136,7 +128,11 @@ def fit_decay_rate(profile: tuple[Sequence[int], Sequence[float]]) -> float:
         raise ValueError("decay fit needs at least 3 lags")
     if np.any(values <= 0.0):
         raise ValueError("decay fit needs strictly positive values; drop exact zeros first")
-    slope, _ = np.polyfit(lags, -np.log(values), 1)
+    try:  # past lag 1e154 the squares in the fit's column norm overflow
+        with np.errstate(over="raise"):
+            slope, _ = np.polyfit(lags, -np.log(values), 1)
+    except FloatingPointError as exc:
+        raise ValueError("decay fit overflows at these lags") from exc
     if slope <= 1e-12:
         raise ValueError("mixing values do not decay")
     return float(slope)

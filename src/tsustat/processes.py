@@ -27,6 +27,7 @@ the one place that starts a worker pool, through ``_open_pool``;
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -77,21 +78,19 @@ class FiniteMarkovChain:
         return self.transition.shape[0]
 
     def power(self, n: int) -> np.ndarray:
-        """P^n, memoized: P^(n//2) squared, times P for odd n, with each
-        product's rows rescaled to sum to 1, so their rounding cannot compound
-        over the squarings and P^n stays stochastic at any n."""
+        """P^n in one loop over n's bits from the top, memoized: each prefix m
+        is P^(m//2) squared, times P for a 1 bit, with the rows rescaled to sum
+        to 1, so rounding cannot compound and P^n stays stochastic at any n."""
         if n < 0:
             raise ValueError("matrix power needs n >= 0")
-        got = self._powers.get(n)
-        if got is None:
-            if n < 2:
-                got = np.linalg.matrix_power(self.transition, n)
-            else:
-                half = self.power(n // 2)
-                got = half @ half if n % 2 == 0 else half @ half @ self.transition
-                got /= got.sum(axis=1, keepdims=True)
-            self._powers[n] = got
-        return got
+        got = np.linalg.matrix_power(self.transition, min(n, 1))  # P^0, or P^1 for the top bit
+        for shift in range(n.bit_length() - 2, -1, -1):
+            prefix = n >> shift
+            if prefix not in self._powers:
+                step = got @ got @ self.transition if prefix & 1 else got @ got
+                self._powers[prefix] = step / step.sum(axis=1, keepdims=True)
+            got = self._powers[prefix]
+        return self._powers.setdefault(n, got)
 
 
 def _solve_stationary(P: np.ndarray) -> np.ndarray:
@@ -235,11 +234,11 @@ def _run_block(payload):
     return fn(args, start, count)
 
 
-def _open_pool(threads: int):
-    """A process pool of ``threads`` workers; imported here, not at module
+def _open_pool(workers: int):
+    """A process pool of ``workers`` workers; imported here, not at module
     load, so runs that never pool never load ``concurrent.futures``."""
     from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=threads)
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def map_replication_blocks(fn: Callable, jobs: Sequence[tuple], replications: int,
@@ -252,7 +251,9 @@ def map_replication_blocks(fn: Callable, jobs: Sequence[tuple], replications: in
     blocks from it, so a block is drawn, ranked and counted within a fixed
     memory budget. Blocks never span two jobs and do not depend on the
     worker count, and each job's results come back in block order, so the
-    output is scheduler-independent. One pool serves every block of the call.
+    output is scheduler-independent. One pool serves every block of the
+    call, with ``threads`` as an upper bound on its workers: it never opens
+    more of them than there are blocks or CPUs, and none for one.
     """
     payloads, owner = [], []
     for k, (args, values) in enumerate(zip(jobs, path_values, strict=True)):
@@ -260,10 +261,11 @@ def map_replication_blocks(fn: Callable, jobs: Sequence[tuple], replications: in
         for start in range(0, replications, block):
             payloads.append((fn, args, start, min(block, replications - start)))
             owner.append(k)
-    if threads <= 1 or len(payloads) <= 1:
+    workers = min(threads, len(payloads), os.cpu_count() or 1)
+    if workers <= 1:
         results = [_run_block(p) for p in payloads]
     else:
-        with _open_pool(threads) as pool:
+        with _open_pool(workers) as pool:
             results = list(pool.map(_run_block, payloads))
     out: list[list] = [[] for _ in jobs]
     for k, result in zip(owner, results):

@@ -1,10 +1,13 @@
 """Literal enumeration oracles for the paper's proof devices.
 
 Each one computes by brute force what the library computes in closed form:
-Hoeffding's permutation decoupling of a U-statistic, the beta coefficient as
-a supremum over pairs of partitions, and the conditional phi coefficient
-with the future block enumerated atom by atom. One exact law serves the
-tail harness: the null law of Kendall's tau, by inversion counts.
+Hoeffding's permutation decoupling of a U-statistic, the alpha coefficient
+as a supremum over pairs of state subsets, the beta coefficient as a
+supremum over pairs of partitions, and the conditional phi coefficient with
+the future block enumerated atom by atom. The recursive definition of a
+chain's matrix power is kept beside the library's loop over the bits of n.
+One exact law serves the tail harness: the null law of Kendall's tau, by
+inversion counts.
 """
 import itertools
 import math
@@ -61,6 +64,32 @@ def beta_coeff_bruteforce(chain, n: int) -> float:
                         for A in pa for B in pb)
             best = max(best, 0.5 * total)
     return best
+
+
+def alpha_coeff_bruteforce(chain, n: int) -> float:
+    """alpha(n) via the literal supremum of |P(X0 in A, Xn in B) - pi(A) pi(B)|
+    over all pairs of state subsets A, B."""
+    pi, s = chain.stationary, chain.state_count
+    joint = pi[:, None] * chain.power(n)
+    subsets = [np.flatnonzero([(mask >> i) & 1 for i in range(s)]) for mask in range(2 ** s)]
+    return max(abs(joint[np.ix_(A, B)].sum() - pi[A].sum() * pi[B].sum())
+               for A in subsets for B in subsets)
+
+
+def recursive_power(P: np.ndarray, n: int, memo: dict) -> np.ndarray:
+    """P^n by recursion: P^(n//2) squared, times P for odd n, with the rows
+    rescaled to sum to 1; P^0 and P^1 as ``np.linalg.matrix_power`` gives
+    them. ``memo`` maps each n reached to its power, so a caller can keep the
+    depth down by asking for the prefixes of n's bits first."""
+    if n not in memo:
+        if n < 2:
+            memo[n] = np.linalg.matrix_power(P, n)
+        else:
+            half = recursive_power(P, n // 2, memo)
+            got = half @ half if n % 2 == 0 else half @ half @ P
+            got /= got.sum(axis=1, keepdims=True)
+            memo[n] = got
+    return memo[n]
 
 
 def _block_law(mu: np.ndarray, P: np.ndarray, horizon: int) -> np.ndarray:

@@ -722,6 +722,24 @@ def test_mixing_profile_runs_at_a_huge_lag_and_a_long_block(tmp_path):
         assert prof["lags"] == [1, 10 ** 30] and 0.0 <= prof["values"][1] <= 1e-15
 
 
+def test_mixing_profile_runs_at_lags_past_the_call_stack(tmp_path, capsys):
+    """A lag, a present block and a conditioning gap of 10^300 take matrix
+    powers 997 squarings deep, which the loop over n's bits reaches without
+    recursing. The decay fit over lags up to 10^300 would overflow, so none
+    is reported, and nothing is written to stderr."""
+    chain = {"kind": "markov_chain", "transition": [[0.7, 0.3], [0.1, 0.9]]}
+    payload = dict(MIXING, process=chain, lags=[1, 2, 10 ** 300],
+                   conditional={"conditioning": [[0, 0], [10 ** 300, 1]], "block_len": 10 ** 300})
+    out = tmp_path / "m"
+    assert main(["mixing-profile", "--config", write_config(tmp_path, payload),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    profiles = json.loads((out / "result.json").read_text())["data"]["profiles"]
+    for prof in profiles.values():
+        assert prof["lags"] == [1, 2, 10 ** 300] and prof["fitted_gamma"] is None
+        assert 0.0 <= prof["values"][2] <= 1e-15
+
+
 # each case: command, payload, and --budget (None for the default)
 @pytest.mark.parametrize("command,payload,budget", [
     ("tail", tail_payload(kernel={"kind": "spearman_sym"}, t_grid=[10],

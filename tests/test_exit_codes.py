@@ -41,6 +41,9 @@ BASES = {
         {"kind": "spearman_sym"}, theta={"mode": "mc", "draws": 1000})),
     "tail-mean": ("tail", _tail({"kind": "iid"}, {"kind": "mean", "bound": 10.0},
                                 theta={"mode": "exact-zero"})),
+    "tail-m-dependent": ("tail", _tail({"kind": "m_dependent", "window": 2},
+                                       {"kind": "mean", "bound": 10.0},
+                                       theta={"mode": "exact-zero"})),
     "tail-table": ("tail", _tail(CHAIN, MATCH_KERNEL)),
     "tail-table-order-1": ("tail", _tail(CHAIN, {"kind": "table", "order": 1, "state_count": 2,
                                                  "entries": [[[0], 1.0], [[1], -0.5]]})),
@@ -68,8 +71,8 @@ BASES = {
 }
 
 DELETE = object()
-VALUES = [DELETE, None, True, False, -1, 0, 10 ** 30, 1e308, -1e308, "x", "", [], [[]],
-          [1, [2]]]
+VALUES = [DELETE, None, True, False, -1, 0, 10 ** 30, 10 ** 308, 2 ** 1100, 1e308, -1e308,
+          "x", "", [], [[]], [1, [2]]]
 
 
 def _paths(node, prefix=()):
@@ -120,6 +123,46 @@ def test_every_config_leaf_maps_to_a_documented_exit_code(tmp_path, capsys, base
             shutil.rmtree(out, ignore_errors=True)
             capsys.readouterr()
     assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("base,changes,code", [
+    ("tail-mean", {("replications",): 2 ** 1100}, 2),
+    ("tail-mean", {("t_grid", 1): 2 ** 1100}, 2),
+    ("tail-spearman-sym", {("theta", "draws"): 2 ** 1100}, 2),
+    ("simulate", {("length",): 2 ** 1100}, 2),
+    ("mgf-check", {("samples",): 2 ** 1100}, 2),
+    ("mgf-check", {("summands",): 2 ** 1100}, 2),
+    ("decompose-check", {("replications",): 2 ** 1100}, 2),
+    ("scaling", {("p_grid", 0): 2 ** 1100}, 2),
+    ("simulate", {("seed",): 2 ** 1024}, 2),
+    ("bias", {("t_grid", 0): 10 ** 308}, 2),  # C(T, 2) past the float range
+    ("tail-spearman-sym", {("theta", "draws"): 10 ** 308}, 3),
+    ("scaling", {("p_grid", 0): 10 ** 308}, 3),
+    ("decompose-check", {("replications",): 10 ** 308}, 3),
+    ("mgf-check", {("summands",): 10 ** 308, ("eta_points",): 10 ** 308}, 3),
+    ("tail-m-dependent", {("process", "window"): 10 ** 30}, 3),
+    ("simulate", {("process",): {"kind": "m_dependent", "window": 10 ** 30}}, 3),
+], ids=["tail-replications", "tail-t-grid", "tail-theta-draws", "simulate-length",
+        "mgf-samples", "mgf-summands", "decompose-replications", "scaling-p-grid",
+        "seed-past-float-range", "bias-tuples-past-float-range", "theta-draws-times-order",
+        "scaling-p-pairs", "decompose-pair-reads", "mgf-summands-plus-eta-points",
+        "tail-m-dependent-window", "simulate-m-dependent-window"])
+def test_numbers_past_float_range_exit_2_and_overflowing_estimates_exit_3(
+        tmp_path, capsys, base, changes, code):
+    """A config integer past the float range is a config error, as a float's
+    is; one inside it that overflows a work estimate makes that estimate inf,
+    over any budget. An m-dependent window is drawn and summed per path, so
+    it counts in the estimate."""
+    command, config = BASES[base]
+    for path, value in changes.items():
+        config = _with(config, path, value)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                 "--budget", "1e9"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error:" if code == 2 else "budget exceeded:")
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 
 CALIBRATE_TAIL = _config("tail", process=CHAIN, kernel=MATCH_KERNEL, t_grid=[10, 20],

@@ -370,23 +370,15 @@ def test_tail_run_deterministic_and_thread_invariant(tmp_path, case, small_block
         assert (data["max_b_ratio"] > 0) == (raw["replications"] > 0)
 
 
-@pytest.mark.parametrize("raw,path_values", [
-    (tail_config(t_grid=[8, 12, 16]), 32),
-    (dict(SCALING, estimator="kendall"), None),
-    (dict(SCALING, estimator="spearman"), None),
-    (DECOMPOSE, 20),
-], ids=["tail", "scaling-kendall", "scaling-spearman", "decompose-check"])
-def test_each_run_opens_one_pool(monkeypatch, small_blocks, raw, path_values):
-    """A multi-worker run maps all its replications through one pool. Tail
-    and decompose-check runs hold two blocks of their paths' values; a
-    scaling run holds two jobs."""
-    if path_values is not None:
-        raw = dict(raw, replications=block_replications(path_values) + 1)
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """The worker counts of the pools opened while it is in use, through an
+    in-process stand-in for ProcessPoolExecutor: no process starts."""
     opened = []
 
-    class RecordingPool:  # in-process stand-in for ProcessPoolExecutor
-        def __init__(self, threads):
-            opened.append(threads)
+    class RecordingPool:
+        def __init__(self, workers):
+            opened.append(workers)
 
         def __enter__(self):
             return self
@@ -398,11 +390,59 @@ def test_each_run_opens_one_pool(monkeypatch, small_blocks, raw, path_values):
             return list(map(fn, items))
 
     monkeypatch.setattr(processes, "_open_pool", RecordingPool)
+    return opened
+
+
+@pytest.mark.parametrize("raw,path_values", [
+    (tail_config(t_grid=[8, 12, 16]), 32),
+    (dict(SCALING, estimator="kendall"), None),
+    (dict(SCALING, estimator="spearman"), None),
+    (DECOMPOSE, 20),
+], ids=["tail", "scaling-kendall", "scaling-spearman", "decompose-check"])
+def test_each_run_opens_one_pool(monkeypatch, small_blocks, recording_pool, raw, path_values):
+    """A multi-worker run maps all its replications through one pool. Tail
+    and decompose-check runs hold two blocks of their paths' values; a
+    scaling run holds two jobs."""
+    if path_values is not None:
+        raw = dict(raw, replications=block_replications(path_values) + 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     cfg = ExperimentConfig.from_dict(raw)
     cfg.threads = 2
     pooled = run_experiment(cfg).data
-    assert opened == [2]
+    assert recording_pool == [2]
     assert pooled == run_experiment(ExperimentConfig.from_dict(raw)).data
+
+
+@pytest.mark.parametrize("threads,blocks,cpus,workers", [
+    (100_000, 3, 2, [2]), (100_000, 3, None, []), (100_000, 1, 8, []), (3, 5, 8, [3]),
+    (2, 5, 1, []), (4, 2, 8, [2]),
+])
+def test_threads_bound_the_workers_by_blocks_and_cpus(monkeypatch, recording_pool,
+                                                       threads, blocks, cpus, workers):
+    """``threads`` is an upper bound: the pool opens min(threads, blocks,
+    CPUs) workers, and none where that is 1 (an unknown CPU count reads 1).
+    The blocks' results do not depend on it."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    got = processes.map_replication_blocks(lambda args, start, count: (args, start, count),
+                                           ["job"], blocks, [processes.BLOCK_VALUES],
+                                           threads=threads)
+    assert recording_pool == workers
+    assert got == [[("job", start, 1) for start in range(blocks)]]
+
+
+def test_an_m_dependent_window_counts_in_the_estimate_and_the_block_size():
+    """A path of window m is T + m draws and T (m + 1) adds: at window 10^6,
+    T = 10 and 1000 replications the estimate holds 10^10 adds, and a block
+    holds one path of 10^6 + 10 draws, not all 1000 paths of 10 values."""
+    cfg = ExperimentConfig.from_dict(tail_config(
+        process={"kind": "m_dependent", "window": 10 ** 6}, kernel={"kind": "mean", "bound": 10.0},
+        theta={"mode": "exact-zero"}, t_grid=[10], x_grid=[1.0], replications=1000))
+    assert estimate_tail_budget(cfg) == 1000 * ((10 + 10 ** 6) + 10 * (10 ** 6 + 1) + 10)
+    assert harness._path_values(cfg) == 10 ** 6 + 10
+    assert block_replications(harness._path_values(cfg)) == 1
+    simulate = ExperimentConfig.from_dict({"schema_version": 1, "experiment": "simulate",
+                                           "seed": 1, "length": 10, "process": cfg.raw["process"]})
+    assert harness.estimate_simulate_budget(simulate) == (10 + 10 ** 6) + 10 * (10 ** 6 + 1)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -458,11 +498,13 @@ def test_each_t_of_a_grid_reads_the_same_paths(monkeypatch, threads):
     tail_config(t_grid=[30, 60], replications=24, process=CHAIN, kernel=MATCH_KERNEL),
     tail_config(t_grid=[30, 60], replications=24, process={"kind": "ar1", "coefficient": 0.6},
                 kernel={"kind": "mean", "bound": 10.0}, theta={"mode": "exact-zero"}),
+    tail_config(t_grid=[30, 60], replications=24, process={"kind": "m_dependent", "window": 7},
+                kernel={"kind": "mean", "bound": 10.0}, theta={"mode": "exact-zero"}),
     dict(SCALING, estimator="kendall", replications=6),
     dict(SCALING, estimator="spearman", replications=6),
     dict(DECOMPOSE, replications=12),
 ], ids=["tail-identity", "tail-equicorrelated", "tail-table", "tail-mean",
-        "scaling-kendall", "scaling-spearman", "decompose-check"])
+        "tail-m-dependent", "scaling-kendall", "scaling-spearman", "decompose-check"])
 def test_block_size_does_not_change_the_data(monkeypatch, tmp_path, raw):
     """Blocks of one path, the default budget and one block for the whole
     run write byte-identical data blocks and CSVs."""

@@ -10,7 +10,8 @@ from tsustat.mixing import (alpha_coeff, beta_coeff, conditional_phi_coeff, fit_
 from tsustat.processes import (FiniteMarkovChain, cycle_chain, iid_chain, random_chain,
                                two_state_chain)
 
-from oracles import beta_coeff_bruteforce, conditional_phi_enumerated
+from oracles import (alpha_coeff_bruteforce, beta_coeff_bruteforce, conditional_phi_enumerated,
+                     recursive_power)
 
 
 def eigen_beta(p, n):
@@ -83,6 +84,21 @@ def test_beta_bruteforce_matches_formula():
         for n in (1, 2, 4):
             assert beta_coeff_bruteforce(chain, n) == pytest.approx(
                 beta_coeff(chain, n), abs=1e-12)
+
+
+def test_alpha_matches_the_supremum_over_subset_pairs():
+    """The subset product's alpha is the literal supremum over all pairs of
+    state subsets, on random chains of 2 to 6 states, concentrated rows
+    included, and on a periodic chain."""
+    rng = np.random.default_rng(34)
+    for s in range(2, 7):
+        for concentration in (0.3, 1.0, 4.0):
+            chain = random_chain(s, rng, concentration)
+            for n in (1, 2, 3, 7):
+                assert abs(alpha_coeff(chain, n) - alpha_coeff_bruteforce(chain, n)) <= 1e-15
+    cycle = cycle_chain(4)
+    for n in (1, 2, 3):
+        assert abs(alpha_coeff(cycle, n) - alpha_coeff_bruteforce(cycle, n)) <= 1e-15
 
 
 def test_lag_validation():
@@ -188,6 +204,27 @@ def test_power_matches_matrix_power_below_200():
         for g in range(200):
             np.testing.assert_allclose(chain.power(g), np.linalg.matrix_power(chain.transition, g),
                                        rtol=0, atol=1e-14)
+
+
+def test_power_is_the_recursive_definition_bit_for_bit():
+    """The loop over n's bits gives the recursion's P^n bit for bit, whether
+    the powers are asked for from small n up or from the largest n down, and
+    at n = 10^300, past the recursion's reach on a default call stack. The
+    oracle is asked for the prefixes of n's bits first, 64 bits apart, so it
+    never recurses more than 64 deep."""
+    rng = np.random.default_rng(19)
+    periodic = [[0, 0, 0.5, 0.5], [0, 0, 0.3, 0.7], [0.4, 0.6, 0, 0], [0.2, 0.8, 0, 0]]
+    lags = [*range(200), 10 ** 6, 10 ** 6 + 1, 2 ** 40, 2 ** 40 - 1, 10 ** 30, 10 ** 300]
+    for P in (two_state_chain(0.3, 0.1).transition, random_chain(5, rng).transition,
+              random_chain(3, rng, 0.2).transition, cycle_chain(3).transition,
+              np.array(periodic)):
+        memo = {}
+        for order in (lags, lags[::-1]):
+            chain = FiniteMarkovChain(P)
+            for n in order:
+                for shift in range(n.bit_length() - 1, 0, -64):
+                    recursive_power(P, n >> shift, memo)
+                assert np.array_equal(chain.power(n), recursive_power(P, n, memo))
 
 
 @pytest.mark.parametrize("lag", [10 ** 12, 10 ** 30])
